@@ -260,13 +260,18 @@ def cmd_quotient(args, emit):
             "element": cert.element_text,
             "degree": cert.degree,
             "normal": cert.normal_ok,
+            "regular": cert.regular_ok,
             "regular_up_to": cert.checked_to,
             "witnesses": [
                 art.presentation.format_poly(w) for w in cert.left_witnesses
             ],
         },
-        text="normal element %s (degree %d): normal yes, regular up to degree %d"
-        % (cert.element_text, cert.degree, cert.checked_to),
+        text="normal element %s (degree %d): normal yes, %s"
+        % (
+            cert.element_text,
+            cert.degree,
+            "regular up to degree %d" % cert.checked_to if cert.regular_ok else cert.notes[0],
+        ),
     )
     emit.record(
         "presentation",

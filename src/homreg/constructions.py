@@ -170,26 +170,16 @@ def _solve_witness(G, omega, g_poly, left):
     field = pres.field
     dg = g_poly.degree
     target_poly = G.normal_form(g_poly * omega if left else omega * g_poly)
-    j = omega.degree + dg
-    words = G.normal_words(dg)
-    basis = G.word_index(j)
-    cols = []
-    for w in words:
-        wp = pres.word_poly(w)
-        q = G.normal_form(omega * wp if left else wp * omega)
-        col = [field.zero()] * len(basis)
-        for u, c in q.terms.items():
-            col[basis[u]] = col[basis[u]] + c
-        cols.append(col)
-    rhs = [field.zero()] * len(basis)
-    for u, c in target_poly.terms.items():
-        rhs[basis[u]] = rhs[basis[u]] + c
-    rows = [[cols[c][t] for c in range(len(cols))] for t in range(len(basis))]
+    cols = G.multiplication_columns(omega, dg, left)
+    index = G.word_index(omega.degree + dg)
+    rhs = [field.zero()] * len(index)
+    target_poly.add_into(rhs, index)
+    rows = [[cols[c][t] for c in range(len(cols))] for t in range(len(rhs))]
     sol = linalg.solve(rows, len(cols), rhs, field)
     if sol is None:
         return None
-    terms = {w: c for w, c in zip(words, sol) if c}
-    return Poly.make(terms, pres.gen_degs) if terms else Poly.zero()
+    terms = {w: c for w, c in zip(G.normal_words(dg), sol) if c}
+    return Poly.make(terms, pres.gen_degs)
 
 
 def quotient_by_normal_element(artA, omega, d_max=None, label=""):
@@ -236,19 +226,15 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
         )
 
     # regularity up to the bound: dim (Omega A)_j == dim A_{j-a}
-    field = A.field
     regular_ok = True
+    checked_to = d_max
     for j in range(a, d_max + 1):
-        basis = G.word_index(j)
-        ech = linalg.Echelon(len(basis), field)
-        for w in G.normal_words(j - a):
-            q = G.normal_form(omega.rmul_word(w, j - a))
-            vec = [field.zero()] * len(basis)
-            for u, c in q.terms.items():
-                vec[basis[u]] = vec[basis[u]] + c
-            ech.add(vec)
+        ech = linalg.Echelon(G.dim(j), A.field)
+        for col in G.multiplication_columns(omega, j - a):
+            ech.add(col)
         if ech.rank != G.dim(j - a):
             regular_ok = False
+            checked_to = j - 1
             break
 
     cert = NormalElementCertificate(
@@ -258,8 +244,12 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
         right_witnesses=tuple(right_w),
         normal_ok=normal_ok,
         regular_ok=regular_ok,
-        checked_to=d_max,
-        notes=("regularity certified up to degree %d only" % d_max,),
+        checked_to=checked_to,
+        notes=(
+            "regularity certified up to degree %d only" % d_max
+            if regular_ok
+            else "regularity fails at degree %d" % (checked_to + 1),
+        ),
     )
 
     rels = list(A.relations) + [omega]
@@ -322,22 +312,12 @@ class FiniteMapCertificate:
 
 
 def _cokernel_dims(G_A, images, d_max, side_left):
-    field = G_A.presentation.field
     dims = []
     for j in range(d_max + 1):
-        basis = G_A.word_index(j)
-        ech = linalg.Echelon(len(basis), field)
+        ech = linalg.Echelon(G_A.dim(j), G_A.presentation.field)
         for fg in images:
-            dg = fg.degree
-            if j - dg < 0:
-                continue
-            for w in G_A.normal_words(j - dg):
-                prod = fg.rmul_word(w, j - dg) if side_left else fg.lmul_word(w, j - dg)
-                q = G_A.normal_form(prod)
-                vec = [field.zero()] * len(basis)
-                for u, c in q.terms.items():
-                    vec[basis[u]] = vec[basis[u]] + c
-                ech.add(vec)
+            for col in G_A.multiplication_columns(fg, j - fg.degree, side_left):
+                ech.add(col)
         dims.append(G_A.dim(j) - ech.rank)
     return tuple(dims)
 

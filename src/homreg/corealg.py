@@ -348,6 +348,15 @@ class Poly:
             return self
         return Poly({u + w: c for u, c in self.terms.items()}, self.degree + wdeg)
 
+    def add_into(self, vec, index, slot=None):
+        """Add the coefficients into the coordinate vector `vec` in place.
+
+        Word u goes to position index[u], or index[(slot, u)] with a slot.
+        """
+        for u, c in self.terms.items():
+            k = index[u] if slot is None else index[(slot, u)]
+            vec[k] = vec[k] + c
+
     def lead_word(self, order):
         return max(self.terms, key=order.key)
 
@@ -647,6 +656,26 @@ def _parse_coefficient(ts, field):
     return field.from_int(num)
 
 
+def _is_name(t):
+    return t is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t) is not None
+
+
+def _parse_factor(ts, pres):
+    """One factor name[^k], as the generator index repeated k times."""
+    t = ts.next()
+    if not _is_name(t):
+        raise PresentationError("expected a generator name, found %r" % t)
+    idx = pres.gen_index(t)
+    power = 1
+    if ts.peek() == "^":
+        ts.next()
+        e = ts.next()
+        if e is None or not e.isdigit():
+            raise PresentationError("expected integer exponent after '^'")
+        power = int(e)
+    return [idx] * power
+
+
 def _parse_term(ts, pres):
     """One signed term: [coef] [* name[^k] [* name[^k] ...]]."""
     field = pres.field
@@ -662,21 +691,11 @@ def _parse_term(ts, pres):
         else:
             return coeff, tuple(letters)
     while True:
-        t = ts.peek()
-        if t is None or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t):
+        if not _is_name(ts.peek()):
             if not saw_factor:
-                raise PresentationError("expected a term, found %r" % t)
+                raise PresentationError("expected a term, found %r" % ts.peek())
             break
-        ts.next()
-        idx = pres.gen_index(t)
-        power = 1
-        if ts.peek() == "^":
-            ts.next()
-            e = ts.next()
-            if e is None or not e.isdigit():
-                raise PresentationError("expected integer exponent after '^'")
-            power = int(e)
-        letters.extend([idx] * power)
+        letters.extend(_parse_factor(ts, pres))
         saw_factor = True
         if ts.peek() == "*":
             ts.next()
@@ -777,16 +796,12 @@ def parse_presentation(text, label=""):
     for source in rel_sources:
         ts = _TokenStream(_tokenize(source))
         while ts.peek() is not None:
-            start = ts.pos
             p = _parse_poly_stream(ts, proto)
             if p.is_zero():
                 raise PresentationError("zero relation in %r" % source)
             if p.degree < 1:
                 raise PresentationError("relation %r is a nonzero scalar" % source)
-            try:
-                relations.append(p)
-            finally:
-                del start
+            relations.append(p)
             if ts.peek() == ",":
                 ts.next()
                 continue
@@ -855,16 +870,7 @@ def _parse_module_row(text, pres, n_gens):
                 ts.next()
                 slot = int(m.group(1))
                 break
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t):
-                raise PresentationError("unexpected token %r in module row" % t)
-            ts.next()
-            idx = pres.gen_index(t)
-            power = 1
-            if ts.peek() == "^":
-                ts.next()
-                e = ts.next()
-                power = int(e)
-            letters.extend([idx] * power)
+            letters.extend(_parse_factor(ts, pres))
             ts.expect("*")
         if slot >= n_gens:
             raise PresentationError("basis symbol e%d out of range" % slot)

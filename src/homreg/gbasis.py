@@ -182,6 +182,23 @@ class GroebnerBasis:
         """Map word -> position in the degree-j normal basis."""
         return {w: i for i, w in enumerate(self.normal_words(j))}
 
+    def multiplication_columns(self, f, j, left=True):
+        """Matrix of w |-> f*w (left) or w |-> w*f on A_j, one column per word.
+
+        Columns run over the degree-j normal words; each holds the normal
+        form's coordinates in the degree-(j + deg f) normal basis.
+        """
+        words = self.normal_words(j)
+        index = self.word_index(j + f.degree)
+        zero = self.presentation.field.zero()
+        cols = []
+        for w in words:
+            q = self.normal_form(f.rmul_word(w, j) if left else f.lmul_word(w, j))
+            col = [zero] * len(index)
+            q.add_into(col, index)
+            cols.append(col)
+        return cols
+
 
 @dataclass(frozen=True)
 class NormalWordBasis:
@@ -320,30 +337,34 @@ def _serialize_basis(G):
 
 
 def _deserialize_basis(text, presentation, d_gb):
+    """The basis stored in `text`, or None when it is stale or malformed."""
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("homreg-gb "):
+    header = (
+        "homreg-gb %d" % GB_FORMAT_VERSION,
+        "fingerprint %s" % basis_fingerprint(presentation, d_gb),
+    )
+    if tuple(lines[:2]) != header:
         return None
-    if int(lines[0].split()[1]) != GB_FORMAT_VERSION:
-        return None
-    if lines[1].split()[1] != basis_fingerprint(presentation, d_gb):
-        return None
-    complete = bool(int(lines[2].split()[1]))
-    count = int(lines[3].split()[1])
     field = presentation.field
-    elements = []
-    for line in lines[4 : 4 + count]:
-        body = line[len("poly ") :]
-        terms = {}
-        for part in body.split():
-            cs, _, ws = part.partition("@")
-            word = tuple(int(i) for i in ws.split(".")) if ws else ()
-            if field.name == "Q":
-                c = Fraction(cs)
-            else:
-                c = field.from_int(int(cs))
-            terms[word] = c
-        elements.append(Poly.make(terms, presentation.gen_degs))
-    return GroebnerBasis(presentation, elements, d_gb, complete)
+    try:
+        complete = {"complete 1": True, "complete 0": False}[lines[2]]
+        key, count = lines[3].split()
+        if key != "elements" or len(lines) != 4 + int(count):
+            return None
+        elements = []
+        for line in lines[4:]:
+            head, _, body = line.partition(" ")
+            if head != "poly":
+                return None
+            terms = {}
+            for part in body.split():
+                cs, _, ws = part.partition("@")
+                word = tuple(int(i) for i in ws.split(".")) if ws else ()
+                terms[word] = Fraction(cs) if field.name == "Q" else field.from_int(int(cs))
+            elements.append(Poly.make(terms, presentation.gen_degs))
+        return GroebnerBasis(presentation, elements, d_gb, complete)
+    except (KeyError, ValueError, IndexError, ZeroDivisionError):
+        return None
 
 
 def save_basis(G, directory):

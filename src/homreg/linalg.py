@@ -13,28 +13,11 @@ from dataclasses import dataclass
 
 
 @dataclass
-class ScalarMatrix:
-    """A dense matrix with optional basis labels on rows and columns."""
-
-    nrows: int
-    ncols: int
-    entries: list
-    row_labels: tuple = None
-    col_labels: tuple = None
-
-
-@dataclass
 class RowReduction:
     rank: int
     pivots: tuple
     rref: list
     kernel: list
-
-
-def _rows_of(matrix):
-    if isinstance(matrix, ScalarMatrix):
-        return matrix.entries, matrix.ncols
-    return matrix, None
 
 
 def row_reduce(matrix, ncols=None, field=None):
@@ -44,12 +27,11 @@ def row_reduce(matrix, ncols=None, field=None):
     column, in ascending column order) so it is exact and canonical:
     rank + len(kernel) == ncols.
     """
-    rows, mcols = _rows_of(matrix)
     if ncols is None:
-        ncols = mcols if mcols is not None else (len(rows[0]) if rows else 0)
+        ncols = len(matrix[0]) if matrix else 0
     one = field.one()
     zero = field.zero()
-    rref = [list(row) for row in rows]
+    rref = [list(row) for row in matrix]
     nrows = len(rref)
     pivots = []
     r = 0

@@ -903,10 +903,15 @@ def inequality_harness(cases):
         if case.kind == "leq":
             if lhs.kind == "unknown" or rhs.kind == "unknown":
                 results.append(HarnessResult(case.name, "skip", "unknown side"))
-            elif rhs.kind == "exact":
+            elif rhs.kind == "exact" and (lhs.is_exact or lhs.value > rhs.value):
                 ok = lhs.value <= rhs.value
                 detail = "%s <= %s%s" % (lhs, rhs, (" | " + case.detail) if case.detail else "")
                 results.append(HarnessResult(case.name, "pass" if ok else "fail", detail))
+            elif rhs.kind == "exact":
+                # a lower bound below the right side proves nothing
+                results.append(
+                    HarnessResult(case.name, "skip", "left side not exact (%s)" % lhs)
+                )
             else:
                 # rhs is only a lower bound: a certified violation is impossible
                 results.append(

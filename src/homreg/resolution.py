@@ -74,7 +74,7 @@ class FreeLayer:
     def dim(self, j):
         return len(self.basis(j))
 
-    def act(self, g, j, vec):
+    def act_vec(self, g, j, vec):
         """Left multiplication by generator g on a degree-j coordinate vector."""
         dg = self.G.presentation.gen_degs[g]
         target = self.index(j + dg)
@@ -90,7 +90,36 @@ class FreeLayer:
         return out
 
 
-class PresentedModuleView:
+class _ModuleView:
+    """A graded left module given degreewise by generator action matrices.
+
+    Subclasses set `G`, `field` and an empty `_act_cols` dict, and supply
+    `dim(j)` and `_build_act_columns(g, j)`.
+    """
+
+    def act_columns(self, g, j):
+        """Images of the degree-j basis under generator g, as columns."""
+        key = (g, j)
+        cols = self._act_cols.get(key)
+        if cols is None:
+            cols = self._act_cols[key] = self._build_act_columns(g, j)
+        return cols
+
+    def act_vec(self, g, j, vec):
+        dg = self.G.presentation.gen_degs[g]
+        out = [self.field.zero()] * self.dim(j + dg)
+        cols = self.act_columns(g, j)
+        for b, c in enumerate(vec):
+            if not c:
+                continue
+            col = cols[b]
+            for t in range(len(out)):
+                if col[t]:
+                    out[t] = out[t] + c * col[t]
+        return out
+
+
+class PresentedModuleView(_ModuleView):
     """Graded pieces of a presented module F/N in canonical coordinates.
 
     Coordinates at each degree are the non-pivot columns of the reduced
@@ -127,11 +156,8 @@ class PresentedModuleView:
                 vec = [zero] * len(basis)
                 wdeg = j - rdeg
                 for r, p in enumerate(row):
-                    if not p:
-                        continue
-                    q = self.G.normal_form(p.lmul_word(w, wdeg))
-                    for u, c in q.terms.items():
-                        vec[index[(r, u)]] = vec[index[(r, u)]] + c
+                    if p:
+                        self.G.normal_form(p.lmul_word(w, wdeg)).add_into(vec, index, r)
                 ech.add(vec)
         self._echelon[j] = ech
         pivots = set(ech.pivot_of_row)
@@ -146,36 +172,14 @@ class PresentedModuleView:
         res = self._echelon[j].residue(ambient_vec)
         return [res[c] for c in self._free_cols[j]]
 
-    def act_columns(self, g, j):
-        """Images of the degree-j basis under generator g, as columns."""
-        key = (g, j)
-        cols = self._act_cols.get(key)
-        if cols is not None:
-            return cols
+    def _build_act_columns(self, g, j):
         dg = self.G.presentation.gen_degs[g]
-        zero = self.field.zero()
-        nfree = self.dim(j)
         cols = []
-        for b in range(nfree):
-            amb = [zero] * len(self.ambient.basis(j))
-            amb[self._free_cols[j][b]] = self.field.one()
-            img = self.ambient.act(g, j, amb)
-            cols.append(self._project(j + dg, img))
-        self._act_cols[key] = cols
+        for c in self._free_cols[j]:
+            amb = [self.field.zero()] * self.ambient.dim(j)
+            amb[c] = self.field.one()
+            cols.append(self._project(j + dg, self.ambient.act_vec(g, j, amb)))
         return cols
-
-    def act_vec(self, g, j, vec):
-        dg = self.G.presentation.gen_degs[g]
-        out = [self.field.zero()] * self.dim(j + dg)
-        cols = self.act_columns(g, j)
-        for b, c in enumerate(vec):
-            if not c:
-                continue
-            col = cols[b]
-            for t in range(len(out)):
-                if col[t]:
-                    out[t] = out[t] + c * col[t]
-        return out
 
     def dims(self):
         return [self.dim(j) for j in range(min(self.min_degree, 0), self.d_max + 1)]
@@ -206,7 +210,7 @@ class PresentedModuleView:
         return RationalSeries(coeffs, (1,), (), max(nonzero))
 
 
-class MappedAlgebraView:
+class MappedAlgebraView(_ModuleView):
     """An algebra A as a graded left T-module through generator images."""
 
     def __init__(self, G_T, images, G_A, d_max):
@@ -230,38 +234,8 @@ class MappedAlgebraView:
             return 0
         return self.G_A.dim(j)
 
-    def act_columns(self, g, j):
-        key = (g, j)
-        cols = self._act_cols.get(key)
-        if cols is not None:
-            return cols
-        dg = self.G.presentation.gen_degs[g]
-        fg = self.images[g]
-        words = self.G_A.normal_words(j)
-        target = self.G_A.word_index(j + dg)
-        zero = self.field.zero()
-        cols = []
-        for w in words:
-            q = self.G_A.normal_form(fg.rmul_word(w, j))
-            col = [zero] * len(target)
-            for u, c in q.terms.items():
-                col[target[u]] = col[target[u]] + c
-            cols.append(col)
-        self._act_cols[key] = cols
-        return cols
-
-    def act_vec(self, g, j, vec):
-        dg = self.G.presentation.gen_degs[g]
-        out = [self.field.zero()] * self.dim(j + dg)
-        cols = self.act_columns(g, j)
-        for b, c in enumerate(vec):
-            if not c:
-                continue
-            col = cols[b]
-            for t in range(len(out)):
-                if col[t]:
-                    out[t] = out[t] + c * col[t]
-        return out
+    def _build_act_columns(self, g, j):
+        return self.G_A.multiplication_columns(self.images[g], j)
 
     def hilbert_if_finite(self):
         return None
@@ -401,130 +375,75 @@ def _unit_vectors(n, field):
     return out
 
 
-def _minimal_cover(G, view, d_max):
-    """Minimal generators of a graded module: degrees and coordinate vectors."""
+def _minimal_generators(G, module, K):
+    """Minimal generators of the submodule spanned by K[j] in each degree j.
+
+    `module` is a module view or a free layer; returns the generator
+    degrees and (degree, coordinate vector) pairs.
+    """
     pres = G.presentation
-    field = pres.field
     shifts = []
     vecs = []
-    for j in range(view.min_degree, d_max + 1):
-        dim = view.dim(j)
-        if dim == 0:
+    for j, kj in K.items():
+        if not kj:
             continue
         span = []
         for g in range(pres.n_gens):
             j0 = j - pres.gen_degs[g]
-            if j0 < view.min_degree:
-                continue
-            if view.dim(j0):
-                span.extend(view.act_columns(g, j0))
-        new = linalg.complement_basis(span, _unit_vectors(dim, field), dim, field)
-        for v in new:
+            for kappa in K.get(j0, ()):
+                span.append(module.act_vec(g, j0, kappa))
+        for v in linalg.complement_basis(span, kj, module.dim(j), pres.field):
             shifts.append(j)
             vecs.append((j, v))
     return shifts, vecs
 
 
-def _kernel_of_cover(G, view, layer, gen_vecs, d_max):
-    """Kernel of (+)_r A(-a_r) -> M per degree, by recursive evaluation."""
+def _minimal_cover(G, view, d_max):
+    """Minimal generators of a graded module view through degree d_max."""
+    field = G.presentation.field
+    units = {j: _unit_vectors(view.dim(j), field) for j in range(view.min_degree, d_max + 1)}
+    return _minimal_generators(G, view, units)
+
+
+def _kernel(G, target, layer, gen_vecs, d_max):
+    """Kernel per degree of the map layer -> target sending e_r to gen_vecs[r].
+
+    `target` is a module view or the previous free layer; the image of a
+    basis element (r, w) is w[0] acting on the image of (r, w[1:]).
+    """
     field = G.presentation.field
     degs = G.presentation.gen_degs
     ev = {}
     K = {}
-    if not layer.shifts:
-        return K
     for j in range(layer.min_degree(), d_max + 1):
-        basis = layer.basis(j)
         cols = []
-        for r, w in basis:
+        for r, w in layer.basis(j):
             if not w:
                 vec = gen_vecs[r][1]
             else:
                 g = w[0]
                 j0 = j - degs[g]
                 prev = ev[j0][layer.index(j0)[(r, w[1:])]]
-                vec = view.act_vec(g, j0, prev)
+                vec = target.act_vec(g, j0, prev)
             cols.append(vec)
         ev[j] = cols
-        tdim = view.dim(j)
-        rows = [[cols[c][t] for c in range(len(cols))] for t in range(tdim)]
+        rows = [[cols[c][t] for c in range(len(cols))] for t in range(target.dim(j))]
         K[j] = linalg.row_reduce(rows, len(cols), field).kernel
     return K
 
 
-def _kernel_minimal_generators(G, layer, K, d_max):
-    """Minimal generators of a kernel submodule K of the free layer."""
-    pres = G.presentation
-    field = pres.field
-    shifts = []
-    vecs = []
-    for j in range(layer.min_degree(), d_max + 1):
-        kj = K.get(j, [])
-        if not kj:
-            continue
-        span = []
-        for g in range(pres.n_gens):
-            j0 = j - pres.gen_degs[g]
-            for kappa in K.get(j0, []):
-                span.append(layer.act(g, j0, kappa))
-        new = linalg.complement_basis(span, kj, len(layer.basis(j)), field)
-        for v in new:
-            shifts.append(j)
-            vecs.append((j, v))
-    return shifts, vecs
-
-
-def _vectors_to_map(G, layer, target_shifts, shifts, vecs):
-    """Package kernel generators as a FreeModuleMap with Poly entries."""
-    field = G.presentation.field
-    n_target = len(target_shifts)
-    columns = []
+def _vectors_to_rows(G, layer, n_slots, vecs):
+    """Coordinate vectors on a free layer as tuples of Poly, one per slot."""
+    rows = []
     for j, v in vecs:
         basis = layer.basis(j)
-        col = [dict() for _ in range(n_target)]
+        terms = [dict() for _ in range(n_slots)]
         for idx, c in enumerate(v):
-            if not c:
-                continue
-            r, u = basis[idx]
-            col[r][u] = col[r].get(u, field.zero()) + c
-        columns.append(
-            [
-                Poly.make(terms, G.presentation.gen_degs) if terms else Poly.zero()
-                for terms in col
-            ]
-        )
-    entries = tuple(
-        tuple(columns[s][r] for s in range(len(vecs))) for r in range(n_target)
-    )
-    return FreeModuleMap(tuple(target_shifts), tuple(shifts), entries)
-
-
-def _kernel_of_map(G, src_layer, tgt_layer, fmap, vecs, d_max):
-    """Kernel of a free-to-free map, reusing kernel generator columns."""
-    field = G.presentation.field
-    degs = G.presentation.gen_degs
-    ev = {}
-    K = {}
-    for j in range(src_layer.min_degree(), d_max + 1):
-        basis = src_layer.basis(j)
-        cols = []
-        for s, w in basis:
-            if not w:
-                # the column of phi at e_s is the kernel vector itself,
-                # already expressed in target-layer coordinates
-                jsrc, v = vecs[s]
-                vec = list(v)
-            else:
-                g = w[0]
-                j0 = j - degs[g]
-                prev = ev[j0][src_layer.index(j0)[(s, w[1:])]]
-                vec = tgt_layer.act(g, j0, prev)
-            cols.append(vec)
-        ev[j] = cols
-        tdim = tgt_layer.dim(j)
-        rows = [[cols[c][t] for c in range(len(cols))] for t in range(tdim)]
-        K[j] = linalg.row_reduce(rows, len(cols), field).kernel
-    return K
+            if c:
+                r, u = basis[idx]
+                terms[r][u] = c
+        rows.append(tuple(Poly.make(t, G.presentation.gen_degs) for t in terms))
+    return rows
 
 
 def _algebra_top_degree(G, probe):
@@ -606,14 +525,14 @@ def minimal_resolution(
     layer = FreeLayer(G, tuple(shifts0))
     shifts_all = [tuple(sorted(shifts0))]
     maps = []
-    K = _kernel_of_cover(G, view, layer, gen_vecs, d_max)
+    K = _kernel(G, view, layer, gen_vecs, d_max)
 
     terminated = False
     termination_step = None
     certificate = None
     more_steps = False
     for i in range(1, i_max + 2):
-        new_shifts, new_vecs = _kernel_minimal_generators(G, layer, K, d_max)
+        new_shifts, new_vecs = _minimal_generators(G, layer, K)
         if not new_shifts:
             certificate = _certify_termination(
                 G, shifts_all[-1], shifts_all, d_max, algebra_hilbert, module_hilbert
@@ -631,11 +550,11 @@ def minimal_resolution(
             assert all(
                 basis[idx][1] for idx, c in enumerate(v) if c
             ), "minimality violated: scalar entry in a syzygy generator"
-        fmap = _vectors_to_map(G, layer, shifts_all[-1], tuple(new_shifts), new_vecs)
-        maps.append(fmap)
+        columns = _vectors_to_rows(G, layer, len(shifts_all[-1]), new_vecs)
+        maps.append(FreeModuleMap(shifts_all[-1], tuple(new_shifts), tuple(zip(*columns))))
         shifts_all.append(tuple(new_shifts))
         new_layer = FreeLayer(G, tuple(new_shifts))
-        K = _kernel_of_map(G, new_layer, layer, fmap, new_vecs, d_max)
+        K = _kernel(G, layer, new_layer, new_vecs, d_max)
         layer = new_layer
 
     return Resolution(
@@ -715,13 +634,10 @@ def ext_into_algebra(R, G, j_hi=None):
         rows = []
         for r, w in src:
             out = [field.zero()] * len(tgt)
-            for s in range(len(fmap.source_shifts)):
-                p = fmap.entries[r][s]
-                if not p:
-                    continue
-                q = G.normal_form(p.rmul_word(w, G.presentation.word_degree(w)))
-                for u, c in q.terms.items():
-                    out[tindex[(s, u)]] = out[tindex[(s, u)]] + c
+            for s, p in enumerate(fmap.entries[r]):
+                if p:
+                    q = G.normal_form(p.rmul_word(w, G.presentation.word_degree(w)))
+                    q.add_into(out, tindex, s)
             rows.append(out)
         # rank of the map = rank of the matrix in either orientation
         return linalg.row_reduce(rows, len(tgt), field).rank
@@ -767,23 +683,9 @@ def module_via_map(G_T, images, G_A, d_max, side="left", label=""):
     view = MappedAlgebraView(G_T, images, G_A, d_max)
     shifts0, gen_vecs = _minimal_cover(G_T, view, d_max)
     layer = FreeLayer(G_T, tuple(shifts0))
-    K = _kernel_of_cover(G_T, view, layer, gen_vecs, d_max)
-    rel_shifts, rel_vecs = _kernel_minimal_generators(G_T, layer, K, d_max)
-    rows = []
-    for j, v in rel_vecs:
-        basis = layer.basis(j)
-        entries = [dict() for _ in shifts0]
-        for idx, c in enumerate(v):
-            if not c:
-                continue
-            r, u = basis[idx]
-            entries[r][u] = entries[r].get(u, G_T.presentation.field.zero()) + c
-        rows.append(
-            tuple(
-                Poly.make(terms, G_T.presentation.gen_degs) if terms else Poly.zero()
-                for terms in entries
-            )
-        )
+    K = _kernel(G_T, view, layer, gen_vecs, d_max)
+    _, rel_vecs = _minimal_generators(G_T, layer, K)
+    rows = _vectors_to_rows(G_T, layer, len(shifts0), rel_vecs)
     return make_module_presentation(
         G_T.presentation, "left", tuple(shifts0), rows, certified_to=d_max
     )

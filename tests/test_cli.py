@@ -236,3 +236,32 @@ def test_assertions_echoed(files, capsys):
     recs = jsonl(out)
     notes = recs[0]["assertions"]
     assert any("asserted on the command line" in a for a in notes)
+
+
+@pytest.mark.parametrize("row", ["x^ * e0", "x^a*e0", "x*e0, y^"])
+def test_module_row_bad_exponent_is_input_error(files, tmp_path, capsys, row):
+    mod = tmp_path / "bad.mod"
+    mod.write_text("side left\ngens 0\nrels %s\n" % row)
+    code, out = run(
+        ["resolve", files["plane"], "--module", str(mod), "--format", "jsonl", "--no-cache"],
+        capsys,
+    )
+    assert code == 1
+    (rec,) = jsonl(out)
+    assert rec["type"] == "error" and rec["class"] == "input"
+
+
+def test_quotient_by_zero_divisor_reports_failed_regularity(tmp_path, capsys):
+    # x*y = 0 makes x a zero divisor in degree 2, though it is normal
+    alg = tmp_path / "zd.alg"
+    alg.write_text("field Q; gens x:1 y:1; rels x*y - y*x, x*y\n")
+    code, out = run(
+        ["quotient", str(alg), "--omega", "x", "--format", "jsonl", "--no-cache"], capsys
+    )
+    assert code == 0
+    cert = next(r for r in jsonl(out) if r["type"] == "normal_element_certificate")
+    assert cert["normal"] and cert["regular"] is False
+    assert cert["regular_up_to"] == 1
+    code, out = run(["quotient", str(alg), "--omega", "x", "--no-cache"], capsys)
+    assert "regularity fails at degree 2" in out
+    assert "regular up to degree" not in out

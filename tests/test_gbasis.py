@@ -196,3 +196,28 @@ def test_cache_round_trip(tmp_path):
     # a different truncation misses the cache and recomputes
     G3 = groebner(pres, 9, str(tmp_path))
     assert G3.elements == G.elements
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda lines: lines[:-1],
+        lambda lines: lines[:1],
+        lambda lines: lines[:2] + lines[3:],
+        lambda lines: lines[:-1] + [lines[-1].replace("@", "x@", 1)],
+    ],
+    ids=["last-poly-line-deleted", "header-only", "complete-line-missing", "unparsable-term"],
+)
+def test_malformed_cache_file_is_a_miss(tmp_path, corrupt):
+    pres = t34()
+    G = buchberger_truncated(pres, 12)
+    path = save_basis(G, str(tmp_path))
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 4 + len(G.elements)
+    with open(path, "w") as fh:
+        fh.write("\n".join(corrupt(lines)) + "\n")
+    assert load_basis(pres, 12, str(tmp_path)) is None
+    # the cached entry point recomputes and overwrites the bad file
+    assert groebner(pres, 12, str(tmp_path)).elements == G.elements
+    assert load_basis(pres, 12, str(tmp_path)).elements == G.elements

@@ -224,6 +224,8 @@ def test_harness_semantics():
             HarnessCase("ok", "leq", BoundedValue.exact(1), BoundedValue.exact(2)),
             HarnessCase("violated", "leq", BoundedValue.exact(3), BoundedValue.exact(2)),
             HarnessCase("lower-bound-violation", "leq", BoundedValue.at_least(5), BoundedValue.exact(2)),
+            # >=1 <= 2 holds for the bound but proves nothing about the true value
+            HarnessCase("lower-bound-unproven", "leq", BoundedValue.at_least(1), BoundedValue.exact(2)),
             HarnessCase("insufficient", "leq", BoundedValue.unknown(), BoundedValue.exact(2)),
             HarnessCase("rhs-not-exact", "eq", BoundedValue.exact(1), BoundedValue.at_least(1)),
             HarnessCase("fact", "true", True),
@@ -234,6 +236,7 @@ def test_harness_semantics():
         "ok": "pass",
         "violated": "fail",
         "lower-bound-violation": "fail",
+        "lower-bound-unproven": "skip",
         "insufficient": "skip",
         "rhs-not-exact": "skip",
         "fact": "pass",
