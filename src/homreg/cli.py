@@ -2,7 +2,7 @@
 
 Machine-readable output is line-delimited JSON with a versioned schema;
 identical inputs produce byte-identical records.  Exit codes: 0 success,
-1 input error, 2 certification failure, 3 resource limit.
+1 input error, 2 certification failure, 3 resource limit, 4 internal error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .corealg import (
     CertificationError,
@@ -35,6 +36,14 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CERTIFICATION = 2
 EXIT_RESOURCES = 3
+EXIT_INTERNAL = 4
+
+# (exception types, error class, text prefix, exit code); anything else is internal
+_FAILURES = (
+    ((PresentationError, FileNotFoundError), "input", "input error", EXIT_INPUT),
+    (CertificationError, "certification", "certification error", EXIT_CERTIFICATION),
+    (ResourceLimitError, "resources", "resource limit", EXIT_RESOURCES),
+)
 
 
 class Emitter:
@@ -712,19 +721,40 @@ def main(argv=None):
     emit = Emitter(args.format)
     try:
         return args.func(args, emit)
-    except (PresentationError, FileNotFoundError) as exc:
-        emit.record("error", {"class": "input", "message": str(exc)}, text="input error: %s" % exc)
-        return EXIT_INPUT
-    except CertificationError as exc:
-        emit.record(
-            "error", {"class": "certification", "message": str(exc)}, text="certification error: %s" % exc
+    except Exception as exc:
+        return _report_failure(emit, exc)
+
+
+def _report_failure(emit, exc):
+    """Emit the `error` record for `exc` and return its exit code."""
+    for types, cls, prefix, code in _FAILURES:
+        if isinstance(exc, types):
+            message = str(exc)
+            break
+    else:
+        cls, prefix, code = "internal", "internal error", EXIT_INTERNAL
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        message = "%s: %s (at %s:%d in %s)" % (
+            type(exc).__name__, exc, os.path.basename(frame.filename), frame.lineno, frame.name
         )
-        return EXIT_CERTIFICATION
-    except ResourceLimitError as exc:
-        emit.record(
-            "error", {"class": "resources", "message": str(exc)}, text="resource limit: %s" % exc
-        )
-        return EXIT_RESOURCES
+    payload = {"class": cls, "message": message}
+    text = "%s: %s" % (prefix, message)
+    try:
+        emit.record("error", payload, text=text)
+        emit.out.flush()
+    except (OSError, ValueError):
+        # the output stream itself failed (say, a closed pipe): report on
+        # stderr, and point stdout's descriptor at the null device so the
+        # interpreter's flush at exit cannot fail a second time
+        Emitter(emit.fmt, sys.stderr).record("error", payload, text=text)
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            return code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,68 @@ from .corealg import (
     ResourceLimitError,
 )
 
-GB_FORMAT_VERSION = 1
+GB_FORMAT_VERSION = 2
+
+
+class WordAutomaton:
+    """Aho-Corasick automaton over the leading words of a basis.
+
+    States are the proper prefixes of `leads` in (len, word) order; state 0
+    is the empty word.  `delta[s][a]` is the state of the longest suffix of
+    states[s] + (a,) that is a state, or ~i when that word ends in
+    leads[i].  Reading a word from state 0 therefore stays on the longest
+    suffix read so far that is a state, and the first negative entry marks
+    the leading-word factor that ends leftmost.  The paths from state 0
+    that avoid negative entries spell exactly the normal words.
+    """
+
+    def __init__(self, leads, gen_degs):
+        self.leads = leads
+        self.gen_degs = gen_degs
+        prefixes = {()} | {u[:k] for u in leads for k in range(1, len(u))}
+        self.states = tuple(sorted(prefixes, key=lambda w: (len(w), w)))
+        index = {w: i for i, w in enumerate(self.states)}
+        ends = {u: i for i, u in enumerate(leads)}
+        delta = []
+        for s in self.states:
+            row = []
+            for a in range(len(gen_degs)):
+                w = s + (a,)
+                suffixes = [w[k:] for k in range(len(w) + 1)]  # longest first
+                dead = [ends[v] for v in suffixes if v in ends]
+                row.append(~dead[0] if dead else next(index[v] for v in suffixes if v in index))
+            delta.append(tuple(row))
+        self.delta = tuple(delta)
+
+    def find(self, word):
+        """(pos, i) of the first factor of `word` equal to leads[i], or None.
+
+        "First" is by end position.  Leading words of a reduced basis are
+        inter-reduced (none is a factor of another), so this is also the
+        factor that starts leftmost.
+        """
+        delta = self.delta
+        s = 0
+        for end, a in enumerate(word, 1):
+            s = delta[s][a]
+            if s < 0:
+                return end - len(self.leads[~s]), ~s
+        return None
+
+    def dims(self, upto):
+        """Weighted path counts from state 0: dim A_d for d = 0..upto."""
+        degs = self.gen_degs
+        counts = [[0] * len(self.states) for _ in range(upto + 1)]
+        counts[0][0] = 1
+        for d in range(1, upto + 1):
+            row = counts[d]
+            for s0, targets in enumerate(self.delta):
+                for a, s1 in enumerate(targets):
+                    if s1 >= 0 and degs[a] <= d:
+                        c = counts[d - degs[a]][s0]
+                        if c:
+                            row[s1] += c
+        return [sum(row) for row in counts]
 
 
 class GroebnerBasis:
@@ -41,16 +102,9 @@ class GroebnerBasis:
         self.d_gb = d_gb
         self.complete = complete
         self._leads = tuple(g.lead_word(self.order) for g in self.elements)
-        self._lead_lens = tuple(len(u) for u in self._leads)
+        self.automaton = WordAutomaton(self._leads, presentation.gen_degs)
         self._normal_words = {}
         self._nf_words = {}
-
-    @property
-    def lead_words(self):
-        return self._leads
-
-    def certified_degree(self):
-        return float("inf") if self.complete else self.d_gb
 
     def check_degree(self, d, what="computation"):
         if not self.complete and d > self.d_gb:
@@ -60,18 +114,6 @@ class GroebnerBasis:
             )
 
     # -- reduction ---------------------------------------------------------
-
-    def _find_reduction(self, word):
-        leads = self._leads
-        lens = self._lead_lens
-        n = len(word)
-        for pos in range(n):
-            rest = n - pos
-            for i, u in enumerate(leads):
-                lu = lens[i]
-                if lu <= rest and word[pos : pos + lu] == u:
-                    return pos, i
-        return None
 
     def normal_form(self, p):
         """The unique reduced representative of `p` modulo the ideal."""
@@ -84,22 +126,21 @@ class GroebnerBasis:
         order = self.order
         elements = self.elements
         leads = self._leads
-        lens = self._lead_lens
+        find = self.automaton.find
         out = {}
         while pending:
             w = max(pending, key=order.key)
             c = pending.pop(w)
             if not c:
                 continue
-            hit = self._find_reduction(w)
+            hit = find(w)
             if hit is None:
                 out[w] = c
                 continue
             pos, i = hit
             g = elements[i]
-            lu = lens[i]
-            left, right = w[:pos], w[pos + lu :]
             lead = leads[i]
+            left, right = w[:pos], w[pos + len(lead) :]
             for u, a in g.terms.items():
                 if u == lead:
                     continue
@@ -122,27 +163,6 @@ class GroebnerBasis:
             self._nf_words[word] = p
         return p
 
-    def is_normal_word(self, word):
-        leads = self._leads
-        lens = self._lead_lens
-        n = len(word)
-        for i, u in enumerate(leads):
-            lu = lens[i]
-            if lu > n:
-                continue
-            for pos in range(n - lu + 1):
-                if word[pos : pos + lu] == u:
-                    return False
-        return True
-
-    def _ends_in_lead(self, word):
-        n = len(word)
-        for i, u in enumerate(self._leads):
-            lu = self._lead_lens[i]
-            if lu <= n and word[n - lu :] == u:
-                return True
-        return False
-
     # -- normal words ------------------------------------------------------
 
     def normal_words(self, j):
@@ -154,21 +174,17 @@ class GroebnerBasis:
         if cached is not None:
             return cached
         degs = self.presentation.gen_degs
-        n = self.presentation.n_gens
+        delta = self.automaton.delta
         out = []
-        stack = [((), j)]
+        stack = [((), j, 0)]
         while stack:
-            word, rem = stack.pop()
+            word, rem, s = stack.pop()
             if rem == 0:
                 out.append(word)
                 continue
-            for g in range(n):
-                dg = degs[g]
-                if dg > rem:
-                    continue
-                w2 = word + (g,)
-                if not self._ends_in_lead(w2):
-                    stack.append((w2, rem - dg))
+            for g, t in enumerate(delta[s]):
+                if t >= 0 and degs[g] <= rem:
+                    stack.append((word + (g,), rem - degs[g], t))
         out.sort(key=self.order.key)
         out = tuple(out)
         self._normal_words[j] = out
@@ -322,22 +338,31 @@ def basis_fingerprint(presentation, d_gb):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _body_digest(complete_line, poly_lines):
+    """sha256 of the `complete` line and the `poly` lines of a cache file."""
+    return hashlib.sha256("\n".join([complete_line] + poly_lines).encode("utf-8")).hexdigest()
+
+
 def _serialize_basis(G):
-    lines = ["homreg-gb %d" % GB_FORMAT_VERSION]
-    lines.append("fingerprint %s" % basis_fingerprint(G.presentation, G.d_gb))
-    lines.append("complete %d" % (1 if G.complete else 0))
-    lines.append("elements %d" % len(G.elements))
+    complete = "complete %d" % (1 if G.complete else 0)
+    polys = []
     for g in G.elements:
         parts = []
         for w in sorted(g.terms, key=G.order.key, reverse=True):
             c = g.terms[w]
             parts.append("%s@%s" % (c, ".".join(str(i) for i in w)))
-        lines.append("poly " + " ".join(parts))
-    return "\n".join(lines) + "\n"
+        polys.append("poly " + " ".join(parts))
+    lines = [
+        "homreg-gb %d" % GB_FORMAT_VERSION,
+        "fingerprint %s" % basis_fingerprint(G.presentation, G.d_gb),
+        complete,
+        "elements %d %s" % (len(polys), _body_digest(complete, polys)),
+    ]
+    return "\n".join(lines + polys) + "\n"
 
 
 def _deserialize_basis(text, presentation, d_gb):
-    """The basis stored in `text`, or None when it is stale or malformed."""
+    """The basis stored in `text`, or None when it is stale, malformed or altered."""
     lines = text.splitlines()
     header = (
         "homreg-gb %d" % GB_FORMAT_VERSION,
@@ -348,8 +373,10 @@ def _deserialize_basis(text, presentation, d_gb):
     field = presentation.field
     try:
         complete = {"complete 1": True, "complete 0": False}[lines[2]]
-        key, count = lines[3].split()
+        key, count, digest = lines[3].split()
         if key != "elements" or len(lines) != 4 + int(count):
+            return None
+        if digest != _body_digest(lines[2], lines[4:]):
             return None
         elements = []
         for line in lines[4:]:

@@ -1,11 +1,11 @@
 """Hilbert series: truncated coefficients, exact rational forms, Stanley test.
 
 Rational forms are computed only from complete Groebner bases, via the
-finite automaton of normal words (states are proper prefixes of leading
-words).  The denominator det(I - M(t)) is found by exact evaluation and
-Lagrange interpolation, the numerator by multiplying the truncated
-coefficient series back in; both steps are exact and the product is
-verified to be a polynomial before anything is returned.
+basis's normal-word automaton (`GroebnerBasis.automaton`).  The
+denominator det(I - M(t)) is found by exact evaluation and Lagrange
+interpolation, the numerator by multiplying the truncated coefficient
+series back in; both steps are exact and the product is verified to be a
+polynomial before anything is returned.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ def _padd(a, b):
     for i, x in enumerate(b):
         out[i] += x
     return _ptrim(out)
-
-
-def _pneg(a):
-    return [-x for x in a]
 
 
 def _pmul(a, b):
@@ -89,13 +85,6 @@ def _pgcd(a, b):
     return a
 
 
-def _peval(c, x):
-    acc = Fraction(0)
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
-
-
 def _to_int_poly(c):
     out = []
     for x in c:
@@ -104,57 +93,6 @@ def _to_int_poly(c):
             raise ArithmeticError("expected integer polynomial, found %s" % f)
         out.append(int(f))
     return tuple(out)
-
-
-# -- normal-word automaton ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Automaton:
-    states: tuple  # proper prefixes of leading words; states[0] == ()
-    transitions: tuple  # per state: tuple of (letter, target state index)
-
-
-def build_automaton(lead_words, n_gens):
-    prefixes = {()}
-    for u in lead_words:
-        for k in range(1, len(u)):
-            prefixes.add(u[:k])
-    states = sorted(prefixes, key=lambda w: (len(w), w))
-    index = {w: i for i, w in enumerate(states)}
-    max_len = max(len(p) for p in prefixes)
-    transitions = []
-    for s in states:
-        row = []
-        for a in range(n_gens):
-            w = s + (a,)
-            n = len(w)
-            if any(len(u) <= n and w[n - len(u) :] == u for u in lead_words):
-                continue  # completing a forbidden word kills the path
-            for k in range(min(n, max_len), -1, -1):
-                suffix = w[n - k :] if k else ()
-                if suffix in index:
-                    row.append((a, index[suffix]))
-                    break
-        transitions.append(tuple(row))
-    return Automaton(tuple(states), tuple(transitions))
-
-
-def automaton_dims(aut, gen_degs, upto):
-    """Weighted path counts from the root: dim A_d for d = 0..upto."""
-    nst = len(aut.states)
-    counts = [[0] * nst for _ in range(upto + 1)]
-    counts[0][0] = 1
-    for d in range(1, upto + 1):
-        row = counts[d]
-        for s0 in range(nst):
-            for a, s1 in aut.transitions[s0]:
-                da = gen_degs[a]
-                if da <= d:
-                    c = counts[d - da][s0]
-                    if c:
-                        row[s1] += c
-    return [sum(counts[d]) for d in range(upto + 1)]
 
 
 # -- series types -------------------------------------------------------------
@@ -307,9 +245,7 @@ def rational_from_exponents(numerator, exponents):
 def hilbert_truncated(G, upto):
     """Coefficients dim A_j for j <= upto, from normal-word counts."""
     G.check_degree(upto, "Hilbert coefficients")
-    aut = build_automaton(G.lead_words, G.presentation.n_gens)
-    dims = automaton_dims(aut, G.presentation.gen_degs, upto)
-    return TruncatedSeries(tuple(dims), upto)
+    return TruncatedSeries(tuple(G.automaton.dims(upto)), upto)
 
 
 def hilbert_rational(G):
@@ -320,7 +256,7 @@ def hilbert_rational(G):
             "(basis certified only up to degree %d); use hilbert_truncated instead" % G.d_gb
         )
     pres = G.presentation
-    aut = build_automaton(G.lead_words, pres.n_gens)
+    aut = G.automaton
     nst = len(aut.states)
     e_max = pres.max_gen_degree() if pres.n_gens else 1
     bound = nst * e_max
@@ -328,9 +264,10 @@ def hilbert_rational(G):
     # denominator det(I - M(t)) by evaluation / interpolation
     def det_at(t0):
         m = [[Fraction(0)] * nst for _ in range(nst)]
-        for s0 in range(nst):
-            for a, s1 in aut.transitions[s0]:
-                m[s0][s1] += t0 ** pres.gen_degs[a]
+        for s0, targets in enumerate(aut.delta):
+            for a, s1 in enumerate(targets):
+                if s1 >= 0:
+                    m[s0][s1] += t0 ** pres.gen_degs[a]
         for i in range(nst):
             for j in range(nst):
                 m[i][j] = (Fraction(1) if i == j else Fraction(0)) - m[i][j]
@@ -360,7 +297,7 @@ def hilbert_rational(G):
     den = _interpolate(points, values)
 
     upto = 2 * (bound + 1)
-    dims = automaton_dims(aut, pres.gen_degs, upto)
+    dims = aut.dims(upto)
     prod = _pmul([Fraction(c) for c in dims], den)
     num = _ptrim(prod[: bound + 1])
     for k in range(bound + 1, min(len(prod), upto + 1)):

@@ -1,9 +1,18 @@
+import glob
+import io
 import json
 import os
+import sys
 
 import pytest
 
+from homreg import cli
 from homreg.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SAMPLES = sorted(
+    os.path.splitext(os.path.basename(p))[0] for p in glob.glob(os.path.join(ROOT, "presentations", "*.alg"))
+)
 
 T34_SRC = "field Q\ngens x:1 y:1\nrels x^2*y - y*x^2, x*y^2 - y^2*x\n"
 PLANE_SRC = "field Q\ngens x:1 y:1\nrels x*y - y*x\n"
@@ -265,3 +274,39 @@ def test_quotient_by_zero_divisor_reports_failed_regularity(tmp_path, capsys):
     code, out = run(["quotient", str(alg), "--omega", "x", "--no-cache"], capsys)
     assert "regularity fails at degree 2" in out
     assert "regular up to degree" not in out
+
+
+@pytest.mark.parametrize("command", ["regularity", "hilbert", "gb"])
+@pytest.mark.parametrize("name", SAMPLES)
+def test_sample_output_is_pinned(capsys, name, command):
+    # tests/expected/<name>.<command>.jsonl is the output of
+    # `homreg <command> presentations/<name>.alg --no-cache --format jsonl`;
+    # rewrite it that way only when a change alters the output on purpose
+    path = os.path.join(ROOT, "presentations", name + ".alg")
+    code, out = run([command, path, "--no-cache", "--format", "jsonl"], capsys)
+    assert code == 0
+    with open(os.path.join(ROOT, "tests", "expected", "%s.%s.jsonl" % (name, command))) as fh:
+        assert out == fh.read()
+
+
+class BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fault", ["command-raises-indexerror", "stdout-broken-pipe"])
+def test_unexpected_error_is_internal(files, capsys, monkeypatch, fault):
+    if fault == "command-raises-indexerror":
+        def cmd_gb(args, emit):
+            raise IndexError("tuple index out of range")
+
+        monkeypatch.setattr(cli, "cmd_gb", cmd_gb)
+    else:
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    code = main(["gb", files["t34"], "--format", "jsonl", "--no-cache"])
+    assert code == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    # a failed stdout sends the record to stderr
+    (rec,) = jsonl(captured.err if fault == "stdout-broken-pipe" else captured.out)
+    assert rec["type"] == "error" and rec["class"] == "internal"
+    assert rec["message"].startswith(("IndexError", "BrokenPipeError"))

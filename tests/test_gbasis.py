@@ -11,8 +11,9 @@ from homreg.gbasis import (
     normal_words,
     save_basis,
 )
+from homreg.series import hilbert_truncated
 
-from oracles import brute_algebra_dim
+from oracles import brute_algebra_dim, free_words
 
 
 def plane():
@@ -130,17 +131,42 @@ def test_determinism():
     assert G1.complete == G2.complete
 
 
+def leftmost_lead(word, leads):
+    """(pos, i) of the leftmost-starting factor of `word` equal to leads[i]."""
+    for pos in range(len(word)):
+        for i, u in enumerate(leads):
+            if word[pos : pos + len(u)] == u:
+                return pos, i
+    return None
+
+
 def test_dimension_consistency_against_brute_force():
     cases = [
         plane(),
         t34(),
         parse_presentation("field Q; gens x:1 y:1; rels x^2, x*y^2 - y^2*x"),
         parse_presentation("field Q; gens x:1 t:2; rels x*t - t*x, t^2 - x^4"),
+        # Sklyanin-type: the basis at d_gb 6 is incomplete
+        parse_presentation(
+            "field Q; gens x:1 y:1 z:1; "
+            "rels 2*x*y - 3*y*x + z^2, 2*y*z - 3*z*y + x^2, 2*z*x - 3*x*z + y^2"
+        ),
     ]
     for pres in cases:
         G = buchberger_truncated(pres, 6)
         for j in range(6):
             assert G.dim(j) == brute_algebra_dim(pres, j), (pres.label, j)
+        # the automaton against a naive scan over every free word
+        leads = [g.lead_word(pres.order) for g in G.elements]
+        coefficients = hilbert_truncated(G, 6).coefficients
+        for j in range(7):
+            words = free_words(pres.gen_degs, j)
+            for w in words:
+                assert G.automaton.find(w) == leftmost_lead(w, leads), (pres.label, w)
+            normal = sorted((w for w in words if leftmost_lead(w, leads) is None), key=pres.order.key)
+            assert G.normal_words(j) == tuple(normal), (pres.label, j)
+            assert coefficients[j] == G.dim(j), (pres.label, j)
+    assert not G.complete  # the Sklyanin-type case, last in the loop
 
 
 def test_random_presentations_over_f101():
@@ -205,8 +231,17 @@ def test_cache_round_trip(tmp_path):
         lambda lines: lines[:1],
         lambda lines: lines[:2] + lines[3:],
         lambda lines: lines[:-1] + [lines[-1].replace("@", "x@", 1)],
+        lambda lines: [line.replace("-1@1.1.0", "-5@1.1.0") for line in lines],
+        lambda lines: lines[:2] + ["complete 0" if lines[2] == "complete 1" else "complete 1"] + lines[3:],
     ],
-    ids=["last-poly-line-deleted", "header-only", "complete-line-missing", "unparsable-term"],
+    ids=[
+        "last-poly-line-deleted",
+        "header-only",
+        "complete-line-missing",
+        "unparsable-term",
+        "tampered-coefficient",
+        "complete-line-flipped",
+    ],
 )
 def test_malformed_cache_file_is_a_miss(tmp_path, corrupt):
     pres = t34()
@@ -215,8 +250,10 @@ def test_malformed_cache_file_is_a_miss(tmp_path, corrupt):
     with open(path) as fh:
         lines = fh.read().splitlines()
     assert len(lines) == 4 + len(G.elements)
+    bad = corrupt(lines)
+    assert bad != lines
     with open(path, "w") as fh:
-        fh.write("\n".join(corrupt(lines)) + "\n")
+        fh.write("\n".join(bad) + "\n")
     assert load_basis(pres, 12, str(tmp_path)) is None
     # the cached entry point recomputes and overwrites the bad file
     assert groebner(pres, 12, str(tmp_path)).elements == G.elements
