@@ -633,6 +633,14 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12, cache_dir=None):
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so `main` reports it as an input error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise PresentationError("%s: %s" % (self.prog, message))
+
+
 def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--imax", type=int, default=reg_mod.DEFAULT_I_MAX)
@@ -650,7 +658,7 @@ def make_parser():
         help="Groebner completion budget (element count)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homreg",
         description="Regularity workbench for finitely presented connected graded algebras",
     )
@@ -716,11 +724,16 @@ def make_parser():
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    emit = Emitter(args.format)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the format a usage error is reported in, before argv is parsed
+    jsonl = ("--format", "jsonl") in zip(argv, argv[1:]) or "--format=jsonl" in argv
+    emit = Emitter("jsonl" if jsonl else "text")
     try:
-        return args.func(args, emit)
+        args = make_parser().parse_args(argv)
+        emit.fmt = args.format
+        code = args.func(args, emit)
+        emit.out.flush()  # here, not at exit, so a closed stdout is reported
+        return code
     except Exception as exc:
         return _report_failure(emit, exc)
 

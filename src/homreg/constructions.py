@@ -350,9 +350,7 @@ def finite_map_check(artT, images, artA, d_max=None):
     width = A.max_gen_degree()
     nonzero = [j for j in range(d_max + 1) if left[j] or right[j]]
     top = max(nonzero) if nonzero else 0
-    if top + width <= d_max and all(
-        left[j] == right[j] == 0 for j in range(top + 1, d_max + 1)
-    ):
+    if top + width <= d_max:
         verdict = "finite"
     elif left[d_max] or right[d_max]:
         verdict = "not_finite_up_to_bound"

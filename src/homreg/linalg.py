@@ -1,9 +1,12 @@
 """Exact dense linear algebra on graded pieces.
 
-All routines work over an exact field (rationals or F_p), use plain
-Gaussian elimination with first-nonzero pivoting, and return canonical
-reduced row echelon data so every downstream basis choice is
-deterministic.  Matrices are lists of row lists.
+All routines work over an exact field (rationals or F_p) and return
+canonical data, so every downstream basis choice is deterministic.
+Matrices are lists of row lists.  There is one elimination loop,
+`Echelon.residue`/`Echelon.add`: rows with unit pivots, kept in pivot
+order.  `row_reduce` back-substitutes its rows to the unique reduced row
+echelon form, `complement_basis` is first-fit insertion into one
+`Echelon`, and `solve` reads the reduced augmented matrix.
 """
 
 from __future__ import annotations
@@ -23,69 +26,39 @@ class RowReduction:
 def row_reduce(matrix, ncols=None, field=None):
     """Canonical RREF of `matrix`; returns rank, pivot columns, kernel basis.
 
-    The kernel basis is read off the reduced form (one vector per free
-    column, in ascending column order) so it is exact and canonical:
-    rank + len(kernel) == ncols.
+    The rows go into one `Echelon`, whose rows are then back-substituted
+    against the rows below them; the reduced row echelon form is unique,
+    so the result does not depend on the row order.  The kernel basis is
+    read off the reduced form (one vector per free column, in ascending
+    column order) so it is exact and canonical: rank + len(kernel) == ncols.
     """
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
+    ech = Echelon(ncols, field)
+    for row in matrix:
+        ech.add(row)
+    rref, pivots = ech.rows, ech.pivot_of_row
+    for i in range(len(rref) - 2, -1, -1):
+        rref[i] = ech.residue(rref[i], i + 1)
     one = field.one()
     zero = field.zero()
-    rref = [list(row) for row in matrix]
-    nrows = len(rref)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rref[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rref[r], rref[pr] = rref[pr], rref[r]
-        prow = rref[r]
-        pv = prow[c]
-        if pv != one:
-            inv = one / pv
-            for k in range(c, ncols):
-                if prow[k]:
-                    prow[k] = prow[k] * inv
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rref[i]
-            m = row[c]
-            if not m:
-                continue
-            for k in range(c, ncols):
-                b = prow[k]
-                if b:
-                    row[k] = row[k] - m * b
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
     kernel = []
-    pivot_set = set(pivots)
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
+    for f in sorted(set(range(ncols)).difference(pivots)):
         v = [zero] * ncols
         v[f] = one
         for i, p in enumerate(pivots):
-            if p < f and rref[i][f]:
+            if rref[i][f]:
                 v[p] = -rref[i][f]
         kernel.append(v)
-    return RowReduction(len(pivots), tuple(pivots), rref[: len(pivots)], kernel)
+    return RowReduction(len(pivots), tuple(pivots), rref, kernel)
 
 
 class Echelon:
     """Incremental row echelon accumulator (unit pivots, forward-reduced).
 
-    Supports membership tests and span growth; used for submodule spans,
-    cokernel dimensions and complement extraction.
+    Supports membership tests and span growth; the one elimination loop
+    behind row reduction, ranks, submodule spans, cokernel dimensions and
+    complement extraction.
     """
 
     __slots__ = ("ncols", "field", "rows", "pivot_of_row")
@@ -100,11 +73,15 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
-    def residue(self, vec):
-        """Reduce `vec` against the stored rows; returns a fresh vector."""
+    def residue(self, vec, start=0):
+        """Reduce `vec` against the stored rows from index `start` on.
+
+        Returns a fresh vector.  The rows are visited in pivot order, so
+        the residue is zero in every pivot column of the rows visited.
+        """
         v = list(vec)
         n = self.ncols
-        for row, p in zip(self.rows, self.pivot_of_row):
+        for row, p in zip(self.rows[start:], self.pivot_of_row[start:]):
             m = v[p]
             if not m:
                 continue
@@ -144,21 +121,17 @@ class Echelon:
 def complement_basis(span, space, ncols, field):
     """Vectors from `space` extending a basis of span(span) to span(space).
 
-    Deterministic first-fit in the given order of `space`.  Raises
-    ValueError when some `span` vector is not contained in span(space).
+    Deterministic first-fit in the given order of `space`, which must be
+    linearly independent (callers pass kernel bases or unit vectors).
+    Raises ValueError when span + space does not have rank len(space):
+    some `span` vector lies outside span(space), or `space` is dependent.
     """
-    check = Echelon(ncols, field)
-    for v in space:
-        check.add(v)
     ech = Echelon(ncols, field)
     for v in span:
-        if not check.contains(v):
-            raise ValueError("span vector lies outside the span of `space`")
         ech.add(v)
-    out = []
-    for v in space:
-        if ech.add(v):
-            out.append(v)
+    out = [v for v in space if ech.add(v)]
+    if ech.rank != len(space):
+        raise ValueError("span + space has rank %d, not len(space) = %d" % (ech.rank, len(space)))
     return out
 
 

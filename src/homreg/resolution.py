@@ -202,8 +202,6 @@ class PresentedModuleView(_ModuleView):
         width = self.G.presentation.max_gen_degree()
         if top + width > self.d_max:
             return None
-        if any(dims[j] for j in range(max(nonzero) + 1, top + width + 1)):
-            return None
         if lo < 0:
             return None  # negatively graded pieces: leave uncertified
         coeffs = tuple(dims[j] for j in range(0, max(nonzero) + 1))
@@ -457,8 +455,6 @@ def _algebra_top_degree(G, probe):
     top = max(nonzero)
     if top + width > limit:
         return None
-    if any(dims[j] for j in range(top + 1, top + width + 1)):
-        return None
     return top
 
 
@@ -613,41 +609,35 @@ def ext_into_algebra(R, G, j_hi=None):
         hi = R.d_max - top if j_hi is None else j_hi
         windows[i] = (lo, hi)
 
-    def cobasis(i, j):
-        out = []
-        for r, b in enumerate(R.shifts[i]):
-            if j + b >= 0:
-                for w in G.normal_words(j + b):
-                    out.append((r, w))
-        return out
+    # C^i_j = Hom(F_i, A)_j has basis (r, w) with w normal of degree j + b_r
+    cobases = [FreeLayer(G, [-b for b in shifts]) for shifts in R.shifts]
 
     def dual_rank(i, j):
         # rank of d^i: C^i_j -> C^{i+1}_j, d^i(xi)_s = sum_r m_{rs} * xi_r
         if i >= len(R.maps):
             return 0
         fmap = R.maps[i]
-        src = cobasis(i, j)
-        tgt = cobasis(i + 1, j)
-        if not src or not tgt:
+        src = cobases[i].basis(j)
+        tindex = cobases[i + 1].index(j)
+        if not src or not tindex:
             return 0
-        tindex = {x: k for k, x in enumerate(tgt)}
-        rows = []
+        ech = linalg.Echelon(len(tindex), field)
         for r, w in src:
-            out = [field.zero()] * len(tgt)
+            out = [field.zero()] * len(tindex)
             for s, p in enumerate(fmap.entries[r]):
                 if p:
                     q = G.normal_form(p.rmul_word(w, G.presentation.word_degree(w)))
                     q.add_into(out, tindex, s)
-            rows.append(out)
+            ech.add(out)
         # rank of the map = rank of the matrix in either orientation
-        return linalg.row_reduce(rows, len(tgt), field).rank
+        return ech.rank
 
     entries = {}
     rank_cache = {}
     for i in range(0, i_top + 1):
         lo, hi = windows[i]
         for j in range(lo, hi + 1):
-            dim = len(cobasis(i, j))
+            dim = cobases[i].dim(j)
             if not dim:
                 continue
             if (i, j) not in rank_cache:

@@ -1,11 +1,12 @@
 """Hilbert series: truncated coefficients, exact rational forms, Stanley test.
 
 Rational forms are computed only from complete Groebner bases, via the
-basis's normal-word automaton (`GroebnerBasis.automaton`).  The
-denominator det(I - M(t)) is found by exact evaluation and Lagrange
-interpolation, the numerator by multiplying the truncated coefficient
-series back in; both steps are exact and the product is verified to be a
-polynomial before anything is returned.
+basis's normal-word automaton (`GroebnerBasis.automaton`).  Its path
+counts satisfy a linear recurrence whose order is bounded by the number
+of states times the largest generator degree; Berlekamp-Massey on twice
+that many exact coefficients gives the denominator, and the numerator is
+the coefficient series multiplied back in, verified to be a polynomial
+before anything is returned.
 """
 
 from __future__ import annotations
@@ -27,16 +28,6 @@ def _ptrim(c):
 
 def _pdeg(c):
     return len(c) - 1
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _ptrim(out)
 
 
 def _pmul(a, b):
@@ -255,72 +246,42 @@ def hilbert_rational(G):
             "rational Hilbert series requires a complete Groebner basis "
             "(basis certified only up to degree %d); use hilbert_truncated instead" % G.d_gb
         )
-    pres = G.presentation
-    aut = G.automaton
-    nst = len(aut.states)
-    e_max = pres.max_gen_degree() if pres.n_gens else 1
-    bound = nst * e_max
-
-    # denominator det(I - M(t)) by evaluation / interpolation
-    def det_at(t0):
-        m = [[Fraction(0)] * nst for _ in range(nst)]
-        for s0, targets in enumerate(aut.delta):
-            for a, s1 in enumerate(targets):
-                if s1 >= 0:
-                    m[s0][s1] += t0 ** pres.gen_degs[a]
-        for i in range(nst):
-            for j in range(nst):
-                m[i][j] = (Fraction(1) if i == j else Fraction(0)) - m[i][j]
-        det = Fraction(1)
-        for c in range(nst):
-            piv = None
-            for r in range(c, nst):
-                if m[r][c]:
-                    piv = r
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, nst):
-                f = m[r][c] * inv
-                if f:
-                    for k in range(c, nst):
-                        m[r][k] -= f * m[c][k]
-        return det
-
-    points = [Fraction(i) for i in range(bound + 1)]
-    values = [det_at(x) for x in points]
-    den = _interpolate(points, values)
-
-    upto = 2 * (bound + 1)
-    dims = aut.dims(upto)
-    prod = _pmul([Fraction(c) for c in dims], den)
+    # h = N / det(I - M(t)) with deg det <= bound and deg N < bound, so the
+    # sequence's linear complexity is at most bound and 2 * bound + 1
+    # coefficients fix the denominator
+    bound = len(G.automaton.states) * max(G.presentation.max_gen_degree(), 1)
+    dims = [Fraction(c) for c in G.automaton.dims(2 * (bound + 1))]
+    den = _berlekamp_massey(dims)
+    prod = _pmul(dims, den)
     num = _ptrim(prod[: bound + 1])
-    for k in range(bound + 1, min(len(prod), upto + 1)):
-        if prod[k]:
-            raise ArithmeticError("internal error: numerator not polynomial")
+    if any(prod[bound + 1 : len(dims)]):
+        raise ArithmeticError("internal error: numerator not polynomial")
     return make_rational(num, den)
 
 
-def _interpolate(xs, ys):
-    """Exact Lagrange interpolation through (xs, ys)."""
-    result = []
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if not yi:
+def _berlekamp_massey(seq):
+    """Shortest connection polynomial of `seq` (Massey 1969), over Q.
+
+    Returns C with C[0] = 1 and sum_i C[i] * seq[n - i] = 0 for every n
+    from the linear complexity L (at least deg C) up to len(seq) - 1; C is
+    unique when len(seq) >= 2 * L.
+    """
+    c, b = [Fraction(1)], [Fraction(1)]
+    length, shift, last = 0, 1, Fraction(1)
+    for n in range(len(seq)):
+        d = sum(c[i] * seq[n - i] for i in range(min(len(c), n + 1)))
+        if not d:
+            shift += 1
             continue
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = _pmul(basis, [-xj, Fraction(1)])
-            denom *= xi - xj
-        result = _padd(result, [yi / denom * b for b in basis])
-    return _ptrim(result)
+        prev = list(c)
+        c = c + [Fraction(0)] * (len(b) + shift - len(c))
+        for i, x in enumerate(b):
+            c[i + shift] -= d / last * x
+        if 2 * length <= n:
+            length, b, last, shift = n + 1 - length, prev, d, 1
+        else:
+            shift += 1
+    return _ptrim(c)
 
 
 def series_product(h1, h2):

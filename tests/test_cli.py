@@ -2,6 +2,7 @@ import glob
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -310,3 +311,43 @@ def test_unexpected_error_is_internal(files, capsys, monkeypatch, fault):
     (rec,) = jsonl(captured.err if fault == "stdout-broken-pipe" else captured.out)
     assert rec["type"] == "error" and rec["class"] == "internal"
     assert rec["message"].startswith(("IndexError", "BrokenPipeError"))
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("bad", [["--bogus"], ["--dgb", "x"]], ids=["unknown-option", "bad-int"])
+def test_usage_error_is_input_error(files, capsys, bad, fmt):
+    code = main(["gb", files["t34"], "--no-cache", "--format", fmt] + bad)
+    assert code == cli.EXIT_INPUT == 1
+    captured = capsys.readouterr()
+    assert "usage: homreg" in captured.err
+    if fmt == "jsonl":
+        (rec,) = jsonl(captured.out)
+        assert rec["type"] == "error" and rec["class"] == "input"
+    else:
+        assert captured.out.startswith("input error: homreg")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gb", "--help"])
+    assert info.value.code == 0
+    assert "usage: homreg gb" in capsys.readouterr().out
+
+
+def test_closed_stdout_is_internal_when_buffered(files):
+    # without PYTHONUNBUFFERED the child's stdout is block-buffered, so the
+    # write fails only when the buffer is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "homreg.cli", "gb", files["t34"], "--no-cache", "--format", "jsonl"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_INTERNAL == 4
+    (rec,) = jsonl(proc.stderr.decode())
+    assert rec["class"] == "internal" and rec["message"].startswith("BrokenPipeError")

@@ -68,6 +68,9 @@ def test_complement_basis_examples():
     assert complement_basis([e1, e2], [e1, e2], 2, QQ) == []
     with pytest.raises(ValueError):
         complement_basis([e1], [e2], 2, QQ)
+    # `space` must be linearly independent
+    with pytest.raises(ValueError):
+        complement_basis([], [e1, e2, [Fraction(1), Fraction(1)]], 2, QQ)
 
 
 def test_complement_is_first_fit_deterministic():
@@ -93,3 +96,48 @@ def test_echelon_membership():
     assert ech.rank == 2
     assert ech.contains(q([[3, 6, 5]])[0])
     assert not ech.contains(q([[0, 1, 0]])[0])
+
+
+def _rank(rows, field):
+    """Rank by plain Gaussian elimination, independent of homreg.linalg."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+@pytest.mark.parametrize("shape", ["tall", "wide", "zero", "repeated"])
+def test_rref_properties_random(field, shape):
+    rng = random.Random("%s-%s" % (field, shape))
+    zero, one = field.zero(), field.one()
+    for _ in range(30):
+        m = rng.randrange(1, 7)
+        n = {"tall": m + rng.randrange(1, 5), "wide": rng.randrange(1, m + 1)}.get(shape, rng.randrange(1, 7))
+        rows = [[field.from_int(rng.randrange(-3, 4)) for _ in range(m)] for _ in range(n)]
+        if shape == "zero":
+            rows[rng.randrange(n)] = [zero] * m
+        elif shape == "repeated":
+            rows.append(list(rng.choice(rows)))
+            rows.insert(0, [x * field.from_int(2) for x in rng.choice(rows)])
+        red = row_reduce(rows, m, field)
+        assert red.rank == len(red.rref) == len(red.pivots)
+        assert list(red.pivots) == sorted(set(red.pivots))
+        for i, p in enumerate(red.pivots):
+            assert red.rref[i][p] == one
+            assert not any(red.rref[i][:p])
+            assert all(not red.rref[k][p] for k in range(red.rank) if k != i)
+        # same row space: neither side adds rank to the other
+        assert _rank(rows, field) == _rank(rows + red.rref, field) == red.rank
+        assert red.rank + len(red.kernel) == m
+        for v in red.kernel:
+            for row in rows:
+                assert not sum((a * b for a, b in zip(row, v)), zero)

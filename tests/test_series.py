@@ -149,3 +149,23 @@ def test_free_algebra_series():
     assert h.denominator == (1, -2)
     assert h.denom_exponents is None  # 1 - 2t is not a product of (1 - t^e)
     assert h.expand(4) == [1, 2, 4, 8, 16]
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "field Q; gens x:1 t:2; rels x*t - t*x, t^2 - x^4",
+        "field Q; gens x:1 y:1",
+        "field Q; gens x:1 y:2",
+        # a polynomial of degree bound - 1: the linear complexity is the bound
+        "field Q; gens x:1; rels x^5",
+    ],
+    ids=["hypersurface", "free", "free-1-2", "x5"],
+)
+def test_rational_expansion_matches_truncated(src):
+    G = gb_of(src)
+    assert G.complete
+    # hilbert_rational fits 2 * (bound + 1) + 1 coefficients
+    bound = len(G.automaton.states) * G.presentation.max_gen_degree()
+    upto = 3 * (2 * (bound + 1) + 1)
+    assert hilbert_rational(G).expand(upto) == list(hilbert_truncated(G, upto).coefficients)
