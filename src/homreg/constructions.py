@@ -205,7 +205,7 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
     nf_omega = G.normal_form(omega)
     if nf_omega.is_zero():
         raise PresentationError("element reduces to zero modulo the ideal; not a regular candidate")
-    omega = nf_omega.monic(A.order)
+    omega = nf_omega.monic()
     a = omega.degree
 
     left_w, right_w = [], []
@@ -257,7 +257,6 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
         A.field,
         list(zip(A.gen_names, A.gen_degs)),
         rels,
-        precedence=A.order.precedence,
         label=label or (A.label + "/(%s)" % omega_text),
     )
     artB = AlgebraArtifacts(presB, artA.i_max, artA.d_max, artA.d_gb, artA.cache_dir)

@@ -46,6 +46,8 @@ class RationalField:
         return Fraction(n)
 
     def from_fraction(self, num, den=1):
+        if not den:
+            raise PresentationError("coefficient %d/%d is undefined in Q" % (num, den))
         return Fraction(num, den)
 
     def __eq__(self, other):
@@ -168,6 +170,8 @@ class PrimeField:
         return FpElement(self.p, n)
 
     def from_fraction(self, num, den=1):
+        if den % self.p == 0:
+            raise PresentationError("coefficient %d/%d is undefined in %s" % (num, den, self.name))
         return FpElement(self.p, num * pow(den, -1, self.p))
 
     def __eq__(self, other):
@@ -204,46 +208,28 @@ def word_degree(word, gen_degs):
 class MonomialOrder:
     """Weighted-degree-then-lexicographic order on words.
 
-    `precedence` lists generator indices from highest to lowest; words of
-    equal weighted degree compare lexicographically on precedence rank.
-    The order is total, degree-compatible and multiplicative (two words of
-    equal degree are never proper prefixes of each other, so plain tuple
-    comparison of the rank sequences is unambiguous).
+    Generators are numbered by precedence, highest first, so among words of
+    one weighted degree the greater word is the lexicographically smaller
+    index tuple, and plain tuple comparison decides.  `key` is ascending in
+    the order, for the sorts that mix degrees.  The order is total,
+    degree-compatible and multiplicative (two words of equal degree are never
+    proper prefixes of each other, so negating the indices is exact).
     """
 
-    __slots__ = ("gen_degs", "precedence", "_rank")
+    __slots__ = ("gen_degs",)
 
-    def __init__(self, gen_degs, precedence=None):
-        n = len(gen_degs)
-        if precedence is None:
-            precedence = tuple(range(n))
-        precedence = tuple(precedence)
-        if sorted(precedence) != list(range(n)):
-            raise PresentationError("order must be a permutation of all generators")
+    def __init__(self, gen_degs):
         self.gen_degs = tuple(gen_degs)
-        self.precedence = precedence
-        rank = [0] * n
-        for pos, g in enumerate(precedence):
-            rank[g] = n - 1 - pos
-        self._rank = tuple(rank)
 
     def key(self, word):
-        rank = self._rank
         degs = self.gen_degs
-        return (sum(degs[g] for g in word), tuple(rank[g] for g in word))
-
-    def greater(self, u, v):
-        return self.key(u) > self.key(v)
+        return (sum(degs[g] for g in word), tuple(-g for g in word))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and other.gen_degs == self.gen_degs
-            and other.precedence == self.precedence
-        )
+        return isinstance(other, MonomialOrder) and other.gen_degs == self.gen_degs
 
     def __hash__(self):
-        return hash((self.gen_degs, self.precedence))
+        return hash(self.gen_degs)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +343,12 @@ class Poly:
             k = index[u] if slot is None else index[(slot, u)]
             vec[k] = vec[k] + c
 
-    def lead_word(self, order):
-        return max(self.terms, key=order.key)
+    def lead_word(self):
+        """The greatest word: the least index tuple, as all terms share one degree."""
+        return min(self.terms)
 
-    def lead_coeff(self, order):
-        return self.terms[self.lead_word(order)]
-
-    def monic(self, order):
-        c = self.terms[self.lead_word(order)]
+    def monic(self):
+        c = self.terms[self.lead_word()]
         if c == 1:
             return self
         inv = 1 / c if isinstance(c, Fraction) else c.__rtruediv__(1)
@@ -453,9 +437,8 @@ class AlgebraPresentation:
     def format_poly(self, p):
         if not p.terms:
             return "0"
-        words = sorted(p.terms, key=self.order.key, reverse=True)
         out = []
-        for w in words:
+        for w in sorted(p.terms):
             c = p.terms[w]
             cs = str(c)
             neg = cs.startswith("-")
@@ -480,18 +463,18 @@ class AlgebraPresentation:
         lines.append(
             "gens " + " ".join("%s:%d" % (n, d) for n, d in zip(self.gen_names, self.gen_degs))
         )
-        lines.append("order " + " ".join(self.gen_names[g] for g in self.order.precedence))
+        lines.append("order " + " ".join(self.gen_names))
         if self.relations:
-            rels = sorted(self.relations, key=lambda r: (r.degree, self.order.key(r.lead_word(self.order))))
+            rels = sorted(self.relations, key=lambda r: self.order.key(r.lead_word()))
             lines.append("rels " + ", ".join(self.format_poly(r) for r in rels))
         return "\n".join(lines) + "\n"
 
 
-def make_presentation(field, gens, relations, precedence=None, label="", normalize=True):
+def make_presentation(field, gens, relations, label=""):
     """Validate and assemble an AlgebraPresentation.
 
-    `gens` is a list of (name, degree) pairs, `relations` a list of Poly.
-    With `normalize` the relations are made monic under the order.
+    `gens` is a list of (name, degree) pairs, highest precedence first, and
+    `relations` a list of Poly; the relations are made monic.
     """
     names = tuple(n for n, _ in gens)
     degs = tuple(d for _, d in gens)
@@ -504,15 +487,14 @@ def make_presentation(field, gens, relations, precedence=None, label="", normali
             raise PresentationError(
                 "generator %s has degree %r; connected graded input needs degree >= 1" % (n, d)
             )
-    order = MonomialOrder(degs, precedence)
     rels = []
     for r in relations:
         if r.is_zero():
             raise PresentationError("zero relation")
         if r.degree < 1:
             raise PresentationError("relation of degree %s is a nonzero scalar" % r.degree)
-        rels.append(r.monic(order) if normalize else r)
-    return AlgebraPresentation(field, names, degs, tuple(rels), order, label)
+        rels.append(r.monic())
+    return AlgebraPresentation(field, names, degs, tuple(rels), MonomialOrder(degs), label)
 
 
 def convert_field(pres, field):
@@ -528,13 +510,7 @@ def convert_field(pres, field):
     rels = []
     for r in pres.relations:
         rels.append(Poly.make({w: conv(c) for w, c in r.terms.items()}, pres.gen_degs))
-    return make_presentation(
-        field,
-        list(zip(pres.gen_names, pres.gen_degs)),
-        rels,
-        precedence=pres.order.precedence,
-        label=pres.label,
-    )
+    return make_presentation(field, list(zip(pres.gen_names, pres.gen_degs)), rels, label=pres.label)
 
 
 def opposite_presentation(pres):
@@ -757,6 +733,9 @@ def parse_presentation(text, label=""):
         gens <name>:<deg> ...
         order <name list>          (optional; highest precedence first)
         rels <poly>, <poly>, ...   (optional; '*' concatenation, '^' powers)
+
+    Generators are numbered in precedence order, which is declaration order
+    unless an `order` directive is given.
     """
     field = None
     gens = []
@@ -789,9 +768,12 @@ def parse_presentation(text, label=""):
         raise PresentationError("missing 'gens' directive")
     # a provisional presentation provides name resolution for relation parsing
     proto = make_presentation(field, gens, [], label=label)
-    precedence = None
     if order_names is not None:
-        precedence = tuple(proto.gen_index(n) for n in order_names)
+        precedence = [proto.gen_index(n) for n in order_names]
+        if sorted(precedence) != list(range(len(gens))):
+            raise PresentationError("order must be a permutation of all generators")
+        gens = [gens[g] for g in precedence]
+        proto = make_presentation(field, gens, [], label=label)
     relations = []
     for source in rel_sources:
         ts = _TokenStream(_tokenize(source))
@@ -807,7 +789,7 @@ def parse_presentation(text, label=""):
                 continue
             if ts.peek() is not None:
                 raise PresentationError("expected ',' between relations, found %r" % ts.peek())
-    return make_presentation(field, gens, relations, precedence=precedence, label=label)
+    return make_presentation(field, gens, relations, label=label)
 
 
 def parse_module(text, algebra):

@@ -95,13 +95,11 @@ class GroebnerBasis:
 
     def __init__(self, presentation, elements, d_gb, complete):
         self.presentation = presentation
-        self.order = presentation.order
-        self.elements = tuple(
-            sorted(elements, key=lambda g: self.order.key(g.lead_word(self.order)))
-        )
+        key = presentation.order.key
+        self.elements = tuple(sorted(elements, key=lambda g: key(g.lead_word())))
         self.d_gb = d_gb
         self.complete = complete
-        self._leads = tuple(g.lead_word(self.order) for g in self.elements)
+        self._leads = tuple(g.lead_word() for g in self.elements)
         self.automaton = WordAutomaton(self._leads, presentation.gen_degs)
         self._normal_words = {}
         self._nf_words = {}
@@ -123,13 +121,12 @@ class GroebnerBasis:
         return self._reduce_terms(dict(p.terms), p.degree)
 
     def _reduce_terms(self, pending, degree):
-        order = self.order
         elements = self.elements
         leads = self._leads
         find = self.automaton.find
         out = {}
         while pending:
-            w = max(pending, key=order.key)
+            w = min(pending)  # the greatest word: all share one degree
             c = pending.pop(w)
             if not c:
                 continue
@@ -166,7 +163,7 @@ class GroebnerBasis:
     # -- normal words ------------------------------------------------------
 
     def normal_words(self, j):
-        """All degree-j words avoiding leading words, sorted by the order."""
+        """All degree-j words avoiding leading words, ascending in the order."""
         if j < 0:
             return ()
         self.check_degree(j, "normal words")
@@ -185,7 +182,7 @@ class GroebnerBasis:
             for g, t in enumerate(delta[s]):
                 if t >= 0 and degs[g] <= rem:
                     stack.append((word + (g,), rem - degs[g], t))
-        out.sort(key=self.order.key)
+        out.sort(reverse=True)
         out = tuple(out)
         self._normal_words[j] = out
         return out
@@ -265,16 +262,15 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
     heap = []
     seq = 0
     for r in relations:
-        key = order.key(r.lead_word(order))
-        heapq.heappush(heap, (r.degree, key, seq, r))
+        heapq.heappush(heap, (r.degree, order.key(r.lead_word()), seq, r))
         seq += 1
 
     basis = GroebnerBasis(presentation, [], d_gb, True)
 
     def push_overlaps(g, h):
         nonlocal seq
-        u = g.lead_word(order)
-        v = h.lead_word(order)
+        u = g.lead_word()
+        v = h.lead_word()
         udeg = g.degree
         for w, left in _overlap_words(u, v):
             wdeg = presentation.word_degree(w)
@@ -292,7 +288,7 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
         r = basis._reduce_terms(dict(p.terms), p.degree) if elements else p
         if r.is_zero():
             continue
-        r = r.monic(order)
+        r = r.monic()
         elements.append(r)
         if len(elements) > element_limit:
             raise ResourceLimitError(
@@ -307,7 +303,7 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
     # tail-reduce for canonical output (leading words are already final)
     reduced = []
     for g in elements:
-        lead = g.lead_word(order)
+        lead = g.lead_word()
         tail_terms = {w: c for w, c in g.terms.items() if w != lead}
         if tail_terms:
             tail_terms = dict(basis._reduce_terms(tail_terms, g.degree).terms)
@@ -319,8 +315,8 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
     complete = True
     for g in basis.elements:
         for h in basis.elements:
-            u = g.lead_word(order)
-            v = h.lead_word(order)
+            u = g.lead_word()
+            v = h.lead_word()
             for w, _ in _overlap_words(u, v):
                 if presentation.word_degree(w) > d_gb:
                     complete = False
@@ -348,7 +344,7 @@ def _serialize_basis(G):
     polys = []
     for g in G.elements:
         parts = []
-        for w in sorted(g.terms, key=G.order.key, reverse=True):
+        for w in sorted(g.terms):
             c = g.terms[w]
             parts.append("%s@%s" % (c, ".".join(str(i) for i in w)))
         polys.append("poly " + " ".join(parts))

@@ -806,6 +806,9 @@ def build_report(art):
             "series pole order %d at t=1 (finite growth annotation only)"
             % sum(1 for _ in h.denom_exponents)
         )
+    if art.as_gorenstein_hint is not None:
+        (d, l), why = art.as_gorenstein_hint
+        annotations.append("AS-Gorenstein of type (%d, %d): %s" % (d, l, why))
     assertions = list(dict.fromkeys(list(art.assertions) + list(verdict.assertions)))
     report = RegularityReport(
         label=art.label,

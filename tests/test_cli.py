@@ -261,6 +261,44 @@ def test_module_row_bad_exponent_is_input_error(files, tmp_path, capsys, row):
     assert rec["type"] == "error" and rec["class"] == "input"
 
 
+@pytest.mark.parametrize(
+    "alg, row, extra",
+    [
+        ("field Q; gens x:1 y:1; rels x*y - 1/0*y*x", None, []),
+        ("field F5; gens x:1 y:1; rels x*y - 1/5*y*x", None, []),
+        ("field Q; gens x:1 y:1; rels x*y - 1/7*y*x", None, ["--field", "F7"]),
+        ("field Q; gens x:1 y:1; rels x*y - y*x", "1/0*x*e0", []),
+        ("field F5; gens x:1 y:1; rels x*y - y*x", "1/10*x*e0", []),
+    ],
+    ids=["q-zero-den", "f5-den-5", "field-f7-den-7", "module-q-zero-den", "module-f5-den-10"],
+)
+def test_undefined_coefficient_is_input_error(tmp_path, capsys, alg, row, extra):
+    path = tmp_path / "a.alg"
+    path.write_text(alg + "\n")
+    argv = ["gb", str(path)]
+    if row is not None:
+        mod = tmp_path / "m.mod"
+        mod.write_text("side left\ngens 0\nrels %s\n" % row)
+        argv = ["resolve", str(path), "--module", str(mod)]
+    code, out = run(argv + extra + ["--format", "jsonl", "--no-cache"], capsys)
+    assert code == cli.EXIT_INPUT == 1
+    (rec,) = jsonl(out)
+    assert rec["type"] == "error" and rec["class"] == "input"
+    assert "is undefined in" in rec["message"]
+
+
+def test_quotient_reports_as_gorenstein_hint(capsys):
+    # t34 is AS regular of type (3, 4); x^2 is normal and regular of degree 2
+    path = os.path.join(ROOT, "presentations", "t34.alg")
+    code, out = run(["quotient", path, "--omega", "x^2", "--no-cache"], capsys)
+    assert code == 0
+    line = (
+        "  annotation: AS-Gorenstein of type (2, 2): "
+        "quotient of an AS regular algebra by a normal regular element"
+    )
+    assert line in out.splitlines()
+
+
 def test_quotient_by_zero_divisor_reports_failed_regularity(tmp_path, capsys):
     # x*y = 0 makes x a zero divisor in degree 2, though it is normal
     alg = tmp_path / "zd.alg"
