@@ -364,11 +364,17 @@ def as_regularity(torreg_k, cmreg):
 def as_regular_verdict(art):
     """Certificate-backed AS-regularity verdict.
 
-    Yes: the resolution of k terminates at step d and the Ext table into
-    the algebra (both sides) is concentrated in homological degree d with
-    a one-dimensional top, reading off the type (d, l).  No: either the
-    top fails concentration in a certified range, or the numerical AS
-    regularity is certified >= 1.  Everything else: unknown to the bound.
+    Yes: the resolution P of k terminates at step d and Ext(k, A) is
+    one-dimensional in (d, -l) and zero elsewhere: type (d, l).  The right
+    side needs no second resolution (T. Levasseur, Glasgow Math. J. 34, 1992):
+      * P* = Hom_A(P, A), read backwards, is a minimal free resolution of
+        k_A(l), because its entries are transposes of entries in A_{>=1};
+      * so the right resolution also terminates at d, Betti table mirrored;
+      * by P** = P, Ext^i(k_A, A) = H_{d-i}(P): k at i = d, 0 elsewhere.
+    The "yes" is exactly as strong as the left termination certificate.
+    No: either the top fails concentration in a certified range, or the
+    numerical AS regularity is certified >= 1.  Everything else: unknown
+    to the bound.
     """
     assertions = (NOETHERIAN_ASSERTION, DUALIZING_ASSERTION)
     if art.known_betti_k is None:
@@ -385,20 +391,7 @@ def as_regular_verdict(art):
                 )
             top = sorted((j, r) for (i, j), r in ext.entries.items() if i == d)
             if len(top) == 1 and top[0][1] == 1:
-                ell = -top[0][0]
-                op = art.opposite()
-                res_op = op.resolution_k()
-                ext_op = op.ext_k()
-                mirror = sorted(ext_op.entries.items())
-                if (
-                    res_op.terminated
-                    and res_op.termination_step == d
-                    and mirror == [((d, -ell), 1)]
-                ):
-                    return ASRegularVerdict("yes", dim=d, index=ell, assertions=assertions)
-                return ASRegularVerdict(
-                    "no", reason="left/right Ext tables disagree", assertions=assertions
-                )
+                return ASRegularVerdict("yes", dim=d, index=-top[0][0], assertions=assertions)
             return ASRegularVerdict(
                 "no",
                 reason="top Ext is not one-dimensional in the certified window",
@@ -499,7 +492,7 @@ class ConcavityBound:
     notes: tuple
 
     def text(self):
-        c = ("%s" if self.exact else "<= %s") % self.upper.value
+        c = self.upper if self.exact or self.upper.kind == "unknown" else "<= %s" % self.upper
         return "c = %s, c_minus = %s" % (c, self.c_minus)
 
 

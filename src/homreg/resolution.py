@@ -145,6 +145,12 @@ class PresentedModuleView(_ModuleView):
             self._build_degree(j)
 
     def _build_degree(self, j):
+        # above the generator degrees M_j = sum_g x_g M_{j - deg x_g}, so zero if those are
+        if j > max(self.pres.gen_degs, default=j) and not any(
+            self.dim(j - dg) for dg in self.G.presentation.gen_degs
+        ):
+            self._free_cols[j] = ()
+            return
         basis = self.ambient.basis(j)
         ech = linalg.Echelon(len(basis), self.field)
         index = self.ambient.index(j)
@@ -169,6 +175,8 @@ class PresentedModuleView(_ModuleView):
         return len(self._free_cols[j])
 
     def _project(self, j, ambient_vec):
+        if not self._free_cols[j]:
+            return []
         res = self._echelon[j].residue(ambient_vec)
         return [res[c] for c in self._free_cols[j]]
 
@@ -269,9 +277,6 @@ class Resolution:
     def steps_computed(self):
         return len(self.shifts) - 1
 
-    def projective_dimension(self):
-        return self.termination_step if self.terminated else None
-
 
 @dataclass
 class BettiTable:
@@ -348,9 +353,6 @@ class ExtTable:
 
     def rank(self, i, j):
         return self.entries.get((i, j), 0)
-
-    def nonzero_homological_degrees(self):
-        return sorted({i for (i, _) in self.entries})
 
     def records(self):
         return [

@@ -249,6 +249,24 @@ def test_criterion_9b_left_right_symmetry(golden):
     check("criterion 9b: t_i(k) agrees over A and A^op on every golden algebra", True)
 
 
+def test_as_regular_duality(golden):
+    # what a second resolution over A^op would show on every AS regular case
+    seen = 0
+    for label, art in sorted(golden.items()):
+        v = art.as_regular_verdict()
+        if v.status != "yes":
+            continue
+        d, ell = v.dim, v.index
+        res_op = art.opposite().resolution_k()
+        assert res_op.terminated and res_op.termination_step == d, label
+        assert art.opposite().ext_k().entries == {(d, -ell): 1}, label
+        left = art.betti_k().entries
+        assert all(left.get((d - i, ell - j), 0) == r for (i, j), r in left.items()), label
+        seen += 1
+    assert seen >= 4
+    check("duality: the right resolution and Ext mirror the left on every AS regular golden algebra", True)
+
+
 def test_criterion_9c_random_finite_dimensional_modules(golden):
     rng = random.Random(20260811)
     for label in ("T", "plane"):

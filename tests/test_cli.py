@@ -216,6 +216,15 @@ def test_concavity_command(files, capsys):
     assert rec["exact"] and rec["upper"]["value"] == 0
 
 
+def test_concavity_text_without_witness(files, capsys):
+    code, out = run(["concavity", files["a3"], "--no-cache"], capsys)
+    assert code == 0
+    assert out.strip() == "concavity of a3: c = unknown, c_minus = >=0"
+    _, out = run(["concavity", files["a3"], "--no-cache", "--format", "jsonl"], capsys)
+    (rec,) = jsonl(out)
+    assert rec["upper"]["kind"] == "unknown" and rec["upper"]["value"] is None
+
+
 def test_cache_directory(files, tmp_path, capsys):
     cache = str(tmp_path / "cache")
     args = ["gb", files["t34"], "--cache-dir", cache, "--format", "jsonl"]

@@ -299,3 +299,11 @@ def test_binomial_pattern_note(golden):
     )
     note = binomial_pattern_note(betti_table(R), 2)
     assert note is not None and "d' = 1" in note
+
+
+def test_as_regular_verdict_resolves_one_side_only(golden):
+    # the right-hand Gorenstein condition follows by duality
+    art = build_artifacts(golden["T"].presentation)
+    v = art.as_regular_verdict()
+    assert (v.status, v.dim, v.index) == ("yes", 3, 4)
+    assert art._opposite is None

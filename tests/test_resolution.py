@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from homreg.corealg import (
@@ -8,6 +10,7 @@ from homreg.corealg import (
 from homreg.gbasis import buchberger_truncated
 from homreg.series import hilbert_rational, hilbert_truncated
 from homreg.resolution import (
+    PresentedModuleView,
     betti_table,
     ext_into_algebra,
     minimal_resolution,
@@ -16,7 +19,7 @@ from homreg.resolution import (
     trivial_module,
 )
 
-from oracles import semisimple_module
+from oracles import random_fdim_module, semisimple_module
 
 
 def setup_algebra(src, d_gb=12):
@@ -27,6 +30,10 @@ def setup_algebra(src, d_gb=12):
 
 
 PLANE = "field Q; gens x:1 y:1; rels x*y - y*x"
+POLY4 = (
+    "field Q; gens x:1 y:1 z:1 w:1; "
+    "rels x*y - y*x, x*z - z*x, x*w - w*x, y*z - z*y, y*w - w*y, z*w - w*z"
+)
 T34 = "field Q; gens x:1 y:1; rels x^2*y - y*x^2, x*y^2 - y^2*x"
 
 
@@ -316,3 +323,21 @@ def test_euler_identity_through_window_when_not_terminated():
     for k in range(bound + 1):
         acc = sum(alt[i] * hs[k - i] for i in range(min(k, len(alt) - 1) + 1))
         assert acc == (1 if k == 0 else 0)
+
+
+def test_degrees_forced_to_zero_build_no_echelon():
+    # k is generated in degree 0 and zero in degree 1, so zero above
+    for src in (POLY4, T34):
+        pres, G, _ = setup_algebra(src, d_gb=8)
+        view = PresentedModuleView(G, trivial_module(pres), 8)
+        assert max(view._echelon) <= 1
+        assert view.dims() == [1, 0, 0, 0, 0, 0, 0, 0, 0]
+    # random finite-dimensional modules keep their dimensions
+    pres, G, _ = setup_algebra(T34, d_gb=8)
+    rng = random.Random(20260811)
+    dims = [PresentedModuleView(G, random_fdim_module(pres, G, rng), 8).dims() for _ in range(3)]
+    assert dims == [
+        [2, 4, 8, 0, 0, 0, 0, 0, 0],
+        [1, 3, 6, 0, 0, 0, 0, 0, 0],
+        [1, 3, 4, 0, 0, 0, 0, 0, 0],
+    ]
