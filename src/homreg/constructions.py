@@ -172,14 +172,17 @@ def _solve_witness(G, omega, g_poly, left):
     target_poly = G.normal_form(g_poly * omega if left else omega * g_poly)
     cols = G.multiplication_columns(omega, dg, left)
     index = G.word_index(omega.degree + dg)
-    rhs = [field.zero()] * len(index)
+    rhs = {}
     target_poly.add_into(rhs, index)
-    rows = [[cols[c][t] for c in range(len(cols))] for t in range(len(rhs))]
+    rows = [{} for _ in index]
+    for c, col in enumerate(cols):
+        for t, a in col.items():
+            rows[t][c] = a
     sol = linalg.solve(rows, len(cols), rhs, field)
     if sol is None:
         return None
-    terms = {w: c for w, c in zip(G.normal_words(dg), sol) if c}
-    return Poly.make(terms, pres.gen_degs)
+    words = G.normal_words(dg)
+    return Poly.make({words[c]: x for c, x in sorted(sol.items())}, pres.gen_degs)
 
 
 def quotient_by_normal_element(artA, omega, d_max=None, label=""):
@@ -229,7 +232,7 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
     regular_ok = True
     checked_to = d_max
     for j in range(a, d_max + 1):
-        ech = linalg.Echelon(G.dim(j), A.field)
+        ech = linalg.Echelon(A.field)
         for col in G.multiplication_columns(omega, j - a):
             ech.add(col)
         if ech.rank != G.dim(j - a):
@@ -313,7 +316,7 @@ class FiniteMapCertificate:
 def _cokernel_dims(G_A, images, d_max, side_left):
     dims = []
     for j in range(d_max + 1):
-        ech = linalg.Echelon(G_A.dim(j), G_A.presentation.field)
+        ech = linalg.Echelon(G_A.presentation.field)
         for fg in images:
             for col in G_A.multiplication_columns(fg, j - fg.degree, side_left):
                 ech.add(col)

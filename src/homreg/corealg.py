@@ -335,13 +335,13 @@ class Poly:
         return Poly({u + w: c for u, c in self.terms.items()}, self.degree + wdeg)
 
     def add_into(self, vec, index, slot=None):
-        """Add the coefficients into the coordinate vector `vec` in place.
+        """Add the coefficients into the coordinate vector (dict) `vec` in place.
 
-        Word u goes to position index[u], or index[(slot, u)] with a slot.
+        Word u goes to column index[u], or index[(slot, u)] with a slot.
         """
         for u, c in self.terms.items():
             k = index[u] if slot is None else index[(slot, u)]
-            vec[k] = vec[k] + c
+            vec[k] = vec[k] + c if k in vec else c
 
     def lead_word(self):
         """The greatest word: the least index tuple, as all terms share one degree."""
@@ -351,8 +351,7 @@ class Poly:
         c = self.terms[self.lead_word()]
         if c == 1:
             return self
-        inv = 1 / c if isinstance(c, Fraction) else c.__rtruediv__(1)
-        return self.scale(inv)
+        return self.scale(1 / c)
 
     def reversed_words(self):
         """The polynomial with every word reversed (opposite algebra image)."""

@@ -203,11 +203,10 @@ class GroebnerBasis:
         """
         words = self.normal_words(j)
         index = self.word_index(j + f.degree)
-        zero = self.presentation.field.zero()
         cols = []
         for w in words:
             q = self.normal_form(f.rmul_word(w, j) if left else f.lmul_word(w, j))
-            col = [zero] * len(index)
+            col = {}
             q.add_into(col, index)
             cols.append(col)
         return cols
@@ -266,15 +265,19 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
         seq += 1
 
     basis = GroebnerBasis(presentation, [], d_gb, True)
+    # cleared when an overlap is skipped: every ordered pair of elements,
+    # self-pairs included, passes through push_overlaps once
+    complete = True
 
     def push_overlaps(g, h):
-        nonlocal seq
+        nonlocal seq, complete
         u = g.lead_word()
         v = h.lead_word()
         udeg = g.degree
         for w, left in _overlap_words(u, v):
             wdeg = presentation.word_degree(w)
             if wdeg > d_gb:
+                complete = False
                 continue
             # S-poly: g * (tail of w after u)  -  left * h
             right = w[len(u) :]
@@ -300,7 +303,8 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
             if g is not r:
                 push_overlaps(g, r)
 
-    # tail-reduce for canonical output (leading words are already final)
+    # tail-reduce for canonical output; the leading words, and with them
+    # the overlaps that decided `complete`, are already final
     reduced = []
     for g in elements:
         lead = g.lead_word()
@@ -309,18 +313,7 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
             tail_terms = dict(basis._reduce_terms(tail_terms, g.degree).terms)
         tail_terms[lead] = presentation.field.one()
         reduced.append(Poly(tail_terms, g.degree))
-    basis = GroebnerBasis(presentation, reduced, d_gb, True)
-
-    # completeness: every overlap among final elements must fit under d_gb
-    complete = True
-    for g in basis.elements:
-        for h in basis.elements:
-            u = g.lead_word()
-            v = h.lead_word()
-            for w, _ in _overlap_words(u, v):
-                if presentation.word_degree(w) > d_gb:
-                    complete = False
-    return GroebnerBasis(presentation, basis.elements, d_gb, complete)
+    return GroebnerBasis(presentation, reduced, d_gb, complete)
 
 
 # ---------------------------------------------------------------------------

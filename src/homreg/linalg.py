@@ -1,18 +1,20 @@
-"""Exact dense linear algebra on graded pieces.
+"""Exact sparse linear algebra on graded pieces.
 
 All routines work over an exact field (rationals or F_p) and return
 canonical data, so every downstream basis choice is deterministic.
-Matrices are lists of row lists.  There is one elimination loop,
-`Echelon.residue`/`Echelon.add`: rows with unit pivots, kept in pivot
-order.  `row_reduce` back-substitutes its rows to the unique reduced row
-echelon form, `complement_basis` is first-fit insertion into one
-`Echelon`, and `solve` reads the reduced augmented matrix.
+A coordinate vector is a dict {column: coefficient}; absent columns are
+zero, and inputs may also hold explicit zeros.  A matrix is a list of
+such rows.  There is one elimination loop, `Echelon.residue`/`Echelon.add`:
+rows with unit pivots and no stored zeros, keyed by pivot column.
+`row_reduce` back-substitutes its rows to the unique reduced row echelon
+form, `complement_basis` is first-fit insertion into one `Echelon`, and
+`solve` reads the reduced augmented matrix.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 
 @dataclass
@@ -23,7 +25,7 @@ class RowReduction:
     kernel: list
 
 
-def row_reduce(matrix, ncols=None, field=None):
+def row_reduce(matrix, ncols, field):
     """Canonical RREF of `matrix`; returns rank, pivot columns, kernel basis.
 
     The rows go into one `Echelon`, whose rows are then back-substituted
@@ -32,25 +34,22 @@ def row_reduce(matrix, ncols=None, field=None):
     read off the reduced form (one vector per free column, in ascending
     column order) so it is exact and canonical: rank + len(kernel) == ncols.
     """
-    if ncols is None:
-        ncols = len(matrix[0]) if matrix else 0
-    ech = Echelon(ncols, field)
+    ech = Echelon(field)
     for row in matrix:
         ech.add(row)
-    rref, pivots = ech.rows, ech.pivot_of_row
-    for i in range(len(rref) - 2, -1, -1):
-        rref[i] = ech.residue(rref[i], i + 1)
+    pivots = sorted(ech.rows)
+    for p in reversed(pivots):
+        ech.rows[p] = ech.residue(ech.rows[p], p)
+    rref = [ech.rows[p] for p in pivots]
     one = field.one()
-    zero = field.zero()
-    kernel = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
-        v = [zero] * ncols
-        v[f] = one
-        for i, p in enumerate(pivots):
-            if rref[i][f]:
-                v[p] = -rref[i][f]
-        kernel.append(v)
-    return RowReduction(len(pivots), tuple(pivots), rref, kernel)
+    free = sorted(set(range(ncols)).difference(pivots))
+    kernel = {f: {f: one} for f in free}
+    # a reduced row is nonzero only in its pivot and in free columns
+    for row, p in zip(rref, pivots):
+        for f, c in row.items():
+            if f != p:
+                kernel[f][p] = -c
+    return RowReduction(len(pivots), tuple(pivots), rref, [kernel[f] for f in free])
 
 
 class Echelon:
@@ -61,64 +60,62 @@ class Echelon:
     complement extraction.
     """
 
-    __slots__ = ("ncols", "field", "rows", "pivot_of_row")
+    __slots__ = ("field", "rows")
 
-    def __init__(self, ncols, field):
-        self.ncols = ncols
+    def __init__(self, field):
         self.field = field
-        self.rows = []
-        self.pivot_of_row = []
+        self.rows = {}  # pivot column -> row, whose least key is the pivot
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def residue(self, vec, start=0):
-        """Reduce `vec` against the stored rows from index `start` on.
+    def residue(self, vec, above=-1):
+        """Reduce `vec` against the stored rows whose pivot exceeds `above`.
 
-        Returns a fresh vector.  The rows are visited in pivot order, so
-        the residue is zero in every pivot column of the rows visited.
+        Returns a fresh vector without zero values.  Rows are applied in
+        increasing pivot order, each only where its pivot column is
+        nonzero, so the residue is zero in every pivot column above `above`.
         """
-        v = list(vec)
-        n = self.ncols
-        for row, p in zip(self.rows[start:], self.pivot_of_row[start:]):
-            m = v[p]
-            if not m:
+        rows = self.rows
+        v = {k: c for k, c in vec.items() if c}
+        todo = [k for k in v if k > above and k in rows]
+        heapify(todo)
+        while todo:
+            p = heappop(todo)
+            m = v.get(p)
+            if m is None:
                 continue
-            for k in range(p, n):
-                b = row[k]
-                if b:
-                    v[k] = v[k] - m * b
+            for k, b in rows[p].items():
+                c = v.get(k)
+                if c is None:
+                    v[k] = -m * b
+                    if k in rows:
+                        heappush(todo, k)
+                else:
+                    c = c - m * b
+                    if c:
+                        v[k] = c
+                    else:
+                        del v[k]
         return v
-
-    def contains(self, vec):
-        return not any(self.residue(vec))
 
     def add(self, vec):
         """Insert `vec`'s residue; returns True when the rank grows."""
         v = self.residue(vec)
-        p = None
-        for k in range(self.ncols):
-            if v[k]:
-                p = k
-                break
-        if p is None:
+        if not v:
             return False
+        p = min(v)
         pv = v[p]
         one = self.field.one()
         if pv != one:
             inv = one / pv
-            for k in range(p, self.ncols):
-                if v[k]:
-                    v[k] = v[k] * inv
-        # keep rows ordered by pivot column
-        where = bisect(self.pivot_of_row, p)
-        self.rows.insert(where, v)
-        self.pivot_of_row.insert(where, p)
+            v = {k: c * inv for k, c in v.items()}
+        self.rows[p] = v
         return True
 
 
-def complement_basis(span, space, ncols, field):
+def complement_basis(span, space, field):
     """Vectors from `space` extending a basis of span(span) to span(space).
 
     Deterministic first-fit in the given order of `space`, which must be
@@ -126,7 +123,7 @@ def complement_basis(span, space, ncols, field):
     Raises ValueError when span + space does not have rank len(space):
     some `span` vector lies outside span(space), or `space` is dependent.
     """
-    ech = Echelon(ncols, field)
+    ech = Echelon(field)
     for v in span:
         ech.add(v)
     out = [v for v in space if ech.add(v)]
@@ -136,16 +133,19 @@ def complement_basis(span, space, ncols, field):
 
 
 def solve(rows, ncols, rhs, field):
-    """One exact solution of (rows) * x = rhs, or None when inconsistent.
+    """One exact solution x of (rows) * x = rhs, or None when inconsistent.
 
-    Free variables are set to zero; the solution is canonical.
+    `rhs` maps row index to value.  Free variables are set to zero; the
+    solution is canonical.
     """
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    aug = [dict(row) for row in rows]
+    for t, b in rhs.items():
+        aug[t][ncols] = b
     red = row_reduce(aug, ncols + 1, field)
-    zero = field.zero()
-    x = [zero] * ncols
-    for i, p in enumerate(red.pivots):
+    x = {}
+    for row, p in zip(red.rref, red.pivots):
         if p == ncols:
             return None
-        x[p] = red.rref[i][ncols]
+        if ncols in row:
+            x[p] = row[ncols]
     return x

@@ -496,7 +496,7 @@ class ConcavityBound:
         return "c = %s, c_minus = %s" % (c, self.c_minus)
 
 
-def concavity_certificate(art, witnesses=(), include_self=True):
+def concavity_certificate(art, witnesses=()):
     """Upper bound on the concavity, with exactness certificates.
 
     Exactness routes: the algebra is itself AS regular (identity witness);
@@ -509,7 +509,7 @@ def concavity_certificate(art, witnesses=(), include_self=True):
     notes = []
     cmreg, _ = art.resolve_cmreg()
     verdict = art.as_regular_verdict()
-    if include_self and verdict.status == "yes":
+    if verdict.status == "yes":
         own = -(verdict.dim - verdict.index)
         usable.append(
             ConcavityWitness(art.label + " (identity)", own, True, True, note="identity witness")

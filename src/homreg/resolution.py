@@ -47,7 +47,6 @@ class FreeLayer:
     def __init__(self, G, shifts):
         self.G = G
         self.shifts = tuple(shifts)
-        self.field = G.presentation.field
         self._basis = {}
         self._index = {}
 
@@ -79,22 +78,22 @@ class FreeLayer:
         dg = self.G.presentation.gen_degs[g]
         target = self.index(j + dg)
         src = self.basis(j)
-        out = [self.field.zero()] * len(target)
-        for idx, c in enumerate(vec):
+        out = {}
+        for idx, c in vec.items():
             if not c:
                 continue
             r, u = src[idx]
-            p = self.G.nf_word((g,) + u)
-            for u2, c2 in p.terms.items():
-                out[target[(r, u2)]] = out[target[(r, u2)]] + c * c2
+            for u2, c2 in self.G.nf_word((g,) + u).terms.items():
+                k = target[(r, u2)]
+                out[k] = out[k] + c * c2 if k in out else c * c2
         return out
 
 
 class _ModuleView:
     """A graded left module given degreewise by generator action matrices.
 
-    Subclasses set `G`, `field` and an empty `_act_cols` dict, and supply
-    `dim(j)` and `_build_act_columns(g, j)`.
+    Subclasses set an empty `_act_cols` dict and supply `dim(j)` and
+    `_build_act_columns(g, j)`.
     """
 
     def act_columns(self, g, j):
@@ -106,16 +105,13 @@ class _ModuleView:
         return cols
 
     def act_vec(self, g, j, vec):
-        dg = self.G.presentation.gen_degs[g]
-        out = [self.field.zero()] * self.dim(j + dg)
         cols = self.act_columns(g, j)
-        for b, c in enumerate(vec):
+        out = {}
+        for b, c in vec.items():
             if not c:
                 continue
-            col = cols[b]
-            for t in range(len(out)):
-                if col[t]:
-                    out[t] = out[t] + c * col[t]
+            for t, a in cols[b].items():
+                out[t] = out[t] + c * a if t in out else c * a
         return out
 
 
@@ -139,7 +135,7 @@ class PresentedModuleView(_ModuleView):
         self.ambient = FreeLayer(G, mpres.gen_degs)
         self.min_degree = min(mpres.gen_degs) if mpres.gen_degs else 0
         self._echelon = {}
-        self._free_cols = {}
+        self._free_cols = {}  # j -> {free ambient column: coordinate}
         self._act_cols = {}
         for j in range(self.min_degree, d_max + 1):
             self._build_degree(j)
@@ -149,25 +145,23 @@ class PresentedModuleView(_ModuleView):
         if j > max(self.pres.gen_degs, default=j) and not any(
             self.dim(j - dg) for dg in self.G.presentation.gen_degs
         ):
-            self._free_cols[j] = ()
+            self._free_cols[j] = {}
             return
-        basis = self.ambient.basis(j)
-        ech = linalg.Echelon(len(basis), self.field)
+        ech = linalg.Echelon(self.field)
         index = self.ambient.index(j)
-        zero = self.field.zero()
         for row, rdeg in zip(self.pres.rows, self.pres.row_degrees):
             if j - rdeg < 0:
                 continue
             for w in self.G.normal_words(j - rdeg):
-                vec = [zero] * len(basis)
+                vec = {}
                 wdeg = j - rdeg
                 for r, p in enumerate(row):
                     if p:
                         self.G.normal_form(p.lmul_word(w, wdeg)).add_into(vec, index, r)
                 ech.add(vec)
         self._echelon[j] = ech
-        pivots = set(ech.pivot_of_row)
-        self._free_cols[j] = tuple(c for c in range(len(basis)) if c not in pivots)
+        free = (c for c in range(len(index)) if c not in ech.rows)
+        self._free_cols[j] = {c: i for i, c in enumerate(free)}
 
     def dim(self, j):
         if j < self.min_degree or j > self.d_max:
@@ -175,19 +169,19 @@ class PresentedModuleView(_ModuleView):
         return len(self._free_cols[j])
 
     def _project(self, j, ambient_vec):
-        if not self._free_cols[j]:
-            return []
-        res = self._echelon[j].residue(ambient_vec)
-        return [res[c] for c in self._free_cols[j]]
+        # the residue is zero in the pivot columns, so its keys are free columns
+        coord = self._free_cols[j]
+        if not coord:
+            return {}
+        return {coord[c]: x for c, x in self._echelon[j].residue(ambient_vec).items()}
 
     def _build_act_columns(self, g, j):
         dg = self.G.presentation.gen_degs[g]
-        cols = []
-        for c in self._free_cols[j]:
-            amb = [self.field.zero()] * self.ambient.dim(j)
-            amb[c] = self.field.one()
-            cols.append(self._project(j + dg, self.ambient.act_vec(g, j, amb)))
-        return cols
+        one = self.field.one()
+        return [
+            self._project(j + dg, self.ambient.act_vec(g, j, {c: one}))
+            for c in self._free_cols[j]
+        ]
 
     def dims(self):
         return [self.dim(j) for j in range(min(self.min_degree, 0), self.d_max + 1)]
@@ -224,7 +218,6 @@ class MappedAlgebraView(_ModuleView):
         self.G_A = G_A
         self.images = tuple(images)
         self.d_max = d_max
-        self.field = G_T.presentation.field
         self.min_degree = 0
         degs = G_T.presentation.gen_degs
         for i, p in enumerate(self.images):
@@ -271,7 +264,6 @@ class Resolution:
     terminated: bool
     termination_step: object
     certificate: object
-    more_steps_exist: bool
 
     @property
     def steps_computed(self):
@@ -364,17 +356,6 @@ class ExtTable:
 # engine internals
 
 
-def _unit_vectors(n, field):
-    one = field.one()
-    zero = field.zero()
-    out = []
-    for i in range(n):
-        v = [zero] * n
-        v[i] = one
-        out.append(v)
-    return out
-
-
 def _minimal_generators(G, module, K):
     """Minimal generators of the submodule spanned by K[j] in each degree j.
 
@@ -392,7 +373,7 @@ def _minimal_generators(G, module, K):
             j0 = j - pres.gen_degs[g]
             for kappa in K.get(j0, ()):
                 span.append(module.act_vec(g, j0, kappa))
-        for v in linalg.complement_basis(span, kj, module.dim(j), pres.field):
+        for v in linalg.complement_basis(span, kj, pres.field):
             shifts.append(j)
             vecs.append((j, v))
     return shifts, vecs
@@ -400,8 +381,8 @@ def _minimal_generators(G, module, K):
 
 def _minimal_cover(G, view, d_max):
     """Minimal generators of a graded module view through degree d_max."""
-    field = G.presentation.field
-    units = {j: _unit_vectors(view.dim(j), field) for j in range(view.min_degree, d_max + 1)}
+    one = G.presentation.field.one()
+    units = {j: [{b: one} for b in range(view.dim(j))] for j in range(view.min_degree, d_max + 1)}
     return _minimal_generators(G, view, units)
 
 
@@ -427,7 +408,10 @@ def _kernel(G, target, layer, gen_vecs, d_max):
                 vec = target.act_vec(g, j0, prev)
             cols.append(vec)
         ev[j] = cols
-        rows = [[cols[c][t] for c in range(len(cols))] for t in range(target.dim(j))]
+        rows = [{} for _ in range(target.dim(j))]
+        for c, col in enumerate(cols):
+            for t, a in col.items():
+                rows[t][c] = a
         K[j] = linalg.row_reduce(rows, len(cols), field).kernel
     return K
 
@@ -438,10 +422,9 @@ def _vectors_to_rows(G, layer, n_slots, vecs):
     for j, v in vecs:
         basis = layer.basis(j)
         terms = [dict() for _ in range(n_slots)]
-        for idx, c in enumerate(v):
-            if c:
-                r, u = basis[idx]
-                terms[r][u] = c
+        for idx, c in sorted(v.items()):  # Poly.make drops zero values
+            r, u = basis[idx]
+            terms[r][u] = c
         rows.append(tuple(Poly.make(t, G.presentation.gen_degs) for t in terms))
     return rows
 
@@ -528,10 +511,10 @@ def minimal_resolution(
     terminated = False
     termination_step = None
     certificate = None
-    more_steps = False
     for i in range(1, i_max + 2):
-        new_shifts, new_vecs = _minimal_generators(G, layer, K)
-        if not new_shifts:
+        # at the lowest degree where K is nonzero every kernel vector is a
+        # new generator, so a step has generators exactly when K is nonzero
+        if not any(K.values()):
             certificate = _certify_termination(
                 G, shifts_all[-1], shifts_all, d_max, algebra_hilbert, module_hilbert
             )
@@ -540,13 +523,13 @@ def minimal_resolution(
                 termination_step = i - 1
             break
         if i == i_max + 1:
-            more_steps = True
             break
+        new_shifts, new_vecs = _minimal_generators(G, layer, K)
         # syzygy generators have no scalar entries over a minimal cover
         for j, v in new_vecs:
             basis = layer.basis(j)
             assert all(
-                basis[idx][1] for idx, c in enumerate(v) if c
+                basis[idx][1] for idx, c in v.items() if c
             ), "minimality violated: scalar entry in a syzygy generator"
         columns = _vectors_to_rows(G, layer, len(shifts_all[-1]), new_vecs)
         maps.append(FreeModuleMap(shifts_all[-1], tuple(new_shifts), tuple(zip(*columns))))
@@ -565,7 +548,6 @@ def minimal_resolution(
         terminated=terminated,
         termination_step=termination_step,
         certificate=certificate,
-        more_steps_exist=more_steps,
     )
 
 
@@ -623,9 +605,9 @@ def ext_into_algebra(R, G, j_hi=None):
         tindex = cobases[i + 1].index(j)
         if not src or not tindex:
             return 0
-        ech = linalg.Echelon(len(tindex), field)
+        ech = linalg.Echelon(field)
         for r, w in src:
-            out = [field.zero()] * len(tindex)
+            out = {}
             for s, p in enumerate(fmap.entries[r]):
                 if p:
                     q = G.normal_form(p.rmul_word(w, G.presentation.word_degree(w)))
@@ -660,18 +642,14 @@ def ext_into_algebra(R, G, j_hi=None):
     )
 
 
-def module_via_map(G_T, images, G_A, d_max, side="left", label=""):
-    """A as a graded T-module along generator images, presented up to d_max.
+def module_via_map(G_T, images, G_A, d_max):
+    """A as a graded left T-module along generator images, presented up to d_max.
 
     Generators are a minimal homogeneous generating set found degreewise;
-    relations are the minimal first syzygies of the cover.  Only the left
-    side is handled here; for the right side convert both algebras and the
-    images to the opposite presentation first.
+    relations are the minimal first syzygies of the cover.  For the right
+    side convert both algebras and the images to the opposite presentation
+    first.
     """
-    if side != "left":
-        raise PresentationError(
-            "module_via_map computes left modules; use opposite presentations for the right side"
-        )
     view = MappedAlgebraView(G_T, images, G_A, d_max)
     shifts0, gen_vecs = _minimal_cover(G_T, view, d_max)
     layer = FreeLayer(G_T, tuple(shifts0))

@@ -145,7 +145,7 @@ def test_rank_nullity_exactness_bookkeeping():
             cols = []
             field = pres.field
             for s, w in basis:
-                vec = [field.zero()] * tgt.dim(j)
+                vec = {}
                 idx = tgt.index(j)
                 for r in range(len(fmap.target_shifts)):
                     p = fmap.entries[r][s]
@@ -153,11 +153,31 @@ def test_rank_nullity_exactness_bookkeeping():
                         continue
                     q = G.normal_form(p.lmul_word(w, pres.word_degree(w)))
                     for u, c in q.terms.items():
-                        vec[idx[(r, u)]] = vec[idx[(r, u)]] + c
+                        vec[idx[(r, u)]] = vec.get(idx[(r, u)], field.zero()) + c
                 cols.append(vec)
-            rows = [[cols[c][t] for c in range(len(cols))] for t in range(tgt.dim(j))]
+            rows = [{} for _ in range(tgt.dim(j))]
+            for c, col in enumerate(cols):
+                for t, x in col.items():
+                    rows[t][c] = x
             red = row_reduce(rows, len(cols), field)
             assert red.rank + len(red.kernel) == len(basis)
+
+
+def test_resolution_of_k_keeps_kernel_vectors_sparse():
+    # step 0 of the resolution of k has kernel all of A_j in each degree j;
+    # written out densely that is a dim A_j identity matrix per degree
+    import tracemalloc
+
+    pres = parse_presentation("field Q; gens x:1 y:1; rels x*y^12")
+    G = buchberger_truncated(pres, 13)
+    tracemalloc.start()
+    try:
+        R = minimal_resolution(G, trivial_module(pres), 8, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dict(betti_table(R).entries) == {(0, 0): 1, (1, 1): 2}
+    assert peak < 10 * 2**20
 
 
 def test_degree_growth_beta_zero_below_diagonal():
