@@ -641,11 +641,19 @@ class _Parser(argparse.ArgumentParser):
         raise PresentationError("%s: %s" % (self.prog, message))
 
 
+def natural(text):
+    """An argparse type: a non-negative integer (a degree, index or count)."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    return n
+
+
 def make_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--imax", type=int, default=reg_mod.DEFAULT_I_MAX)
-    common.add_argument("--dmax", type=int, default=reg_mod.DEFAULT_D_MAX)
-    common.add_argument("--dgb", type=int, default=reg_mod.DEFAULT_D_GB)
+    common.add_argument("--imax", type=natural, default=reg_mod.DEFAULT_I_MAX)
+    common.add_argument("--dmax", type=natural, default=reg_mod.DEFAULT_D_MAX)
+    common.add_argument("--dgb", type=natural, default=reg_mod.DEFAULT_D_GB)
     common.add_argument("--field", help="override the base field (Q or F<p>)")
     common.add_argument("--format", choices=("text", "jsonl"), default="text")
     common.add_argument("--no-cache", action="store_true")
@@ -654,7 +662,7 @@ def make_parser():
     common.add_argument("--assert-noetherian", action="store_true")
     common.add_argument("--assert-balanced", action="store_true")
     common.add_argument(
-        "--element-limit", type=int, default=2000,
+        "--element-limit", type=natural, default=2000,
         help="Groebner completion budget (element count)",
     )
 
@@ -670,7 +678,7 @@ def make_parser():
 
     p = sub.add_parser("hilbert", parents=[common], help="Hilbert series")
     p.add_argument("file")
-    p.add_argument("--truncate", type=int, default=None)
+    p.add_argument("--truncate", type=natural, default=None)
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("resolve", parents=[common], help="Betti table")

@@ -18,11 +18,14 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .corealg import (
     CertificationError,
+    FpElement,
     Poly,
     PresentationError,
+    PrimeField,
     ResourceLimitError,
 )
 
@@ -91,9 +94,19 @@ class WordAutomaton:
 
 
 class GroebnerBasis:
-    """A reduced (possibly degree-truncated) two-sided Groebner basis."""
+    """A reduced (possibly degree-truncated) two-sided Groebner basis.
 
-    def __init__(self, presentation, elements, d_gb, complete):
+    Reduction runs on plain integers.  Each element g gets an integer form
+    (L, words, coeffs) once, when the basis is built: g times a nonzero
+    scalar, split into its lead coefficient L and its other terms (parallel
+    tuples, which take less memory than pairs).  Over Q the scalar
+    clears the denominators and removes the content (so L > 0); over F_p
+    the coefficients are representatives mod p and g is monic, so L = 1.
+    `forms` maps lead words to forms already made, so a completion that
+    rebuilds the basis after each new element makes each form only once.
+    """
+
+    def __init__(self, presentation, elements, d_gb, complete, forms=None):
         self.presentation = presentation
         key = presentation.order.key
         self.elements = tuple(sorted(elements, key=lambda g: key(g.lead_word())))
@@ -101,6 +114,13 @@ class GroebnerBasis:
         self.complete = complete
         self._leads = tuple(g.lead_word() for g in self.elements)
         self.automaton = WordAutomaton(self._leads, presentation.gen_degs)
+        field = presentation.field
+        self.modulus = field.p if isinstance(field, PrimeField) else 0
+        forms = forms or {}
+        self._forms = tuple(
+            forms.get(u) or _integer_form(_to_ints(g.terms, self.modulus)[0], u, self.modulus)
+            for g, u in zip(self.elements, self._leads)
+        )
         self._normal_words = {}
         self._nf_words = {}
 
@@ -118,16 +138,46 @@ class GroebnerBasis:
         if p.is_zero():
             return p
         self.check_degree(p.degree, "normal form")
-        return self._reduce_terms(dict(p.terms), p.degree)
+        find = self.automaton.find
+        if all(find(w) is None for w in p.terms):
+            return p  # already normal (about half the calls in a resolution)
+        out, scale = self._reduce_terms(p.terms)
+        return self._to_poly(out, scale, p.degree)
 
-    def _reduce_terms(self, pending, degree):
-        elements = self.elements
+    def _reduce_terms(self, terms):
+        """Reduce `terms` (word -> scalar, all of one degree) to normal words.
+
+        Returns (out, scale): integers on normal words whose quotient
+        out / scale is the normal form.  The loop keeps the invariant
+        pending + out = S * den * (the input minus a combination of basis
+        elements), where den clears the input's denominators and S is the
+        running scale.  To cancel a coefficient c on a leading word with
+        form (L, words, coeffs), it sets q = gcd(c, L), multiplies pending,
+        out and S by L // q, and subtracts c // q times the form's tail at
+        the word's position.  Every step subtracts an element of the ideal,
+        and the normal form is unique, so out / (S * den) is the remainder
+        exact rational arithmetic would give.  Over F_p, L = 1 and
+        coefficients are reduced mod p as they leave `pending`.
+
+        The next term is the greatest pending word, the least tuple: a heap
+        holds each word once, and a word cancelled to 0 stays in `pending`
+        until it is popped.  Reduction only adds smaller words, so a popped
+        word never returns.
+        """
+        p = self.modulus
+        forms = self._forms
         leads = self._leads
         find = self.automaton.find
+        pending, den = _to_ints(terms, p)
+        heap = list(pending)
+        heapq.heapify(heap)
         out = {}
-        while pending:
-            w = min(pending)  # the greatest word: all share one degree
+        scale = den
+        while heap:
+            w = heapq.heappop(heap)
             c = pending.pop(w)
+            if p:
+                c %= p
             if not c:
                 continue
             hit = find(w)
@@ -135,22 +185,37 @@ class GroebnerBasis:
                 out[w] = c
                 continue
             pos, i = hit
-            g = elements[i]
-            lead = leads[i]
-            left, right = w[:pos], w[pos + len(lead) :]
-            for u, a in g.terms.items():
-                if u == lead:
-                    continue
+            lead_coeff, words, coeffs = forms[i]
+            if lead_coeff != 1:
+                q = gcd(c, lead_coeff)
+                m = lead_coeff // q
+                c //= q
+                if m != 1:
+                    for u in pending:
+                        pending[u] *= m
+                    for u in out:
+                        out[u] *= m
+                    scale *= m
+            left, right = w[:pos], w[pos + len(leads[i]) :]
+            for u, a in zip(words, coeffs):
                 w2 = left + u + right
                 s = pending.get(w2)
-                s = -c * a if s is None else s - c * a
-                if s:
-                    pending[w2] = s
-                elif w2 in pending:
-                    del pending[w2]
+                if s is None:
+                    pending[w2] = -c * a
+                    heapq.heappush(heap, w2)
+                else:
+                    pending[w2] = s - c * a
+        return out, scale
+
+    def _to_poly(self, out, scale, degree):
+        """The polynomial out / scale, for integers `out` from `_reduce_terms`."""
         if not out:
             return Poly.zero()
-        return Poly(out, degree)
+        p = self.modulus
+        if p:
+            inv = pow(scale, -1, p)
+            return Poly({w: FpElement(p, c * inv) for w, c in out.items()}, degree)
+        return Poly({w: Fraction(c, scale) for w, c in out.items()}, degree)
 
     def nf_word(self, word):
         """Memoized normal form of a single word (hot path for resolutions)."""
@@ -210,6 +275,30 @@ class GroebnerBasis:
             q.add_into(col, index)
             cols.append(col)
         return cols
+
+
+def _to_ints(terms, p):
+    """(ints, den) with ints[w] = den * terms[w] integers: den clears the
+    denominators over Q (p = 0); over F_p, den = 1 and ints are the
+    representatives in [0, p)."""
+    if p:
+        return {w: c.v for w, c in terms.items()}, 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den
+
+
+def _integer_form(ints, lead, p):
+    """(L, words, coeffs) of the integer vector `ints` with leading word `lead`:
+    divided by its content and sign over Q, made monic over F_p."""
+    if p:
+        inv = pow(ints[lead], -1, p)
+        ints = {w: c * inv % p for w, c in ints.items()}
+    else:
+        g = gcd(*ints.values())
+        g = g if ints[lead] > 0 else -g
+        ints = {w: c // g for w, c in ints.items()}
+    tail = [w for w in ints if w != lead]
+    return ints[lead], tuple(tail), tuple(ints[w] for w in tail)
 
 
 @dataclass(frozen=True)
@@ -286,18 +375,21 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
             seq += 1
 
     elements = []
+    forms = {}
     while heap:
         d, _, _, p = heapq.heappop(heap)
-        r = basis._reduce_terms(dict(p.terms), p.degree) if elements else p
-        if r.is_zero():
+        out, _ = basis._reduce_terms(p.terms)
+        if not out:
             continue
-        r = r.monic()
+        lead = min(out)
+        r = basis._to_poly(out, out[lead], p.degree)  # monic
         elements.append(r)
         if len(elements) > element_limit:
             raise ResourceLimitError(
                 "Groebner completion exceeded %d elements at degree %d" % (element_limit, d)
             )
-        basis = GroebnerBasis(presentation, elements, d_gb, True)
+        forms[lead] = _integer_form(out, lead, basis.modulus)
+        basis = GroebnerBasis(presentation, elements, d_gb, True, forms)
         for g in elements:
             push_overlaps(r, g)
             if g is not r:
@@ -308,11 +400,10 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
     reduced = []
     for g in elements:
         lead = g.lead_word()
-        tail_terms = {w: c for w, c in g.terms.items() if w != lead}
-        if tail_terms:
-            tail_terms = dict(basis._reduce_terms(tail_terms, g.degree).terms)
-        tail_terms[lead] = presentation.field.one()
-        reduced.append(Poly(tail_terms, g.degree))
+        tail = {w: c for w, c in g.terms.items() if w != lead}
+        terms = dict(basis._to_poly(*basis._reduce_terms(tail), g.degree).terms)
+        terms[lead] = presentation.field.one()
+        reduced.append(Poly(terms, g.degree))
     return GroebnerBasis(presentation, reduced, d_gb, complete)
 
 

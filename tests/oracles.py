@@ -29,16 +29,12 @@ def free_words(gen_degs, degree):
     return out
 
 
-def ideal_slice_dim(pres, j):
-    """dim of the degree-j slice of the two-sided ideal, by brute force.
+def ideal_slice_spanning_set(pres, j):
+    """The products u * r * v of degree j, over all relations r and free words u, v.
 
-    The slice is spanned by u * r * v over all relations r and all free
-    words u, v with matching degrees; the rank is an exact row reduction
-    over the full degree-j free-word basis.
+    Each is a dict word -> scalar; together they span the degree-j slice
+    of the two-sided ideal.
     """
-    basis = {w: i for i, w in enumerate(free_words(pres.gen_degs, j))}
-    field = pres.field
-    rows = []
     for r in pres.relations:
         rem = j - r.degree
         if rem < 0:
@@ -46,10 +42,23 @@ def ideal_slice_dim(pres, j):
         for du in range(rem + 1):
             for u in free_words(pres.gen_degs, du):
                 for v in free_words(pres.gen_degs, rem - du):
-                    vec = [field.zero()] * len(basis)
-                    for w, c in r.terms.items():
-                        vec[basis[u + w + v]] = vec[basis[u + w + v]] + c
-                    rows.append(vec)
+                    yield {u + w + v: c for w, c in r.terms.items()}
+
+
+def ideal_slice_dim(pres, j):
+    """dim of the degree-j slice of the two-sided ideal, by brute force.
+
+    The rank of the spanning set is an exact row reduction over the full
+    degree-j free-word basis.
+    """
+    basis = {w: i for i, w in enumerate(free_words(pres.gen_degs, j))}
+    field = pres.field
+    rows = []
+    for terms in ideal_slice_spanning_set(pres, j):
+        vec = [field.zero()] * len(basis)
+        for w, c in terms.items():
+            vec[basis[w]] = vec[basis[w]] + c
+        rows.append(vec)
     # plain forward elimination, kept separate from homreg.linalg
     rank = 0
     pivots = {}
@@ -68,6 +77,64 @@ def ideal_slice_dim(pres, j):
             pivots[lead] = [x * inv for x in row]
             rank += 1
     return rank
+
+
+def _clear_pivots(terms, echelon):
+    """`terms` minus multiples of echelon rows, until no pivot word is left."""
+    row = {w: c for w, c in terms.items() if c}
+    while True:
+        hits = [w for w in row if w in echelon]
+        if not hits:
+            return row
+        w = min(hits)
+        f = row[w]
+        for u, a in echelon[w].items():
+            s = row.get(u)
+            s = -f * a if s is None else s - f * a
+            if s:
+                row[u] = s
+            else:
+                row.pop(u, None)
+
+
+def ideal_slice_echelon(pres, j):
+    """Echelon rows spanning the degree-j slice of the ideal, keyed by pivot word.
+
+    Each row is a dict word -> scalar whose greatest word (the least index
+    tuple) is its pivot, with coefficient 1; no row holds another row's
+    pivot word.  So the pivots are the leading words of the slice, and the
+    other words of degree j are the normal words.
+    """
+    echelon = {}
+    for terms in ideal_slice_spanning_set(pres, j):
+        row = _clear_pivots(terms, echelon)
+        if not row:
+            continue
+        lead = min(row)
+        inv = 1 / row[lead]
+        row = {w: c * inv for w, c in row.items()}
+        for other in echelon.values():
+            f = other.get(lead)
+            if f:
+                for u, a in row.items():
+                    s = other.get(u)
+                    s = -f * a if s is None else s - f * a
+                    if s:
+                        other[u] = s
+                    else:
+                        other.pop(u, None)
+        echelon[lead] = row
+    return echelon
+
+
+def free_normal_form(echelon, terms):
+    """The normal form of `terms` (word -> scalar, one degree), by linear algebra.
+
+    `echelon` is `ideal_slice_echelon` of that degree.  The result differs
+    from `terms` by an element of the ideal and holds normal words only, so
+    it is the unique normal form, computed without any Groebner basis.
+    """
+    return _clear_pivots(terms, echelon)
 
 
 def brute_algebra_dim(pres, j):

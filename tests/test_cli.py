@@ -374,6 +374,23 @@ def test_usage_error_is_input_error(files, capsys, bad, fmt):
         assert captured.out.startswith("input error: homreg")
 
 
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("flag", ["--imax", "--dmax", "--dgb", "--truncate", "--element-limit"])
+def test_negative_window_flag_is_input_error(files, capsys, flag, fmt):
+    # `--dmax -1` used to reach WordAutomaton.dims and exit 4 with an IndexError
+    code = main(["hilbert", files["kx"], "--no-cache", "--format", fmt, flag, "-1"])
+    assert code == cli.EXIT_INPUT == 1
+    captured = capsys.readouterr()
+    assert "usage: homreg hilbert" in captured.err
+    message = "argument %s: must be >= 0, got -1" % flag
+    if fmt == "jsonl":
+        (rec,) = jsonl(captured.out)
+        assert rec["type"] == "error" and rec["class"] == "input"
+        assert message in rec["message"]
+    else:
+        assert captured.out.startswith("input error: homreg hilbert: " + message)
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as info:
         main(["gb", "--help"])

@@ -1,8 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from homreg.corealg import CertificationError, Poly, PresentationError, parse_presentation
+from homreg.corealg import (
+    CertificationError,
+    Poly,
+    QQ,
+    PresentationError,
+    make_presentation,
+    parse_presentation,
+)
 from homreg.gbasis import (
     buchberger_truncated,
     groebner,
@@ -13,7 +21,7 @@ from homreg.gbasis import (
 )
 from homreg.series import hilbert_truncated
 
-from oracles import brute_algebra_dim, free_words
+from oracles import brute_algebra_dim, free_normal_form, free_words, ideal_slice_echelon
 
 
 def plane():
@@ -81,31 +89,41 @@ def test_normal_form_examples():
     assert normal_form(GT, t34().parse_poly("x^2*y")) == t34().parse_poly("y*x^2")
 
 
-def test_normal_form_linear_and_idempotent():
-    pres = t34()
-    G = buchberger_truncated(pres, 8)
-    rng = random.Random(3)
-    words4 = G.presentation
-    from oracles import free_words
+def sklyanin_type():
+    return parse_presentation(
+        "field Q; gens x:1 y:1 z:1; "
+        "rels 2*x*y - 3*y*x + z^2, 2*y*z - 3*z*y + x^2, 2*z*x - 3*x*z + y^2",
+        label="sklyanin",
+    )
 
-    all4 = free_words(pres.gen_degs, 4)
-    for _ in range(20):
+
+def test_normal_form_linear_and_idempotent():
+    # non-integer coefficients and scalars: reduction clears their
+    # denominators and, on the Sklyanin-type basis (lead coefficient 2 in
+    # integer form), rescales, so the result is out / (S * den)
+    rng = random.Random(3)
+    for pres in (t34(), sklyanin_type()):
+        G = buchberger_truncated(pres, 8)
+        all4 = free_words(pres.gen_degs, 4)
+        echelon = ideal_slice_echelon(pres, 4)
+
+        def rand_scalar(nums, dens):
+            return pres.field.from_fraction(rng.choice(nums), rng.choice(dens))
+
         def rand_poly():
-            terms = {}
-            for w in rng.sample(all4, 5):
-                c = rng.randrange(-3, 4)
-                if c:
-                    terms[w] = pres.field.from_int(c)
+            terms = {w: rand_scalar(range(-9, 10), range(1, 7)) for w in rng.sample(all4, 5)}
             return Poly.make(terms, pres.gen_degs)
 
-        p, q = rand_poly(), rand_poly()
-        a = pres.field.from_int(rng.randrange(1, 5))
-        b = pres.field.from_int(rng.randrange(1, 5))
-        lhs = G.normal_form(p.scale(a) + q.scale(b))
-        rhs = G.normal_form(p).scale(a) + G.normal_form(q).scale(b)
-        assert lhs == rhs
-        nf = G.normal_form(p)
-        assert G.normal_form(nf) == nf
+        for _ in range(20):
+            p, q = rand_poly(), rand_poly()
+            a = rand_scalar(range(1, 9), range(2, 7))
+            b = rand_scalar(range(-8, 0), range(2, 7))
+            lhs = G.normal_form(p.scale(a) + q.scale(b))
+            rhs = G.normal_form(p).scale(a) + G.normal_form(q).scale(b)
+            assert lhs == rhs
+            nf = G.normal_form(p)
+            assert G.normal_form(nf) == nf
+            assert nf.terms == free_normal_form(echelon, p.terms)
 
 
 def test_normal_words_examples():
@@ -213,6 +231,56 @@ def test_random_presentations_over_f101():
             p = Poly.make(terms, pres.gen_degs)
             nf = G.normal_form(p)
             assert G.normal_form(nf) == nf
+
+
+def random_rational_presentation(rng, label):
+    """2 or 3 generators, 1 or 2 relations of degree 2 or 3, with signed
+    coefficients of which at least one per relation is not an integer."""
+    n_gens = rng.choice([2, 3])
+    gens = [("g%d" % i, 1) for i in range(n_gens)]
+    rels = []
+    for _ in range(rng.choice([1, 2])):
+        words = free_words([1] * n_gens, rng.choice([2, 3]))
+        terms = {}
+        for w in rng.sample(words, rng.randrange(2, min(6, len(words)) + 1)):
+            terms[w] = QQ.from_fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 7))
+        w = rng.choice(list(terms))
+        terms[w] = QQ.from_fraction(rng.choice([-1, 1]) * rng.choice([1, 5, 7]), rng.choice([2, 3, 4]))
+        rels.append(Poly.make(terms, [1] * n_gens))
+    return make_presentation(QQ, gens, rels, label=label)
+
+
+def test_random_rational_completions_against_free_algebra_oracle():
+    rng = random.Random(808)
+    for trial in range(6):
+        pres = random_rational_presentation(rng, "randQ%d" % trial)
+        G = buchberger_truncated(pres, 6, element_limit=300)
+        leads = [g.lead_word() for g in G.elements]
+        echelons = {}
+        for g in G.elements:
+            lead = g.lead_word()
+            assert g.terms[lead] == 1, (pres.label, lead)
+            for w in g.terms:
+                if w != lead:
+                    assert leftmost_lead(w, leads) is None, (pres.label, w)
+            if g.degree not in echelons:
+                echelons[g.degree] = ideal_slice_echelon(pres, g.degree)
+            nf = free_normal_form(echelons[g.degree], {lead: Fraction(1)})
+            expected = {w: -c for w, c in nf.items()}
+            expected[lead] = Fraction(1)
+            assert g.terms == expected, (pres.label, lead)
+        for j in range(6):
+            assert G.dim(j) == brute_algebra_dim(pres, j), (pres.label, j)
+
+
+def test_sklyanin_type_completion_at_d_gb_10():
+    # Fraction-free reduction scales pending rows by lead coefficients 2 and
+    # 3 over and over; the basis must still be the reduced one
+    G = buchberger_truncated(sklyanin_type(), 10)
+    assert len(G.elements) == 33
+    assert not G.complete
+    for j in range(11):
+        assert G.dim(j) == (j + 2) * (j + 1) // 2, j
 
 
 def test_cache_round_trip(tmp_path):
