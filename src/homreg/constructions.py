@@ -232,9 +232,7 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
     regular_ok = True
     checked_to = d_max
     for j in range(a, d_max + 1):
-        ech = linalg.Echelon(A.field)
-        for col in G.multiplication_columns(omega, j - a):
-            ech.add(col)
+        ech = linalg.Echelon(A.field, G.multiplication_columns(omega, j - a))
         if ech.rank != G.dim(j - a):
             regular_ok = False
             checked_to = j - 1

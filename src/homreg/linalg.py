@@ -34,9 +34,7 @@ def row_reduce(matrix, ncols, field):
     read off the reduced form (one vector per free column, in ascending
     column order) so it is exact and canonical: rank + len(kernel) == ncols.
     """
-    ech = Echelon(field)
-    for row in matrix:
-        ech.add(row)
+    ech = Echelon(field, matrix)
     pivots = sorted(ech.rows)
     for p in reversed(pivots):
         ech.rows[p] = ech.residue(ech.rows[p], p)
@@ -62,9 +60,11 @@ class Echelon:
 
     __slots__ = ("field", "rows")
 
-    def __init__(self, field):
+    def __init__(self, field, vectors=()):
         self.field = field
         self.rows = {}  # pivot column -> row, whose least key is the pivot
+        for vec in vectors:
+            self.add(vec)
 
     @property
     def rank(self):
@@ -123,9 +123,7 @@ def complement_basis(span, space, field):
     Raises ValueError when span + space does not have rank len(space):
     some `span` vector lies outside span(space), or `space` is dependent.
     """
-    ech = Echelon(field)
-    for v in span:
-        ech.add(v)
+    ech = Echelon(field, span)
     out = [v for v in space if ech.add(v)]
     if ech.rank != len(space):
         raise ValueError("span + space has rank %d, not len(space) = %d" % (ech.rank, len(space)))

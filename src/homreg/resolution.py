@@ -7,6 +7,13 @@ a complement of the span of lower-degree syzygies under the algebra
 action.  Everything below the truncation bound (i_max, d_max) is exact;
 nothing above it is ever guessed.
 
+One evaluator, `_images`, computes every graded map on normal-word bases:
+the resolution's differentials, the relation span of a presented module
+and the dual differential of Ext(k, A).  The image of a basis element
+(r, w) is one generator acting on the image of (r, w minus that letter),
+so the only normal forms taken are of single words (memoized by the
+Groebner basis) and of the module's relation rows as given.
+
 Termination (a zero kernel, hence finite projective dimension) is only
 declared with a certificate:
 
@@ -42,11 +49,16 @@ from .series import RationalSeries, _pmul, _ptrim
 
 
 class FreeLayer:
-    """Graded pieces of a free module (+)_r A(-a_r) over normal words."""
+    """Graded pieces of a free module (+)_r A(-a_r) over normal words.
 
-    def __init__(self, G, shifts):
+    A left layer is acted on from the left; a right layer, such as a dual
+    module Hom(F, A), from the right.  The side is fixed at construction.
+    """
+
+    def __init__(self, G, shifts, right=False):
         self.G = G
         self.shifts = tuple(shifts)
+        self.right = right
         self._basis = {}
         self._index = {}
 
@@ -73,17 +85,35 @@ class FreeLayer:
     def dim(self, j):
         return len(self.basis(j))
 
+    def coords(self, polys, j):
+        """Coordinates of sum_r polys[r] e_r, for normal polys of total degree j."""
+        vec = {}
+        index = self.index(j)
+        for r, p in enumerate(polys):
+            p.add_into(vec, index, r)
+        return vec
+
+    def polys(self, j, vec):
+        """The element with degree-j coordinates `vec`, as one Poly per slot."""
+        basis = self.basis(j)
+        terms = [{} for _ in self.shifts]
+        for idx, c in sorted(vec.items()):  # Poly.make drops zero values
+            r, u = basis[idx]
+            terms[r][u] = c
+        return tuple(Poly.make(t, self.G.presentation.gen_degs) for t in terms)
+
     def act_vec(self, g, j, vec):
-        """Left multiplication by generator g on a degree-j coordinate vector."""
+        """Generator g times a degree-j coordinate vector, on the layer's side."""
         dg = self.G.presentation.gen_degs[g]
         target = self.index(j + dg)
         src = self.basis(j)
+        nf_word = self.G.nf_word
         out = {}
         for idx, c in vec.items():
             if not c:
                 continue
             r, u = src[idx]
-            for u2, c2 in self.G.nf_word((g,) + u).terms.items():
+            for u2, c2 in nf_word(u + (g,) if self.right else (g,) + u).terms.items():
                 k = target[(r, u2)]
                 out[k] = out[k] + c * c2 if k in out else c * c2
         return out
@@ -137,40 +167,34 @@ class PresentedModuleView(_ModuleView):
         self._echelon = {}
         self._free_cols = {}  # j -> {free ambient column: coordinate}
         self._act_cols = {}
-        for j in range(self.min_degree, d_max + 1):
-            self._build_degree(j)
-
-    def _build_degree(self, j):
-        # above the generator degrees M_j = sum_g x_g M_{j - deg x_g}, so zero if those are
-        if j > max(self.pres.gen_degs, default=j) and not any(
-            self.dim(j - dg) for dg in self.G.presentation.gen_degs
-        ):
-            self._free_cols[j] = {}
-            return
-        ech = linalg.Echelon(self.field)
-        index = self.ambient.index(j)
-        for row, rdeg in zip(self.pres.rows, self.pres.row_degrees):
-            if j - rdeg < 0:
-                continue
-            for w in self.G.normal_words(j - rdeg):
-                vec = {}
-                wdeg = j - rdeg
-                for r, p in enumerate(row):
-                    if p:
-                        self.G.normal_form(p.lmul_word(w, wdeg)).add_into(vec, index, r)
-                ech.add(vec)
-        self._echelon[j] = ech
-        free = (c for c in range(len(index)) if c not in ech.rows)
-        self._free_cols[j] = {c: i for i, c in enumerate(free)}
+        # N is the image of the free module on the relation rows, so only the
+        # rows themselves need normal forms; rows above d_max are never read
+        rows = [
+            self.ambient.coords([G.normal_form(p) for p in row], rdeg) if rdeg <= d_max else None
+            for row, rdeg in zip(mpres.rows, mpres.row_degrees)
+        ]
+        spans = _images(self.ambient, FreeLayer(G, mpres.row_degrees), rows, self.min_degree, d_max)
+        degs = G.presentation.gen_degs
+        top = max(mpres.gen_degs, default=0)
+        band = 0
+        for j, span in spans:
+            # above the generator degrees M_j = sum_g x_g M_{j - deg x_g}, so zero if those are
+            if j <= top or any(self.dim(j - dg) for dg in degs):
+                ech = self._echelon[j] = linalg.Echelon(self.field, span)
+                free = (c for c in range(self.ambient.dim(j)) if c not in ech.rows)
+                self._free_cols[j] = {c: i for i, c in enumerate(free)}
+            if j > top:
+                # a zero band as wide as the widest generator forces M = 0 above it
+                band = 0 if self.dim(j) else band + 1
+                if band >= G.presentation.max_gen_degree():
+                    break
 
     def dim(self, j):
-        if j < self.min_degree or j > self.d_max:
-            return 0
-        return len(self._free_cols[j])
+        return len(self._free_cols.get(j, ()))
 
     def _project(self, j, ambient_vec):
         # the residue is zero in the pivot columns, so its keys are free columns
-        coord = self._free_cols[j]
+        coord = self._free_cols.get(j)
         if not coord:
             return {}
         return {coord[c]: x for c, x in self._echelon[j].residue(ambient_vec).items()}
@@ -180,7 +204,7 @@ class PresentedModuleView(_ModuleView):
         one = self.field.one()
         return [
             self._project(j + dg, self.ambient.act_vec(g, j, {c: one}))
-            for c in self._free_cols[j]
+            for c in self._free_cols.get(j, ())
         ]
 
     def dims(self):
@@ -386,47 +410,47 @@ def _minimal_cover(G, view, d_max):
     return _minimal_generators(G, view, units)
 
 
-def _kernel(G, target, layer, gen_vecs, d_max):
-    """Kernel per degree of the map layer -> target sending e_r to gen_vecs[r].
+def _images(target, layer, gen_vecs, j_lo, j_hi):
+    """Images of layer.basis(j) for j = j_lo..j_hi under the map e_r -> gen_vecs[r].
 
-    `target` is a module view or the previous free layer; the image of a
-    basis element (r, w) is w[0] acting on the image of (r, w[1:]).
+    Yields (j, columns), one coordinate vector on `target` per basis
+    element.  The image of (r, w) is one generator acting on the image of
+    (r, w minus that letter): the first letter on a left layer, the last on
+    a right one.  Degree j reads no degree below j - (max generator degree),
+    so older degrees are dropped.
     """
-    field = G.presentation.field
-    degs = G.presentation.gen_degs
+    degs = layer.G.presentation.gen_degs
+    width = layer.G.presentation.max_gen_degree()
     ev = {}
-    K = {}
-    for j in range(layer.min_degree(), d_max + 1):
+    for j in range(j_lo, j_hi + 1):
         cols = []
         for r, w in layer.basis(j):
             if not w:
-                vec = gen_vecs[r][1]
-            else:
-                g = w[0]
-                j0 = j - degs[g]
-                prev = ev[j0][layer.index(j0)[(r, w[1:])]]
-                vec = target.act_vec(g, j0, prev)
-            cols.append(vec)
+                cols.append(gen_vecs[r])
+                continue
+            g, rest = (w[-1], w[:-1]) if layer.right else (w[0], w[1:])
+            j0 = j - degs[g]
+            cols.append(target.act_vec(g, j0, ev[j0][layer.index(j0)[(r, rest)]]))
         ev[j] = cols
+        ev.pop(j - width, None)
+        yield j, cols
+
+
+def _kernel(G, target, layer, gen_vecs, d_max):
+    """Kernel per degree of the map layer -> target sending e_r to gen_vecs[r][1].
+
+    `target` is a module view or the previous free layer.
+    """
+    field = G.presentation.field
+    K = {}
+    images = _images(target, layer, [v for _, v in gen_vecs], layer.min_degree(), d_max)
+    for j, cols in images:
         rows = [{} for _ in range(target.dim(j))]
         for c, col in enumerate(cols):
             for t, a in col.items():
                 rows[t][c] = a
         K[j] = linalg.row_reduce(rows, len(cols), field).kernel
     return K
-
-
-def _vectors_to_rows(G, layer, n_slots, vecs):
-    """Coordinate vectors on a free layer as tuples of Poly, one per slot."""
-    rows = []
-    for j, v in vecs:
-        basis = layer.basis(j)
-        terms = [dict() for _ in range(n_slots)]
-        for idx, c in sorted(v.items()):  # Poly.make drops zero values
-            r, u = basis[idx]
-            terms[r][u] = c
-        rows.append(tuple(Poly.make(t, G.presentation.gen_degs) for t in terms))
-    return rows
 
 
 def _algebra_top_degree(G, probe):
@@ -531,7 +555,7 @@ def minimal_resolution(
             assert all(
                 basis[idx][1] for idx, c in v.items() if c
             ), "minimality violated: scalar entry in a syzygy generator"
-        columns = _vectors_to_rows(G, layer, len(shifts_all[-1]), new_vecs)
+        columns = [layer.polys(j, v) for j, v in new_vecs]
         maps.append(FreeModuleMap(shifts_all[-1], tuple(new_shifts), tuple(zip(*columns))))
         shifts_all.append(tuple(new_shifts))
         new_layer = FreeLayer(G, tuple(new_shifts))
@@ -572,9 +596,10 @@ def betti_table(R):
 def ext_into_algebra(R, G, j_hi=None):
     """Cohomology ranks of Hom(F_*, A): Ext^i(k, A)_j on a certified window.
 
-    Dualizing turns each A(-b) into A(b) with the right-module structure;
-    the dual differential is left multiplication by the transposed entry
-    matrix, evaluated degreewise by exact linear algebra.
+    Dualizing turns each A(-b) into A(b) with the right-module structure.
+    The dual differential sends xi to (sum_r m_{rs} xi_r)_s, so it is right
+    multiplication of the map entries by words, evaluated degreewise by the
+    same word recursion as the resolution's kernels; ranks are exact.
     """
     field = G.presentation.field
     i_top = R.steps_computed if R.terminated else R.steps_computed - 1
@@ -582,55 +607,32 @@ def ext_into_algebra(R, G, j_hi=None):
         raise PresentationError("resolution too short to dualize")
 
     def max_shift(i):
-        return max(R.shifts[i]) if R.shifts[i] else 0
+        return max(R.shifts[i], default=0)
 
     windows = {}
     for i in range(i_top + 1):
-        neighbors = [max_shift(k) for k in range(max(0, i - 1), min(R.steps_computed, i + 1) + 1)]
-        top = max(neighbors)
-        lo = -max_shift(i)
         # the ranks at degree j touch normal words up to degree j + top
-        hi = R.d_max - top if j_hi is None else j_hi
-        windows[i] = (lo, hi)
+        top = max(max_shift(k) for k in range(max(0, i - 1), min(R.steps_computed, i + 1) + 1))
+        windows[i] = (-max_shift(i), R.d_max - top if j_hi is None else j_hi)
 
     # C^i_j = Hom(F_i, A)_j has basis (r, w) with w normal of degree j + b_r
-    cobases = [FreeLayer(G, [-b for b in shifts]) for shifts in R.shifts]
+    cobases = [FreeLayer(G, [-b for b in shifts], right=True) for shifts in R.shifts]
 
-    def dual_rank(i, j):
-        # rank of d^i: C^i_j -> C^{i+1}_j, d^i(xi)_s = sum_r m_{rs} * xi_r
-        if i >= len(R.maps):
-            return 0
-        fmap = R.maps[i]
-        src = cobases[i].basis(j)
-        tindex = cobases[i + 1].index(j)
-        if not src or not tindex:
-            return 0
-        ech = linalg.Echelon(field)
-        for r, w in src:
-            out = {}
-            for s, p in enumerate(fmap.entries[r]):
-                if p:
-                    q = G.normal_form(p.rmul_word(w, G.presentation.word_degree(w)))
-                    q.add_into(out, tindex, s)
-            ech.add(out)
-        # rank of the map = rank of the matrix in either orientation
-        return ech.rank
+    ranks = {}  # (i, j) -> rank of d^i: C^i_j -> C^{i+1}_j
+    for i, fmap in enumerate(R.maps):
+        src, tgt = cobases[i], cobases[i + 1]
+        # d^i(r, ()) holds the (normal) entries m_{rs}
+        gen_vecs = [tgt.coords(fmap.entries[r], a) for r, a in enumerate(src.shifts)]
+        # Ext^i and Ext^{i+1} read d^i only on their windows
+        top = max(windows[k][1] for k in (i, i + 1) if k in windows)
+        for j, cols in _images(tgt, src, gen_vecs, src.min_degree(), top):
+            ranks[(i, j)] = linalg.Echelon(field, cols).rank
 
     entries = {}
-    rank_cache = {}
     for i in range(0, i_top + 1):
         lo, hi = windows[i]
         for j in range(lo, hi + 1):
-            dim = cobases[i].dim(j)
-            if not dim:
-                continue
-            if (i, j) not in rank_cache:
-                rank_cache[(i, j)] = dual_rank(i, j)
-            prev = rank_cache.get((i - 1, j))
-            if prev is None:
-                prev = dual_rank(i - 1, j) if i > 0 else 0
-                rank_cache[(i - 1, j)] = prev
-            ext = dim - rank_cache[(i, j)] - prev
+            ext = cobases[i].dim(j) - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
             if ext:
                 entries[(i, j)] = ext
     return ExtTable(
@@ -655,7 +657,7 @@ def module_via_map(G_T, images, G_A, d_max):
     layer = FreeLayer(G_T, tuple(shifts0))
     K = _kernel(G_T, view, layer, gen_vecs, d_max)
     _, rel_vecs = _minimal_generators(G_T, layer, K)
-    rows = _vectors_to_rows(G_T, layer, len(shifts0), rel_vecs)
+    rows = [layer.polys(j, v) for j, v in rel_vecs]
     return make_module_presentation(
         G_T.presentation, "left", tuple(shifts0), rows, certified_to=d_max
     )

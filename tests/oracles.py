@@ -3,7 +3,9 @@
 Nothing here goes through the Groebner/normal-form machinery: ideal slice
 dimensions are computed as ranks of explicit spanning sets over the full
 free-word basis, and series are expanded by naive convolution, so these
-can certify the production code paths.
+can certify the production code paths.  The one exception is
+`ext_reference`, which checks the word recursion behind Ext against one
+direct normal form per (map entry x word).
 """
 
 from fractions import Fraction
@@ -135,6 +137,51 @@ def free_normal_form(echelon, terms):
     it is the unique normal form, computed without any Groebner basis.
     """
     return _clear_pivots(terms, echelon)
+
+
+def _rank(vectors):
+    """Rank of dict vectors with comparable keys, by plain forward elimination."""
+    echelon = {}
+    for terms in vectors:
+        row = _clear_pivots(terms, echelon)
+        if row:
+            lead = min(row)
+            inv = 1 / row[lead]
+            echelon[lead] = {k: c * inv for k, c in row.items()}
+    return len(echelon)
+
+
+def ext_reference(R, G, windows):
+    """Ext^i(k, A)_j ranks on `windows` ({i: (j_lo, j_hi)}) of a resolution R.
+
+    C^i_j = Hom(F_i, A)_j has basis (r, w), w normal of degree j + b_r, and
+    the dual differential sends it to the vector whose s-entry is the normal
+    form of m_rs * w: one normal form per (map entry x word), no recursion.
+    """
+    pres = G.presentation
+
+    def basis(i, j):
+        return [(r, w) for r, b in enumerate(R.shifts[i]) for w in G.normal_words(j + b)]
+
+    def rank(i, j):
+        if not 0 <= i < len(R.maps):
+            return 0
+        vectors = []
+        for r, w in basis(i, j):
+            vec = {}
+            for s, p in enumerate(R.maps[i].entries[r]):
+                for u, c in G.normal_form(p.rmul_word(w, pres.word_degree(w))).terms.items():
+                    vec[(s, u)] = c
+            vectors.append(vec)
+        return _rank(vectors)
+
+    entries = {}
+    for i, (lo, hi) in windows.items():
+        for j in range(lo, hi + 1):
+            ext = len(basis(i, j)) - rank(i, j) - rank(i - 1, j)
+            if ext:
+                entries[(i, j)] = ext
+    return entries
 
 
 def brute_algebra_dim(pres, j):

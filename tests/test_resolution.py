@@ -4,13 +4,18 @@ import pytest
 
 from homreg.corealg import (
     PresentationError,
+    convert_field,
+    make_module_presentation,
     opposite_presentation,
+    parse_field,
     parse_presentation,
 )
 from homreg.gbasis import buchberger_truncated
 from homreg.series import hilbert_rational, hilbert_truncated
 from homreg.resolution import (
+    FreeLayer,
     PresentedModuleView,
+    _images,
     betti_table,
     ext_into_algebra,
     minimal_resolution,
@@ -19,7 +24,7 @@ from homreg.resolution import (
     trivial_module,
 )
 
-from oracles import random_fdim_module, semisimple_module
+from oracles import ext_reference, random_fdim_module, semisimple_module
 
 
 def setup_algebra(src, d_gb=12):
@@ -35,6 +40,10 @@ POLY4 = (
     "rels x*y - y*x, x*z - z*x, x*w - w*x, y*z - z*y, y*w - w*y, z*w - w*z"
 )
 T34 = "field Q; gens x:1 y:1; rels x^2*y - y*x^2, x*y^2 - y^2*x"
+SKLYANIN = (
+    "field Q; gens x:1 y:1 z:1; "
+    "rels 2*x*y - 3*y*x + z^2, 2*y*z - 3*z*y + x^2, 2*z*x - 3*x*z + y^2"
+)
 
 
 def resolve_k(src, i_max=8, d_max=12):
@@ -132,7 +141,6 @@ def test_rank_nullity_exactness_bookkeeping():
     # at each step and degree: dim(piece) = rank(map) + dim(kernel),
     # and the next map's image spans exactly that kernel
     from homreg.linalg import row_reduce
-    from homreg.resolution import FreeLayer
 
     pres, G, h, R = resolve_k(T34)
     layers = [FreeLayer(G, s) for s in R.shifts]
@@ -265,6 +273,78 @@ def test_ext_window_parameter():
     E = ext_into_algebra(R, G, j_hi=0)
     assert all(lo <= 0 and hi == 0 for lo, hi in E.windows.values())
     assert dict(E.entries) == {(3, -4): 1}
+
+
+def test_ext_matches_direct_normal_forms_on_golden(golden):
+    # A3 and stanley_violator have resolutions of k that do not terminate
+    assert not golden["A3"].resolution_k().terminated
+    assert not golden["stanley_violator"].resolution_k().terminated
+    for label, art in golden.items():
+        R, G = art.resolution_k(), art.gb()
+        for j_hi in (None, 0):
+            E = ext_into_algebra(R, G, j_hi=j_hi)
+            assert dict(E.entries) == ext_reference(R, G, E.windows), (label, j_hi)
+
+
+def test_ext_matches_direct_normal_forms_over_f101():
+    pres = convert_field(parse_presentation(T34), parse_field("F101"))
+    G = buchberger_truncated(pres, 12)
+    R = minimal_resolution(G, trivial_module(pres), 8, 12)
+    E = ext_into_algebra(R, G)
+    assert dict(E.entries) == ext_reference(R, G, E.windows) == {(3, -4): 1}
+
+
+@pytest.mark.parametrize("src", [T34, SKLYANIN], ids=["T", "sklyanin"])
+@pytest.mark.parametrize("field", ["Q", "F101"])
+@pytest.mark.parametrize("right", [False, True])
+def test_layer_action_is_multiplication_by_a_generator(src, field, right):
+    # the Sklyanin-type basis at d_gb 6 is incomplete; all degrees stay inside it
+    pres = convert_field(parse_presentation(src), parse_field(field))
+    G = buchberger_truncated(pres, 6)
+    layer = FreeLayer(G, (0, -1, 2), right=right)
+    rng = random.Random(20261018)
+    for j in range(-1, 5):
+        for g, dg in enumerate(pres.gen_degs):
+            v = {
+                k: pres.field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                for k in range(layer.dim(j))
+                if rng.random() < 0.5
+            }
+            polys = layer.polys(j, v)
+            products = [p.rmul_word((g,), dg) if right else p.lmul_word((g,), dg) for p in polys]
+            want = layer.coords([G.normal_form(q) for q in products], j + dg)
+            got = layer.act_vec(g, j, v)
+            assert {k: c for k, c in got.items() if c} == want, (j, g)
+
+
+@pytest.mark.parametrize("src", [T34, SKLYANIN], ids=["T", "sklyanin"])
+@pytest.mark.parametrize("right", [False, True])
+def test_images_are_products_with_words(src, right):
+    # the image of (r, w) is w * e_r's image on a left layer, e_r's image * w on a right one
+    pres, G, _ = setup_algebra(src, d_gb=7)
+    source = FreeLayer(G, (0, 1), right=right)
+    target = FreeLayer(G, (-1, 0, 1), right=right)
+    rng = random.Random(20261018)
+    gens = []
+    for a in source.shifts:
+        v = {k: pres.field.from_int(rng.choice([-2, -1, 1, 2])) for k in range(target.dim(a))}
+        gens.append(target.polys(a, v))
+    gen_vecs = [target.coords(p, a) for p, a in zip(gens, source.shifts)]
+    for j, cols in _images(target, source, gen_vecs, 0, 6):
+        for (r, w), col in zip(source.basis(j), cols):
+            wd = pres.word_degree(w)
+            products = [q.rmul_word(w, wd) if right else q.lmul_word(w, wd) for q in gens[r]]
+            want = target.coords([G.normal_form(q) for q in products], j)
+            assert {k: c for k, c in col.items() if c} == want, (j, r, w)
+
+
+def test_module_with_a_degree_gap():
+    # x*e0 = 0 kills degree 1 and 2, but z (degree 3) still acts: M = k[z]
+    pres, G, h = setup_algebra("field Q; gens x:1 z:3; rels x*z - z*x")
+    M = make_module_presentation(pres, "left", (0,), [(pres.gen_poly(0),)])
+    assert PresentedModuleView(G, M, 10).dims() == [1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0]
+    R = minimal_resolution(G, M, 8, 10, algebra_hilbert=h)
+    assert dict(betti_table(R).entries) == {(0, 0): 1, (1, 1): 1}
 
 
 def test_module_via_map_quotient():
