@@ -23,7 +23,7 @@ from .regularity import (
     CMEvidence,
     ConcavityWitness,
 )
-from .resolution import BettiTable
+from .resolution import BettiTable, FreeLayer, multiplication_images
 from .series import series_product
 
 
@@ -164,25 +164,21 @@ class NormalElementCertificate:
     notes: tuple = ()
 
 
-def _solve_witness(G, omega, g_poly, left):
-    """Solve g*Omega = Omega*q (left=True) or Omega*g = p*Omega for q/p."""
-    pres = G.presentation
-    field = pres.field
-    dg = g_poly.degree
-    target_poly = G.normal_form(g_poly * omega if left else omega * g_poly)
-    cols = G.multiplication_columns(omega, dg, left)
-    index = G.word_index(omega.degree + dg)
-    rhs = {}
-    target_poly.add_into(rhs, index)
-    rows = [{} for _ in index]
-    for c, col in enumerate(cols):
+def _solve_witness(layer, cols, product, j):
+    """Solve Omega*q = product or p*Omega = product in degree j for q/p.
+
+    `layer` and `cols` (columns by degree) come from
+    `multiplication_images(G, [Omega], ...)`: q on the right side, p on
+    the left.
+    """
+    G = layer.G
+    rows = [{} for _ in range(G.dim(j))]
+    for c, col in enumerate(cols[j]):
         for t, a in col.items():
             rows[t][c] = a
-    sol = linalg.solve(rows, len(cols), rhs, field)
-    if sol is None:
-        return None
-    words = G.normal_words(dg)
-    return Poly.make({words[c]: x for c, x in sorted(sol.items())}, pres.gen_degs)
+    rhs = FreeLayer(G, (0,)).coords([product], j)
+    sol = linalg.solve(rows, len(cols[j]), rhs, G.presentation.field)
+    return None if sol is None else layer.polys(j, sol)[0]
 
 
 def quotient_by_normal_element(artA, omega, d_max=None, label=""):
@@ -211,13 +207,20 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
     omega = nf_omega.monic()
     a = omega.degree
 
+    # g*Omega = Omega*q_g and Omega*g = p_g*Omega: one evaluator per side
+    gens = [A.gen_poly(g) for g in range(A.n_gens)]
+    products = [(G.normal_form(gp * omega), G.normal_form(omega * gp)) for gp in gens]
+    sides = []
+    for left in (True, False):
+        layer, images = multiplication_images(G, [omega], a + A.max_gen_degree(), left)
+        sides.append((layer, dict(images)))
     left_w, right_w = [], []
     normal_ok = True
     failing = None
-    for g in range(A.n_gens):
-        gp = A.gen_poly(g)
-        q = _solve_witness(G, omega, gp, left=True)
-        p = _solve_witness(G, omega, gp, left=False)
+    for g, (g_omega, omega_g) in enumerate(products):
+        j = a + A.gen_degs[g]
+        q = _solve_witness(*sides[0], g_omega, j)
+        p = _solve_witness(*sides[1], omega_g, j)
         left_w.append(q)
         right_w.append(p)
         if q is None or p is None:
@@ -231,9 +234,8 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
     # regularity up to the bound: dim (Omega A)_j == dim A_{j-a}
     regular_ok = True
     checked_to = d_max
-    for j in range(a, d_max + 1):
-        ech = linalg.Echelon(A.field, G.multiplication_columns(omega, j - a))
-        if ech.rank != G.dim(j - a):
+    for j, cols in multiplication_images(G, [omega], d_max)[1]:
+        if linalg.Echelon(A.field, cols).rank != len(cols):
             regular_ok = False
             checked_to = j - 1
             break
@@ -312,14 +314,10 @@ class FiniteMapCertificate:
 
 
 def _cokernel_dims(G_A, images, d_max, side_left):
-    dims = []
-    for j in range(d_max + 1):
-        ech = linalg.Echelon(G_A.presentation.field)
-        for fg in images:
-            for col in G_A.multiplication_columns(fg, j - fg.degree, side_left):
-                ech.add(col)
-        dims.append(G_A.dim(j) - ech.rank)
-    return tuple(dims)
+    field = G_A.presentation.field
+    _, products = multiplication_images(G_A, images, d_max, side_left)
+    ranks = {j: linalg.Echelon(field, cols).rank for j, cols in products}
+    return tuple(G_A.dim(j) - ranks.get(j, 0) for j in range(d_max + 1))
 
 
 def finite_map_check(artT, images, artA, d_max=None):

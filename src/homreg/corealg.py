@@ -334,15 +334,6 @@ class Poly:
             return self
         return Poly({u + w: c for u, c in self.terms.items()}, self.degree + wdeg)
 
-    def add_into(self, vec, index, slot=None):
-        """Add the coefficients into the coordinate vector (dict) `vec` in place.
-
-        Word u goes to column index[u], or index[(slot, u)] with a slot.
-        """
-        for u, c in self.terms.items():
-            k = index[u] if slot is None else index[(slot, u)]
-            vec[k] = vec[k] + c if k in vec else c
-
     def lead_word(self):
         """The greatest word: the least index tuple, as all terms share one degree."""
         return min(self.terms)

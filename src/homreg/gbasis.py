@@ -256,26 +256,6 @@ class GroebnerBasis:
         """dim_k A_j, from the normal-word count."""
         return len(self.normal_words(j))
 
-    def word_index(self, j):
-        """Map word -> position in the degree-j normal basis."""
-        return {w: i for i, w in enumerate(self.normal_words(j))}
-
-    def multiplication_columns(self, f, j, left=True):
-        """Matrix of w |-> f*w (left) or w |-> w*f on A_j, one column per word.
-
-        Columns run over the degree-j normal words; each holds the normal
-        form's coordinates in the degree-(j + deg f) normal basis.
-        """
-        words = self.normal_words(j)
-        index = self.word_index(j + f.degree)
-        cols = []
-        for w in words:
-            q = self.normal_form(f.rmul_word(w, j) if left else f.lmul_word(w, j))
-            col = {}
-            q.add_into(col, index)
-            cols.append(col)
-        return cols
-
 
 def _to_ints(terms, p):
     """(ints, den) with ints[w] = den * terms[w] integers: den clears the

@@ -8,11 +8,12 @@ action.  Everything below the truncation bound (i_max, d_max) is exact;
 nothing above it is ever guessed.
 
 One evaluator, `_images`, computes every graded map on normal-word bases:
-the resolution's differentials, the relation span of a presented module
-and the dual differential of Ext(k, A).  The image of a basis element
-(r, w) is one generator acting on the image of (r, w minus that letter),
-so the only normal forms taken are of single words (memoized by the
-Groebner basis) and of the module's relation rows as given.
+the resolution's differentials, the relation span of a presented module,
+the dual differential of Ext(k, A) and the multiplication maps
+w -> f*w, w*f of the constructions (`multiplication_images`).  The image
+of a basis element (r, w) is one generator acting on the image of
+(r, w minus that letter), so the only normal forms taken are of single
+words (memoized by the Groebner basis) and of the inputs as given.
 
 Termination (a zero kernel, hence finite projective dimension) is only
 declared with a certificate:
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from . import linalg
 from .corealg import (
     NEG_INF,
+    CertificationError,
     ModulePresentation,
     Poly,
     PresentationError,
@@ -87,11 +89,8 @@ class FreeLayer:
 
     def coords(self, polys, j):
         """Coordinates of sum_r polys[r] e_r, for normal polys of total degree j."""
-        vec = {}
         index = self.index(j)
-        for r, p in enumerate(polys):
-            p.add_into(vec, index, r)
-        return vec
+        return {index[(r, u)]: c for r, p in enumerate(polys) for u, c in p.terms.items()}
 
     def polys(self, j, vec):
         """The element with degree-j coordinates `vec`, as one Poly per slot."""
@@ -122,8 +121,8 @@ class FreeLayer:
 class _ModuleView:
     """A graded left module given degreewise by generator action matrices.
 
-    Subclasses set an empty `_act_cols` dict and supply `dim(j)` and
-    `_build_act_columns(g, j)`.
+    Subclasses supply `dim(j)` and an `_act_cols` dict {(g, j): columns},
+    either filled in advance or on demand by `_build_act_columns(g, j)`.
     """
 
     def act_columns(self, g, j):
@@ -159,7 +158,6 @@ class PresentedModuleView(_ModuleView):
                 "the resolution engine takes left modules; convert with opposite_module"
             )
         self.G = G
-        self.pres = mpres
         self.d_max = d_max
         self.field = G.presentation.field
         self.ambient = FreeLayer(G, mpres.gen_degs)
@@ -167,6 +165,7 @@ class PresentedModuleView(_ModuleView):
         self._echelon = {}
         self._free_cols = {}  # j -> {free ambient column: coordinate}
         self._act_cols = {}
+        self._hilbert = None
         # N is the image of the free module on the relation rows, so only the
         # rows themselves need normal forms; rows above d_max are never read
         rows = [
@@ -187,6 +186,7 @@ class PresentedModuleView(_ModuleView):
                 # a zero band as wide as the widest generator forces M = 0 above it
                 band = 0 if self.dim(j) else band + 1
                 if band >= G.presentation.max_gen_degree():
+                    self._hilbert = self._final_series(j)
                     break
 
     def dim(self, j):
@@ -210,28 +210,24 @@ class PresentedModuleView(_ModuleView):
     def dims(self):
         return [self.dim(j) for j in range(min(self.min_degree, 0), self.d_max + 1)]
 
+    def _final_series(self, j):
+        """The Hilbert series once every piece above degree j is known to vanish."""
+        nonzero = [i for i in range(self.min_degree, j) if self.dim(i)]
+        if not nonzero:
+            return RationalSeries((0,), (1,), (), NEG_INF)
+        if self.min_degree < 0:
+            return None  # negatively graded pieces: leave uncertified
+        coeffs = tuple(self.dim(i) for i in range(max(nonzero) + 1))
+        return RationalSeries(coeffs, (1,), (), max(nonzero))
+
     def hilbert_if_finite(self):
         """Exact polynomial Hilbert series when finite-dimensionality certifies.
 
-        A trailing zero band of width max(algebra generator degree) above
-        both the top nonzero degree and the top module generator degree
-        forces all higher pieces to vanish.
+        Recorded when evaluation stops: a zero band of width max(algebra
+        generator degree) above both the top nonzero degree and the top
+        module generator degree forces all higher pieces to vanish.
         """
-        lo = min(self.min_degree, 0)
-        dims = {j: self.dim(j) for j in range(lo, self.d_max + 1)}
-        nonzero = [j for j, d in dims.items() if d]
-        if not nonzero:
-            return RationalSeries((0,), (1,), (), NEG_INF)
-        top = max(nonzero)
-        if self.pres.gen_degs:
-            top = max(top, max(self.pres.gen_degs))
-        width = self.G.presentation.max_gen_degree()
-        if top + width > self.d_max:
-            return None
-        if lo < 0:
-            return None  # negatively graded pieces: leave uncertified
-        coeffs = tuple(dims[j] for j in range(0, max(nonzero) + 1))
-        return RationalSeries(coeffs, (1,), (), max(nonzero))
+        return self._hilbert
 
 
 class MappedAlgebraView(_ModuleView):
@@ -240,25 +236,26 @@ class MappedAlgebraView(_ModuleView):
     def __init__(self, G_T, images, G_A, d_max):
         self.G = G_T
         self.G_A = G_A
-        self.images = tuple(images)
         self.d_max = d_max
         self.min_degree = 0
         degs = G_T.presentation.gen_degs
-        for i, p in enumerate(self.images):
+        for i, p in enumerate(images):
             if p.is_zero() or p.degree != degs[i]:
                 raise PresentationError(
                     "image of generator %d must be homogeneous of degree %d"
                     % (i, degs[i])
                 )
-        self._act_cols = {}
+        # generator g acts on A_j by w -> images[g] * w, one column per normal word
+        self._act_cols = {(g, j): [] for g, dg in enumerate(degs) for j in range(d_max - dg + 1)}
+        layer, products = multiplication_images(G_A, images, d_max)
+        for j, cols in products:
+            for (g, _), col in zip(layer.basis(j), cols):
+                self._act_cols[(g, j - degs[g])].append(col)
 
     def dim(self, j):
         if j < 0 or j > self.d_max:
             return 0
         return self.G_A.dim(j)
-
-    def _build_act_columns(self, g, j):
-        return self.G_A.multiplication_columns(self.images[g], j)
 
     def hilbert_if_finite(self):
         return None
@@ -453,6 +450,19 @@ def _kernel(G, target, layer, gen_vecs, d_max):
     return K
 
 
+def multiplication_images(G, polys, j_hi, left=True):
+    """The map (+)_r A(-deg f_r) -> A, e_r -> f_r, for polys f_r, through degree j_hi.
+
+    Returns the source layer and the `_images` generator: the column of
+    (r, w) is f_r*w (left=True) or w*f_r, in the normal-word coordinates of
+    A.  f*w grows by right multiplications, so it runs on right layers.
+    """
+    target = FreeLayer(G, (0,), right=left)
+    source = FreeLayer(G, [f.degree for f in polys], right=left)
+    gen_vecs = [target.coords([G.normal_form(f)], f.degree) for f in polys]
+    return source, _images(target, source, gen_vecs, source.min_degree(), j_hi)
+
+
 def _algebra_top_degree(G, probe):
     """Top degree of a certified finite-dimensional algebra, else None."""
     width = G.presentation.max_gen_degree()
@@ -526,6 +536,10 @@ def minimal_resolution(
 
     shifts0, gen_vecs = _minimal_cover(G, view, d_max)
     if not shifts0:
+        if isinstance(module, ModulePresentation) and max(module.gen_degs, default=d_max) > d_max:
+            raise CertificationError(
+                "the module vanishes through d_max = %d but has a generator above it" % d_max
+            )
         raise PresentationError("cannot resolve the zero module")
     layer = FreeLayer(G, tuple(shifts0))
     shifts_all = [tuple(sorted(shifts0))]

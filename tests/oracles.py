@@ -3,9 +3,10 @@
 Nothing here goes through the Groebner/normal-form machinery: ideal slice
 dimensions are computed as ranks of explicit spanning sets over the full
 free-word basis, and series are expanded by naive convolution, so these
-can certify the production code paths.  The one exception is
-`ext_reference`, which checks the word recursion behind Ext against one
-direct normal form per (map entry x word).
+can certify the production code paths.  The two exceptions are
+`ext_reference` and `multiplication_columns`, which check the word
+recursion behind Ext and the multiplication maps against one direct
+normal form per (map entry x word).
 """
 
 from fractions import Fraction
@@ -182,6 +183,20 @@ def ext_reference(R, G, windows):
             if ext:
                 entries[(i, j)] = ext
     return entries
+
+
+def multiplication_columns(G, f, j, left=True):
+    """Matrix of w |-> f*w (left) or w |-> w*f on A_j, one column per normal word.
+
+    Each column holds the coordinates of the direct normal form of the
+    product in the degree-(j + deg f) normal basis.
+    """
+    index = {w: i for i, w in enumerate(G.normal_words(j + f.degree))}
+    cols = []
+    for w in G.normal_words(j):
+        q = G.normal_form(f.rmul_word(w, j) if left else f.lmul_word(w, j))
+        cols.append({index[u]: c for u, c in q.terms.items()})
+    return cols
 
 
 def brute_algebra_dim(pres, j):

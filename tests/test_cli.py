@@ -337,6 +337,59 @@ def test_sample_output_is_pinned(capsys, name, command):
         assert out == fh.read()
 
 
+def sample(name):
+    return os.path.join(ROOT, "presentations", name + ".alg")
+
+
+CONSTRUCTION_PINS = {
+    "t34.quotient_x2": ["quotient", sample("t34"), "--omega", "x^2"],
+    "t34.quotient_commutator": ["quotient", sample("t34"), "--omega", "x*y - y*x"],
+    "ku2-kx.finitemap": ["finitemap", sample("ku2"), sample("kx"), "--map", "u=x^2"],
+    "hypersurface_t2-kx.concavity": [
+        "concavity", sample("hypersurface_t2"), "--witness", sample("kx"),
+    ],
+    "hypersurface_t2-kx.obstruct": [
+        "obstruct", sample("hypersurface_t2"), "--witness", sample("kx"),
+    ],
+    "t34-kx.tensor": ["tensor", sample("t34"), sample("kx")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_PINS))
+def test_construction_output_is_pinned(capsys, name):
+    # tests/expected/<name>.jsonl is the output of the command with
+    # `--no-cache --format jsonl`; rewrite it only when a change alters it on purpose
+    code, out = run(CONSTRUCTION_PINS[name] + ["--no-cache", "--format", "jsonl"], capsys)
+    assert code == 0
+    with open(os.path.join(ROOT, "tests", "expected", name + ".jsonl")) as fh:
+        assert out == fh.read()
+
+
+def test_harness_output_is_the_benchmark_golden(capsys):
+    code, out = run(["harness", "--no-cache", "--format", "jsonl"], capsys)
+    assert code == 0
+    with open(os.path.join(ROOT, "perfbench", "expected", "golden_harness.jsonl")) as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_generator_above_window_is_certification_error(files, tmp_path, capsys, fmt):
+    # a module generated in degree 20 is not zero, only invisible at d_max 12
+    mod = tmp_path / "g20.mod"
+    mod.write_text("gens 20\n")
+    code, out = run(
+        ["resolve", files["kx"], "--module", str(mod), "--no-cache", "--format", fmt], capsys
+    )
+    assert code == cli.EXIT_CERTIFICATION == 2
+    message = "the module vanishes through d_max = 12 but has a generator above it"
+    if fmt == "jsonl":
+        (rec,) = jsonl(out)
+        assert rec["type"] == "error" and rec["class"] == "certification"
+        assert rec["message"] == message
+    else:
+        assert out.strip() == "certification error: " + message
+
+
 class BrokenPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from homreg.corealg import (
+    CertificationError,
     PresentationError,
     convert_field,
     make_module_presentation,
@@ -20,11 +21,12 @@ from homreg.resolution import (
     ext_into_algebra,
     minimal_resolution,
     module_via_map,
+    multiplication_images,
     shift_module,
     trivial_module,
 )
 
-from oracles import ext_reference, random_fdim_module, semisimple_module
+from oracles import ext_reference, multiplication_columns, random_fdim_module, semisimple_module
 
 
 def setup_algebra(src, d_gb=12):
@@ -44,6 +46,7 @@ SKLYANIN = (
     "field Q; gens x:1 y:1 z:1; "
     "rels 2*x*y - 3*y*x + z^2, 2*y*z - 3*z*y + x^2, 2*z*x - 3*x*z + y^2"
 )
+HYP = "field Q; gens x:1 t:2; rels x*t - t*x, t^2 - x^4"
 
 
 def resolve_k(src, i_max=8, d_max=12):
@@ -338,6 +341,33 @@ def test_images_are_products_with_words(src, right):
             assert {k: c for k, c in col.items() if c} == want, (j, r, w)
 
 
+@pytest.mark.parametrize(
+    "src, polys",
+    [(T34, ("x^2*y", "y")), (SKLYANIN, ("x^2*y", "z")), (HYP, ("t", "x^3 + x*t"))],
+    ids=["T", "sklyanin", "hyp"],
+)
+@pytest.mark.parametrize("field", ["Q", "F101"])
+@pytest.mark.parametrize("left", [True, False])
+def test_multiplication_images_match_direct_normal_forms(src, polys, field, left):
+    # two slots of different degrees; x^2*y is not normal on T or the Sklyanin-type
+    # algebra, whose basis at d_gb 6 is incomplete (all degrees stay inside it)
+    pres = convert_field(parse_presentation(src), parse_field(field))
+    G = buchberger_truncated(pres, 6)
+    fs = [pres.parse_poly(p) for p in polys]
+    layer, images = multiplication_images(G, fs, 6, left)
+    seen = 0
+    for j, cols in images:
+        for r, f in enumerate(fs):
+            got = [
+                {k: c for k, c in col.items() if c}
+                for (s, _), col in zip(layer.basis(j), cols)
+                if s == r
+            ]
+            assert got == multiplication_columns(G, f, j - f.degree, left), (j, r)
+            seen += len(got)
+    assert seen == sum(G.dim(j - f.degree) for f in fs for j in range(7))
+
+
 def test_module_with_a_degree_gap():
     # x*e0 = 0 kills degree 1 and 2, but z (degree 3) still acts: M = k[z]
     pres, G, h = setup_algebra("field Q; gens x:1 z:3; rels x*z - z*x")
@@ -401,6 +431,18 @@ def test_zero_module_rejected():
     m = make_module_presentation(pres, "left", (0,), [(pres.one(),)])
     with pytest.raises(PresentationError, match="zero module"):
         minimal_resolution(G, m, 2, 4)
+
+
+def test_generator_above_the_window_is_not_the_zero_module():
+    # k[x] on one generator of degree 20 is nonzero, but d_max 12 sees none of it
+    pres, G, _ = setup_algebra("field Q; gens x:1")
+    m = make_module_presentation(pres, "left", (20,), [])
+    assert PresentedModuleView(G, m, 12).hilbert_if_finite() is None
+    with pytest.raises(CertificationError, match="d_max = 12"):
+        minimal_resolution(G, m, 2, 12)
+    # inside the window the zero band certifies the finite series
+    m = make_module_presentation(pres, "left", (5,), [(pres.parse_poly("x^2"),)])
+    assert PresentedModuleView(G, m, 12).hilbert_if_finite().numerator == (0, 0, 0, 0, 0, 1, 1)
 
 
 def test_right_module_requires_conversion():
