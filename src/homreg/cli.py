@@ -122,6 +122,14 @@ def _images_for(source_pres, target_pres, map_args):
     return images
 
 
+def _emit_report(emit, report):
+    """A regularity report: one JSONL record per invariant, or the text block."""
+    if emit.fmt == "jsonl":
+        for rec in report.records():
+            emit.record("regularity", rec)
+    emit.text_block(report.to_text())
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -212,11 +220,7 @@ def cmd_resolve(args, emit):
 
 def cmd_regularity(args, emit):
     art = _artifacts(args.file, args)
-    report = art.report()
-    if emit.fmt == "jsonl":
-        for rec in report.records():
-            emit.record("regularity", rec)
-    emit.text_block(report.to_text())
+    _emit_report(emit, art.report())
     return EXIT_OK
 
 
@@ -251,11 +255,7 @@ def cmd_tensor(args, emit):
         {"label": art.label, "text": art.presentation.to_text()},
         text=art.presentation.to_text().rstrip(),
     )
-    report = art.report()
-    if emit.fmt == "jsonl":
-        for rec in report.records():
-            emit.record("regularity", rec)
-    emit.text_block(report.to_text())
+    _emit_report(emit, art.report())
     return EXIT_OK
 
 
@@ -287,11 +287,7 @@ def cmd_quotient(args, emit):
         {"label": artB.label, "text": artB.presentation.to_text()},
         text=artB.presentation.to_text().rstrip(),
     )
-    report = artB.report()
-    if emit.fmt == "jsonl":
-        for rec in report.records():
-            emit.record("regularity", rec)
-    emit.text_block(report.to_text())
+    _emit_report(emit, artB.report())
     return EXIT_OK
 
 

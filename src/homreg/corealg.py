@@ -538,14 +538,13 @@ class ModulePresentation:
     gen_degs: tuple
     rows: tuple
     row_degrees: tuple
-    certified_to: object = None
 
     @property
     def n_gens(self):
         return len(self.gen_degs)
 
 
-def make_module_presentation(algebra, side, gen_degs, rows, certified_to=None):
+def make_module_presentation(algebra, side, gen_degs, rows):
     if side not in ("left", "right"):
         raise PresentationError("module side must be 'left' or 'right'")
     gen_degs = tuple(int(d) for d in gen_degs)
@@ -562,9 +561,7 @@ def make_module_presentation(algebra, side, gen_degs, rows, certified_to=None):
             raise PresentationError("inhomogeneous relation row: degrees %s" % sorted(degs))
         clean_rows.append(tuple(p if p else Poly.zero() for p in row))
         row_degrees.append(degs.pop())
-    return ModulePresentation(
-        algebra, side, gen_degs, tuple(clean_rows), tuple(row_degrees), certified_to
-    )
+    return ModulePresentation(algebra, side, gen_degs, tuple(clean_rows), tuple(row_degrees))
 
 
 def opposite_module(mpres):
@@ -572,7 +569,7 @@ def opposite_module(mpres):
     op = opposite_presentation(mpres.algebra)
     side = "left" if mpres.side == "right" else "right"
     rows = tuple(tuple(p.reversed_words() for p in row) for row in mpres.rows)
-    return ModulePresentation(op, side, mpres.gen_degs, rows, mpres.row_degrees, mpres.certified_to)
+    return ModulePresentation(op, side, mpres.gen_degs, rows, mpres.row_degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -829,28 +829,6 @@ def build_report(art):
 
 
 # ---------------------------------------------------------------------------
-# binomial resolution annotation
-
-
-def binomial_pattern_note(table, ambient_gldim):
-    """Annotation when Tor_i(T-module) matches binomial(d', i) at shift i."""
-    from math import comb
-
-    top = table.termination_step if table.terminated else table.steps_computed
-    if any(j != i for (i, j) in table.entries):
-        return None
-    ranks = [table.total_rank(i) for i in range(top + 1)]
-    for dprime in range(0, ambient_gldim + 1):
-        want = [comb(dprime, i) for i in range(top + 1)]
-        if ranks == want and (table.terminated and top == dprime or not table.terminated):
-            return (
-                "module resolution matches the binomial pattern with d' = %d: "
-                "target algebra is AS regular and Koszul with h = (1-t)^-(d-d')" % dprime
-            )
-    return None
-
-
-# ---------------------------------------------------------------------------
 # inequality harness
 
 

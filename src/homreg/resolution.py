@@ -265,21 +265,19 @@ class MappedAlgebraView(_ModuleView):
 # resolution data
 
 
-@dataclass(frozen=True)
-class FreeModuleMap:
-    """A graded map between free modules: entry (r, s) has degree b_s - a_r."""
-
-    target_shifts: tuple
-    source_shifts: tuple
-    entries: tuple  # entries[r][s]: Poly (zero polynomial allowed)
-
-
 @dataclass
 class Resolution:
+    """A truncated minimal free resolution ... F_1 -> F_0 of a left module.
+
+    `maps[i]` is the differential F_{i+1} -> F_i as the image of each
+    generator of F_{i+1}: one (degree, vector) pair per slot of
+    `shifts[i + 1]`, the vector sparse on FreeLayer(G, shifts[i]).basis(degree).
+    """
+
     label: str
     side: str
-    shifts: tuple  # shifts[i]: sorted generator degrees of F_i
-    maps: tuple  # maps[i]: F_{i+1} -> F_i as FreeModuleMap, i = 0..len-1
+    shifts: tuple  # shifts[i]: generator degrees of F_i in slot order, nondecreasing
+    maps: tuple  # maps[i]: F_{i+1} -> F_i, i = 0..len-1
     i_max: int
     d_max: int
     terminated: bool
@@ -317,9 +315,6 @@ class BettiTable:
     def t_values(self):
         top = self.termination_step if self.terminated else self.steps_computed
         return [self.t(i) for i in range(top + 1)]
-
-    def total_rank(self, i):
-        return sum(r for (ii, _), r in self.entries.items() if ii == i)
 
     def alternating_shift_poly(self):
         """Sum_i (-1)^i sum_j beta_{i,j} t^j as an integer coefficient list."""
@@ -517,7 +512,6 @@ def shift_module(mpres, ell):
         tuple(d - ell for d in mpres.gen_degs),
         mpres.rows,
         tuple(d - ell for d in mpres.row_degrees),
-        mpres.certified_to,
     )
 
 
@@ -542,7 +536,7 @@ def minimal_resolution(
             )
         raise PresentationError("cannot resolve the zero module")
     layer = FreeLayer(G, tuple(shifts0))
-    shifts_all = [tuple(sorted(shifts0))]
+    shifts_all = [tuple(shifts0)]
     maps = []
     K = _kernel(G, view, layer, gen_vecs, d_max)
 
@@ -569,8 +563,7 @@ def minimal_resolution(
             assert all(
                 basis[idx][1] for idx, c in v.items() if c
             ), "minimality violated: scalar entry in a syzygy generator"
-        columns = [layer.polys(j, v) for j, v in new_vecs]
-        maps.append(FreeModuleMap(shifts_all[-1], tuple(new_shifts), tuple(zip(*columns))))
+        maps.append(tuple(new_vecs))
         shifts_all.append(tuple(new_shifts))
         new_layer = FreeLayer(G, tuple(new_shifts))
         K = _kernel(G, layer, new_layer, new_vecs, d_max)
@@ -613,7 +606,8 @@ def ext_into_algebra(R, G, j_hi=None):
     Dualizing turns each A(-b) into A(b) with the right-module structure.
     The dual differential sends xi to (sum_r m_{rs} xi_r)_s, so it is right
     multiplication of the map entries by words, evaluated degreewise by the
-    same word recursion as the resolution's kernels; ranks are exact.
+    same word recursion as the resolution's kernels; ranks are exact.  The
+    entries m_{rs} are read by transposing the stored syzygy vectors.
     """
     field = G.presentation.field
     i_top = R.steps_computed if R.terminated else R.steps_computed - 1
@@ -633,10 +627,17 @@ def ext_into_algebra(R, G, j_hi=None):
     cobases = [FreeLayer(G, [-b for b in shifts], right=True) for shifts in R.shifts]
 
     ranks = {}  # (i, j) -> rank of d^i: C^i_j -> C^{i+1}_j
-    for i, fmap in enumerate(R.maps):
+    for i, syzygies in enumerate(R.maps):
         src, tgt = cobases[i], cobases[i + 1]
-        # d^i(r, ()) holds the (normal) entries m_{rs}
-        gen_vecs = [tgt.coords(fmap.entries[r], a) for r, a in enumerate(src.shifts)]
+        # d^i(r, ()) holds the entries m_{rs}: the term c*w at slot (r, w) of
+        # syzygy s is the term c*w of m_{rs}, at (s, w) in C^{i+1} of degree -a_r
+        layer = FreeLayer(G, R.shifts[i])
+        gen_vecs = [{} for _ in src.shifts]
+        for s, (b, vec) in enumerate(syzygies):
+            basis = layer.basis(b)
+            for idx, c in vec.items():
+                r, w = basis[idx]
+                gen_vecs[r][tgt.index(src.shifts[r])[(s, w)]] = c
         # Ext^i and Ext^{i+1} read d^i only on their windows
         top = max(windows[k][1] for k in (i, i + 1) if k in windows)
         for j, cols in _images(tgt, src, gen_vecs, src.min_degree(), top):
@@ -672,6 +673,4 @@ def module_via_map(G_T, images, G_A, d_max):
     K = _kernel(G_T, view, layer, gen_vecs, d_max)
     _, rel_vecs = _minimal_generators(G_T, layer, K)
     rows = [layer.polys(j, v) for j, v in rel_vecs]
-    return make_module_presentation(
-        G_T.presentation, "left", tuple(shifts0), rows, certified_to=d_max
-    )
+    return make_module_presentation(G_T.presentation, "left", tuple(shifts0), rows)

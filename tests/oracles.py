@@ -12,6 +12,7 @@ normal form per (map entry x word).
 from fractions import Fraction
 
 from homreg.corealg import make_module_presentation
+from homreg.resolution import FreeLayer
 
 
 def free_words(gen_degs, degree):
@@ -152,6 +153,16 @@ def _rank(vectors):
     return len(echelon)
 
 
+def map_entries(R, G, i):
+    """entries[r][s]: the Poly entry of the differential F_{i+1} -> F_i of R.
+
+    Column s is syzygy s of `R.maps[i]` read slot by slot on F_i, so entry
+    (r, s) has degree b_s - a_r (the zero polynomial allowed).
+    """
+    layer = FreeLayer(G, R.shifts[i])
+    return tuple(zip(*(layer.polys(b, vec) for b, vec in R.maps[i])))
+
+
 def ext_reference(R, G, windows):
     """Ext^i(k, A)_j ranks on `windows` ({i: (j_lo, j_hi)}) of a resolution R.
 
@@ -167,10 +178,11 @@ def ext_reference(R, G, windows):
     def rank(i, j):
         if not 0 <= i < len(R.maps):
             return 0
+        entries = map_entries(R, G, i)
         vectors = []
         for r, w in basis(i, j):
             vec = {}
-            for s, p in enumerate(R.maps[i].entries[r]):
+            for s, p in enumerate(entries[r]):
                 for u, c in G.normal_form(p.rmul_word(w, pres.word_degree(w))).terms.items():
                     vec[(s, u)] = c
             vectors.append(vec)

@@ -6,7 +6,6 @@ from homreg.regularity import (
     CMEvidence,
     HarnessCase,
     as_regularity,
-    binomial_pattern_note,
     build_artifacts,
     cm_regularity,
     concavity_certificate,
@@ -274,31 +273,6 @@ def test_torreg_shift_covariance(golden):
     R = minimal_resolution(T.gb(), k1, 6, 10, algebra_hilbert=T.hilbert_or_none())
     shifted = tor_regularity(betti_table(R))
     assert shifted.is_exact and shifted.value == T.resolve_torreg().value - 1
-
-
-def test_binomial_pattern_note(golden):
-    from homreg.resolution import betti_table, minimal_resolution, module_via_map
-
-    # k[x] over k[u2] along u -> x^2: free of rank 2, shifts {0, 1}: no pattern
-    presU = golden["k[u2]"]
-    presX = golden["k[x]"]
-    m = module_via_map(presU.gb(), [presX.presentation.parse_poly("x^2")], presX.gb(), 10)
-    R = minimal_resolution(
-        presU.gb(), m, 4, 10,
-        algebra_hilbert=presU.hilbert_or_none(), module_hilbert=presX.hilbert_or_none(),
-    )
-    assert binomial_pattern_note(betti_table(R), 1) is None
-
-    # k[y] over the plane: shifts {0} and {1}: binomial pattern with d' = 1
-    presP, presY = golden["plane"], golden["k[y]"]
-    images = [presY.presentation.gen_poly(i) for i in range(2)]
-    m = module_via_map(presP.gb(), images, presY.gb(), 10)
-    R = minimal_resolution(
-        presP.gb(), m, 4, 10,
-        algebra_hilbert=presP.hilbert_or_none(), module_hilbert=presY.hilbert_or_none(),
-    )
-    note = binomial_pattern_note(betti_table(R), 2)
-    assert note is not None and "d' = 1" in note
 
 
 def test_as_regular_verdict_resolves_one_side_only(golden):

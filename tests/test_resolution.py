@@ -26,7 +26,13 @@ from homreg.resolution import (
     trivial_module,
 )
 
-from oracles import ext_reference, multiplication_columns, random_fdim_module, semisimple_module
+from oracles import (
+    ext_reference,
+    map_entries,
+    multiplication_columns,
+    random_fdim_module,
+    semisimple_module,
+)
 
 
 def setup_algebra(src, d_gb=12):
@@ -113,9 +119,9 @@ def test_kx_mod_xd_tor_degrees():
 
 def test_minimality_no_scalar_entries():
     for src in (PLANE, T34):
-        _, _, _, R = resolve_k(src)
-        for fmap in R.maps:
-            for row in fmap.entries:
+        _, G, _, R = resolve_k(src)
+        for i in range(len(R.maps)):
+            for row in map_entries(R, G, i):
                 for p in row:
                     if p:
                         assert p.degree >= 1
@@ -125,13 +131,13 @@ def test_minimality_no_scalar_entries():
 def test_maps_compose_to_zero():
     pres, G, _, R = resolve_k(T34)
     for i in range(len(R.maps) - 1):
-        outer, inner = R.maps[i], R.maps[i + 1]
-        nt = len(outer.target_shifts)
-        for s in range(len(inner.source_shifts)):
+        outer, inner = map_entries(R, G, i), map_entries(R, G, i + 1)
+        nt = len(R.shifts[i])
+        for s in range(len(R.shifts[i + 2])):
             for r in range(nt):
                 acc = None
-                for m in range(len(inner.target_shifts)):
-                    p, q = outer.entries[r][m], inner.entries[m][s]
+                for m in range(len(R.shifts[i + 1])):
+                    p, q = outer[r][m], inner[m][s]
                     if p and q:
                         # left-module convention: the later map's entry
                         # multiplies from the left
@@ -147,7 +153,8 @@ def test_rank_nullity_exactness_bookkeeping():
 
     pres, G, h, R = resolve_k(T34)
     layers = [FreeLayer(G, s) for s in R.shifts]
-    for i, fmap in enumerate(R.maps):
+    for i in range(len(R.maps)):
+        entries = map_entries(R, G, i)
         src, tgt = layers[i + 1], layers[i]
         for j in range(src.min_degree(), R.d_max + 1):
             basis = src.basis(j)
@@ -158,8 +165,8 @@ def test_rank_nullity_exactness_bookkeeping():
             for s, w in basis:
                 vec = {}
                 idx = tgt.index(j)
-                for r in range(len(fmap.target_shifts)):
-                    p = fmap.entries[r][s]
+                for r in range(len(R.shifts[i])):
+                    p = entries[r][s]
                     if not p:
                         continue
                     q = G.normal_form(p.lmul_word(w, pres.word_degree(w)))
@@ -422,6 +429,21 @@ def test_semisimple_module_resolution():
         (3, 4): 1, (3, 6): 1,
     }
     assert max(j - i for (i, j) in B.entries) == 3
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_ext_transposes_differentials_with_mixed_slot_degrees(field):
+    # F_0 = A (+) A(-2) and F_1 has slots of degrees (1, 1, 3, 3), so each
+    # entry of a differential lands in Hom(F_{i+1}, A) at its own slot degree
+    pres = convert_field(parse_presentation(T34), parse_field(field))
+    G = buchberger_truncated(pres, 12)
+    M = semisimple_module(pres, (2, 0))
+    R = minimal_resolution(G, M, 8, 12, algebra_hilbert=hilbert_rational(G))
+    assert R.shifts[:2] == ((0, 2), (1, 1, 3, 3))
+    E = ext_into_algebra(R, G)
+    assert dict(E.entries) == ext_reference(R, G, E.windows)
+    # Ext^3(k (+) k(-2), A) = Ext^3(k, A) (+) Ext^3(k, A)(2), type (3, 4)
+    assert dict(E.entries) == {(3, -4): 1, (3, -6): 1}
 
 
 def test_zero_module_rejected():
