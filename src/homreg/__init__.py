@@ -15,9 +15,8 @@ from .corealg import (
     parse_field,
     parse_module,
     parse_presentation,
-    poly_multiply,
 )
-from .gbasis import GroebnerBasis, buchberger_truncated, groebner, normal_form, normal_words
+from .gbasis import GroebnerBasis, buchberger_truncated, groebner
 from .series import (
     RationalSeries,
     TruncatedSeries,
@@ -44,7 +43,6 @@ from .regularity import (
     RegularityReport,
     as_regular_verdict,
     as_regularity,
-    build_artifacts,
     build_report,
     cm_regularity,
     concavity_certificate,

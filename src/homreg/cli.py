@@ -105,21 +105,26 @@ def _artifacts(path, args):
     return art
 
 
-def _images_for(source_pres, target_pres, map_args):
-    """Generator images: name-matched identity by default, --map overrides."""
+def _map_overrides(map_args, sources):
+    """The --map items as {name: polynomial}; each name is a generator of some source."""
     overrides = {}
     for item in map_args or ():
         name, _, expr = item.partition("=")
         if not expr:
             raise PresentationError("--map expects name=polynomial, got %r" % item)
         overrides[name.strip()] = expr.strip()
-    images = []
-    for name in source_pres.gen_names:
-        if name in overrides:
-            images.append(target_pres.parse_poly(overrides[name]))
-        else:
-            images.append(target_pres.parse_poly(name))
-    return images
+    unknown = sorted(set(overrides).difference(*(s.gen_names for s in sources)))
+    if unknown:
+        raise PresentationError(
+            "--map names %s, not a generator of %s"
+            % (", ".join(unknown), " or ".join(s.label for s in sources) or "any source algebra")
+        )
+    return overrides
+
+
+def _images_for(source_pres, target_pres, overrides):
+    """Generator images: name-matched identity by default, --map overrides."""
+    return [target_pres.parse_poly(overrides.get(n, n)) for n in source_pres.gen_names]
 
 
 def _emit_report(emit, report):
@@ -294,7 +299,8 @@ def cmd_quotient(args, emit):
 def cmd_finitemap(args, emit):
     artT = _artifacts(args.file_t, args)
     artA = _artifacts(args.file_a, args)
-    images = _images_for(artT.presentation, artA.presentation, args.map)
+    overrides = _map_overrides(args.map, [artT.presentation])
+    images = _images_for(artT.presentation, artA.presentation, overrides)
     cert = cons_mod.finite_map_check(artT, images, artA)
     emit.record(
         "finite_map",
@@ -313,12 +319,14 @@ def cmd_finitemap(args, emit):
 
 
 def _witnesses(args, artA):
-    out = []
-    for wpath in args.witness or ():
-        artT = _artifacts(wpath, args)
-        images = _images_for(artT.presentation, artA.presentation, args.map)
-        out.append(cons_mod.concavity_witness(artT, images, artA))
-    return out
+    arts = [_artifacts(wpath, args) for wpath in args.witness or ()]
+    overrides = _map_overrides(args.map, [artT.presentation for artT in arts])
+    return [
+        cons_mod.concavity_witness(
+            artT, _images_for(artT.presentation, artA.presentation, overrides), artA
+        )
+        for artT in arts
+    ]
 
 
 def cmd_concavity(args, emit):
@@ -401,7 +409,7 @@ def golden_artifacts(i_max=8, d_max=12, d_gb=12, cache_dir=None):
     """The golden algebras plus derived quotients and tensor products."""
     arts = {}
     for label, src in GOLDEN_SOURCES.items():
-        arts[label] = reg_mod.build_artifacts(
+        arts[label] = reg_mod.AlgebraArtifacts(
             parse_presentation(src, label=label), i_max, d_max, d_gb, cache_dir
         )
     quotients = {}

@@ -68,7 +68,7 @@ def tensor_presentation(A, B, label=""):
     )
 
 
-def convolve_betti(tA, tB, i_max, d_max, label=""):
+def convolve_betti(tA, tB, i_max, d_max):
     """Kunneth convolution of two Betti tables of k on the common window."""
     entries = {}
     for (p, j1), r1 in tA.entries.items():
@@ -88,8 +88,6 @@ def convolve_betti(tA, tB, i_max, d_max, label=""):
         d_max=d_max,
         terminated=terminated,
         termination_step=steps if terminated else None,
-        side="left",
-        label=label,
     )
 
 
@@ -112,7 +110,7 @@ def tensor_product(artA, artB, label=""):
     if hA is not None and hB is not None:
         art.known_hilbert = series_product(hA, hB)
     art.known_betti_k = convolve_betti(
-        artA.betti_for_report(), artB.betti_for_report(), art.i_max, art.d_max, art.label
+        artA.betti_for_report(), artB.betti_for_report(), art.i_max, art.d_max
     )
     art.betti_provenance = "kunneth convolution of %s and %s" % (artA.label, artB.label)
     tA = artA.resolve_torreg()

@@ -359,11 +359,6 @@ class Poly:
         return "Poly(%s)" % ", ".join(bits)
 
 
-def poly_multiply(p, q):
-    """Free-algebra product of two homogeneous polynomials."""
-    return p * q
-
-
 # ---------------------------------------------------------------------------
 # presentations
 

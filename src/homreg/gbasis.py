@@ -16,7 +16,6 @@ import hashlib
 import heapq
 import os
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -279,20 +278,6 @@ def _integer_form(ints, lead, p):
         ints = {w: c // g for w, c in ints.items()}
     tail = [w for w in ints if w != lead]
     return ints[lead], tuple(tail), tuple(ints[w] for w in tail)
-
-
-@dataclass(frozen=True)
-class NormalWordBasis:
-    degree: int
-    words: tuple
-
-
-def normal_form(G, p):
-    return G.normal_form(p)
-
-
-def normal_words(G, j):
-    return NormalWordBasis(j, G.normal_words(j))
 
 
 # ---------------------------------------------------------------------------

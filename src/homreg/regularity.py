@@ -94,9 +94,6 @@ class CMEvidence:
     data: tuple = ()
     assertions: tuple = ()
 
-    def describe(self):
-        return self.case
-
 
 @dataclass(frozen=True)
 class KoszulVerdict:
@@ -286,11 +283,6 @@ class AlgebraArtifacts:
         return build_report(self)
 
 
-def build_artifacts(presentation, i_max=DEFAULT_I_MAX, d_max=DEFAULT_D_MAX,
-                    d_gb=DEFAULT_D_GB, cache_dir=None):
-    return AlgebraArtifacts(presentation, i_max, d_max, d_gb, cache_dir)
-
-
 # ---------------------------------------------------------------------------
 # core invariant operations
 
@@ -422,9 +414,6 @@ class HilbertCriterionResult:
     s: int
     assertions: tuple
     witness_notes: tuple
-
-    def text(self):
-        return "%s (deg h = %d, -s = %d)" % (self.verdict, self.h_degree, -self.s)
 
 
 def hilbert_criterion(art, s, witnesses=()):
@@ -645,10 +634,7 @@ class RegularityReport:
     as_regular: ASRegularVerdict
     gldim: BoundedValue
     as_index: BoundedValue
-    ta_pair: tuple
-    tc_pair: tuple
     stanley: object
-    extreg_note: str
     betti_provenance: str
     annotations: tuple
     assertions: tuple
@@ -656,59 +642,31 @@ class RegularityReport:
     def records(self):
         out = []
 
-        def rec(name, bv, evidence=""):
+        def rec(name, kind, value, evidence):
             out.append(
                 {
                     "invariant": name,
-                    "kind": bv.kind,
-                    "value": bv.value,
+                    "kind": kind,
+                    "value": value,
                     "window": list(self.window),
-                    "evidence": evidence or bv.note,
+                    "evidence": evidence,
                     "assertions": list(self.assertions),
                 }
             )
 
-        rec("torreg_k", self.torreg_k)
-        rec("cmreg", self.cmreg, self.cm_evidence.describe() if self.cm_evidence else "none")
-        rec("asreg", self.asreg)
-        rec("gldim", self.gldim)
-        rec("as_index", self.as_index)
-        out.append(
-            {
-                "invariant": "koszul",
-                "kind": "verdict",
-                "value": self.koszul.status,
-                "window": list(self.window),
-                "evidence": self.koszul.caveat,
-                "assertions": list(self.assertions),
-            }
-        )
-        out.append(
-            {
-                "invariant": "as_regular",
-                "kind": "verdict",
-                "value": self.as_regular.status,
-                "window": list(self.window),
-                "evidence": self.as_regular.reason
-                or (
-                    "type (%s, %s)" % (self.as_regular.dim, self.as_regular.index)
-                    if self.as_regular.status == "yes"
-                    else ""
-                ),
-                "assertions": list(self.assertions),
-            }
-        )
+        rec("torreg_k", self.torreg_k.kind, self.torreg_k.value, self.torreg_k.note)
+        cm_case = self.cm_evidence.case if self.cm_evidence else "none"
+        rec("cmreg", self.cmreg.kind, self.cmreg.value, cm_case)
+        for name in ("asreg", "gldim", "as_index"):
+            bv = getattr(self, name)
+            rec(name, bv.kind, bv.value, bv.note)
+        rec("koszul", "verdict", self.koszul.status, self.koszul.caveat)
+        v = self.as_regular
+        rec("as_regular", "verdict", v.status,
+            v.reason or ("type (%s, %s)" % (v.dim, v.index) if v.status == "yes" else ""))
         if self.stanley is not None:
-            out.append(
-                {
-                    "invariant": "stanley",
-                    "kind": "verdict",
-                    "value": self.stanley.text(),
-                    "window": list(self.window),
-                    "evidence": "functional equation on the exact rational form",
-                    "assertions": list(self.assertions),
-                }
-            )
+            rec("stanley", "verdict", self.stanley.text(),
+                "functional equation on the exact rational form")
         return out
 
     def to_text(self):
@@ -717,18 +675,20 @@ class RegularityReport:
         lines.append("  Torreg(k) : %s" % self.torreg_k)
         lines.append(
             "  CMreg     : %s  [%s]"
-            % (self.cmreg, self.cm_evidence.describe() if self.cm_evidence else "no evidence")
+            % (self.cmreg, self.cm_evidence.case if self.cm_evidence else "no evidence")
         )
         lines.append("  ASreg     : %s" % self.asreg)
         lines.append("  Koszul    : %s" % self.koszul.text())
         lines.append("  AS regular: %s" % self.as_regular.text())
         lines.append("  gldim     : %s" % self.gldim)
         lines.append("  AS index  : %s" % self.as_index)
-        lines.append("  ta pair   : (%s, %s)" % self.ta_pair)
-        lines.append("  tc pair   : (%s, %s)" % self.tc_pair)
+        lines.append("  ta pair   : (%s, %s)" % (self.torreg_k, self.asreg))
+        lines.append("  tc pair   : (%s, %s)" % (self.torreg_k, self.cmreg))
         if self.stanley is not None:
             lines.append("  Stanley   : %s" % self.stanley.text())
-        lines.append("  note      : %s" % self.extreg_note)
+        lines.append(
+            "  note      : Ext-regularity equals Tor-regularity for finitely generated modules"
+        )
         lines.append("  betti via : %s" % self.betti_provenance)
         for a in self.annotations:
             lines.append("  annotation: %s" % a)
@@ -814,10 +774,7 @@ def build_report(art):
         as_regular=verdict,
         gldim=gldim,
         as_index=as_index,
-        ta_pair=(torreg, asreg),
-        tc_pair=(torreg, cmreg),
         stanley=stanley,
-        extreg_note="Ext-regularity equals Tor-regularity for finitely generated modules",
         betti_provenance=art.betti_provenance,
         annotations=tuple(annotations),
         assertions=tuple(assertions),

@@ -257,9 +257,6 @@ class MappedAlgebraView(_ModuleView):
             return 0
         return self.G_A.dim(j)
 
-    def hilbert_if_finite(self):
-        return None
-
 
 # ---------------------------------------------------------------------------
 # resolution data
@@ -275,7 +272,6 @@ class Resolution:
     """
 
     label: str
-    side: str
     shifts: tuple  # shifts[i]: generator degrees of F_i in slot order, nondecreasing
     maps: tuple  # maps[i]: F_{i+1} -> F_i, i = 0..len-1
     i_max: int
@@ -299,8 +295,6 @@ class BettiTable:
     d_max: int
     terminated: bool
     termination_step: object
-    side: str
-    label: str
 
     def betti(self, i, j):
         return self.entries.get((i, j), 0)
@@ -354,18 +348,7 @@ class ExtTable:
     """
 
     entries: dict
-    i_top: int
     windows: dict
-    complete: bool  # True when the resolution terminated (all i certified)
-    label: str
-
-    def rank(self, i, j):
-        return self.entries.get((i, j), 0)
-
-    def records(self):
-        return [
-            {"i": i, "j": j, "rank": r} for (i, j), r in sorted(self.entries.items())
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +501,14 @@ def shift_module(mpres, ell):
 def minimal_resolution(
     G, module, i_max, d_max, algebra_hilbert=None, module_hilbert=None, label=""
 ):
-    """Minimal free resolution of a left module, truncated to (i_max, d_max)."""
-    if isinstance(module, ModulePresentation):
-        view = PresentedModuleView(G, module, d_max)
-        side = module.side
-    else:
-        view = module
-        side = "left"
+    """Minimal free resolution of a presented left module, truncated to (i_max, d_max)."""
+    view = PresentedModuleView(G, module, d_max)
     if module_hilbert is None:
         module_hilbert = view.hilbert_if_finite()
 
     shifts0, gen_vecs = _minimal_cover(G, view, d_max)
     if not shifts0:
-        if isinstance(module, ModulePresentation) and max(module.gen_degs, default=d_max) > d_max:
+        if max(module.gen_degs, default=d_max) > d_max:
             raise CertificationError(
                 "the module vanishes through d_max = %d but has a generator above it" % d_max
             )
@@ -571,7 +549,6 @@ def minimal_resolution(
 
     return Resolution(
         label=label,
-        side=side,
         shifts=tuple(shifts_all),
         maps=tuple(maps),
         i_max=i_max,
@@ -595,8 +572,6 @@ def betti_table(R):
         d_max=R.d_max,
         terminated=R.terminated,
         termination_step=R.termination_step,
-        side=R.side,
-        label=R.label,
     )
 
 
@@ -650,13 +625,7 @@ def ext_into_algebra(R, G, j_hi=None):
             ext = cobases[i].dim(j) - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
             if ext:
                 entries[(i, j)] = ext
-    return ExtTable(
-        entries=entries,
-        i_top=i_top,
-        windows=windows,
-        complete=R.terminated,
-        label=R.label,
-    )
+    return ExtTable(entries=entries, windows=windows)
 
 
 def module_via_map(G_T, images, G_A, d_max):

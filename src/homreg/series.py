@@ -94,11 +94,6 @@ class TruncatedSeries:
     coefficients: tuple
     truncation: int
 
-    def coefficient(self, j):
-        if j > self.truncation:
-            raise CertificationError("coefficient %d beyond truncation %d" % (j, self.truncation))
-        return self.coefficients[j] if 0 <= j <= self.truncation else 0
-
     def text(self):
         return "[" + ", ".join(str(c) for c in self.coefficients) + ", ...]"
 
@@ -285,25 +280,10 @@ def _berlekamp_massey(seq):
 
 
 def series_product(h1, h2):
-    """h_{A (x) B} = h_A * h_B; rational x rational stays rational."""
-    if isinstance(h1, RationalSeries) and isinstance(h2, RationalSeries):
-        num = _pmul([Fraction(c) for c in h1.numerator], [Fraction(c) for c in h2.numerator])
-        den = _pmul([Fraction(c) for c in h1.denominator], [Fraction(c) for c in h2.denominator])
-        return make_rational(num, den)
-    upto1 = h1.truncation if isinstance(h1, TruncatedSeries) else None
-    upto2 = h2.truncation if isinstance(h2, TruncatedSeries) else None
-    upto = min(u for u in (upto1, upto2) if u is not None)
-    c1 = list(h1.coefficients[: upto + 1]) if upto1 is not None else h1.expand(upto)
-    c2 = list(h2.coefficients[: upto + 1]) if upto2 is not None else h2.expand(upto)
-    out = [0] * (upto + 1)
-    for i, x in enumerate(c1):
-        if not x:
-            continue
-        for j in range(0, upto + 1 - i):
-            y = c2[j]
-            if y:
-                out[i + j] += x * y
-    return TruncatedSeries(tuple(out), upto)
+    """h_{A (x) B} = h_A * h_B for exact rational series."""
+    num = _pmul([Fraction(c) for c in h1.numerator], [Fraction(c) for c in h2.numerator])
+    den = _pmul([Fraction(c) for c in h1.denominator], [Fraction(c) for c in h2.denominator])
+    return make_rational(num, den)
 
 
 # -- Stanley's functional equation --------------------------------------------

@@ -11,10 +11,11 @@ from fractions import Fraction
 from homreg.corealg import parse_presentation
 from homreg.gbasis import buchberger_truncated
 from homreg.regularity import (
-    build_artifacts,
+    AlgebraArtifacts,
     concavity_certificate,
     inequality_harness,
     invariant_ring_obstruction,
+    ta_tc_pairs,
     tor_regularity,
 )
 from homreg.cli import build_golden_cases
@@ -44,7 +45,7 @@ def check(name, ok):
 
 def test_criterion_1_truncated_polynomial_rings(golden):
     for d in (2, 3):
-        art = build_artifacts(
+        art = AlgebraArtifacts(
             parse_presentation("field Q; gens x:1; rels x^%d" % d, label="A(%d)" % d),
             i_max=6, d_max=10, d_gb=12,
         )
@@ -53,7 +54,7 @@ def test_criterion_1_truncated_polynomial_rings(golden):
             want = 0 if n == 0 else (n // 2) * d + (1 if n % 2 else 0)
             if want <= 10:
                 assert table.t(n) == want, (d, n, table.t(n), want)
-    standalone = build_artifacts(parse_presentation("field Q; gens x:1; rels x^2", label="A(2)"))
+    standalone = AlgebraArtifacts(parse_presentation("field Q; gens x:1; rels x^2", label="A(2)"))
     rep2 = standalone.report()
     assert rep2.koszul.status == "yes"  # linear through the window
     assert rep2.cmreg.is_exact and rep2.cmreg.value == 1
@@ -194,8 +195,7 @@ def test_criterion_7_tc_pairs(golden):
         (2, 1): tensor_product(tensor_product(T, T), E),
     }
     for (t, a), art in builds.items():
-        rep = art.report()
-        tor, cm = rep.tc_pair
+        _, (tor, cm) = ta_tc_pairs(art.report())
         assert tor.is_exact and tor.value == t, (t, a)
         assert cm.is_exact and cm.value == a - t, (t, a)
     check("criterion 7: tc(T^t x E^a) = (t, a - t) for (t, a) in {(1,1), (1,2), (2,1)}", True)

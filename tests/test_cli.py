@@ -234,6 +234,30 @@ def test_cache_directory(files, tmp_path, capsys):
     assert out1 == out2
 
 
+def test_cache_directory_from_environment(files, tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "env-cache"
+    monkeypatch.setenv("HOMREG_CACHE_DIR", str(cache))
+    code, _ = run(["gb", files["t34"], "--format", "jsonl"], capsys)
+    assert code == 0
+    assert any(name.endswith(".gb") for name in os.listdir(cache))
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_hilbert_on_incomplete_basis_refuses_rational_form(files, capsys, fmt):
+    code, out = run(
+        ["hilbert", files["a3"], "--dgb", "3", "--dmax", "3", "--no-cache", "--format", fmt],
+        capsys,
+    )
+    assert code == 0
+    if fmt == "jsonl":
+        trunc, refused = jsonl(out)
+        assert trunc["type"] == "hilbert_truncated" and trunc["coefficients"] == [1, 1, 1, 0]
+        assert refused["type"] == "hilbert_rational_unavailable"
+        assert refused["reason"] == "Groebner basis incomplete"
+    else:
+        assert "rational form refused: Groebner basis incomplete" in out
+
+
 def test_field_override(files, capsys):
     code, out = run(
         ["gb", files["t34"], "--field", "F101", "--format", "jsonl", "--no-cache"],
@@ -255,6 +279,53 @@ def test_assertions_echoed(files, capsys):
     recs = jsonl(out)
     notes = recs[0]["assertions"]
     assert any("asserted on the command line" in a for a in notes)
+
+
+def test_assert_balanced_is_echoed_in_every_record(files, capsys):
+    code, out = run(
+        ["regularity", files["plane"], "--assert-balanced", "--format", "jsonl", "--no-cache"],
+        capsys,
+    )
+    assert code == 0
+    recs = jsonl(out)
+    assert recs and all(
+        "balanced dualizing complex: asserted on the command line" in r["assertions"] for r in recs
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize(
+    "command, extra, name",
+    [
+        ("finitemap", ["hyp", "--map", "y=t"], "y"),
+        ("concavity", ["--witness", "kx", "--map", "q=t"], "q"),
+        ("obstruct", ["--witness", "kx", "--map", "x=x", "--map", "q=t"], "q"),
+    ],
+)
+def test_map_name_of_no_source_generator_is_input_error(files, capsys, command, extra, name, fmt):
+    # finitemap maps from its first file, concavity and obstruct from each witness
+    first = files["kx"] if command == "finitemap" else files["hyp"]
+    argv = [command, first] + [files.get(a, a) for a in extra]
+    code, out = run(argv + ["--no-cache", "--format", fmt], capsys)
+    assert code == cli.EXIT_INPUT == 1
+    if fmt == "jsonl":
+        (rec,) = jsonl(out)
+        assert rec["type"] == "error" and rec["class"] == "input"
+        message = rec["message"]
+    else:
+        assert out.startswith("input error: ")
+        message = out
+    assert "--map names %s," % name in message
+
+
+def test_map_name_of_one_witness_applies_to_that_witness(capsys):
+    # u is a generator of ku2 only; kx keeps its name-matched image x -> x
+    argv = ["concavity", sample("hypersurface_t2"), "--witness", sample("kx")]
+    argv += ["--witness", sample("ku2"), "--map", "u=t", "--no-cache", "--format", "jsonl"]
+    code, out = run(argv, capsys)
+    assert code == 0
+    (rec,) = jsonl(out)
+    assert rec["witnesses"] == ["kx", "ku2"]
 
 
 @pytest.mark.parametrize("row", ["x^ * e0", "x^a*e0", "x*e0, y^"])
@@ -324,7 +395,7 @@ def test_quotient_by_zero_divisor_reports_failed_regularity(tmp_path, capsys):
     assert "regular up to degree" not in out
 
 
-@pytest.mark.parametrize("command", ["regularity", "hilbert", "gb"])
+@pytest.mark.parametrize("command", ["regularity", "hilbert", "gb", "resolve", "koszul", "stanley"])
 @pytest.mark.parametrize("name", SAMPLES)
 def test_sample_output_is_pinned(capsys, name, command):
     # tests/expected/<name>.<command>.jsonl is the output of

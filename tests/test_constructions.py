@@ -1,7 +1,7 @@
 import pytest
 
 from homreg.corealg import PresentationError, parse_presentation
-from homreg.regularity import build_artifacts
+from homreg.regularity import AlgebraArtifacts
 from homreg.constructions import (
     convolve_betti,
     finite_map_check,
@@ -25,14 +25,14 @@ def test_tensor_presentation_a2_squared(golden):
 
 
 def test_tensor_field_mismatch(golden):
-    other = build_artifacts(parse_presentation("field F5; gens z:1"))
+    other = AlgebraArtifacts(parse_presentation("field F5; gens z:1"))
     with pytest.raises(PresentationError, match="share the base field"):
         tensor_product(golden["A2"], other)
 
 
 def test_unit_factor(golden):
     # tensoring with k[x]/(x) = k is the identity on series
-    unit = build_artifacts(parse_presentation("field Q; gens e:1; rels e", label="unit"))
+    unit = AlgebraArtifacts(parse_presentation("field Q; gens e:1; rels e", label="unit"))
     art = tensor_product(golden["T"], unit)
     assert art.hilbert_or_none().expand(8) == golden["T"].hilbert_or_none().expand(8)
 

@@ -12,7 +12,6 @@ from homreg.corealg import (
     parse_field,
     parse_module,
     parse_presentation,
-    poly_multiply,
 )
 
 
@@ -90,15 +89,15 @@ def test_poly_multiply_examples():
     pres = parse_presentation("field Q; gens x:1 y:1")
     xy = pres.parse_poly("x*y")
     y = pres.parse_poly("y")
-    prod = poly_multiply(xy, y)
+    prod = xy * y
     assert prod == pres.parse_poly("x*y*y")
     assert prod.degree == 3
 
     p = pres.parse_poly("x - y")
     q = pres.parse_poly("x + y")
-    assert poly_multiply(p, q) == pres.parse_poly("x*x + x*y - y*x - y*y")
+    assert p * q == pres.parse_poly("x*x + x*y - y*x - y*y")
 
-    assert poly_multiply(p, Poly.zero()).is_zero()
+    assert (p * Poly.zero()).is_zero()
     assert Poly.zero().degree == NEG_INF
 
 

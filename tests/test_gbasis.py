@@ -15,8 +15,6 @@ from homreg.gbasis import (
     buchberger_truncated,
     groebner,
     load_basis,
-    normal_form,
-    normal_words,
     save_basis,
 )
 from homreg.series import hilbert_truncated
@@ -76,17 +74,17 @@ def test_incomplete_flag_when_overlaps_exceed_window():
     with pytest.raises(CertificationError):
         G.normal_words(4)
     with pytest.raises(CertificationError):
-        normal_form(G, pres.parse_poly("x^4"))
+        G.normal_form(pres.parse_poly("x^4"))
 
 
 def test_normal_form_examples():
     G = buchberger_truncated(plane(), 8)
     p = plane().parse_poly("x*y")
-    assert normal_form(G, p) == plane().parse_poly("y*x")
-    assert normal_form(G, plane().parse_poly("y*x")) == plane().parse_poly("y*x")
+    assert G.normal_form(p) == plane().parse_poly("y*x")
+    assert G.normal_form(plane().parse_poly("y*x")) == plane().parse_poly("y*x")
 
     GT = buchberger_truncated(t34(), 8)
-    assert normal_form(GT, t34().parse_poly("x^2*y")) == t34().parse_poly("y*x^2")
+    assert GT.normal_form(t34().parse_poly("x^2*y")) == t34().parse_poly("y*x^2")
 
 
 def sklyanin_type():
@@ -128,9 +126,7 @@ def test_normal_form_linear_and_idempotent():
 
 def test_normal_words_examples():
     G = buchberger_truncated(plane(), 8)
-    basis = normal_words(G, 2)
-    assert basis.degree == 2
-    assert len(basis.words) == 3  # dim k[x,y]_2
+    assert len(G.normal_words(2)) == 3  # dim k[x,y]_2
 
     presB = parse_presentation("field Q; gens x:1 y:1; rels x^2, x*y^2 - y^2*x", label="B")
     GB = buchberger_truncated(presB, 8)

@@ -6,7 +6,7 @@ from homreg.regularity import (
     CMEvidence,
     HarnessCase,
     as_regularity,
-    build_artifacts,
+    AlgebraArtifacts,
     cm_regularity,
     concavity_certificate,
     hilbert_criterion,
@@ -60,7 +60,7 @@ def test_koszul_verdicts(golden):
 def test_cm_regularity_cases(golden):
     # finite-dimensional: CMreg = top degree
     for d in (2, 3):
-        art = build_artifacts(
+        art = AlgebraArtifacts(
             parse_presentation("field Q; gens x:1; rels x^%d" % d, label="A%d" % d)
         )
         bv = cm_regularity(art, CMEvidence("finite_dimensional"))
@@ -100,8 +100,9 @@ def test_reports_golden_values(golden):
     repT = golden["T"].report()
     assert (repT.torreg_k.value, repT.cmreg.value, repT.asreg.value) == (1, -1, 0)
     assert repT.gldim.value == 3 and repT.as_index.value == 4
-    assert (str(repT.ta_pair[0]), str(repT.ta_pair[1])) == ("1", "0")
-    assert (str(repT.tc_pair[0]), str(repT.tc_pair[1])) == ("1", "-1")
+    ta, tc = ta_tc_pairs(repT)
+    assert (str(ta[0]), str(ta[1])) == ("1", "0")
+    assert (str(tc[0]), str(tc[1])) == ("1", "-1")
 
     repB = golden["B"].report()
     assert (repB.torreg_k.value, repB.cmreg.value, repB.asreg.value) == (1, 0, 1)
@@ -113,7 +114,8 @@ def test_reports_golden_values(golden):
     assert repC.as_regular.status == "yes"
 
     repA2 = golden["A2"].report()
-    assert (str(repA2.ta_pair[0]), str(repA2.ta_pair[1])) == ("0", "1")
+    ta, _ = ta_tc_pairs(repA2)
+    assert (str(ta[0]), str(ta[1])) == ("0", "1")
 
 
 def test_hilbert_criterion(golden):
@@ -198,9 +200,9 @@ def test_obstruction_family_m1_n2():
         "field Q; gens x:1 y:1 t:2; "
         "rels x*y - y*x, x*t - t*x, y*t - t*y, t^2 - x^2*y^2"
     )
-    art = build_artifacts(parse_presentation(src, label="inv-family"))
+    art = AlgebraArtifacts(parse_presentation(src, label="inv-family"))
     witness_pres = parse_presentation("field Q; gens x:1 y:1; rels x*y - y*x", label="kxy")
-    wart = build_artifacts(witness_pres)
+    wart = AlgebraArtifacts(witness_pres)
     w = concavity_witness(wart, ["x", "y"], art)
     assert w.finite_ok and w.as_regular_ok
     bound = concavity_certificate(art, [w])
@@ -215,6 +217,26 @@ def test_obstruction_beta2_branch(golden):
     bound = concavity_certificate(golden["hyp"], [w])
     verdict = invariant_ring_obstruction(golden["hyp"], bound, cmreg_T_range=range(-1, 1))
     assert verdict.status == "obstructed"  # beta_1 branch already fires
+
+
+@pytest.mark.parametrize(
+    "cm_range, status",
+    [(range(-1, 2), "obstructed"), (range(-1, 3), "no conclusion")],
+)
+def test_obstruction_relation_degree_test(golden, cm_range, status):
+    # k[x]/(x^3) under k[x], x -> x: c = 0 exactly and c >= beta_1 - 1 = 0,
+    # so only the relation-degree test (beta_2 = 3) can decide; its bound
+    # min(3/2 - m, (2 - m)/2, 1) is 1, 1, 1/2 at m = -1, 0, 1 and -1/2 at m = 2
+    w = concavity_witness(golden["k[x]"], ["x"], golden["A3"])
+    bound = concavity_certificate(golden["A3"], [w])
+    assert bound.exact and bound.upper.value == 0
+    verdict = invariant_ring_obstruction(golden["A3"], bound, cmreg_T_range=cm_range)
+    assert (verdict.beta1, verdict.beta2) == (1, 3)
+    assert verdict.status == status
+    if status == "obstructed":
+        assert "relation-degree bound for every CMreg(T) in [-1, 0, 1]" in verdict.inequality
+    else:
+        assert verdict.notes == ("relation-degree test inconclusive on the supplied CMreg(T) range",)
 
 
 def test_harness_semantics():
@@ -249,7 +271,7 @@ def test_weighted_polynomial_ring_type_2_3():
     # Torreg(k) = 1, ASreg = 0, Stanley sign (+1) with shift 3
     from homreg.series import stanley_check
 
-    art = build_artifacts(
+    art = AlgebraArtifacts(
         parse_presentation("field Q; gens x:1 u:2; rels x*u - u*x", label="k[x,u2]")
     )
     rep = art.report()
@@ -277,7 +299,7 @@ def test_torreg_shift_covariance(golden):
 
 def test_as_regular_verdict_resolves_one_side_only(golden):
     # the right-hand Gorenstein condition follows by duality
-    art = build_artifacts(golden["T"].presentation)
+    art = AlgebraArtifacts(golden["T"].presentation)
     v = art.as_regular_verdict()
     assert (v.status, v.dim, v.index) == ("yes", 3, 4)
     assert art._opposite is None

@@ -6,7 +6,6 @@ from homreg.corealg import CertificationError, parse_presentation
 from homreg.gbasis import buchberger_truncated
 from homreg.series import (
     RationalSeries,
-    TruncatedSeries,
     hilbert_rational,
     hilbert_truncated,
     rational_from_exponents,
@@ -84,12 +83,6 @@ def test_series_product():
 
     h2 = rational_from_exponents([1], [1, 1])
     assert series_product(hT, h2).degree == hT.degree + h2.degree
-
-    t1 = TruncatedSeries((1, 1), 1)
-    t2 = TruncatedSeries((1, 2, 3), 2)
-    assert series_product(t1, t2).coefficients == (1, 3)
-    mixed = series_product(hT, t2)
-    assert mixed.coefficients == (1, 4, 11)
 
 
 def test_stanley_truncated_polynomial_rings():
