@@ -106,13 +106,17 @@ def _artifacts(path, args):
 
 
 def _map_overrides(map_args, sources):
-    """The --map items as {name: polynomial}; each name is a generator of some source."""
+    """The --map items as {name: polynomial}; each name is a generator of some
+    source, given once."""
     overrides = {}
     for item in map_args or ():
         name, _, expr = item.partition("=")
         if not expr:
             raise PresentationError("--map expects name=polynomial, got %r" % item)
-        overrides[name.strip()] = expr.strip()
+        name = name.strip()
+        if name in overrides:
+            raise PresentationError("--map names %s twice" % name)
+        overrides[name] = expr.strip()
     unknown = sorted(set(overrides).difference(*(s.gen_names for s in sources)))
     if unknown:
         raise PresentationError(
@@ -122,8 +126,18 @@ def _map_overrides(map_args, sources):
     return overrides
 
 
-def _images_for(source_pres, target_pres, overrides):
-    """Generator images: name-matched identity by default, --map overrides."""
+def _images_for(source_pres, target_pres, overrides, role):
+    """Generator images: name-matched identity by default, --map overrides.
+
+    `role` ("source" or "witness") names the source algebra in errors.
+    """
+    for n in source_pres.gen_names:
+        if n not in overrides and n not in target_pres.gen_names:
+            raise PresentationError(
+                "generator %s of %s %s has no --map entry, so it was mapped to itself, "
+                "but %s has no generator %s"
+                % (n, role, source_pres.label, target_pres.label, n)
+            )
     return [target_pres.parse_poly(overrides.get(n, n)) for n in source_pres.gen_names]
 
 
@@ -300,7 +314,7 @@ def cmd_finitemap(args, emit):
     artT = _artifacts(args.file_t, args)
     artA = _artifacts(args.file_a, args)
     overrides = _map_overrides(args.map, [artT.presentation])
-    images = _images_for(artT.presentation, artA.presentation, overrides)
+    images = _images_for(artT.presentation, artA.presentation, overrides, "source")
     cert = cons_mod.finite_map_check(artT, images, artA)
     emit.record(
         "finite_map",
@@ -323,7 +337,7 @@ def _witnesses(args, artA):
     overrides = _map_overrides(args.map, [artT.presentation for artT in arts])
     return [
         cons_mod.concavity_witness(
-            artT, _images_for(artT.presentation, artA.presentation, overrides), artA
+            artT, _images_for(artT.presentation, artA.presentation, overrides, "witness"), artA
         )
         for artT in arts
     ]

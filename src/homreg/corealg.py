@@ -35,6 +35,7 @@ class RationalField:
     """The rationals; elements are `fractions.Fraction` (arbitrary precision)."""
 
     name = "Q"
+    modulus = 0  # the characteristic; coordinate vectors hold Fractions
 
     def zero(self):
         return Fraction(0)
@@ -158,6 +159,7 @@ class PrimeField:
         if not _is_prime(p):
             raise PresentationError("unsupported field F%d: %d is not prime" % (p, p))
         self.p = p
+        self.modulus = p  # coordinate vectors hold plain ints in [0, p)
         self.name = "F%d" % p
 
     def zero(self):

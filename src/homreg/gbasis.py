@@ -24,7 +24,6 @@ from .corealg import (
     FpElement,
     Poly,
     PresentationError,
-    PrimeField,
     ResourceLimitError,
 )
 
@@ -114,7 +113,7 @@ class GroebnerBasis:
         self._leads = tuple(g.lead_word() for g in self.elements)
         self.automaton = WordAutomaton(self._leads, presentation.gen_degs)
         field = presentation.field
-        self.modulus = field.p if isinstance(field, PrimeField) else 0
+        self.modulus = field.modulus
         forms = forms or {}
         self._forms = tuple(
             forms.get(u) or _integer_form(_to_ints(g.terms, self.modulus)[0], u, self.modulus)
@@ -140,20 +139,21 @@ class GroebnerBasis:
         find = self.automaton.find
         if all(find(w) is None for w in p.terms):
             return p  # already normal (about half the calls in a resolution)
-        out, scale = self._reduce_terms(p.terms)
+        out, scale = self._reduce_terms(*_to_ints(p.terms, self.modulus))
         return self._to_poly(out, scale, p.degree)
 
-    def _reduce_terms(self, terms):
-        """Reduce `terms` (word -> scalar, all of one degree) to normal words.
+    def _reduce_terms(self, pending, den):
+        """Reduce the integers `pending` (word -> int, all of one degree) to
+        normal words, for the input pending / den (see `_to_ints`).
 
         Returns (out, scale): integers on normal words whose quotient
-        out / scale is the normal form.  The loop keeps the invariant
-        pending + out = S * den * (the input minus a combination of basis
-        elements), where den clears the input's denominators and S is the
-        running scale.  To cancel a coefficient c on a leading word with
-        form (L, words, coeffs), it sets q = gcd(c, L), multiplies pending,
-        out and S by L // q, and subtracts c // q times the form's tail at
-        the word's position.  Every step subtracts an element of the ideal,
+        out / scale is the normal form.  `pending` is consumed.  The loop
+        keeps the invariant pending + out = S * den * (the input minus a
+        combination of basis elements), where S is the running scale.  To
+        cancel a coefficient c on a leading word with form (L, words,
+        coeffs), it sets q = gcd(c, L), multiplies pending, out and S by
+        L // q, and subtracts c // q times the form's tail at the word's
+        position.  Every step subtracts an element of the ideal,
         and the normal form is unique, so out / (S * den) is the remainder
         exact rational arithmetic would give.  Over F_p, L = 1 and
         coefficients are reduced mod p as they leave `pending`.
@@ -167,7 +167,6 @@ class GroebnerBasis:
         forms = self._forms
         leads = self._leads
         find = self.automaton.find
-        pending, den = _to_ints(terms, p)
         heap = list(pending)
         heapq.heapify(heap)
         out = {}
@@ -217,12 +216,23 @@ class GroebnerBasis:
         return Poly({w: Fraction(c, scale) for w, c in out.items()}, degree)
 
     def nf_word(self, word):
-        """Memoized normal form of a single word (hot path for resolutions)."""
-        p = self._nf_words.get(word)
-        if p is None:
-            p = self.normal_form(self.presentation.word_poly(word))
-            self._nf_words[word] = p
-        return p
+        """Memoized normal form of a single word (hot path for resolutions).
+
+        Returned as (word, scalar) pairs, the scalars those of coordinate
+        vectors: ints in [0, p) over F_p, Fractions over Q.
+        """
+        nf = self._nf_words.get(word)
+        if nf is None:
+            self.check_degree(self.presentation.word_degree(word), "normal form")
+            out, scale = self._reduce_terms({word: 1}, 1)
+            p = self.modulus
+            if p:
+                inv = pow(scale, -1, p)
+                nf = tuple((w, c * inv % p) for w, c in out.items())
+            else:
+                nf = tuple((w, Fraction(c, scale)) for w, c in out.items())
+            self._nf_words[word] = nf
+        return nf
 
     # -- normal words ------------------------------------------------------
 
@@ -343,7 +353,7 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
     forms = {}
     while heap:
         d, _, _, p = heapq.heappop(heap)
-        out, _ = basis._reduce_terms(p.terms)
+        out, _ = basis._reduce_terms(*_to_ints(p.terms, basis.modulus))
         if not out:
             continue
         lead = min(out)
@@ -366,7 +376,8 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
     for g in elements:
         lead = g.lead_word()
         tail = {w: c for w, c in g.terms.items() if w != lead}
-        terms = dict(basis._to_poly(*basis._reduce_terms(tail), g.degree).terms)
+        out, scale = basis._reduce_terms(*_to_ints(tail, basis.modulus))
+        terms = dict(basis._to_poly(out, scale, g.degree).terms)
         terms[lead] = presentation.field.one()
         reduced.append(Poly(terms, g.degree))
     return GroebnerBasis(presentation, reduced, d_gb, complete)
@@ -432,7 +443,7 @@ def _deserialize_basis(text, presentation, d_gb):
             for part in body.split():
                 cs, _, ws = part.partition("@")
                 word = tuple(int(i) for i in ws.split(".")) if ws else ()
-                terms[word] = Fraction(cs) if field.name == "Q" else field.from_int(int(cs))
+                terms[word] = field.from_int(int(cs)) if field.modulus else Fraction(cs)
             elements.append(Poly.make(terms, presentation.gen_degs))
         return GroebnerBasis(presentation, elements, d_gb, complete)
     except (KeyError, ValueError, IndexError, ZeroDivisionError):

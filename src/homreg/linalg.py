@@ -4,8 +4,11 @@ All routines work over an exact field (rationals or F_p) and return
 canonical data, so every downstream basis choice is deterministic.
 A coordinate vector is a dict {column: coefficient}; absent columns are
 zero, and inputs may also hold explicit zeros.  A matrix is a list of
-such rows.  There is one elimination loop, `Echelon.residue`/`Echelon.add`:
-rows with unit pivots and no stored zeros, keyed by pivot column.
+such rows.  Scalars are plain ints in [0, p) over F_p (the field's
+`modulus` is p) and `Fraction`s over Q (`modulus` 0); results are in the
+same representation.  There is one elimination loop for both fields,
+`Echelon.residue`/`Echelon.add`: rows with unit pivots and no stored
+zeros, keyed by pivot column.
 `row_reduce` back-substitutes its rows to the unique reduced row echelon
 form, `complement_basis` is first-fit insertion into one `Echelon`, and
 `solve` reads the reduced augmented matrix.
@@ -39,14 +42,15 @@ def row_reduce(matrix, ncols, field):
     for p in reversed(pivots):
         ech.rows[p] = ech.residue(ech.rows[p], p)
     rref = [ech.rows[p] for p in pivots]
-    one = field.one()
+    modulus = field.modulus
+    unit = one(field)
     free = sorted(set(range(ncols)).difference(pivots))
-    kernel = {f: {f: one} for f in free}
+    kernel = {f: {f: unit} for f in free}
     # a reduced row is nonzero only in its pivot and in free columns
     for row, p in zip(rref, pivots):
         for f, c in row.items():
             if f != p:
-                kernel[f][p] = -c
+                kernel[f][p] = modulus - c if modulus else -c
     return RowReduction(len(pivots), tuple(pivots), rref, [kernel[f] for f in free])
 
 
@@ -58,10 +62,10 @@ class Echelon:
     complement extraction.
     """
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("modulus", "rows")
 
     def __init__(self, field, vectors=()):
-        self.field = field
+        self.modulus = field.modulus
         self.rows = {}  # pivot column -> row, whose least key is the pivot
         for vec in vectors:
             self.add(vec)
@@ -76,8 +80,11 @@ class Echelon:
         Returns a fresh vector without zero values.  Rows are applied in
         increasing pivot order, each only where its pivot column is
         nonzero, so the residue is zero in every pivot column above `above`.
+        Over F_p the values grow as plain ints: a multiplier is reduced
+        mod p when its pivot is popped, and the residue once on return.
         """
         rows = self.rows
+        modulus = self.modulus
         v = {k: c for k, c in vec.items() if c}
         todo = [k for k in v if k > above and k in rows]
         heapify(todo)
@@ -86,6 +93,11 @@ class Echelon:
             m = v.get(p)
             if m is None:
                 continue
+            if modulus:
+                m %= modulus
+                if not m:
+                    del v[p]
+                    continue
             for k, b in rows[p].items():
                 c = v.get(k)
                 if c is None:
@@ -98,7 +110,7 @@ class Echelon:
                         v[k] = c
                     else:
                         del v[k]
-        return v
+        return reduced(v, modulus)
 
     def add(self, vec):
         """Insert `vec`'s residue; returns True when the rank grows."""
@@ -107,12 +119,28 @@ class Echelon:
             return False
         p = min(v)
         pv = v[p]
-        one = self.field.one()
-        if pv != one:
-            inv = one / pv
-            v = {k: c * inv for k, c in v.items()}
+        modulus = self.modulus
+        if pv != 1:
+            if modulus:
+                inv = pow(pv, -1, modulus)
+                v = {k: c * inv % modulus for k, c in v.items()}
+            else:
+                inv = 1 / pv
+                v = {k: c * inv for k, c in v.items()}
         self.rows[p] = v
         return True
+
+
+def one(field):
+    """The scalar 1 of coordinate vectors over `field`: 1 over F_p, Fraction(1) over Q."""
+    return 1 if field.modulus else field.one()
+
+
+def reduced(vec, modulus):
+    """`vec` with its values reduced mod p and zeros dropped over F_p; as is over Q."""
+    if modulus:
+        return {k: r for k, c in vec.items() if (r := c % modulus)}
+    return vec
 
 
 def complement_basis(span, space, field):

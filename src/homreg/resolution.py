@@ -15,6 +15,11 @@ of a basis element (r, w) is one generator acting on the image of
 (r, w minus that letter), so the only normal forms taken are of single
 words (memoized by the Groebner basis) and of the inputs as given.
 
+Coordinate vectors hold the scalars of `linalg`: plain ints in [0, p)
+over F_p and `Fraction`s over Q.  `FreeLayer.coords` and
+`FreeLayer.polys` are the only conversions between them and polynomials,
+whose F_p coefficients are field elements.
+
 Termination (a zero kernel, hence finite projective dimension) is only
 declared with a certificate:
 
@@ -61,6 +66,7 @@ class FreeLayer:
         self.G = G
         self.shifts = tuple(shifts)
         self.right = right
+        self.modulus = G.presentation.field.modulus
         self._basis = {}
         self._index = {}
 
@@ -90,15 +96,18 @@ class FreeLayer:
     def coords(self, polys, j):
         """Coordinates of sum_r polys[r] e_r, for normal polys of total degree j."""
         index = self.index(j)
+        if self.modulus:
+            return {index[(r, u)]: c.v for r, p in enumerate(polys) for u, c in p.terms.items()}
         return {index[(r, u)]: c for r, p in enumerate(polys) for u, c in p.terms.items()}
 
     def polys(self, j, vec):
         """The element with degree-j coordinates `vec`, as one Poly per slot."""
         basis = self.basis(j)
+        field = self.G.presentation.field
         terms = [{} for _ in self.shifts]
         for idx, c in sorted(vec.items()):  # Poly.make drops zero values
             r, u = basis[idx]
-            terms[r][u] = c
+            terms[r][u] = field.from_int(c) if self.modulus else c
         return tuple(Poly.make(t, self.G.presentation.gen_degs) for t in terms)
 
     def act_vec(self, g, j, vec):
@@ -112,10 +121,10 @@ class FreeLayer:
             if not c:
                 continue
             r, u = src[idx]
-            for u2, c2 in nf_word(u + (g,) if self.right else (g,) + u).terms.items():
+            for u2, c2 in nf_word(u + (g,) if self.right else (g,) + u):
                 k = target[(r, u2)]
                 out[k] = out[k] + c * c2 if k in out else c * c2
-        return out
+        return linalg.reduced(out, self.modulus)
 
 
 class _ModuleView:
@@ -141,7 +150,7 @@ class _ModuleView:
                 continue
             for t, a in cols[b].items():
                 out[t] = out[t] + c * a if t in out else c * a
-        return out
+        return linalg.reduced(out, self.G.presentation.field.modulus)
 
 
 class PresentedModuleView(_ModuleView):
@@ -201,7 +210,7 @@ class PresentedModuleView(_ModuleView):
 
     def _build_act_columns(self, g, j):
         dg = self.G.presentation.gen_degs[g]
-        one = self.field.one()
+        one = linalg.one(self.field)
         return [
             self._project(j + dg, self.ambient.act_vec(g, j, {c: one}))
             for c in self._free_cols.get(j, ())
@@ -380,7 +389,7 @@ def _minimal_generators(G, module, K):
 
 def _minimal_cover(G, view, d_max):
     """Minimal generators of a graded module view through degree d_max."""
-    one = G.presentation.field.one()
+    one = linalg.one(G.presentation.field)
     units = {j: [{b: one} for b in range(view.dim(j))] for j in range(view.min_degree, d_max + 1)}
     return _minimal_generators(G, view, units)
 

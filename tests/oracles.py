@@ -6,7 +6,9 @@ free-word basis, and series are expanded by naive convolution, so these
 can certify the production code paths.  The two exceptions are
 `ext_reference` and `multiplication_columns`, which check the word
 recursion behind Ext and the multiplication maps against one direct
-normal form per (map entry x word).
+normal form per (map entry x word).  `reference_row_reduce` and
+`reference_solve` are dense Gauss-Jordan elimination on field elements
+(`FpElement` over F_p), for checking homreg.linalg's plain-int vectors.
 """
 
 from fractions import Fraction
@@ -81,6 +83,69 @@ def ideal_slice_dim(pres, j):
             pivots[lead] = [x * inv for x in row]
             rank += 1
     return rank
+
+
+def scalar(field, n):
+    """The integer n as a coordinate-vector scalar: n mod p over F_p, Fraction(n) over Q."""
+    return n % field.modulus if field.modulus else Fraction(n)
+
+
+def reference_row_reduce(rows, ncols, field):
+    """(rank, pivots, rref, kernel) of dict rows, by dense Gauss-Jordan elimination.
+
+    Values are lifted to field elements and the loop runs on those (on
+    `FpElement`s over F_p), separately from homreg.linalg.  The rref rows
+    and kernel vectors (one per free column, ascending) come back as dicts
+    without zeros, in the scalars of coordinate vectors (see `scalar`).
+    """
+    if field.modulus:
+        lift, lower = field.from_int, (lambda x: x.v)
+    else:
+        lift, lower = Fraction, (lambda x: x)
+    zero, one = field.zero(), field.one()
+    dense = [[zero] * ncols for _ in rows]
+    for d, row in zip(dense, rows):
+        for k, x in row.items():
+            d[k] = lift(x)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(dense)) if dense[i][c]), None)
+        if piv is None:
+            continue
+        dense[r], dense[piv] = dense[piv], dense[r]
+        inv = one / dense[r][c]
+        dense[r] = [x * inv for x in dense[r]]
+        for i in range(len(dense)):
+            if i != r and dense[i][c]:
+                f = dense[i][c]
+                dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
+        pivots.append(c)
+    rref = [{k: lower(x) for k, x in enumerate(row) if x} for row in dense[: len(pivots)]]
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = {f: one}
+            for row, p in zip(dense, pivots):
+                if row[f]:
+                    v[p] = -row[f]
+            kernel.append({k: lower(x) for k, x in v.items()})
+    return len(pivots), tuple(pivots), rref, kernel
+
+
+def reference_solve(rows, ncols, rhs, field):
+    """The solution of (rows) * x = rhs with free variables zero, or None.
+
+    Read off `reference_row_reduce` of the augmented matrix; `rhs` maps
+    row index to value.
+    """
+    aug = [dict(row) for row in rows]
+    for t, b in rhs.items():
+        aug[t][ncols] = b
+    _, pivots, rref, _ = reference_row_reduce(aug, ncols + 1, field)
+    if ncols in pivots:
+        return None
+    return {p: row[ncols] for row, p in zip(rref, pivots) if ncols in row}
 
 
 def _clear_pivots(terms, echelon):

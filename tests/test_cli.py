@@ -48,6 +48,10 @@ def jsonl(out):
     return [json.loads(line) for line in out.splitlines() if line.strip()]
 
 
+def sample(name):
+    return os.path.join(ROOT, "presentations", name + ".alg")
+
+
 def test_regularity_records(files, capsys):
     code, out = run(
         ["regularity", files["t34"], "--format", "jsonl", "--no-cache"], capsys
@@ -318,6 +322,47 @@ def test_map_name_of_no_source_generator_is_input_error(files, capsys, command, 
     assert "--map names %s," % name in message
 
 
+def _input_error_message(out, fmt):
+    if fmt == "jsonl":
+        (rec,) = jsonl(out)
+        assert rec["type"] == "error" and rec["class"] == "input"
+        return rec["message"]
+    assert out.startswith("input error: ")
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_map_name_given_twice_is_input_error(capsys, fmt):
+    # either order used to keep the last image and drop the first without a word
+    for maps in (["u=x", "u=x^2"], ["u=x^2", "u=x"]):
+        argv = ["finitemap", sample("ku2"), sample("kx")]
+        argv += [a for m in maps for a in ("--map", m)] + ["--no-cache", "--format", fmt]
+        code, out = run(argv, capsys)
+        assert code == cli.EXIT_INPUT == 1
+        assert "--map names u twice" in _input_error_message(out, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize(
+    "argv, role",
+    [
+        (["concavity", sample("ku2"), "--witness", sample("kx")], "witness"),
+        (["obstruct", sample("ku2"), "--witness", sample("kx")], "witness"),
+        (["finitemap", sample("kx"), sample("ku2")], "source"),
+    ],
+    ids=["concavity", "obstruct", "finitemap"],
+)
+def test_unmapped_generator_missing_from_target_is_named(capsys, argv, role, fmt):
+    # x of kx has no --map entry, so it maps to x, which ku2 does not have
+    code, out = run(argv + ["--no-cache", "--format", fmt], capsys)
+    assert code == cli.EXIT_INPUT == 1
+    message = _input_error_message(out, fmt)
+    assert (
+        "generator x of %s kx has no --map entry, so it was mapped to itself, "
+        "but ku2 has no generator x" % role
+    ) in message
+
+
 def test_map_name_of_one_witness_applies_to_that_witness(capsys):
     # u is a generator of ku2 only; kx keeps its name-matched image x -> x
     argv = ["concavity", sample("hypersurface_t2"), "--witness", sample("kx")]
@@ -395,21 +440,24 @@ def test_quotient_by_zero_divisor_reports_failed_regularity(tmp_path, capsys):
     assert "regular up to degree" not in out
 
 
-@pytest.mark.parametrize("command", ["regularity", "hilbert", "gb", "resolve", "koszul", "stanley"])
+PIN_COMMANDS = {c: [c] for c in ("regularity", "hilbert", "gb", "resolve", "koszul", "stanley")}
+PIN_COMMANDS["regularity_f101"] = ["regularity", "--field", "F101"]
+PIN_COMMANDS["resolve_f101"] = ["resolve", "--field", "F101"]
+
+
+@pytest.mark.parametrize("command", list(PIN_COMMANDS))
 @pytest.mark.parametrize("name", SAMPLES)
 def test_sample_output_is_pinned(capsys, name, command):
     # tests/expected/<name>.<command>.jsonl is the output of
-    # `homreg <command> presentations/<name>.alg --no-cache --format jsonl`;
+    # `homreg <args> presentations/<name>.alg --no-cache --format jsonl`, with
+    # <args> = PIN_COMMANDS[command] inserted after the subcommand;
     # rewrite it that way only when a change alters the output on purpose
     path = os.path.join(ROOT, "presentations", name + ".alg")
-    code, out = run([command, path, "--no-cache", "--format", "jsonl"], capsys)
+    cmd, *opts = PIN_COMMANDS[command]
+    code, out = run([cmd, path, *opts, "--no-cache", "--format", "jsonl"], capsys)
     assert code == 0
     with open(os.path.join(ROOT, "tests", "expected", "%s.%s.jsonl" % (name, command))) as fh:
         assert out == fh.read()
-
-
-def sample(name):
-    return os.path.join(ROOT, "presentations", name + ".alg")
 
 
 CONSTRUCTION_PINS = {

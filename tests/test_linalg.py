@@ -5,6 +5,7 @@ import pytest
 
 from homreg.corealg import parse_field
 from homreg.linalg import Echelon, complement_basis, row_reduce, solve
+from oracles import reference_row_reduce, reference_solve, scalar
 
 QQ = parse_field("Q")
 F101 = parse_field("F101")
@@ -17,7 +18,7 @@ def sparse(row):
 
 def dense(vec, n, field):
     """The dense list of a dict vector, for the independent checks below."""
-    out = [field.zero()] * n
+    out = [scalar(field, 0)] * n
     for k, x in vec.items():
         out[k] = x
     return out
@@ -51,7 +52,7 @@ def test_kernel_vectors_annihilate():
     rng = random.Random(11)
     for _ in range(25):
         n, m = rng.randrange(1, 6), rng.randrange(1, 6)
-        rows = [[F101.from_int(rng.randrange(101)) for _ in range(m)] for _ in range(n)]
+        rows = [[rng.randrange(101) for _ in range(m)] for _ in range(n)]
         red = row_reduce([sparse(row) for row in rows], m, F101)
         assert red.rank + len(red.kernel) == m
         for v in red.kernel:
@@ -134,7 +135,7 @@ def test_echelon_residue_has_no_zero_values(field):
         n = rng.randrange(1, 8)
         ech = Echelon(field)
         for _ in range(rng.randrange(1, 10)):
-            vec = {k: field.from_int(rng.randrange(-2, 3)) for k in rng.sample(range(n), rng.randrange(n + 1))}
+            vec = {k: scalar(field, rng.randrange(-2, 3)) for k in rng.sample(range(n), rng.randrange(n + 1))}
             res = ech.residue(vec)
             assert all(res.values())
             rank = ech.rank
@@ -148,7 +149,8 @@ def test_echelon_residue_has_no_zero_values(field):
 
 def _rank(rows, field):
     """Rank by plain Gaussian elimination, independent of homreg.linalg."""
-    rows = [list(r) for r in rows]
+    lift = field.from_int if field.modulus else Fraction
+    rows = [[lift(x) for x in r] for r in rows]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
@@ -170,12 +172,12 @@ def test_rref_properties_random(field, shape):
     for _ in range(30):
         m = rng.randrange(1, 7)
         n = {"tall": m + rng.randrange(1, 5), "wide": rng.randrange(1, m + 1)}.get(shape, rng.randrange(1, 7))
-        rows = [[field.from_int(rng.randrange(-3, 4)) for _ in range(m)] for _ in range(n)]
+        rows = [[scalar(field, rng.randrange(-3, 4)) for _ in range(m)] for _ in range(n)]
         if shape == "zero":
-            rows[rng.randrange(n)] = [zero] * m
+            rows[rng.randrange(n)] = [scalar(field, 0)] * m
         elif shape == "repeated":
             rows.append(list(rng.choice(rows)))
-            rows.insert(0, [x * field.from_int(2) for x in rng.choice(rows)])
+            rows.insert(0, [scalar(field, x * 2) for x in rng.choice(rows)])
         red = row_reduce([sparse(row) for row in rows], m, field)
         assert red.rank == len(red.rref) == len(red.pivots)
         assert list(red.pivots) == sorted(set(red.pivots))
@@ -190,3 +192,102 @@ def test_rref_properties_random(field, shape):
         for v in red.kernel:
             for row in rows:
                 assert not sum((a * b for a, b in zip(row, dense(v, m, field))), zero)
+
+
+def _random_int_rows(rng, p, shape):
+    """Random sparse rows over F_p as plain ints, and their column count.
+
+    "repeated" inserts copies of rows; "cancel" appends a combination of
+    rows, with its explicit zeros kept, which reduces to zero against them.
+    """
+    m = rng.randrange(1, 9)
+    n = {"tall": m + rng.randrange(1, 6), "wide": rng.randrange(1, m + 1)}.get(shape, rng.randrange(1, 9))
+    rows = []
+    for _ in range(n):
+        density = rng.random()
+        rows.append({k: rng.randrange(1, p) for k in range(m) if rng.random() < density})
+    if shape == "repeated":
+        for _ in range(rng.randrange(1, 4)):
+            rows.insert(rng.randrange(len(rows) + 1), dict(rng.choice(rows)))
+    elif shape == "cancel":
+        combo = {}
+        for row in rng.sample(rows, rng.randrange(1, len(rows) + 1)):
+            f = rng.randrange(1, p)
+            for k, x in row.items():
+                combo[k] = (combo.get(k, 0) + f * x) % p
+        rows.insert(rng.randrange(len(rows) + 1), combo)
+    return rows, m
+
+
+def _first_fit(span, space, m, field):
+    """complement_basis by reference ranks, or None when it must raise."""
+    def rank(vs):
+        return reference_row_reduce(vs, m, field)[0]
+
+    if rank(span + space) != len(space):
+        return None
+    out = []
+    for v in space:
+        if rank(span + out + [v]) > rank(span + out):
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 5, 101])
+@pytest.mark.parametrize("shape", ["tall", "wide", "repeated", "cancel"])
+def test_int_path_matches_reference_elimination(p, shape):
+    # F2 matters: -1 = 1 there, so nearly every elimination step cancels
+    field = parse_field("F%d" % p)
+    rng = random.Random("int-path-%d-%s" % (p, shape))
+
+    def reduced_ints(vec):
+        return all(type(x) is int and 0 < x < p for x in vec.values())
+
+    for _ in range(40):
+        rows, m = _random_int_rows(rng, p, shape)
+        red = row_reduce(rows, m, field)
+        assert (red.rank, red.pivots, red.rref, red.kernel) == reference_row_reduce(rows, m, field)
+        assert all(reduced_ints(v) for v in red.rref + red.kernel)
+        # a consistent right-hand side (rows times some x) and a random one
+        x = {k: rng.randrange(p) for k in range(m)}
+        consistent = {t: sum(c * x[k] for k, c in row.items()) % p for t, row in enumerate(rows)}
+        for rhs in (consistent, {t: rng.randrange(p) for t in range(len(rows))}):
+            sol = solve(rows, m, rhs, field)
+            assert sol == reference_solve(rows, m, rhs, field)
+            assert sol is None or reduced_ints(sol)
+        assert solve(rows, m, consistent, field) is not None
+        # complements: of the row space among unit vectors, of combinations
+        # of kernel vectors inside the kernel, and of the rows among themselves
+        units = [{k: 1} for k in range(m)]
+        combos = []
+        for _ in range(rng.randrange(3)):
+            combo = {}
+            for v in red.kernel:
+                f = rng.randrange(p)
+                for k, c in v.items():
+                    combo[k] = (combo.get(k, 0) + f * c) % p
+            combos.append(combo)
+        for span, space in ((rows, units), (combos, red.kernel), ([], rows)):
+            want = _first_fit(span, space, m, field)
+            if want is None:
+                with pytest.raises(ValueError):
+                    complement_basis(span, space, field)
+            else:
+                assert complement_basis(span, space, field) == want
+
+
+def test_echelon_multipliers_stay_below_p():
+    # rows e_i + 100 e_(i+1): unreduced, the multiplier at pivot i + 1 would be
+    # 1 - 100 * (multiplier at i), growing past p; each is reduced when popped
+    seen = []
+
+    class Entry(int):
+        def __rmul__(self, m):
+            seen.append(m)
+            return m * int(self)
+
+    n = 6
+    ech = Echelon(F101)
+    ech.rows = {i: {i: Entry(1), i + 1: Entry(100)} for i in range(n)}
+    assert ech.residue({i: 1 for i in range(n + 1)}) == {n: n + 1}
+    assert len(seen) == 2 * n and all(0 < abs(m) < 101 for m in seen)

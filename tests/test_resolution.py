@@ -31,6 +31,7 @@ from oracles import (
     map_entries,
     multiplication_columns,
     random_fdim_module,
+    scalar,
     semisimple_module,
 )
 
@@ -316,7 +317,7 @@ def test_layer_action_is_multiplication_by_a_generator(src, field, right):
     for j in range(-1, 5):
         for g, dg in enumerate(pres.gen_degs):
             v = {
-                k: pres.field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                k: scalar(pres.field, rng.choice([-3, -2, -1, 1, 2, 3]))
                 for k in range(layer.dim(j))
                 if rng.random() < 0.5
             }
