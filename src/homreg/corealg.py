@@ -35,7 +35,7 @@ class RationalField:
     """The rationals; elements are `fractions.Fraction` (arbitrary precision)."""
 
     name = "Q"
-    modulus = 0  # the characteristic; coordinate vectors hold Fractions
+    modulus = 0  # the characteristic; coordinate vectors hold ints, or Fractions if not integral
 
     def zero(self):
         return Fraction(0)

@@ -26,6 +26,7 @@ from .corealg import (
     PresentationError,
     ResourceLimitError,
 )
+from .linalg import integral
 
 GB_FORMAT_VERSION = 2
 
@@ -219,7 +220,7 @@ class GroebnerBasis:
         """Memoized normal form of a single word (hot path for resolutions).
 
         Returned as (word, scalar) pairs, the scalars those of coordinate
-        vectors: ints in [0, p) over F_p, Fractions over Q.
+        vectors: ints in [0, p) over F_p; over Q ints, or Fractions if not integral.
         """
         nf = self._nf_words.get(word)
         if nf is None:
@@ -230,7 +231,7 @@ class GroebnerBasis:
                 inv = pow(scale, -1, p)
                 nf = tuple((w, c * inv % p) for w, c in out.items())
             else:
-                nf = tuple((w, Fraction(c, scale)) for w, c in out.items())
+                nf = tuple((w, c if scale == 1 else integral(Fraction(c, scale))) for w, c in out.items())
             self._nf_words[word] = nf
         return nf
 

@@ -5,18 +5,19 @@ canonical data, so every downstream basis choice is deterministic.
 A coordinate vector is a dict {column: coefficient}; absent columns are
 zero, and inputs may also hold explicit zeros.  A matrix is a list of
 such rows.  Scalars are plain ints in [0, p) over F_p (the field's
-`modulus` is p) and `Fraction`s over Q (`modulus` 0); results are in the
-same representation.  There is one elimination loop for both fields,
-`Echelon.residue`/`Echelon.add`: rows with unit pivots and no stored
-zeros, keyed by pivot column.
-`row_reduce` back-substitutes its rows to the unique reduced row echelon
-form, `complement_basis` is first-fit insertion into one `Echelon`, and
-`solve` reads the reduced augmented matrix.
+`modulus` is p); over Q (`modulus` 0) they are ints where integral and
+`Fraction`s otherwise, never floats, so integral values cost no gcd.
+Results are in the same representation.  There is one elimination loop for
+both fields, `Echelon.residue`/`Echelon.add`: rows with unit pivots and no
+stored zeros, keyed by pivot column.  `row_reduce` back-substitutes its rows
+to the unique reduced row echelon form, `complement_basis` is first-fit
+insertion into one `Echelon`, and `solve` reads the reduced augmented matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 
@@ -43,9 +44,8 @@ def row_reduce(matrix, ncols, field):
         ech.rows[p] = ech.residue(ech.rows[p], p)
     rref = [ech.rows[p] for p in pivots]
     modulus = field.modulus
-    unit = one(field)
     free = sorted(set(range(ncols)).difference(pivots))
-    kernel = {f: {f: unit} for f in free}
+    kernel = {f: {f: 1} for f in free}
     # a reduced row is nonzero only in its pivot and in free columns
     for row, p in zip(rref, pivots):
         for f, c in row.items():
@@ -124,16 +124,17 @@ class Echelon:
             if modulus:
                 inv = pow(pv, -1, modulus)
                 v = {k: c * inv % modulus for k, c in v.items()}
-            else:
-                inv = 1 / pv
-                v = {k: c * inv for k, c in v.items()}
+            elif pv == -1:
+                v = {k: -c for k, c in v.items()}
+            else:  # not c / pv, which is a float for two ints
+                v = {k: integral(Fraction(c, pv)) for k, c in v.items()}
         self.rows[p] = v
         return True
 
 
-def one(field):
-    """The scalar 1 of coordinate vectors over `field`: 1 over F_p, Fraction(1) over Q."""
-    return 1 if field.modulus else field.one()
+def integral(q):
+    """The rational `q` as a plain int when it is an integer, else as is."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def reduced(vec, modulus):

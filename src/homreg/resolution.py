@@ -16,9 +16,9 @@ of a basis element (r, w) is one generator acting on the image of
 words (memoized by the Groebner basis) and of the inputs as given.
 
 Coordinate vectors hold the scalars of `linalg`: plain ints in [0, p)
-over F_p and `Fraction`s over Q.  `FreeLayer.coords` and
-`FreeLayer.polys` are the only conversions between them and polynomials,
-whose F_p coefficients are field elements.
+over F_p; over Q, plain ints where integral and `Fraction`s otherwise.
+`FreeLayer.coords` and `FreeLayer.polys` are the only conversions
+between them and polynomials, whose coefficients are field elements.
 
 Termination (a zero kernel, hence finite projective dimension) is only
 declared with a certificate:
@@ -98,7 +98,7 @@ class FreeLayer:
         index = self.index(j)
         if self.modulus:
             return {index[(r, u)]: c.v for r, p in enumerate(polys) for u, c in p.terms.items()}
-        return {index[(r, u)]: c for r, p in enumerate(polys) for u, c in p.terms.items()}
+        return {index[(r, u)]: linalg.integral(c) for r, p in enumerate(polys) for u, c in p.terms.items()}
 
     def polys(self, j, vec):
         """The element with degree-j coordinates `vec`, as one Poly per slot."""
@@ -107,7 +107,7 @@ class FreeLayer:
         terms = [{} for _ in self.shifts]
         for idx, c in sorted(vec.items()):  # Poly.make drops zero values
             r, u = basis[idx]
-            terms[r][u] = field.from_int(c) if self.modulus else c
+            terms[r][u] = field.from_int(c)
         return tuple(Poly.make(t, self.G.presentation.gen_degs) for t in terms)
 
     def act_vec(self, g, j, vec):
@@ -168,7 +168,6 @@ class PresentedModuleView(_ModuleView):
             )
         self.G = G
         self.d_max = d_max
-        self.field = G.presentation.field
         self.ambient = FreeLayer(G, mpres.gen_degs)
         self.min_degree = min(mpres.gen_degs) if mpres.gen_degs else 0
         self._echelon = {}
@@ -188,7 +187,7 @@ class PresentedModuleView(_ModuleView):
         for j, span in spans:
             # above the generator degrees M_j = sum_g x_g M_{j - deg x_g}, so zero if those are
             if j <= top or any(self.dim(j - dg) for dg in degs):
-                ech = self._echelon[j] = linalg.Echelon(self.field, span)
+                ech = self._echelon[j] = linalg.Echelon(G.presentation.field, span)
                 free = (c for c in range(self.ambient.dim(j)) if c not in ech.rows)
                 self._free_cols[j] = {c: i for i, c in enumerate(free)}
             if j > top:
@@ -210,9 +209,8 @@ class PresentedModuleView(_ModuleView):
 
     def _build_act_columns(self, g, j):
         dg = self.G.presentation.gen_degs[g]
-        one = linalg.one(self.field)
         return [
-            self._project(j + dg, self.ambient.act_vec(g, j, {c: one}))
+            self._project(j + dg, self.ambient.act_vec(g, j, {c: 1}))
             for c in self._free_cols.get(j, ())
         ]
 
@@ -389,8 +387,7 @@ def _minimal_generators(G, module, K):
 
 def _minimal_cover(G, view, d_max):
     """Minimal generators of a graded module view through degree d_max."""
-    one = linalg.one(G.presentation.field)
-    units = {j: [{b: one} for b in range(view.dim(j))] for j in range(view.min_degree, d_max + 1)}
+    units = {j: [{b: 1} for b in range(view.dim(j))] for j in range(view.min_degree, d_max + 1)}
     return _minimal_generators(G, view, units)
 
 
@@ -405,7 +402,7 @@ def _images(target, layer, gen_vecs, j_lo, j_hi):
     """
     degs = layer.G.presentation.gen_degs
     width = layer.G.presentation.max_gen_degree()
-    ev = {}
+    ev = {}  # degree -> (layer.index, columns)
     for j in range(j_lo, j_hi + 1):
         cols = []
         for r, w in layer.basis(j):
@@ -414,8 +411,9 @@ def _images(target, layer, gen_vecs, j_lo, j_hi):
                 continue
             g, rest = (w[-1], w[:-1]) if layer.right else (w[0], w[1:])
             j0 = j - degs[g]
-            cols.append(target.act_vec(g, j0, ev[j0][layer.index(j0)[(r, rest)]]))
-        ev[j] = cols
+            index, prev = ev[j0]
+            cols.append(target.act_vec(g, j0, prev[index[(r, rest)]]))
+        ev[j] = layer.index(j), cols
         ev.pop(j - width, None)
         yield j, cols
 

@@ -8,7 +8,8 @@ can certify the production code paths.  The two exceptions are
 recursion behind Ext and the multiplication maps against one direct
 normal form per (map entry x word).  `reference_row_reduce` and
 `reference_solve` are dense Gauss-Jordan elimination on field elements
-(`FpElement` over F_p), for checking homreg.linalg's plain-int vectors.
+(`FpElement` over F_p, `Fraction` over Q), for checking homreg.linalg's
+vectors of plain ints (and, over Q, `Fraction`s where not integral).
 """
 
 from fractions import Fraction
@@ -86,8 +87,8 @@ def ideal_slice_dim(pres, j):
 
 
 def scalar(field, n):
-    """The integer n as a coordinate-vector scalar: n mod p over F_p, Fraction(n) over Q."""
-    return n % field.modulus if field.modulus else Fraction(n)
+    """The integer n as a coordinate-vector scalar: n mod p over F_p, the int n over Q."""
+    return n % field.modulus if field.modulus else n
 
 
 def reference_row_reduce(rows, ncols, field):

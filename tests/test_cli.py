@@ -471,6 +471,13 @@ CONSTRUCTION_PINS = {
         "obstruct", sample("hypersurface_t2"), "--witness", sample("kx"),
     ],
     "t34-kx.tensor": ["tensor", sample("t34"), sample("kx")],
+    # non-unit coefficients: the witness 1/2*y, and eliminations whose pivots
+    # are not +-1 (2, 1/2, -3/2, ...)
+    "qplane2.quotient_x": ["quotient", sample("qplane2"), "--omega", "x"],
+    "sklyanin.regularity_4_6_6": [
+        "regularity", os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg"),
+        "--imax", "4", "--dmax", "6", "--dgb", "6",
+    ],
 }
 
 

@@ -194,8 +194,19 @@ def test_rref_properties_random(field, shape):
                 assert not sum((a * b for a, b in zip(row, dense(v, m, field))), zero)
 
 
+def _random_value(rng, p, zero=False):
+    """A random scalar of coordinate vectors: an int in [0, p) over F_p; over
+    Q (p = 0) a small int or a non-integral Fraction.  Nonzero unless `zero`."""
+    if p:
+        return rng.randrange(0 if zero else 1, p)
+    if rng.random() < 0.5:
+        return rng.choice([-1, 1, 1, 2, -3, 4, 0] if zero else [-1, 1, 1, 2, -3, 4])
+    return Fraction(rng.choice([-5, -3, -1, 1, 2, 3, 7]), rng.choice([2, 3, 4, 6]))
+
+
 def _random_int_rows(rng, p, shape):
-    """Random sparse rows over F_p as plain ints, and their column count.
+    """Random sparse rows, as plain ints over F_p (ints mixed with non-integral
+    Fractions over Q, p = 0), and their column count.
 
     "repeated" inserts copies of rows; "cancel" appends a combination of
     rows, with its explicit zeros kept, which reduces to zero against them.
@@ -205,18 +216,22 @@ def _random_int_rows(rng, p, shape):
     rows = []
     for _ in range(n):
         density = rng.random()
-        rows.append({k: rng.randrange(1, p) for k in range(m) if rng.random() < density})
+        rows.append({k: _random_value(rng, p) for k in range(m) if rng.random() < density})
     if shape == "repeated":
         for _ in range(rng.randrange(1, 4)):
             rows.insert(rng.randrange(len(rows) + 1), dict(rng.choice(rows)))
     elif shape == "cancel":
         combo = {}
         for row in rng.sample(rows, rng.randrange(1, len(rows) + 1)):
-            f = rng.randrange(1, p)
+            f = _random_value(rng, p)
             for k, x in row.items():
-                combo[k] = (combo.get(k, 0) + f * x) % p
+                combo[k] = _mod(combo.get(k, 0) + f * x, p)
         rows.insert(rng.randrange(len(rows) + 1), combo)
     return rows, m
+
+
+def _mod(x, p):
+    return x % p if p else x
 
 
 def _first_fit(span, space, m, field):
@@ -233,14 +248,18 @@ def _first_fit(span, space, m, field):
     return out
 
 
-@pytest.mark.parametrize("p", [2, 5, 101])
+@pytest.mark.parametrize("p", [2, 5, 101, pytest.param(0, id="Q")])
 @pytest.mark.parametrize("shape", ["tall", "wide", "repeated", "cancel"])
 def test_int_path_matches_reference_elimination(p, shape):
-    # F2 matters: -1 = 1 there, so nearly every elimination step cancels
-    field = parse_field("F%d" % p)
+    # F2 matters: -1 = 1 there, so nearly every elimination step cancels.
+    # Over Q (p = 0) the rows mix ints with non-integral Fractions, and no
+    # value may come back as a float (as c / pv would make of two ints)
+    field = parse_field("F%d" % p) if p else QQ
     rng = random.Random("int-path-%d-%s" % (p, shape))
 
     def reduced_ints(vec):
+        if not p:
+            return all(x and type(x) in (int, Fraction) for x in vec.values())
         return all(type(x) is int and 0 < x < p for x in vec.values())
 
     for _ in range(40):
@@ -249,9 +268,9 @@ def test_int_path_matches_reference_elimination(p, shape):
         assert (red.rank, red.pivots, red.rref, red.kernel) == reference_row_reduce(rows, m, field)
         assert all(reduced_ints(v) for v in red.rref + red.kernel)
         # a consistent right-hand side (rows times some x) and a random one
-        x = {k: rng.randrange(p) for k in range(m)}
-        consistent = {t: sum(c * x[k] for k, c in row.items()) % p for t, row in enumerate(rows)}
-        for rhs in (consistent, {t: rng.randrange(p) for t in range(len(rows))}):
+        x = {k: _random_value(rng, p, zero=True) for k in range(m)}
+        consistent = {t: _mod(sum(c * x[k] for k, c in row.items()), p) for t, row in enumerate(rows)}
+        for rhs in (consistent, {t: _random_value(rng, p, zero=True) for t in range(len(rows))}):
             sol = solve(rows, m, rhs, field)
             assert sol == reference_solve(rows, m, rhs, field)
             assert sol is None or reduced_ints(sol)
@@ -263,9 +282,9 @@ def test_int_path_matches_reference_elimination(p, shape):
         for _ in range(rng.randrange(3)):
             combo = {}
             for v in red.kernel:
-                f = rng.randrange(p)
+                f = _random_value(rng, p, zero=True)
                 for k, c in v.items():
-                    combo[k] = (combo.get(k, 0) + f * c) % p
+                    combo[k] = _mod(combo.get(k, 0) + f * c, p)
             combos.append(combo)
         for span, space in ((rows, units), (combos, red.kernel), ([], rows)):
             want = _first_fit(span, space, m, field)

@@ -506,3 +506,29 @@ def test_degrees_forced_to_zero_build_no_echelon():
         [1, 3, 6, 0, 0, 0, 0, 0, 0],
         [1, 3, 4, 0, 0, 0, 0, 0, 0],
     ]
+
+
+def test_unit_coefficients_keep_q_vectors_plain_ints(monkeypatch):
+    # k[x,y,z] has only coefficients +-1, so over Q its resolution and Ext
+    # never meet a non-integral value: every stored value is a plain int,
+    # and the elimination runs without Fraction arithmetic
+    from homreg import linalg
+
+    echelons = []
+
+    class RecordingEchelon(linalg.Echelon):
+        def __init__(self, field, vectors=()):
+            echelons.append(self)
+            super().__init__(field, vectors)
+
+    monkeypatch.setattr(linalg, "Echelon", RecordingEchelon)
+    src = "field Q; gens x:1 y:1 z:1; rels x*y - y*x, x*z - z*x, y*z - z*y"
+    pres, G, h, R = resolve_k(src, i_max=4, d_max=5)
+    assert dict(betti_table(R).entries) == {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1}
+    n_resolution = len(echelons)
+    ext = ext_into_algebra(R, G)
+    assert ext.entries == {(3, -3): 1}
+    assert n_resolution and len(echelons) > n_resolution
+    values = [c for syzygies in R.maps for _, vec in syzygies for c in vec.values()]
+    values += [c for ech in echelons for row in ech.rows.values() for c in row.values()]
+    assert values and all(type(c) is int for c in values)
