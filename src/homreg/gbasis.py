@@ -5,9 +5,19 @@ by increasing degree; since the ideal is homogeneous, an obstruction at
 degree d can only produce new elements of degree d, so the set of basis
 elements below the current degree is final when that degree is reached.
 A basis is Complete when every overlap word among the final elements has
-degree <= D_gb and every S-polynomial reduced to zero: all overlaps of
-elements of maximal degree m live in degrees < 2m, so nothing can appear
-later.  Otherwise the basis is certified only up to D_gb.
+degree <= D_gb and every S-polynomial reduced to zero or was skipped by
+the chain criterion: all overlaps of elements of maximal degree m live in
+degrees < 2m, so nothing can appear later.  Otherwise the basis is
+certified only up to D_gb.
+
+Chain criterion (G. Bergman, Adv. Math. 29, 1978, resolvability relative
+to the order; T. Mora, Theoret. Comput. Sci. 134, 1994): the overlap of
+g_i, g_j on w = u_i c = a u_j is skipped unreduced if w[1:-1] contains a
+leading word u_k, checked when it is popped (u_k is of lower degree, so
+final by then).  Leads are inter-reduced, so that u_k overlaps u_i in a
+proper factor of w or is disjoint from it, and likewise for u_j; then
+s_ij = (g_i c - x g_k y) + (x g_k y - a g_j) is a sum of shifted S-polys
+of lower degree or of disjoint pairs, all in the ideal part below w.
 """
 
 from __future__ import annotations
@@ -311,7 +321,10 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
     """Reduced Groebner basis certified through internal degree `d_gb`.
 
     Deterministic for a fixed presentation and order: obstructions are
-    processed in increasing degree, tie-broken by overlap-word order.
+    processed in increasing degree, tie-broken by overlap-word order.  The
+    heap holds relations and overlaps (g, h, left, right) with g*right and
+    left*h on one word w; an overlap's S-polynomial is built when it is
+    popped, unless the chain criterion (module docstring) skips it.
     Raises ResourceLimitError if the element budget is exhausted.
     """
     order = presentation.order
@@ -330,30 +343,32 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
         seq += 1
 
     basis = GroebnerBasis(presentation, [], d_gb, True)
-    # cleared when an overlap is skipped: every ordered pair of elements,
-    # self-pairs included, passes through push_overlaps once
+    # cleared when an overlap above d_gb is dropped: every ordered pair of
+    # elements, self-pairs included, passes through push_overlaps once
     complete = True
 
     def push_overlaps(g, h):
         nonlocal seq, complete
         u = g.lead_word()
         v = h.lead_word()
-        udeg = g.degree
         for w, left in _overlap_words(u, v):
             wdeg = presentation.word_degree(w)
             if wdeg > d_gb:
                 complete = False
                 continue
-            # S-poly: g * (tail of w after u)  -  left * h
-            right = w[len(u) :]
-            s = g.rmul_word(right, wdeg - udeg) - h.lmul_word(left, wdeg - h.degree)
-            heapq.heappush(heap, (wdeg, order.key(w), seq, s))
+            # S-poly, built when popped: g * (tail of w after u)  -  left * h
+            heapq.heappush(heap, (wdeg, order.key(w), seq, (g, h, left, w[len(u) :])))
             seq += 1
 
     elements = []
     forms = {}
     while heap:
         d, _, _, p = heapq.heappop(heap)
+        if isinstance(p, tuple):  # an overlap, not a relation
+            g, h, left, right = p
+            if basis.automaton.find((left + h.lead_word())[1:-1]) is not None:
+                continue  # chain criterion
+            p = g.rmul_word(right, d - g.degree) - h.lmul_word(left, d - h.degree)
         out, _ = basis._reduce_terms(*_to_ints(p.terms, basis.modulus))
         if not out:
             continue

@@ -113,8 +113,8 @@ class FreeLayer:
     def act_vec(self, g, j, vec):
         """Generator g times a degree-j coordinate vector, on the layer's side."""
         dg = self.G.presentation.gen_degs[g]
-        target = self.index(j + dg)
-        src = self.basis(j)
+        target = self._index.get(j + dg) or self.index(j + dg)  # one dict read when cached
+        src = self._basis.get(j) or self.basis(j)
         nf_word = self.G.nf_word
         out = {}
         for idx, c in vec.items():

@@ -478,6 +478,11 @@ CONSTRUCTION_PINS = {
         "regularity", os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg"),
         "--imax", "4", "--dmax", "6", "--dgb", "6",
     ],
+    # completions in which the chain criterion skips overlaps
+    "sklyanin.gb_11": ["gb", os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg"), "--dgb", "11"],
+    "sklyanin.gb_10_f101": [
+        "gb", os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg"), "--dgb", "10", "--field", "F101",
+    ],
 }
 
 

@@ -9,9 +9,11 @@ from homreg.corealg import (
     QQ,
     PresentationError,
     make_presentation,
+    parse_field,
     parse_presentation,
 )
 from homreg.gbasis import (
+    GroebnerBasis,
     buchberger_truncated,
     groebner,
     load_basis,
@@ -277,6 +279,73 @@ def test_sklyanin_type_completion_at_d_gb_10():
     assert not G.complete
     for j in range(11):
         assert G.dim(j) == (j + 2) * (j + 1) // 2, j
+
+
+def random_weighted_presentation(rng, field, gens, label):
+    """1 to 3 random relations of weighted degree 2 to 4 over `field`."""
+    degs = [d for _, d in gens]
+    rels = []
+    for _ in range(rng.choice([1, 2, 3])):
+        words = free_words(degs, rng.choice([2, 3, 4]))
+        terms = {}
+        for w in rng.sample(words, rng.randrange(1, min(5, len(words)) + 1)):
+            if field.modulus:
+                c = field.from_int(rng.randrange(1, field.modulus))
+            else:
+                c = field.from_fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 5))
+            terms[w] = c
+        rels.append(Poly.make(terms, degs))
+    return make_presentation(field, gens, rels, label=label)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F101", "F7"])
+def test_completion_skipping_overlaps_by_chain_criterion_is_the_reduced_basis(field_name):
+    # the completion skips every overlap whose word w has a leading word in
+    # w[1:-1]; the basis must still be the reduced one, element by element
+    field = parse_field(field_name)
+    rng = random.Random(1515 + len(field_name))
+    shapes = [
+        ([("x", 1), ("y", 1)], 8),
+        ([("x", 1), ("t", 2)], 8),
+        ([("x", 1), ("y", 1), ("t", 2)], 7),
+        ([("x", 1), ("y", 1), ("z", 1)], 6),
+    ]
+    for trial in range(8):
+        gens, d_gb = shapes[trial % len(shapes)]
+        label = "%s-%d" % (field_name, trial)
+        pres = random_weighted_presentation(rng, field, gens, label)
+        G = buchberger_truncated(pres, d_gb, element_limit=300)
+        leads = [g.lead_word() for g in G.elements]
+        echelons = {}
+        for g in G.elements:
+            lead = g.lead_word()
+            for w in g.terms:
+                if w != lead:
+                    assert leftmost_lead(w, leads) is None, (label, w)  # tail-reduced
+            if g.degree not in echelons:
+                echelons[g.degree] = ideal_slice_echelon(pres, g.degree)
+            nf = free_normal_form(echelons[g.degree], {lead: field.one()})
+            expected = {w: -c for w, c in nf.items()}
+            expected[lead] = field.one()
+            assert g.terms == expected, (label, lead)
+        for j in range(d_gb + 1):
+            assert G.dim(j) == brute_algebra_dim(pres, j), (label, j)
+
+
+def test_chain_criterion_skips_sklyanin_type_overlaps(monkeypatch):
+    # regression guard: at d_gb 9 the chain criterion leaves 118 reductions
+    # (S-polynomials, relations and tail reductions); reducing every overlap takes 155
+    calls = []
+    reduce_terms = GroebnerBasis._reduce_terms
+
+    def counting(self, *args):
+        calls.append(args)
+        return reduce_terms(self, *args)
+
+    monkeypatch.setattr(GroebnerBasis, "_reduce_terms", counting)
+    G = buchberger_truncated(sklyanin_type(), 9)  # the presentation of perfbench's sklyanin_gb
+    assert len(G.elements) == 26
+    assert len(calls) == 118
 
 
 def test_cache_round_trip(tmp_path):
