@@ -9,9 +9,10 @@ such rows.  Scalars are plain ints in [0, p) over F_p (the field's
 `Fraction`s otherwise, never floats, so integral values cost no gcd.
 Results are in the same representation.  There is one elimination loop for
 both fields, `Echelon.residue`/`Echelon.add`: rows with unit pivots and no
-stored zeros, keyed by pivot column.  `row_reduce` back-substitutes its rows
-to the unique reduced row echelon form, `complement_basis` is first-fit
-insertion into one `Echelon`, and `solve` reads the reduced augmented matrix.
+stored zeros, keyed by pivot column.  `reduced_form` back-substitutes them
+to the unique reduced row echelon form of some leading columns (all of them
+in `row_reduce`), `complement_basis` is first-fit insertion into one
+`Echelon`, and `solve` reads the reduced augmented matrix.
 """
 
 from __future__ import annotations
@@ -32,26 +33,35 @@ class RowReduction:
 def row_reduce(matrix, ncols, field):
     """Canonical RREF of `matrix`; returns rank, pivot columns, kernel basis.
 
-    The rows go into one `Echelon`, whose rows are then back-substituted
-    against the rows below them; the reduced row echelon form is unique,
-    so the result does not depend on the row order.  The kernel basis is
-    read off the reduced form (one vector per free column, in ascending
-    column order) so it is exact and canonical: rank + len(kernel) == ncols.
+    The rows go into one `Echelon`, reduced by `reduced_form`; the reduced
+    row echelon form is unique, so the result does not depend on the row
+    order, and so is the kernel basis read off it: rank + len(kernel) == ncols.
     """
-    ech = Echelon(field, matrix)
-    pivots = sorted(ech.rows)
+    pivots, rref, kernel = reduced_form(Echelon(field, matrix), ncols)
+    return RowReduction(len(pivots), tuple(pivots), rref, list(kernel.values()))
+
+
+def reduced_form(ech, ncols):
+    """Pivots, reduced rows and kernel of the columns below `ncols` of `ech`'s rows.
+
+    The rows pivoted there, cut to those columns, are an echelon form of
+    them; each is back-substituted against the rows below it.  The kernel
+    is {free column: vector} in ascending order, one vector per free
+    column: 1 there, else nonzero only in pivot columns left of it.
+    """
+    rows = ech.rows
+    pivots = sorted(p for p in rows if p < ncols)
     for p in reversed(pivots):
-        ech.rows[p] = ech.residue(ech.rows[p], p)
-    rref = [ech.rows[p] for p in pivots]
-    modulus = field.modulus
-    free = sorted(set(range(ncols)).difference(pivots))
-    kernel = {f: {f: 1} for f in free}
+        rows[p] = ech.residue({k: c for k, c in rows[p].items() if k < ncols}, p)
+    rref = [rows[p] for p in pivots]
+    modulus = ech.modulus
+    kernel = {f: {f: 1} for f in range(ncols) if f not in rows}
     # a reduced row is nonzero only in its pivot and in free columns
     for row, p in zip(rref, pivots):
         for f, c in row.items():
             if f != p:
                 kernel[f][p] = modulus - c if modulus else -c
-    return RowReduction(len(pivots), tuple(pivots), rref, [kernel[f] for f in free])
+    return pivots, rref, kernel
 
 
 class Echelon:

@@ -1,11 +1,14 @@
 """Minimal graded free resolutions by degreewise syzygy computation.
 
-The engine works one internal degree at a time: the map at each step is
-evaluated on the normal-word basis of its graded piece, the kernel is an
-exact nullspace computation, and minimal new generators are extracted as
-a complement of the span of lower-degree syzygies under the algebra
-action.  Everything below the truncation bound (i_max, d_max) is exact;
-nothing above it is ever guessed.
+The engine works one internal degree at a time.  In each step
+(`_syzygy_step`) the images of the generators found below degree j are
+evaluated once on the normal-word basis; they span the part of the
+kernel K_j that lower degrees generate, and they are the next map's
+matrix.  One exact elimination of them against K_j gives both the
+minimal new generators, first fit among the K_j basis vectors outside
+that span, and the canonical kernel of the next map.  Everything below
+the truncation bound (i_max, d_max) is exact; nothing above it is ever
+guessed.
 
 One evaluator, `_images`, computes every graded map on normal-word bases:
 the resolution's differentials, the relation span of a presented module,
@@ -110,6 +113,12 @@ class FreeLayer:
             terms[r][u] = field.from_int(c)
         return tuple(Poly.make(t, self.G.presentation.gen_degs) for t in terms)
 
+    def add_slot(self, a):
+        """Append a generator of degree a once basis(a) is cached; (r, ()) goes last there."""
+        self._index[a][(len(self.shifts), ())] = len(self._basis[a])
+        self._basis[a] += ((len(self.shifts), ()),)
+        self.shifts += (a,)
+
     def act_vec(self, g, j, vec):
         """Generator g times a degree-j coordinate vector, on the layer's side."""
         dg = self.G.presentation.gen_degs[g]
@@ -141,6 +150,10 @@ class _ModuleView:
         if cols is None:
             cols = self._act_cols[key] = self._build_act_columns(g, j)
         return cols
+
+    def units(self, d_max):
+        """The whole module as `_syzygy_step`'s K: the unit vectors of each degree."""
+        return {j: {b: {b: 1} for b in range(self.dim(j))} for j in range(self.min_degree, d_max + 1)}
 
     def act_vec(self, g, j, vec):
         cols = self.act_columns(g, j)
@@ -362,33 +375,52 @@ class ExtTable:
 # engine internals
 
 
-def _minimal_generators(G, module, K):
-    """Minimal generators of the submodule spanned by K[j] in each degree j.
+def _syzygy_step(G, target, K, d_max):
+    """Minimal generators of the graded submodule K of `target`, and their cover's kernel.
 
-    `module` is a module view or a free layer; returns the generator
-    degrees and (degree, coordinate vector) pairs.
+    `K[j]` is a basis {free column: vector} of K_j in reduced form, each
+    vector 1 at its free column and 0 at the others.  In degree j the
+    images of the generators found below j, which span (A_+K)_j, are the
+    cover's columns; each must equal the sum of its free-column entries
+    times their K vectors (else ValueError).  Those entries, augmented by
+    the identity, are eliminated once: the identity pivots are the
+    first-fit new generators, and the images' reduced form gives the
+    kernel, which no new generator enters.  Returns the cover's
+    FreeLayer, its generators as (degree, vector) pairs and its kernel.
     """
-    pres = G.presentation
-    shifts = []
-    vecs = []
-    for j, kj in K.items():
-        if not kj:
-            continue
-        span = []
-        for g in range(pres.n_gens):
-            j0 = j - pres.gen_degs[g]
-            for kappa in K.get(j0, ()):
-                span.append(module.act_vec(g, j0, kappa))
-        for v in linalg.complement_basis(span, kj, pres.field):
-            shifts.append(j)
-            vecs.append((j, v))
-    return shifts, vecs
-
-
-def _minimal_cover(G, view, d_max):
-    """Minimal generators of a graded module view through degree d_max."""
-    units = {j: [{b: 1} for b in range(view.dim(j))] for j in range(view.min_degree, d_max + 1)}
-    return _minimal_generators(G, view, units)
+    field = G.presentation.field
+    modulus = field.modulus
+    layer = FreeLayer(G, ())
+    gens = []
+    kernel = {}
+    j_lo = min((j for j, kj in K.items() if kj), default=d_max + 1)
+    # a slot is added after its degree is yielded, so `_images` reads no
+    # generator vector; its column is appended to that degree's columns
+    for j, cols in _images(target, layer, (), j_lo, d_max):
+        kj = K.get(j, {})
+        free = {f: t for t, f in enumerate(kj)}
+        m = len(cols)
+        rows = [{m + t: 1} for t in range(len(kj))]
+        for c, col in enumerate(cols):
+            rest = dict(col)
+            for f, a in col.items():
+                t = free.get(f)
+                if t is not None and a:
+                    rows[t][c] = a
+                    for k, b in kj[f].items():
+                        rest[k] = rest.get(k, 0) - a * b
+            if any(x % modulus if modulus else x for x in rest.values()):
+                raise ValueError("degree-%d image of the cover lies outside the submodule" % j)
+        # last free column first: on the random modules of the acceptance
+        # tests this order needs 0.27 M multiply-adds, ascending order 2.44 M
+        ech = linalg.Echelon(field, reversed(rows))
+        basis = list(kj.values())
+        for p in sorted(p for p in ech.rows if p >= m):
+            gens.append((j, basis[p - m]))
+            cols.append(basis[p - m])
+            layer.add_slot(j)
+        kernel[j] = linalg.reduced_form(ech, m)[2]
+    return layer, gens, kernel
 
 
 def _images(target, layer, gen_vecs, j_lo, j_hi):
@@ -416,23 +448,6 @@ def _images(target, layer, gen_vecs, j_lo, j_hi):
         ev[j] = layer.index(j), cols
         ev.pop(j - width, None)
         yield j, cols
-
-
-def _kernel(G, target, layer, gen_vecs, d_max):
-    """Kernel per degree of the map layer -> target sending e_r to gen_vecs[r][1].
-
-    `target` is a module view or the previous free layer.
-    """
-    field = G.presentation.field
-    K = {}
-    images = _images(target, layer, [v for _, v in gen_vecs], layer.min_degree(), d_max)
-    for j, cols in images:
-        rows = [{} for _ in range(target.dim(j))]
-        for c, col in enumerate(cols):
-            for t, a in col.items():
-                rows[t][c] = a
-        K[j] = linalg.row_reduce(rows, len(cols), field).kernel
-    return K
 
 
 def multiplication_images(G, polys, j_hi, left=True):
@@ -513,17 +528,15 @@ def minimal_resolution(
     if module_hilbert is None:
         module_hilbert = view.hilbert_if_finite()
 
-    shifts0, gen_vecs = _minimal_cover(G, view, d_max)
-    if not shifts0:
+    layer, _, K = _syzygy_step(G, view, view.units(d_max), d_max)
+    if not layer.shifts:
         if max(module.gen_degs, default=d_max) > d_max:
             raise CertificationError(
                 "the module vanishes through d_max = %d but has a generator above it" % d_max
             )
         raise PresentationError("cannot resolve the zero module")
-    layer = FreeLayer(G, tuple(shifts0))
-    shifts_all = [tuple(shifts0)]
+    shifts_all = [layer.shifts]
     maps = []
-    K = _kernel(G, view, layer, gen_vecs, d_max)
 
     terminated = False
     termination_step = None
@@ -541,7 +554,7 @@ def minimal_resolution(
             break
         if i == i_max + 1:
             break
-        new_shifts, new_vecs = _minimal_generators(G, layer, K)
+        new_layer, new_vecs, K = _syzygy_step(G, layer, K, d_max)
         # syzygy generators have no scalar entries over a minimal cover
         for j, v in new_vecs:
             basis = layer.basis(j)
@@ -549,9 +562,7 @@ def minimal_resolution(
                 basis[idx][1] for idx, c in v.items() if c
             ), "minimality violated: scalar entry in a syzygy generator"
         maps.append(tuple(new_vecs))
-        shifts_all.append(tuple(new_shifts))
-        new_layer = FreeLayer(G, tuple(new_shifts))
-        K = _kernel(G, layer, new_layer, new_vecs, d_max)
+        shifts_all.append(new_layer.shifts)
         layer = new_layer
 
     return Resolution(
@@ -644,9 +655,7 @@ def module_via_map(G_T, images, G_A, d_max):
     first.
     """
     view = MappedAlgebraView(G_T, images, G_A, d_max)
-    shifts0, gen_vecs = _minimal_cover(G_T, view, d_max)
-    layer = FreeLayer(G_T, tuple(shifts0))
-    K = _kernel(G_T, view, layer, gen_vecs, d_max)
-    _, rel_vecs = _minimal_generators(G_T, layer, K)
+    layer, _, K = _syzygy_step(G_T, view, view.units(d_max), d_max)
+    _, rel_vecs, _ = _syzygy_step(G_T, layer, K, d_max)
     rows = [layer.polys(j, v) for j, v in rel_vecs]
-    return make_module_presentation(G_T.presentation, "left", tuple(shifts0), rows)
+    return make_module_presentation(G_T.presentation, "left", layer.shifts, rows)

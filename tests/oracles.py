@@ -6,7 +6,9 @@ free-word basis, and series are expanded by naive convolution, so these
 can certify the production code paths.  The two exceptions are
 `ext_reference` and `multiplication_columns`, which check the word
 recursion behind Ext and the multiplication maps against one direct
-normal form per (map entry x word).  `reference_row_reduce` and
+normal form per (map entry x word), and `two_pass_syzygy_step`, which
+checks the resolution's one-elimination step against a separate span
+and kernel computation.  `reference_row_reduce` and
 `reference_solve` are dense Gauss-Jordan elimination on field elements
 (`FpElement` over F_p, `Fraction` over Q), for checking homreg.linalg's
 vectors of plain ints (and, over Q, `Fraction`s where not integral).
@@ -15,7 +17,8 @@ vectors of plain ints (and, over Q, `Fraction`s where not integral).
 from fractions import Fraction
 
 from homreg.corealg import make_module_presentation
-from homreg.resolution import FreeLayer
+from homreg.linalg import complement_basis, row_reduce
+from homreg.resolution import FreeLayer, _images
 
 
 def free_words(gen_degs, degree):
@@ -275,6 +278,36 @@ def multiplication_columns(G, f, j, left=True):
         q = G.normal_form(f.rmul_word(w, j) if left else f.lmul_word(w, j))
         cols.append({index[u]: c for u, c in q.terms.items()})
     return cols
+
+
+def two_pass_syzygy_step(G, target, K, d_max):
+    """Minimal generators of the submodule K of `target` and the kernel of their cover.
+
+    Two eliminations per degree j.  The products g*kappa of each algebra
+    generator g with the K vectors of degree j - deg g span (A_+K)_j, and
+    first-fit `complement_basis` picks the K_j vectors outside that span as
+    new generators.  Then the cover's images of layer.basis(j) are
+    row-reduced by `row_reduce` over all of target_j for the canonical
+    kernel.  `K[j]` is a list of vectors; returns the generators as
+    (degree, vector) pairs and the kernel as {degree: list of vectors}.
+    """
+    pres = G.presentation
+    gens = []
+    for j, kj in K.items():
+        span = []
+        for g in range(pres.n_gens):
+            j0 = j - pres.gen_degs[g]
+            span.extend(target.act_vec(g, j0, kappa) for kappa in K.get(j0, ()))
+        gens.extend((j, v) for v in complement_basis(span, kj, pres.field))
+    layer = FreeLayer(G, [j for j, _ in gens])
+    kernel = {}
+    for j, cols in _images(target, layer, [v for _, v in gens], layer.min_degree(), d_max):
+        rows = [{} for _ in range(target.dim(j))]
+        for c, col in enumerate(cols):
+            for t, a in col.items():
+                rows[t][c] = a
+        kernel[j] = row_reduce(rows, len(cols), pres.field).kernel
+    return gens, kernel
 
 
 def brute_algebra_dim(pres, j):

@@ -483,6 +483,18 @@ CONSTRUCTION_PINS = {
     "sklyanin.gb_10_f101": [
         "gb", os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg"), "--dgb", "10", "--field", "F101",
     ],
+    # module resolutions: non-integral Q values, the same module over F101,
+    # and a right module resolved over the opposite algebra
+    "t34-t34_frac.resolve_module": [
+        "resolve", sample("t34"), "--module", os.path.join(ROOT, "presentations", "t34_frac.mod"),
+    ],
+    "t34-t34_frac.resolve_module_f101": [
+        "resolve", sample("t34"), "--module", os.path.join(ROOT, "presentations", "t34_frac.mod"),
+        "--field", "F101",
+    ],
+    "qplane2-qplane2_right.resolve_module": [
+        "resolve", sample("qplane2"), "--module", os.path.join(ROOT, "presentations", "qplane2_right.mod"),
+    ],
 }
 
 

@@ -17,6 +17,7 @@ from homreg.resolution import (
     FreeLayer,
     PresentedModuleView,
     _images,
+    _syzygy_step,
     betti_table,
     ext_into_algebra,
     minimal_resolution,
@@ -33,6 +34,7 @@ from oracles import (
     random_fdim_module,
     scalar,
     semisimple_module,
+    two_pass_syzygy_step,
 )
 
 
@@ -148,38 +150,45 @@ def test_maps_compose_to_zero():
 
 
 def test_rank_nullity_exactness_bookkeeping():
-    # at each step and degree: dim(piece) = rank(map) + dim(kernel),
-    # and the next map's image spans exactly that kernel
+    # in every computed degree j: the next map's image has the dimension of
+    # the kernel, rank(d_{i+1})_j == dim ker(d_i)_j, with d_0: F_0 -> k the
+    # augmentation, and the kernel of the last map is zero (T34 terminates);
+    # both read off matrices of direct normal forms
     from homreg.linalg import row_reduce
 
     pres, G, h, R = resolve_k(T34)
+    assert R.terminated and R.termination_step == len(R.maps)
     layers = [FreeLayer(G, s) for s in R.shifts]
+    rank, nullity = {}, {}
+    for j in range(R.d_max + 1):
+        nullity[(0, j)] = layers[0].dim(j) - (j == 0)
     for i in range(len(R.maps)):
         entries = map_entries(R, G, i)
         src, tgt = layers[i + 1], layers[i]
-        for j in range(src.min_degree(), R.d_max + 1):
-            basis = src.basis(j)
-            if not basis:
-                continue
+        for j in range(R.d_max + 1):
+            idx = tgt.index(j)
             cols = []
-            field = pres.field
-            for s, w in basis:
+            for s, w in src.basis(j):
                 vec = {}
-                idx = tgt.index(j)
                 for r in range(len(R.shifts[i])):
                     p = entries[r][s]
                     if not p:
                         continue
                     q = G.normal_form(p.lmul_word(w, pres.word_degree(w)))
                     for u, c in q.terms.items():
-                        vec[idx[(r, u)]] = vec.get(idx[(r, u)], field.zero()) + c
+                        vec[idx[(r, u)]] = vec.get(idx[(r, u)], pres.field.zero()) + c
                 cols.append(vec)
             rows = [{} for _ in range(tgt.dim(j))]
             for c, col in enumerate(cols):
                 for t, x in col.items():
                     rows[t][c] = x
-            red = row_reduce(rows, len(cols), field)
-            assert red.rank + len(red.kernel) == len(basis)
+            red = row_reduce(rows, len(cols), pres.field)
+            rank[(i + 1, j)] = red.rank
+            nullity[(i + 1, j)] = len(red.kernel)
+    for i in range(len(R.maps) + 1):
+        for j in range(R.d_max + 1):
+            assert rank.get((i + 1, j), 0) == nullity[(i, j)], (i, j)
+    assert sum(nullity[(len(R.maps), j)] for j in range(R.d_max + 1)) == 0
 
 
 def test_resolution_of_k_keeps_kernel_vectors_sparse():
@@ -532,3 +541,87 @@ def test_unit_coefficients_keep_q_vectors_plain_ints(monkeypatch):
     values = [c for syzygies in R.maps for _, vec in syzygies for c in vec.values()]
     values += [c for ech in echelons for row in ech.rows.values() for c in row.values()]
     assert values and all(type(c) is int for c in values)
+
+
+def _steps_against_two_pass(G, mpres, i_max, d_max):
+    """Resolve `mpres` with `_syzygy_step` and check each step against the two-pass oracle.
+
+    Generators and per-degree kernels must be equal exactly, and each
+    kernel vector must be 1 at its free column, its greatest key.  Returns
+    the differentials as `Resolution.maps` holds them, or None for the zero
+    module.
+    """
+    target = PresentedModuleView(G, mpres, d_max)
+    K = target.units(d_max)
+    if not any(K.values()):
+        return None
+    maps = []
+    for _ in range(i_max + 1):
+        if not any(K.values()):
+            break
+        layer, gens, kernel = _syzygy_step(G, target, K, d_max)
+        want_gens, want_kernel = two_pass_syzygy_step(
+            G, target, {j: list(kj.values()) for j, kj in K.items()}, d_max
+        )
+        assert gens == want_gens
+        assert {j: list(kj.values()) for j, kj in kernel.items() if kj} == {
+            j: kj for j, kj in want_kernel.items() if kj
+        }
+        assert all(max(v) == f and v[f] == 1 for kj in kernel.values() for f, v in kj.items())
+        maps.append(tuple(gens))
+        target, K = layer, kernel
+    return tuple(maps[1:])
+
+
+def test_one_elimination_step_matches_two_passes_on_golden(golden):
+    for label, art in golden.items():
+        maps = _steps_against_two_pass(art.gb(), trivial_module(art.presentation), art.i_max, art.d_max)
+        assert art.resolution_k().maps == maps, label
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_one_elimination_step_matches_two_passes_on_random_modules(field):
+    rng = random.Random(20261018)
+    for src in (T34, PLANE):
+        pres = convert_field(parse_presentation(src), parse_field(field))
+        G = buchberger_truncated(pres, 12)
+        done = 0
+        while done < 5:
+            m = random_fdim_module(pres, G, rng)
+            maps = _steps_against_two_pass(G, m, 8, 12)
+            if maps is not None:
+                assert minimal_resolution(G, m, 8, 12).maps == maps
+                done += 1
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_step_rejects_kernel_vectors_changed_off_their_free_columns(field):
+    # add 1 to one entry of one kernel vector at a column that is not free,
+    # in a degree with no new generators: there the images span the kernel,
+    # so some image involves that vector, and its check must fail
+    pres = convert_field(
+        parse_presentation("field Q; gens x:1 y:1 z:1; rels x*y - y*x, x*z - z*x, y*z - z*y"),
+        parse_field(field),
+    )
+    modulus = pres.field.modulus
+    G = buchberger_truncated(pres, 6)
+    d_max = 4
+    target = PresentedModuleView(G, trivial_module(pres), d_max)
+    K = target.units(d_max)
+    changed = 0
+    for step in range(4):
+        layer, gens, kernel = _syzygy_step(G, target, K, d_max)
+        new_degrees = {j for j, _ in gens}
+        for j, kj in K.items():
+            if step == 0 or not kj or j in new_degrees:
+                continue
+            for f, v in kj.items():
+                for p in set(range(target.dim(j))).difference(kj):
+                    c = v.get(p, 0) + 1
+                    bad = dict(v)
+                    bad[p] = c % modulus if modulus else c
+                    with pytest.raises(ValueError, match="lies outside the submodule"):
+                        _syzygy_step(G, target, {**K, j: {**kj, f: bad}}, d_max)
+                    changed += 1
+        target, K = layer, kernel
+    assert changed == 350  # every such change in steps 1-3 through degree 4
