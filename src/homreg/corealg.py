@@ -325,17 +325,6 @@ class Poly:
             return Poly.zero()
         return Poly({w: c * a for w, a in self.terms.items()}, self.degree)
 
-    def lmul_word(self, w, wdeg):
-        """Multiply by the word `w` of degree `wdeg` on the left."""
-        if not self.terms:
-            return self
-        return Poly({w + u: c for u, c in self.terms.items()}, self.degree + wdeg)
-
-    def rmul_word(self, w, wdeg):
-        if not self.terms:
-            return self
-        return Poly({u + w: c for u, c in self.terms.items()}, self.degree + wdeg)
-
     def lead_word(self):
         """The greatest word: the least index tuple, as all terms share one degree."""
         return min(self.terms)

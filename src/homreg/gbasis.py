@@ -42,7 +42,7 @@ GB_FORMAT_VERSION = 2
 
 
 class WordAutomaton:
-    """Aho-Corasick automaton over the leading words of a basis.
+    """Aho-Corasick automaton over the inter-reduced leading words of a basis.
 
     States are the proper prefixes of `leads` in (len, word) order; state 0
     is the empty word.  `delta[s][a]` is the state of the longest suffix of
@@ -51,6 +51,13 @@ class WordAutomaton:
     suffix read so far that is a state, and the first negative entry marks
     the leading-word factor that ends leftmost.  The paths from state 0
     that avoid negative entries spell exactly the normal words.
+
+    The table is built breadth first (A. Aho and M. Corasick, CACM 18,
+    1975), with O(1) dict lookups per entry: states[s] + (a,) is a state, a
+    leading word, or else moves where the failure state of s (its longest
+    proper suffix that is a state) moves on a.  Since no leading word is a
+    factor of another, no state ends in a leading word, so the failure
+    state of the state w + (a,) is delta[failure state of w][a] >= 0.
     """
 
     def __init__(self, leads, gen_degs):
@@ -59,15 +66,20 @@ class WordAutomaton:
         prefixes = {()} | {u[:k] for u in leads for k in range(1, len(u))}
         self.states = tuple(sorted(prefixes, key=lambda w: (len(w), w)))
         index = {w: i for i, w in enumerate(self.states)}
-        ends = {u: i for i, u in enumerate(leads)}
+        ends = {u: ~i for i, u in enumerate(leads)}
+        fail = [0] * len(self.states)
         delta = []
-        for s in self.states:
+        for s, w in enumerate(self.states):
+            back = delta[fail[s]] if s else (0,) * len(gen_degs)
             row = []
-            for a in range(len(gen_degs)):
-                w = s + (a,)
-                suffixes = [w[k:] for k in range(len(w) + 1)]  # longest first
-                dead = [ends[v] for v in suffixes if v in ends]
-                row.append(~dead[0] if dead else next(index[v] for v in suffixes if v in index))
+            for a, f in enumerate(back):
+                v = w + (a,)
+                t = index.get(v)
+                if t is None:
+                    t = ends.get(v, f)
+                else:
+                    fail[t] = f
+                row.append(t)
             delta.append(tuple(row))
         self.delta = tuple(delta)
 
@@ -102,34 +114,130 @@ class WordAutomaton:
         return [sum(row) for row in counts]
 
 
-class GroebnerBasis:
-    """A reduced (possibly degree-truncated) two-sided Groebner basis.
+class _IntegerBasis:
+    """Basis elements as integer forms, with their automaton; reduction.
 
-    Reduction runs on plain integers.  Each element g gets an integer form
-    (L, words, coeffs) once, when the basis is built: g times a nonzero
+    Each element g has an integer form (L, words, coeffs): g times a nonzero
     scalar, split into its lead coefficient L and its other terms (parallel
-    tuples, which take less memory than pairs).  Over Q the scalar
-    clears the denominators and removes the content (so L > 0); over F_p
-    the coefficients are representatives mod p and g is monic, so L = 1.
-    `forms` maps lead words to forms already made, so a completion that
-    rebuilds the basis after each new element makes each form only once.
+    tuples, which take less memory than pairs).  Over Q the scalar clears
+    the denominators and removes the content (so L > 0); over F_p the
+    coefficients are representatives mod p and g is monic, so L = 1.
+    `_leads[i]` is the leading word of `_forms[i]`.  Completion grows one
+    such basis with `add`, in the order the elements are found.
     """
 
-    def __init__(self, presentation, elements, d_gb, complete, forms=None):
+    def __init__(self, gen_degs, modulus, leads=(), forms=()):
+        self.gen_degs = gen_degs
+        self.modulus = modulus
+        self._leads = list(leads)
+        self._forms = list(forms)
+        self.automaton = WordAutomaton(tuple(self._leads), gen_degs)
+
+    def add(self, lead, form):
+        """Append an element; only the automaton is rebuilt."""
+        self._leads.append(lead)
+        self._forms.append(form)
+        self.automaton = WordAutomaton(tuple(self._leads), self.gen_degs)
+
+    def _reduce_terms(self, pending, den):
+        """Reduce the integers `pending` (word -> int, all of one degree) to
+        normal words, for the input pending / den (see `_to_ints`).
+
+        Returns (out, scale): integers on normal words whose quotient
+        out / scale is the normal form.  `pending` is consumed.  The loop
+        keeps the invariant pending + out = S * den * (the input minus a
+        combination of basis elements), where S is the running scale.  To
+        cancel a coefficient c on a leading word with form (L, words,
+        coeffs), it sets q = gcd(c, L), multiplies S by L // q, and
+        subtracts c // q times the form's tail at the word's position.
+        Every step subtracts an element of the ideal, and the normal form is
+        unique, so out / (S * den) is the remainder exact rational
+        arithmetic would give.  Over F_p, L = 1 and coefficients are reduced
+        mod p as they leave `pending`.
+
+        Rescaling is lazy: each value is kept as [v, t], t the running
+        scale at its last write, and is brought to the current scale by the
+        exact quotient only when it is popped or updated; emitted terms are
+        scaled once, on return.  So the result is the one that multiplying
+        every entry at each rescaling would give.
+
+        The next term is the greatest pending word, the least tuple: a heap
+        holds each word once, and a word cancelled to 0 stays in `pending`
+        until it is popped.  Reduction only adds smaller words, so a popped
+        word never returns.
+        """
+        p = self.modulus
+        forms = self._forms
+        leads = self._leads
+        find = self.automaton.find
+        heap = list(pending)
+        heapq.heapify(heap)
+        for w, c in pending.items():
+            pending[w] = [c, den]
+        out = {}
+        scale = den
+        while heap:
+            w = heapq.heappop(heap)
+            c, t = pending.pop(w)
+            if t != scale:
+                c *= scale // t
+            if p:
+                c %= p
+            if not c:
+                continue
+            hit = find(w)
+            if hit is None:
+                out[w] = [c, scale]
+                continue
+            pos, i = hit
+            lead_coeff, words, coeffs = forms[i]
+            if lead_coeff != 1:
+                q = gcd(c, lead_coeff)
+                c //= q
+                scale *= lead_coeff // q
+            left, right = w[:pos], w[pos + len(leads[i]) :]
+            for u, a in zip(words, coeffs):
+                w2 = left + u + right
+                entry = pending.get(w2)
+                if entry is None:
+                    pending[w2] = [-c * a, scale]
+                    heapq.heappush(heap, w2)
+                else:
+                    if entry[1] != scale:
+                        entry[0] *= scale // entry[1]
+                        entry[1] = scale
+                    entry[0] -= c * a
+        return {w: c if t == scale else c * (scale // t) for w, (c, t) in out.items()}, scale
+
+    def _to_poly(self, out, scale, degree):
+        """The polynomial out / scale, for integers `out` from `_reduce_terms`."""
+        if not out:
+            return Poly.zero()
+        p = self.modulus
+        if p:
+            inv = pow(scale, -1, p)
+            return Poly({w: FpElement(p, c * inv) for w, c in out.items()}, degree)
+        return Poly({w: Fraction(c, scale) for w, c in out.items()}, degree)
+
+
+class GroebnerBasis(_IntegerBasis):
+    """A reduced (possibly degree-truncated) two-sided Groebner basis.
+
+    Reduction runs on plain integers (`_IntegerBasis`): each element gets
+    its integer form once, when the basis is built.  Completion builds the
+    basis once, from its final tail-reduced elements.
+    """
+
+    def __init__(self, presentation, elements, d_gb, complete):
         self.presentation = presentation
         key = presentation.order.key
         self.elements = tuple(sorted(elements, key=lambda g: key(g.lead_word())))
         self.d_gb = d_gb
         self.complete = complete
-        self._leads = tuple(g.lead_word() for g in self.elements)
-        self.automaton = WordAutomaton(self._leads, presentation.gen_degs)
-        field = presentation.field
-        self.modulus = field.modulus
-        forms = forms or {}
-        self._forms = tuple(
-            forms.get(u) or _integer_form(_to_ints(g.terms, self.modulus)[0], u, self.modulus)
-            for g, u in zip(self.elements, self._leads)
-        )
+        p = presentation.field.modulus
+        leads = [g.lead_word() for g in self.elements]
+        forms = [_integer_form(_to_ints(g.terms, p)[0], u, p) for g, u in zip(self.elements, leads)]
+        super().__init__(presentation.gen_degs, p, leads, forms)
         self._normal_words = {}
         self._nf_words = {}
 
@@ -152,79 +260,6 @@ class GroebnerBasis:
             return p  # already normal (about half the calls in a resolution)
         out, scale = self._reduce_terms(*_to_ints(p.terms, self.modulus))
         return self._to_poly(out, scale, p.degree)
-
-    def _reduce_terms(self, pending, den):
-        """Reduce the integers `pending` (word -> int, all of one degree) to
-        normal words, for the input pending / den (see `_to_ints`).
-
-        Returns (out, scale): integers on normal words whose quotient
-        out / scale is the normal form.  `pending` is consumed.  The loop
-        keeps the invariant pending + out = S * den * (the input minus a
-        combination of basis elements), where S is the running scale.  To
-        cancel a coefficient c on a leading word with form (L, words,
-        coeffs), it sets q = gcd(c, L), multiplies pending, out and S by
-        L // q, and subtracts c // q times the form's tail at the word's
-        position.  Every step subtracts an element of the ideal,
-        and the normal form is unique, so out / (S * den) is the remainder
-        exact rational arithmetic would give.  Over F_p, L = 1 and
-        coefficients are reduced mod p as they leave `pending`.
-
-        The next term is the greatest pending word, the least tuple: a heap
-        holds each word once, and a word cancelled to 0 stays in `pending`
-        until it is popped.  Reduction only adds smaller words, so a popped
-        word never returns.
-        """
-        p = self.modulus
-        forms = self._forms
-        leads = self._leads
-        find = self.automaton.find
-        heap = list(pending)
-        heapq.heapify(heap)
-        out = {}
-        scale = den
-        while heap:
-            w = heapq.heappop(heap)
-            c = pending.pop(w)
-            if p:
-                c %= p
-            if not c:
-                continue
-            hit = find(w)
-            if hit is None:
-                out[w] = c
-                continue
-            pos, i = hit
-            lead_coeff, words, coeffs = forms[i]
-            if lead_coeff != 1:
-                q = gcd(c, lead_coeff)
-                m = lead_coeff // q
-                c //= q
-                if m != 1:
-                    for u in pending:
-                        pending[u] *= m
-                    for u in out:
-                        out[u] *= m
-                    scale *= m
-            left, right = w[:pos], w[pos + len(leads[i]) :]
-            for u, a in zip(words, coeffs):
-                w2 = left + u + right
-                s = pending.get(w2)
-                if s is None:
-                    pending[w2] = -c * a
-                    heapq.heappush(heap, w2)
-                else:
-                    pending[w2] = s - c * a
-        return out, scale
-
-    def _to_poly(self, out, scale, degree):
-        """The polynomial out / scale, for integers `out` from `_reduce_terms`."""
-        if not out:
-            return Poly.zero()
-        p = self.modulus
-        if p:
-            inv = pow(scale, -1, p)
-            return Poly({w: FpElement(p, c * inv) for w, c in out.items()}, degree)
-        return Poly({w: Fraction(c, scale) for w, c in out.items()}, degree)
 
     def nf_word(self, word):
         """Memoized normal form of a single word (hot path for resolutions).
@@ -317,17 +352,36 @@ def _overlap_words(u, v):
             yield u + v[j:], u[: len(u) - j]
 
 
+def _s_polynomial(f, h, left, right):
+    """Integer S-polynomial of the overlap of forms f and h on one word w =
+    u_f right = left u_h: L_h (tail_f right) - L_f (left tail_h), which is
+    L_f L_h times the difference of the two monic elements on w (their
+    leading terms cancel).  Returned as word -> int with den 1."""
+    lf, words_f, coeffs_f = f
+    lh, words_h, coeffs_h = h
+    pending = {u + right: lh * a for u, a in zip(words_f, coeffs_f)}
+    for u, a in zip(words_h, coeffs_h):
+        w = left + u
+        pending[w] = pending.get(w, 0) - lf * a
+    return pending
+
+
 def buchberger_truncated(presentation, d_gb, element_limit=2000):
     """Reduced Groebner basis certified through internal degree `d_gb`.
 
     Deterministic for a fixed presentation and order: obstructions are
     processed in increasing degree, tie-broken by overlap-word order.  The
-    heap holds relations and overlaps (g, h, left, right) with g*right and
-    left*h on one word w; an overlap's S-polynomial is built when it is
-    popped, unless the chain criterion (module docstring) skips it.
+    heap holds relations and overlaps (i, k, left, right) of the i-th and
+    k-th elements found, with u_i*right and left*u_k one word w; an
+    overlap's S-polynomial is built from the integer forms when it is
+    popped, unless the chain criterion (module docstring) skips it.  The
+    elements found are kept only as leading words and integer forms, in one
+    growing `_IntegerBasis`; they become polynomials in the final tail
+    reduction, and the sorted `GroebnerBasis` is built once, at the end.
     Raises ResourceLimitError if the element budget is exhausted.
     """
     order = presentation.order
+    p = presentation.field.modulus
     relations = [r for r in presentation.relations if not r.is_zero()]
     if relations:
         max_rel = max(r.degree for r in relations)
@@ -342,60 +396,56 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
         heapq.heappush(heap, (r.degree, order.key(r.lead_word()), seq, r))
         seq += 1
 
-    basis = GroebnerBasis(presentation, [], d_gb, True)
+    basis = _IntegerBasis(presentation.gen_degs, p)
+    leads, forms = basis._leads, basis._forms
     # cleared when an overlap above d_gb is dropped: every ordered pair of
     # elements, self-pairs included, passes through push_overlaps once
     complete = True
 
-    def push_overlaps(g, h):
+    def push_overlaps(i, k):
         nonlocal seq, complete
-        u = g.lead_word()
-        v = h.lead_word()
-        for w, left in _overlap_words(u, v):
+        u = leads[i]
+        for w, left in _overlap_words(u, leads[k]):
             wdeg = presentation.word_degree(w)
             if wdeg > d_gb:
                 complete = False
                 continue
-            # S-poly, built when popped: g * (tail of w after u)  -  left * h
-            heapq.heappush(heap, (wdeg, order.key(w), seq, (g, h, left, w[len(u) :])))
+            heapq.heappush(heap, (wdeg, order.key(w), seq, (i, k, left, w[len(u) :])))
             seq += 1
 
-    elements = []
-    forms = {}
     while heap:
-        d, _, _, p = heapq.heappop(heap)
-        if isinstance(p, tuple):  # an overlap, not a relation
-            g, h, left, right = p
-            if basis.automaton.find((left + h.lead_word())[1:-1]) is not None:
+        d, _, _, item = heapq.heappop(heap)
+        if isinstance(item, tuple):  # an overlap, not a relation
+            i, k, left, right = item
+            if basis.automaton.find((left + leads[k])[1:-1]) is not None:
                 continue  # chain criterion
-            p = g.rmul_word(right, d - g.degree) - h.lmul_word(left, d - h.degree)
-        out, _ = basis._reduce_terms(*_to_ints(p.terms, basis.modulus))
+            out, _ = basis._reduce_terms(_s_polynomial(forms[i], forms[k], left, right), 1)
+        else:
+            out, _ = basis._reduce_terms(*_to_ints(item.terms, p))
         if not out:
             continue
-        lead = min(out)
-        r = basis._to_poly(out, out[lead], p.degree)  # monic
-        elements.append(r)
-        if len(elements) > element_limit:
+        if len(leads) >= element_limit:
             raise ResourceLimitError(
                 "Groebner completion exceeded %d elements at degree %d" % (element_limit, d)
             )
-        forms[lead] = _integer_form(out, lead, basis.modulus)
-        basis = GroebnerBasis(presentation, elements, d_gb, True, forms)
-        for g in elements:
-            push_overlaps(r, g)
-            if g is not r:
-                push_overlaps(g, r)
+        lead = min(out)
+        basis.add(lead, _integer_form(out, lead, p))
+        n = len(leads) - 1
+        for k in range(n + 1):
+            push_overlaps(n, k)
+            if k != n:
+                push_overlaps(k, n)
 
     # tail-reduce for canonical output; the leading words, and with them
     # the overlaps that decided `complete`, are already final
+    one = presentation.field.one()
     reduced = []
-    for g in elements:
-        lead = g.lead_word()
-        tail = {w: c for w, c in g.terms.items() if w != lead}
-        out, scale = basis._reduce_terms(*_to_ints(tail, basis.modulus))
-        terms = dict(basis._to_poly(out, scale, g.degree).terms)
-        terms[lead] = presentation.field.one()
-        reduced.append(Poly(terms, g.degree))
+    for lead, (lead_coeff, words, coeffs) in zip(leads, forms):
+        degree = presentation.word_degree(lead)
+        out, scale = basis._reduce_terms(dict(zip(words, coeffs)), lead_coeff)
+        terms = basis._to_poly(out, scale, degree).terms
+        terms[lead] = one
+        reduced.append(Poly(terms, degree))
     return GroebnerBasis(presentation, reduced, d_gb, complete)
 
 
@@ -485,8 +535,12 @@ def load_basis(presentation, d_gb, directory):
     path = os.path.join(directory, basis_fingerprint(presentation, d_gb) + ".gb")
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        return _deserialize_basis(fh.read(), presentation, d_gb)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None  # not a file save_basis wrote: a miss, like any malformed one
+    return _deserialize_basis(text, presentation, d_gb)
 
 
 def groebner(presentation, d_gb, cache_dir=None, element_limit=2000):

@@ -252,7 +252,7 @@ def ext_reference(R, G, windows):
         for r, w in basis(i, j):
             vec = {}
             for s, p in enumerate(entries[r]):
-                for u, c in G.normal_form(p.rmul_word(w, pres.word_degree(w))).terms.items():
+                for u, c in G.normal_form(p * pres.word_poly(w)).terms.items():
                     vec[(s, u)] = c
             vectors.append(vec)
         return _rank(vectors)
@@ -275,7 +275,8 @@ def multiplication_columns(G, f, j, left=True):
     index = {w: i for i, w in enumerate(G.normal_words(j + f.degree))}
     cols = []
     for w in G.normal_words(j):
-        q = G.normal_form(f.rmul_word(w, j) if left else f.lmul_word(w, j))
+        x = G.presentation.word_poly(w)
+        q = G.normal_form(f * x if left else x * f)
         cols.append({index[u]: c for u, c in q.terms.items()})
     return cols
 
@@ -308,6 +309,30 @@ def two_pass_syzygy_step(G, target, K, d_max):
                 rows[t][c] = a
         kernel[j] = row_reduce(rows, len(cols), pres.field).kernel
     return gens, kernel
+
+
+def suffix_scan_automaton(leads, n_letters):
+    """(states, delta) of the leading-word automaton, read off its definition.
+
+    The states are the proper prefixes of `leads` in (len, word) order;
+    delta[s][a] is ~i when states[s] + (a,) ends in leads[i], else the
+    index of its longest suffix that is a state, found by scanning every
+    suffix (no failure links), for checking `gbasis.WordAutomaton`.
+    """
+    prefixes = {()} | {u[:k] for u in leads for k in range(1, len(u))}
+    states = tuple(sorted(prefixes, key=lambda w: (len(w), w)))
+    index = {w: i for i, w in enumerate(states)}
+    ends = {u: i for i, u in enumerate(leads)}
+    delta = []
+    for s in states:
+        row = []
+        for a in range(n_letters):
+            w = s + (a,)
+            suffixes = [w[k:] for k in range(len(w) + 1)]  # longest first
+            dead = [ends[v] for v in suffixes if v in ends]
+            row.append(~dead[0] if dead else next(index[v] for v in suffixes if v in index))
+        delta.append(tuple(row))
+    return states, tuple(delta)
 
 
 def brute_algebra_dim(pres, j):

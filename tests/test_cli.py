@@ -246,6 +246,23 @@ def test_cache_directory_from_environment(files, tmp_path, capsys, monkeypatch):
     assert any(name.endswith(".gb") for name in os.listdir(cache))
 
 
+def test_undecodable_cache_file_is_a_miss(tmp_path, capsys):
+    # a cache file that is not valid UTF-8 used to end in exit 4
+    # ("internal error: UnicodeDecodeError"); it is recomputed and overwritten
+    cache = str(tmp_path / "cache")
+    args = ["gb", sample("t34"), "--dgb", "6", "--cache-dir", cache, "--format", "jsonl"]
+    code, out1 = run(args, capsys)
+    assert code == 0
+    (path,) = glob.glob(os.path.join(cache, "*.gb"))
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe homreg-gb \x80\n")
+    code, out2 = run(args, capsys)
+    assert code == 0
+    assert out2 == out1
+    with open(path, "rb") as fh:
+        assert fh.read().startswith(b"homreg-gb ")
+
+
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])
 def test_hilbert_on_incomplete_basis_refuses_rational_form(files, capsys, fmt):
     code, out = run(
@@ -483,6 +500,10 @@ CONSTRUCTION_PINS = {
     "sklyanin.gb_10_f101": [
         "gb", os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg"), "--dgb", "10", "--field", "F101",
     ],
+    # a Q completion whose cost is coefficient height (coefficients of
+    # hundreds of digits at d_gb 6); kept out of presentations/, whose
+    # every file is pinned at the default window
+    "qheight.gb_6": ["gb", os.path.join(ROOT, "tests", "inputs", "qheight.alg"), "--dgb", "6"],
     # module resolutions: non-integral Q values, the same module over F101,
     # and a right module resolved over the opposite algebra
     "t34-t34_frac.resolve_module": [

@@ -1,3 +1,5 @@
+import glob
+import os
 import random
 from fractions import Fraction
 
@@ -14,6 +16,9 @@ from homreg.corealg import (
 )
 from homreg.gbasis import (
     GroebnerBasis,
+    WordAutomaton,
+    _IntegerBasis,
+    _to_ints,
     buchberger_truncated,
     groebner,
     load_basis,
@@ -21,7 +26,17 @@ from homreg.gbasis import (
 )
 from homreg.series import hilbert_truncated
 
-from oracles import brute_algebra_dim, free_normal_form, free_words, ideal_slice_echelon
+from oracles import (
+    brute_algebra_dim,
+    free_normal_form,
+    free_words,
+    ideal_slice_echelon,
+    suffix_scan_automaton,
+)
+
+
+PRESENTATIONS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "presentations")
+SAMPLES = sorted(os.path.splitext(os.path.basename(p))[0] for p in glob.glob(os.path.join(PRESENTATIONS, "*.alg")))
 
 
 def plane():
@@ -342,10 +357,122 @@ def test_chain_criterion_skips_sklyanin_type_overlaps(monkeypatch):
         calls.append(args)
         return reduce_terms(self, *args)
 
-    monkeypatch.setattr(GroebnerBasis, "_reduce_terms", counting)
+    monkeypatch.setattr(_IntegerBasis, "_reduce_terms", counting)
     G = buchberger_truncated(sklyanin_type(), 9)  # the presentation of perfbench's sklyanin_gb
     assert len(G.elements) == 26
     assert len(calls) == 118
+
+
+def test_sklyanin_type_completion_builds_the_basis_once(monkeypatch):
+    # regression guard: completion grows one integer basis, so the sorted
+    # GroebnerBasis is built once, at the end, and S-polynomials are integer
+    # dicts: no Poly is made before the tail reduction (the last reductions,
+    # one per element)
+    pres = sklyanin_type()
+    built, polys, reductions = [], [], []
+    init, poly_init, reduce_terms = GroebnerBasis.__init__, Poly.__init__, _IntegerBasis._reduce_terms
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_poly_init(self, *args):
+        polys.append(args)
+        poly_init(self, *args)
+
+    def counting_reduce(self, *args):
+        reductions.append(len(polys))  # Polys made before this reduction
+        return reduce_terms(self, *args)
+
+    monkeypatch.setattr(GroebnerBasis, "__init__", counting_init)
+    monkeypatch.setattr(Poly, "__init__", counting_poly_init)
+    monkeypatch.setattr(_IntegerBasis, "_reduce_terms", counting_reduce)
+    G = buchberger_truncated(pres, 9)
+    assert len(built) == 1
+    assert len(reductions) == 118
+    first_tail = len(reductions) - len(G.elements)
+    assert reductions[first_tail] == 0
+    assert len(polys) >= len(G.elements)  # the counter sees the tail reduction's Polys
+
+
+def random_lead_set(rng, gen_degs):
+    """1 to 8 random inter-reduced words (none a factor of another) of
+    weighted degree 1 to 7 over the generators."""
+    leads = []
+    for _ in range(rng.randrange(1, 9)):
+        target = rng.randrange(1, 8)
+        word = []
+        while sum(gen_degs[a] for a in word) < target:
+            word.append(rng.randrange(len(gen_degs)))
+        u = tuple(word)
+
+        def factor(a, b):
+            return any(b[k : k + len(a)] == a for k in range(len(b) - len(a) + 1))
+
+        if not any(factor(u, v) or factor(v, u) for v in leads):
+            leads.append(u)
+    return leads
+
+
+def test_automaton_table_matches_suffix_scan_on_random_lead_sets():
+    rng = random.Random(1717)
+    shapes = [(1, 1), (1, 1, 1), (1, 2), (1, 1, 2), (2, 3, 1, 1)]
+    for trial in range(1000):
+        gen_degs = shapes[trial % len(shapes)]
+        leads = tuple(random_lead_set(rng, gen_degs))
+        A = WordAutomaton(leads, gen_degs)
+        assert (A.states, A.delta) == suffix_scan_automaton(leads, len(gen_degs)), leads
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_automaton_table_matches_suffix_scan_on_sample_bases(name):
+    pres = parse_presentation(open(os.path.join(PRESENTATIONS, name + ".alg")).read(), label=name)
+    G = buchberger_truncated(pres, 8)
+    A = G.automaton
+    assert (A.states, A.delta) == suffix_scan_automaton(A.leads, len(pres.gen_degs))
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F101"])
+def test_lazy_rescaling_reduction_is_the_fraction_normal_form(field_name):
+    # random elements of degree 2..5 reduced on random completions whose
+    # integer forms have lead coefficients other than 1 (over Q): values
+    # written before a rescaling must be brought to the running scale
+    field = parse_field(field_name)
+    p = field.modulus
+    rng = random.Random(2323 + p)
+    shapes = [[("x", 1), ("y", 1)], [("x", 1), ("t", 2)], [("x", 1), ("y", 1), ("z", 1)]]
+    lead_coeffs, rescaled = set(), 0
+    for trial in range(12):
+        gens = shapes[trial % len(shapes)]
+        pres = random_weighted_presentation(rng, field, gens, "%s-%d" % (field_name, trial))
+        G = buchberger_truncated(pres, 6, element_limit=300)
+        lead_coeffs.update(form[0] for form in G._forms)
+        for j in range(2, 6):
+            if not G.complete and j > G.d_gb:
+                break
+            echelon = ideal_slice_echelon(pres, j)
+            words = free_words(pres.gen_degs, j)
+            for _ in range(4):
+                terms = {}
+                for w in rng.sample(words, min(len(words), rng.randrange(1, 7))):
+                    if p:
+                        terms[w] = field.from_int(rng.randrange(1, p))
+                    else:
+                        terms[w] = field.from_fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 6))
+                ints, den = _to_ints(terms, p)
+                out, scale = G._reduce_terms(ints, den)
+                assert type(scale) is int and all(type(c) is int for c in out.values())
+                rescaled += scale != den
+                if p:
+                    inv = pow(scale, -1, p)
+                    got = {w: field.from_int(c * inv) for w, c in out.items()}
+                else:
+                    got = {w: Fraction(c, scale) for w, c in out.items()}
+                assert got == free_normal_form(echelon, terms), (pres.label, terms)
+    if p:
+        assert lead_coeffs == {1}
+    else:
+        assert len(lead_coeffs - {1}) >= 5 and rescaled >= 20
 
 
 def test_cache_round_trip(tmp_path):
@@ -373,6 +500,7 @@ def test_cache_round_trip(tmp_path):
         lambda lines: lines[:-1] + [lines[-1].replace("@", "x@", 1)],
         lambda lines: [line.replace("-1@1.1.0", "-5@1.1.0") for line in lines],
         lambda lines: lines[:2] + ["complete 0" if lines[2] == "complete 1" else "complete 1"] + lines[3:],
+        lambda lines: "\n".join(lines).encode().replace(b"@", b"\xff@", 1),
     ],
     ids=[
         "last-poly-line-deleted",
@@ -381,6 +509,7 @@ def test_cache_round_trip(tmp_path):
         "unparsable-term",
         "tampered-coefficient",
         "complete-line-flipped",
+        "binary-garbage",
     ],
 )
 def test_malformed_cache_file_is_a_miss(tmp_path, corrupt):
@@ -392,8 +521,10 @@ def test_malformed_cache_file_is_a_miss(tmp_path, corrupt):
     assert len(lines) == 4 + len(G.elements)
     bad = corrupt(lines)
     assert bad != lines
-    with open(path, "w") as fh:
-        fh.write("\n".join(bad) + "\n")
+    if isinstance(bad, list):
+        bad = ("\n".join(bad) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(bad)
     assert load_basis(pres, 12, str(tmp_path)) is None
     # the cached entry point recomputes and overwrites the bad file
     assert groebner(pres, 12, str(tmp_path)).elements == G.elements

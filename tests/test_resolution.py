@@ -174,7 +174,7 @@ def test_rank_nullity_exactness_bookkeeping():
                     p = entries[r][s]
                     if not p:
                         continue
-                    q = G.normal_form(p.lmul_word(w, pres.word_degree(w)))
+                    q = G.normal_form(pres.word_poly(w) * p)
                     for u, c in q.terms.items():
                         vec[idx[(r, u)]] = vec.get(idx[(r, u)], pres.field.zero()) + c
                 cols.append(vec)
@@ -331,7 +331,8 @@ def test_layer_action_is_multiplication_by_a_generator(src, field, right):
                 if rng.random() < 0.5
             }
             polys = layer.polys(j, v)
-            products = [p.rmul_word((g,), dg) if right else p.lmul_word((g,), dg) for p in polys]
+            x = pres.word_poly((g,))
+            products = [p * x if right else x * p for p in polys]
             want = layer.coords([G.normal_form(q) for q in products], j + dg)
             got = layer.act_vec(g, j, v)
             assert {k: c for k, c in got.items() if c} == want, (j, g)
@@ -352,8 +353,8 @@ def test_images_are_products_with_words(src, right):
     gen_vecs = [target.coords(p, a) for p, a in zip(gens, source.shifts)]
     for j, cols in _images(target, source, gen_vecs, 0, 6):
         for (r, w), col in zip(source.basis(j), cols):
-            wd = pres.word_degree(w)
-            products = [q.rmul_word(w, wd) if right else q.lmul_word(w, wd) for q in gens[r]]
+            x = pres.word_poly(w)
+            products = [q * x if right else x * q for q in gens[r]]
             want = target.coords([G.normal_form(q) for q in products], j)
             assert {k: c for k, c in col.items() if c} == want, (j, r, w)
 
