@@ -156,20 +156,20 @@ def _emit_report(emit, report):
 def cmd_gb(args, emit):
     art = _artifacts(args.file, args)
     G = art.gb()
-    pres = art.presentation
+    elements = [art.presentation.format_poly(g) for g in G.elements]
     emit.record(
         "groebner",
         {
             "label": art.label,
             "complete": G.complete,
             "d_gb": G.d_gb,
-            "elements": [pres.format_poly(g) for g in G.elements],
+            "elements": elements,
         },
         text="Groebner basis of %s (%s):\n  %s"
         % (
             art.label,
             "complete" if G.complete else "complete up to degree %d" % G.d_gb,
-            "\n  ".join(pres.format_poly(g) for g in G.elements),
+            "\n  ".join(elements),
         ),
     )
     return EXIT_OK

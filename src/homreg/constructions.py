@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .corealg import (
     PresentationError,
     Poly,
+    check_generator_count,
     make_presentation,
 )
 from . import linalg
@@ -47,6 +48,7 @@ def tensor_presentation(A, B, label=""):
     """Presentation of A (x) B: both relation sets plus cross-commutators."""
     if A.field != B.field:
         raise PresentationError("tensor factors must share the base field")
+    check_generator_count(A.n_gens + B.n_gens)  # before B's letters are shifted
     b_names = _renamed(B.gen_names, set(A.gen_names))
     gens = list(zip(A.gen_names, A.gen_degs)) + list(zip(b_names, B.gen_degs))
     nA = A.n_gens
@@ -56,12 +58,12 @@ def tensor_presentation(A, B, label=""):
     for r in A.relations:
         rels.append(Poly(dict(r.terms), r.degree))
     for r in B.relations:
-        rels.append(Poly({tuple(g + nA for g in w): c for w, c in r.terms.items()}, r.degree))
+        rels.append(Poly({bytes(g + nA for g in w): c for w, c in r.terms.items()}, r.degree))
     one = field.one()
     for i in range(nA):
         for jj in range(B.n_gens):
             j = nA + jj
-            terms = {(i, j): one, (j, i): -one}
+            terms = {bytes((i, j)): one, bytes((j, i)): -one}
             rels.append(Poly.make(terms, degs))
     return make_presentation(
         field, gens, rels, label=label or "%s(x)%s" % (A.label or "A", B.label or "B")

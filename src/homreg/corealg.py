@@ -1,7 +1,7 @@
 """Core objects: exact scalars, words, homogeneous polynomials, presentations.
 
-Words are tuples of generator indices.  A polynomial is a finite map from
-words to nonzero scalars and is kept homogeneous at all times; the zero
+Words are byte strings of generator indices.  A polynomial is a finite map
+from words to nonzero scalars and is kept homogeneous at all times; the zero
 polynomial has degree NEG_INF, matching the convention deg(0) = -infinity.
 All values are immutable after construction and safe to share.
 """
@@ -200,7 +200,14 @@ def parse_field(name):
 # ---------------------------------------------------------------------------
 # words and the monomial order
 
-# A Word is a tuple of generator indices; the empty tuple is the identity.
+# A word is a `bytes` object, one byte per letter holding its generator index,
+# so a presentation has at most MAX_GENERATORS generators; b"" is the
+# identity.  bytes compare like the tuples of their indices (memcmp, a
+# proper prefix first), hash once and slice and concatenate in C.
+
+MAX_GENERATORS = 256
+LETTERS = tuple(bytes([g]) for g in range(MAX_GENERATORS))  # the one-letter words
+_COMPLEMENT = bytes(range(MAX_GENERATORS - 1, -1, -1))  # byte g -> 255 - g
 
 
 def word_degree(word, gen_degs):
@@ -212,10 +219,11 @@ class MonomialOrder:
 
     Generators are numbered by precedence, highest first, so among words of
     one weighted degree the greater word is the lexicographically smaller
-    index tuple, and plain tuple comparison decides.  `key` is ascending in
+    byte string, and plain bytes comparison decides.  `key` is ascending in
     the order, for the sorts that mix degrees.  The order is total,
     degree-compatible and multiplicative (two words of equal degree are never
-    proper prefixes of each other, so negating the indices is exact).
+    proper prefixes of each other, so complementing every byte, g -> 255 - g,
+    reverses their comparison exactly).
     """
 
     __slots__ = ("gen_degs",)
@@ -225,7 +233,7 @@ class MonomialOrder:
 
     def key(self, word):
         degs = self.gen_degs
-        return (sum(degs[g] for g in word), tuple(-g for g in word))
+        return (sum(degs[g] for g in word), word.translate(_COMPLEMENT))
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and other.gen_degs == self.gen_degs
@@ -326,7 +334,7 @@ class Poly:
         return Poly({w: c * a for w, a in self.terms.items()}, self.degree)
 
     def lead_word(self):
-        """The greatest word: the least index tuple, as all terms share one degree."""
+        """The greatest word: the least byte string, as all terms share one degree."""
         return min(self.terms)
 
     def monic(self):
@@ -339,7 +347,7 @@ class Poly:
         """The polynomial with every word reversed (opposite algebra image)."""
         if not self.terms:
             return self
-        return Poly({tuple(reversed(w)): c for w, c in self.terms.items()}, self.degree)
+        return Poly({w[::-1]: c for w, c in self.terms.items()}, self.degree)
 
     def __repr__(self):
         if not self.terms:
@@ -380,16 +388,16 @@ class AlgebraPresentation:
             raise PresentationError("unknown symbol %r" % name) from None
 
     def gen_poly(self, i):
-        return Poly({(i,): self.field.one()}, self.gen_degs[i])
+        return Poly({LETTERS[i]: self.field.one()}, self.gen_degs[i])
 
     def word_degree(self, word):
         return word_degree(word, self.gen_degs)
 
     def word_poly(self, word):
-        return Poly({tuple(word): self.field.one()}, self.word_degree(word))
+        return Poly({bytes(word): self.field.one()}, self.word_degree(word))
 
     def one(self):
-        return Poly({(): self.field.one()}, 0)
+        return Poly({b"": self.field.one()}, 0)
 
     def parse_poly(self, text):
         return _parse_poly_text(text, self)
@@ -452,6 +460,7 @@ def make_presentation(field, gens, relations, label=""):
     `gens` is a list of (name, degree) pairs, highest precedence first, and
     `relations` a list of Poly; the relations are made monic.
     """
+    check_generator_count(len(gens))
     names = tuple(n for n, _ in gens)
     degs = tuple(d for _, d in gens)
     if len(set(names)) != len(names):
@@ -471,6 +480,15 @@ def make_presentation(field, gens, relations, label=""):
             raise PresentationError("relation of degree %s is a nonzero scalar" % r.degree)
         rels.append(r.monic())
     return AlgebraPresentation(field, names, degs, tuple(rels), MonomialOrder(degs), label)
+
+
+def check_generator_count(n):
+    """Raise PresentationError unless n generators fit the one-byte letters."""
+    if n > MAX_GENERATORS:
+        raise PresentationError(
+            "%d generators; words hold one byte per letter, so at most %d are supported"
+            % (n, MAX_GENERATORS)
+        )
 
 
 def convert_field(pres, field):
@@ -638,7 +656,7 @@ def _parse_term(ts, pres):
         if ts.peek() == "*":
             ts.next()
         else:
-            return coeff, tuple(letters)
+            return coeff, bytes(letters)
     while True:
         if not _is_name(ts.peek()):
             if not saw_factor:
@@ -650,7 +668,7 @@ def _parse_term(ts, pres):
             ts.next()
             continue
         break
-    return coeff, tuple(letters)
+    return coeff, bytes(letters)
 
 
 def _parse_poly_stream(ts, pres):
@@ -831,7 +849,7 @@ def _parse_module_row(text, pres, n_gens):
             raise PresentationError("basis symbol e%d out of range" % slot)
         if sign < 0:
             coeff = -coeff
-        p = Poly.make({tuple(letters): coeff}, pres.gen_degs)
+        p = Poly.make({bytes(letters): coeff}, pres.gen_degs)
         entries[slot] = entries[slot] + p
         t = ts.peek()
         if t in ("+", "-"):

@@ -22,14 +22,13 @@ of lower degree or of disjoint pairs, all in the ideal part below w.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import os
-import tempfile
 from fractions import Fraction
 from math import gcd, lcm
 
 from .corealg import (
+    LETTERS,
     CertificationError,
     FpElement,
     Poly,
@@ -46,24 +45,25 @@ class WordAutomaton:
 
     States are the proper prefixes of `leads` in (len, word) order; state 0
     is the empty word.  `delta[s][a]` is the state of the longest suffix of
-    states[s] + (a,) that is a state, or ~i when that word ends in
+    states[s] + LETTERS[a] that is a state, or ~i when that word ends in
     leads[i].  Reading a word from state 0 therefore stays on the longest
     suffix read so far that is a state, and the first negative entry marks
     the leading-word factor that ends leftmost.  The paths from state 0
     that avoid negative entries spell exactly the normal words.
 
     The table is built breadth first (A. Aho and M. Corasick, CACM 18,
-    1975), with O(1) dict lookups per entry: states[s] + (a,) is a state, a
-    leading word, or else moves where the failure state of s (its longest
-    proper suffix that is a state) moves on a.  Since no leading word is a
-    factor of another, no state ends in a leading word, so the failure
-    state of the state w + (a,) is delta[failure state of w][a] >= 0.
+    1975), with O(1) dict lookups per entry: states[s] + LETTERS[a] is a
+    state, a leading word, or else moves where the failure state of s (its
+    longest proper suffix that is a state) moves on a.  Since no leading
+    word is a factor of another, no state ends in a leading word, so the
+    failure state of the state w + LETTERS[a] is delta[failure state of
+    w][a] >= 0.
     """
 
     def __init__(self, leads, gen_degs):
         self.leads = leads
         self.gen_degs = gen_degs
-        prefixes = {()} | {u[:k] for u in leads for k in range(1, len(u))}
+        prefixes = {b""} | {u[:k] for u in leads for k in range(1, len(u))}
         self.states = tuple(sorted(prefixes, key=lambda w: (len(w), w)))
         index = {w: i for i, w in enumerate(self.states)}
         ends = {u: ~i for i, u in enumerate(leads)}
@@ -73,7 +73,7 @@ class WordAutomaton:
             back = delta[fail[s]] if s else (0,) * len(gen_degs)
             row = []
             for a, f in enumerate(back):
-                v = w + (a,)
+                v = w + LETTERS[a]
                 t = index.get(v)
                 if t is None:
                     t = ends.get(v, f)
@@ -161,10 +161,10 @@ class _IntegerBasis:
         scaled once, on return.  So the result is the one that multiplying
         every entry at each rescaling would give.
 
-        The next term is the greatest pending word, the least tuple: a heap
-        holds each word once, and a word cancelled to 0 stays in `pending`
-        until it is popped.  Reduction only adds smaller words, so a popped
-        word never returns.
+        The next term is the greatest pending word, the least byte string: a
+        heap holds each word once, and a word cancelled to 0 stays in
+        `pending` until it is popped.  Reduction only adds smaller words, so
+        a popped word never returns.
         """
         p = self.modulus
         forms = self._forms
@@ -293,7 +293,7 @@ class GroebnerBasis(_IntegerBasis):
         degs = self.presentation.gen_degs
         delta = self.automaton.delta
         out = []
-        stack = [((), j, 0)]
+        stack = [(b"", j, 0)]
         while stack:
             word, rem, s = stack.pop()
             if rem == 0:
@@ -301,7 +301,7 @@ class GroebnerBasis(_IntegerBasis):
                 continue
             for g, t in enumerate(delta[s]):
                 if t >= 0 and degs[g] <= rem:
-                    stack.append((word + (g,), rem - degs[g], t))
+                    stack.append((word + LETTERS[g], rem - degs[g], t))
         out.sort(reverse=True)
         out = tuple(out)
         self._normal_words[j] = out
@@ -456,12 +456,16 @@ CACHE_ENV_VAR = "HOMREG_CACHE_DIR"
 
 
 def basis_fingerprint(presentation, d_gb):
+    import hashlib  # loads OpenSSL: only when the cache is on
+
     text = presentation.to_text() + "d_gb %d\nversion %d\n" % (d_gb, GB_FORMAT_VERSION)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _body_digest(complete_line, poly_lines):
     """sha256 of the `complete` line and the `poly` lines of a cache file."""
+    import hashlib
+
     return hashlib.sha256("\n".join([complete_line] + poly_lines).encode("utf-8")).hexdigest()
 
 
@@ -508,7 +512,7 @@ def _deserialize_basis(text, presentation, d_gb):
             terms = {}
             for part in body.split():
                 cs, _, ws = part.partition("@")
-                word = tuple(int(i) for i in ws.split(".")) if ws else ()
+                word = bytes(int(i) for i in ws.split(".")) if ws else b""
                 terms[word] = field.from_int(int(cs)) if field.modulus else Fraction(cs)
             elements.append(Poly.make(terms, presentation.gen_degs))
         return GroebnerBasis(presentation, elements, d_gb, complete)
@@ -517,6 +521,8 @@ def _deserialize_basis(text, presentation, d_gb):
 
 
 def save_basis(G, directory):
+    import tempfile
+
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, basis_fingerprint(G.presentation, G.d_gb) + ".gb")
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .corealg import (
+    LETTERS,
     NEG_INF,
     CertificationError,
     ModulePresentation,
@@ -114,9 +115,9 @@ class FreeLayer:
         return tuple(Poly.make(t, self.G.presentation.gen_degs) for t in terms)
 
     def add_slot(self, a):
-        """Append a generator of degree a once basis(a) is cached; (r, ()) goes last there."""
-        self._index[a][(len(self.shifts), ())] = len(self._basis[a])
-        self._basis[a] += ((len(self.shifts), ()),)
+        """Append a generator of degree a once basis(a) is cached; (r, b"") goes last there."""
+        self._index[a][(len(self.shifts), b"")] = len(self._basis[a])
+        self._basis[a] += ((len(self.shifts), b""),)
         self.shifts += (a,)
 
     def act_vec(self, g, j, vec):
@@ -125,12 +126,14 @@ class FreeLayer:
         target = self._index.get(j + dg) or self.index(j + dg)  # one dict read when cached
         src = self._basis.get(j) or self.basis(j)
         nf_word = self.G.nf_word
+        letter = LETTERS[g]
+        right = self.right
         out = {}
         for idx, c in vec.items():
             if not c:
                 continue
             r, u = src[idx]
-            for u2, c2 in nf_word(u + (g,) if self.right else (g,) + u):
+            for u2, c2 in nf_word(u + letter if right else letter + u):
                 k = target[(r, u2)]
                 out[k] = out[k] + c * c2 if k in out else c * c2
         return linalg.reduced(out, self.modulus)
@@ -622,7 +625,7 @@ def ext_into_algebra(R, G, j_hi=None):
     ranks = {}  # (i, j) -> rank of d^i: C^i_j -> C^{i+1}_j
     for i, syzygies in enumerate(R.maps):
         src, tgt = cobases[i], cobases[i + 1]
-        # d^i(r, ()) holds the entries m_{rs}: the term c*w at slot (r, w) of
+        # d^i(r, b"") holds the entries m_{rs}: the term c*w at slot (r, w) of
         # syzygy s is the term c*w of m_{rs}, at (s, w) in C^{i+1} of degree -a_r
         layer = FreeLayer(G, R.shifts[i])
         gen_vecs = [{} for _ in src.shifts]

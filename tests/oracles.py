@@ -27,7 +27,7 @@ def free_words(gen_degs, degree):
 
     def extend(word, rem):
         if rem == 0:
-            out.append(tuple(word))
+            out.append(bytes(word))
             return
         for g, dg in enumerate(gen_degs):
             if dg <= rem:
@@ -315,11 +315,11 @@ def suffix_scan_automaton(leads, n_letters):
     """(states, delta) of the leading-word automaton, read off its definition.
 
     The states are the proper prefixes of `leads` in (len, word) order;
-    delta[s][a] is ~i when states[s] + (a,) ends in leads[i], else the
+    delta[s][a] is ~i when states[s] + bytes((a,)) ends in leads[i], else the
     index of its longest suffix that is a state, found by scanning every
     suffix (no failure links), for checking `gbasis.WordAutomaton`.
     """
-    prefixes = {()} | {u[:k] for u in leads for k in range(1, len(u))}
+    prefixes = {b""} | {u[:k] for u in leads for k in range(1, len(u))}
     states = tuple(sorted(prefixes, key=lambda w: (len(w), w)))
     index = {w: i for i, w in enumerate(states)}
     ends = {u: i for i, u in enumerate(leads)}
@@ -327,7 +327,7 @@ def suffix_scan_automaton(leads, n_letters):
     for s in states:
         row = []
         for a in range(n_letters):
-            w = s + (a,)
+            w = s + bytes((a,))
             suffixes = [w[k:] for k in range(len(w) + 1)]  # longest first
             dead = [ends[v] for v in suffixes if v in ends]
             row.append(~dead[0] if dead else next(index[v] for v in suffixes if v in index))

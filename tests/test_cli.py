@@ -632,3 +632,45 @@ def test_closed_stdout_is_internal_when_buffered(files):
     assert proc.returncode == cli.EXIT_INTERNAL == 4
     (rec,) = jsonl(proc.stderr.decode())
     assert rec["class"] == "internal" and rec["message"].startswith("BrokenPipeError")
+
+
+@pytest.mark.parametrize("command, sizes", [("gb", [257]), ("tensor", [1, 256])])
+def test_more_than_256_generators_is_input_error(tmp_path, capsys, command, sizes):
+    # a word holds one byte per letter; the small window keeps a run that
+    # misses the check short
+    files = []
+    for k, n in enumerate(sizes):
+        alg = tmp_path / ("f%d.alg" % k)
+        alg.write_text("field Q\ngens %s\n" % " ".join("g%d:1" % i for i in range(n)))
+        files.append(str(alg))
+    window = ["--imax", "1", "--dmax", "1", "--dgb", "2"]
+    code = main([command, *files, *window, "--no-cache", "--format", "jsonl"])
+    assert code == cli.EXIT_INPUT == 1
+    (rec,) = jsonl(capsys.readouterr().out)
+    assert rec["type"] == "error" and rec["class"] == "input"
+    assert "257 generators" in rec["message"] and "at most 256" in rec["message"]
+
+
+def test_no_cache_run_does_not_import_the_cache_machinery(tmp_path):
+    # hashlib loads OpenSSL; -S keeps site hooks from importing either first
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import homreg, homreg.cli",
+        "def loaded():",
+        "    return sorted(m for m in ('hashlib', 'tempfile') if m in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = homreg.cli.main(['gb', sys.argv[1], '--no-cache'])",
+        "print(code, loaded())",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = homreg.cli.main(['gb', sys.argv[1], '--cache-dir', sys.argv[2]])",
+        "print(code, loaded())",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, sample("t34"), str(tmp_path / "cache")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the cached run is the control: it does import both
+    assert proc.stdout.splitlines() == ["0 []", "0 ['hashlib', 'tempfile']"]

@@ -404,7 +404,7 @@ def random_lead_set(rng, gen_degs):
         word = []
         while sum(gen_degs[a] for a in word) < target:
             word.append(rng.randrange(len(gen_degs)))
-        u = tuple(word)
+        u = bytes(word)
 
         def factor(a, b):
             return any(b[k : k + len(a)] == a for k in range(len(b) - len(a) + 1))

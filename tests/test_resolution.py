@@ -331,7 +331,7 @@ def test_layer_action_is_multiplication_by_a_generator(src, field, right):
                 if rng.random() < 0.5
             }
             polys = layer.polys(j, v)
-            x = pres.word_poly((g,))
+            x = pres.word_poly(bytes((g,)))
             products = [p * x if right else x * p for p in polys]
             want = layer.coords([G.normal_form(q) for q in products], j + dg)
             got = layer.act_vec(g, j, v)

@@ -1,0 +1,176 @@
+"""Guards for the word type: every word is `bytes`, one byte per letter.
+
+A word that slipped in as a tuple would be a second dict key for the same
+monomial and silently split a term, so these tests check the type at
+every place words are made, that bytes order is the order the tuples of
+generator indices had, and that cache files written when words were
+tuples still load and are written again byte for byte.
+"""
+
+import glob
+import os
+import random
+
+import pytest
+
+from homreg.constructions import tensor_presentation
+from homreg.corealg import (
+    QQ,
+    MonomialOrder,
+    PresentationError,
+    make_presentation,
+    opposite_module,
+    opposite_presentation,
+    parse_module,
+    parse_presentation,
+)
+from homreg.gbasis import (
+    GB_FORMAT_VERSION,
+    basis_fingerprint,
+    buchberger_truncated,
+    groebner,
+    load_basis,
+    save_basis,
+)
+from homreg.resolution import FreeLayer, trivial_module
+
+from oracles import free_words
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PRESENTATIONS = os.path.join(ROOT, "presentations")
+SAMPLES = sorted(os.path.splitext(os.path.basename(p))[0] for p in glob.glob(os.path.join(PRESENTATIONS, "*.alg")))
+SKLYANIN = os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg")
+
+
+def read_presentation(path, label):
+    with open(path) as fh:
+        return parse_presentation(fh.read(), label=label)
+
+
+def assert_bytes_words(polys, where):
+    words = [w for p in polys for w in p.terms]
+    assert words, where
+    assert all(type(w) is bytes for w in words), (where, [w for w in words if type(w) is not bytes][:3])
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_every_word_is_bytes(name, tmp_path):
+    pres = read_presentation(os.path.join(PRESENTATIONS, name + ".alg"), name)
+    gens = [pres.gen_poly(g) for g in range(pres.n_gens)]
+    assert_bytes_words(gens + [pres.one()], "gen_poly/one")
+    rels = list(pres.relations)
+    if rels:
+        assert_bytes_words(rels, "parse")
+        r = rels[0]
+        arithmetic = [r * r, r + r, r - r.scale(pres.field.from_int(3)), -r, r.monic(), r.reversed_words()]
+        arithmetic += [g * r for g in gens] + [r * g for g in gens]
+        arithmetic.append(pres.parse_poly(pres.format_poly(r)))
+        assert_bytes_words(arithmetic, "arithmetic")
+        assert_bytes_words(opposite_presentation(pres).relations, "opposite_presentation")
+    assert_bytes_words(tensor_presentation(pres, pres).relations, "tensor_presentation")
+    assert_bytes_words([pres.word_poly(w) for w in free_words(pres.gen_degs, 4)], "word_poly")
+
+    G = groebner(pres, 8, str(tmp_path))
+    loaded = load_basis(pres, 8, str(tmp_path))
+    assert loaded is not None and loaded.elements == G.elements
+    for basis, where in ((G, "completion"), (loaded, "cache load")):
+        if basis.elements:
+            assert_bytes_words(basis.elements, where)
+        assert all(type(u) is bytes for u in basis._leads + list(basis.automaton.states)), where
+    for j in range(7):
+        assert all(type(w) is bytes for w in G.normal_words(j)), j
+        for w in free_words(pres.gen_degs, j):
+            assert all(type(u) is bytes for u, _ in G.nf_word(w)), w
+    for layer in (FreeLayer(G, (0, 1)), FreeLayer(G, (0, 2), right=True)):
+        for j in range(6):
+            assert all(type(w) is bytes for _, w in layer.basis(j)), j
+    assert_bytes_words([p for row in trivial_module(pres).rows for p in row], "trivial_module")
+
+
+@pytest.mark.parametrize("algebra, module", [("t34", "t34_frac"), ("qplane2", "qplane2_right")])
+def test_module_rows_have_bytes_words(algebra, module):
+    pres = read_presentation(os.path.join(PRESENTATIONS, algebra + ".alg"), algebra)
+    with open(os.path.join(PRESENTATIONS, module + ".mod")) as fh:
+        mpres = parse_module(fh.read(), pres)
+    for m in (mpres, opposite_module(mpres)):
+        assert_bytes_words([p for row in m.rows for p in row], module)
+
+
+def tuple_key(gen_degs, word):
+    """MonomialOrder.key as it was on tuple words."""
+    return (sum(gen_degs[g] for g in word), tuple(-g for g in word))
+
+
+def test_bytes_order_is_the_tuple_order():
+    rng = random.Random(1818)
+    shapes = [(1, 1), (1, 2, 1), (1, 3, 2, 1, 2), tuple(rng.randrange(1, 4) for _ in range(256))]
+    for gen_degs in shapes:
+        n = len(gen_degs)
+        order = MonomialOrder(gen_degs)
+        words = [tuple(rng.randrange(n) for _ in range(rng.randrange(0, 9))) for _ in range(400)]
+        # proper prefixes, repeats and the extreme letters, on purpose
+        words += [w[:k] for w in words[:60] for k in range(len(w))] + words[:20]
+        words += [(0,), (n - 1,), (0, n - 1), (n - 1, 0), (n - 1, n - 1, 0)]
+        rng.shuffle(words)
+        as_bytes = [bytes(w) for w in words]
+        assert [tuple(w) for w in sorted(as_bytes)] == sorted(words), gen_degs
+        assert [tuple(w) for w in sorted(as_bytes, key=order.key)] == sorted(
+            words, key=lambda w: tuple_key(gen_degs, w)
+        ), gen_degs
+        assert tuple(min(as_bytes)) == min(words)
+        for u, v in zip(words, words[1:]):
+            bu, bv = bytes(u), bytes(v)
+            assert (bu < bv, bu == bv) == (u < v, u == v)
+            ku, kv = order.key(bu), order.key(bv)
+            tu, tv = tuple_key(gen_degs, u), tuple_key(gen_degs, v)
+            assert (ku < kv, ku == kv) == (tu < tv, tu == tv), (u, v)
+
+
+# cache files as `homreg gb <file> [--dgb D] --cache-dir DIR` wrote them when
+# words were tuples (format version 2)
+CACHE_PINS = [
+    ("t34.gb_12", os.path.join(PRESENTATIONS, "t34.alg"), 12),
+    ("sklyanin.gb_8", SKLYANIN, 8),
+]
+
+
+@pytest.mark.parametrize("name, path, d_gb", CACHE_PINS, ids=[c[0] for c in CACHE_PINS])
+def test_pinned_cache_file_loads_and_is_written_again_unchanged(tmp_path, name, path, d_gb):
+    assert GB_FORMAT_VERSION == 2
+    with open(os.path.join(ROOT, "tests", "expected", "cache", name + ".gb")) as fh:
+        pinned = fh.read()
+    pres = read_presentation(path, name)
+    cached = tmp_path / "pinned"
+    cached.mkdir()
+    (cached / (basis_fingerprint(pres, d_gb) + ".gb")).write_text(pinned)
+    loaded = load_basis(pres, d_gb, str(cached))
+    G = buchberger_truncated(pres, d_gb)
+    assert loaded is not None
+    assert loaded.elements == G.elements and loaded.complete == G.complete
+    assert_bytes_words(loaded.elements, name)
+    for basis, where in ((G, "computed"), (loaded, "loaded")):
+        with open(save_basis(basis, str(tmp_path / where))) as fh:
+            assert fh.read() == pinned, where
+
+
+def test_at_most_256_generators():
+    gens = [("g%d" % i, 1) for i in range(256)]
+    pres = make_presentation(QQ, gens, [])
+    assert pres.gen_poly(255).lead_word() == b"\xff"
+    with pytest.raises(PresentationError, match="257 generators.*at most 256"):
+        make_presentation(QQ, gens + [("h", 1)], [])
+    with pytest.raises(PresentationError, match="257 generators"):
+        parse_presentation("field Q; gens " + " ".join("g%d:1" % i for i in range(257)))
+
+
+def test_tensor_product_above_256_generators_is_rejected():
+    A = parse_presentation("field Q; gens a:1")
+    B = make_presentation(QQ, [("b%d" % i, 1) for i in range(255)], [])
+    B = make_presentation(QQ, list(zip(B.gen_names, B.gen_degs)), [B.parse_poly("b254^2")])
+    AB = tensor_presentation(A, B)
+    assert AB.n_gens == 256
+    assert bytes((255, 255)) in AB.relations[0].terms  # B's b254 is letter 255
+    assert bytes((0, 255)) in AB.relations[-1].terms
+    A2 = parse_presentation("field Q; gens a:1 c:1")
+    with pytest.raises(PresentationError, match="257 generators"):
+        tensor_presentation(A2, B)
