@@ -11,13 +11,11 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 from .corealg import (
     CertificationError,
     PresentationError,
     ResourceLimitError,
-    convert_field,
     make_module_presentation,
     parse_field,
     parse_module,
@@ -68,10 +66,8 @@ def _load_presentation(path, args):
     with open(path) as fh:
         text = fh.read()
     label = os.path.splitext(os.path.basename(path))[0]
-    pres = parse_presentation(text, label=label)
-    if getattr(args, "field", None):
-        pres = convert_field(pres, parse_field(args.field))
-    return pres
+    field = parse_field(args.field) if getattr(args, "field", None) else None
+    return parse_presentation(text, label=label, field=field)
 
 
 def _cache_dir(args):
@@ -131,6 +127,11 @@ def _images_for(source_pres, target_pres, overrides, role):
 
     `role` ("source" or "witness") names the source algebra in errors.
     """
+    if source_pres.field != target_pres.field:
+        raise PresentationError(
+            "%s %s is over %s but %s is over %s; a map must keep the base field"
+            % (role, source_pres.label, source_pres.field, target_pres.label, target_pres.field)
+        )
     for n in source_pres.gen_names:
         if n not in overrides and n not in target_pres.gen_names:
             raise PresentationError(
@@ -772,6 +773,7 @@ def _report_failure(emit, exc):
             break
     else:
         cls, prefix, code = "internal", "internal error", EXIT_INTERNAL
+        import traceback  # here, as only an internal error needs it: it loads tokenize
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         message = "%s: %s (at %s:%d in %s)" % (
             type(exc).__name__, exc, os.path.basename(frame.filename), frame.lineno, frame.name

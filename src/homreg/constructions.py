@@ -9,11 +9,11 @@ presentation stays available for cross-checking on small windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .corealg import (
     PresentationError,
     Poly,
+    Record,
     check_generator_count,
     make_presentation,
 )
@@ -152,8 +152,7 @@ def tensor_product(artA, artB, label=""):
 # quotients by normal regular elements
 
 
-@dataclass(frozen=True)
-class NormalElementCertificate:
+class NormalElementCertificate(Record):
     element_text: str
     degree: int
     left_witnesses: tuple  # per generator g: q_g with g*Omega = Omega*q_g mod I
@@ -299,8 +298,7 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
 # finite maps
 
 
-@dataclass(frozen=True)
-class FiniteMapCertificate:
+class FiniteMapCertificate(Record):
     images_text: tuple
     left_cokernel: tuple  # dims of A / f(T_{>=1}) A per degree
     right_cokernel: tuple  # dims of A / A f(T_{>=1}) per degree

@@ -9,7 +9,6 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 NEG_INF = float("-inf")
@@ -25,6 +24,48 @@ class CertificationError(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """A computation exceeded its configured budget."""
+
+
+class _RecordType(type):
+    """Makes a record's annotated fields its `__slots__`; a value in the class body is a default."""
+
+    def __new__(mcs, name, bases, ns, frozen=True):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns.update(__slots__=fields, _defaults={f: ns.pop(f) for f in fields if f in ns})
+        if not frozen:  # assignable and unhashable
+            ns.update(__setattr__=object.__setattr__, __delattr__=object.__delattr__, __hash__=None)
+        return super().__new__(mcs, name, bases, ns)
+
+
+class Record(metaclass=_RecordType):
+    """A frozen value record: fields by position or keyword, equal to one of its class with
+    equal fields.  Its methods are written out, not generated at import, which cost most of start-up."""
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if len(args) > len(fields) or kwargs.keys() & set(fields[: len(args)]) or values.keys() != set(fields):
+            raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(fields)))
+        for f in fields:
+            object.__setattr__(self, f, values[f])
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % fv for fv in zip(self.__slots__, self._values()))
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is frozen: field %r cannot change" % (type(self).__name__, name))
+
+    __delattr__ = __setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +403,7 @@ class Poly:
 # presentations
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(Record):
     """A finite presentation of a connected graded algebra.
 
     Generators carry positive integer degrees; relations are homogeneous
@@ -492,9 +532,11 @@ def check_generator_count(n):
 
 
 def convert_field(pres, field):
-    """The same presentation with coefficients mapped into another field."""
+    """The same presentation with coefficients mapped from Q into another field."""
     if pres.field == field:
         return pres
+    if pres.field.modulus:
+        raise PresentationError("cannot map coefficients from %s to %s" % (pres.field, field))
 
     def conv(c):
         if isinstance(c, Fraction):
@@ -528,8 +570,7 @@ def opposite_presentation(pres):
 # module presentations
 
 
-@dataclass(frozen=True)
-class ModulePresentation:
+class ModulePresentation(Record):
     """A presented graded module over an algebra presentation.
 
     `gen_degs` are the internal degrees a_r of the free cover generators;
@@ -716,11 +757,11 @@ def _split_statements(text):
     return out
 
 
-def parse_presentation(text, label=""):
+def parse_presentation(text, label="", field=None):
     """Parse the presentation grammar.
 
     Grammar (UTF-8 text, statements split on ';' or newlines, '#' comments):
-        field Q|F<p>
+        field Q|F<p>               (a `field` argument replaces it: coefficients are read as written)
         gens <name>:<deg> ...
         order <name list>          (optional; highest precedence first)
         rels <poly>, <poly>, ...   (optional; '*' concatenation, '^' powers)
@@ -728,7 +769,7 @@ def parse_presentation(text, label=""):
     Generators are numbered in precedence order, which is declaration order
     unless an `order` directive is given.
     """
-    field = None
+    declared = None
     gens = []
     rel_sources = []
     order_names = None
@@ -736,7 +777,7 @@ def parse_presentation(text, label=""):
         head, _, rest = stmt.partition(" ")
         rest = rest.strip()
         if head == "field":
-            field = parse_field(rest)
+            declared = parse_field(rest)
         elif head == "gens":
             for item in rest.split():
                 name, _, deg = item.partition(":")
@@ -753,8 +794,9 @@ def parse_presentation(text, label=""):
             order_names = rest.split()
         else:
             raise PresentationError("unknown directive %r" % head)
-    if field is None:
+    if declared is None:
         raise PresentationError("missing 'field' directive")
+    field = declared if field is None else field
     if not gens:
         raise PresentationError("missing 'gens' directive")
     # a provisional presentation provides name resolution for relation parsing

@@ -17,13 +17,13 @@ in `row_reduce`), `complement_basis` is first-fit insertion into one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
+from .corealg import Record
 
-@dataclass
-class RowReduction:
+
+class RowReduction(Record, frozen=False):
     rank: int
     pivots: tuple
     rref: list

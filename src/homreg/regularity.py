@@ -10,12 +10,12 @@ assertion strings and surface in every report that uses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .corealg import (
     CertificationError,
     NEG_INF,
+    Record,
     opposite_presentation,
 )
 from . import gbasis as gb_mod
@@ -34,8 +34,7 @@ NOETHERIAN_ASSERTION = "noetherian: user assertion"
 # bounded values
 
 
-@dataclass(frozen=True)
-class BoundedValue:
+class BoundedValue(Record):
     """An integer invariant with a truncation-aware qualifier."""
 
     kind: str  # "exact" | "at_least" | "unknown"
@@ -81,8 +80,7 @@ class BoundedValue:
         return {"kind": self.kind, "value": self.value, "note": self.note}
 
 
-@dataclass(frozen=True)
-class CMEvidence:
+class CMEvidence(Record):
     """Which special-case formula justifies a CM-regularity value.
 
     Cases: finite_dimensional (CMreg = top degree), as_regular (d - l),
@@ -95,8 +93,7 @@ class CMEvidence:
     assertions: tuple = ()
 
 
-@dataclass(frozen=True)
-class KoszulVerdict:
+class KoszulVerdict(Record):
     status: str  # "yes" | "no" | "unknown"
     caveat: str = ""
     witness: object = None
@@ -109,8 +106,7 @@ class KoszulVerdict:
         return "unknown to bound"
 
 
-@dataclass(frozen=True)
-class ASRegularVerdict:
+class ASRegularVerdict(Record):
     status: str  # "yes" | "no" | "unknown"
     dim: object = None
     index: object = None
@@ -407,8 +403,7 @@ def as_regular_verdict(art):
 # Hilbert-series criterion
 
 
-@dataclass(frozen=True)
-class HilbertCriterionResult:
+class HilbertCriterionResult(Record):
     verdict: str  # "yes" | "no"
     h_degree: int
     s: int
@@ -456,8 +451,7 @@ def hilbert_criterion(art, s, witnesses=()):
 # concavity
 
 
-@dataclass(frozen=True)
-class ConcavityWitness:
+class ConcavityWitness(Record):
     """A certified finite map from an AS regular algebra.
 
     `neg_cmreg` is -CMreg(T) = Torreg of T's trivial module; the flags
@@ -472,8 +466,7 @@ class ConcavityWitness:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ConcavityBound:
+class ConcavityBound(Record):
     upper: BoundedValue
     exact: bool
     c_minus: BoundedValue
@@ -544,8 +537,7 @@ def concavity_certificate(art, witnesses=()):
 # invariant-subring obstruction
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(Record):
     status: str  # "obstructed" | "no conclusion"
     inequality: str
     beta1: object
@@ -622,8 +614,7 @@ def ta_tc_pairs(report):
     return ta, tc
 
 
-@dataclass
-class RegularityReport:
+class RegularityReport(Record, frozen=False):
     label: str
     window: tuple  # (i_max, d_max, d_gb)
     torreg_k: BoundedValue
@@ -789,8 +780,7 @@ def build_report(art):
 # inequality harness
 
 
-@dataclass(frozen=True)
-class HarnessCase:
+class HarnessCase(Record):
     """One check: kind 'leq'/'eq' compare values, 'true' asserts a fact."""
 
     name: str
@@ -800,8 +790,7 @@ class HarnessCase:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class HarnessResult:
+class HarnessResult(Record):
     name: str
     status: str  # "pass" | "fail" | "skip"
     detail: str

@@ -40,7 +40,6 @@ declared with a certificate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from . import linalg
 from .corealg import (
@@ -50,6 +49,7 @@ from .corealg import (
     ModulePresentation,
     Poly,
     PresentationError,
+    Record,
     make_module_presentation,
 )
 from .series import RationalSeries, _pmul, _ptrim
@@ -285,8 +285,7 @@ class MappedAlgebraView(_ModuleView):
 # resolution data
 
 
-@dataclass
-class Resolution:
+class Resolution(Record, frozen=False):
     """A truncated minimal free resolution ... F_1 -> F_0 of a left module.
 
     `maps[i]` is the differential F_{i+1} -> F_i as the image of each
@@ -308,8 +307,7 @@ class Resolution:
         return len(self.shifts) - 1
 
 
-@dataclass
-class BettiTable:
+class BettiTable(Record, frozen=False):
     """Ranks beta_{i,j} of a minimal resolution, truncated to (i_max, d_max)."""
 
     entries: dict
@@ -362,8 +360,7 @@ class BettiTable:
         return "\n".join(lines)
 
 
-@dataclass
-class ExtTable:
+class ExtTable(Record, frozen=False):
     """Ranks of Ext^i(k, A) per internal degree on a certified window.
 
     `windows[i]` is the certified internal-degree interval (j_lo, j_hi)

@@ -11,10 +11,9 @@ before anything is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .corealg import CertificationError
+from .corealg import CertificationError, Record
 
 # -- small exact polynomial kit (coefficient lists, ascending) --------------
 
@@ -89,8 +88,7 @@ def _to_int_poly(c):
 # -- series types -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     coefficients: tuple
     truncation: int
 
@@ -98,8 +96,7 @@ class TruncatedSeries:
         return "[" + ", ".join(str(c) for c in self.coefficients) + ", ...]"
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(Record):
     """An exact rational Hilbert series numerator / prod (1 - t^e_i).
 
     `denominator` is the expanded denominator polynomial (constant term 1);
@@ -289,8 +286,7 @@ def series_product(h1, h2):
 # -- Stanley's functional equation --------------------------------------------
 
 
-@dataclass(frozen=True)
-class StanleyVerdict:
+class StanleyVerdict(Record):
     satisfied: bool
     sign: int = None
     shift: int = None

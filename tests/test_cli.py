@@ -20,6 +20,7 @@ PLANE_SRC = "field Q\ngens x:1 y:1\nrels x*y - y*x\n"
 KX_SRC = "field Q\ngens x:1\n"
 A3_SRC = "field Q\ngens x:1\nrels x^3\n"
 HYP_SRC = "field Q\ngens x:1 t:2\nrels x*t - t*x, t^2 - x^4\n"
+F7_PLANE_SRC = "field F7\ngens x:1 y:1\nrels x*y - y*x\n"
 
 
 @pytest.fixture
@@ -46,6 +47,13 @@ def run(argv, capsys):
 
 def jsonl(out):
     return [json.loads(line) for line in out.splitlines() if line.strip()]
+
+
+def src_env():
+    """The environment for a subprocess that imports this checkout's homreg."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def sample(name):
@@ -287,6 +295,42 @@ def test_field_override(files, capsys):
     assert code == 0
     (rec,) = jsonl(out)
     assert rec["complete"]
+
+
+@pytest.mark.parametrize(
+    "field, element",
+    [("F5", "x*y + 4*y*x"), ("Q", "x*y - y*x"), ("F7", "x*y + 6*y*x"), ("F101", "x*y + 100*y*x")],
+)
+def test_field_override_reads_prime_field_coefficients_as_written(tmp_path, capsys, field, element):
+    # -1 in a F7 file is -1 in the override field, not the residue 6
+    path = tmp_path / "f7plane.alg"
+    path.write_text(F7_PLANE_SRC)
+    code, out = run(["gb", str(path), "--field", field, "--no-cache", "--format", "jsonl"], capsys)
+    assert code == 0
+    (rec,) = jsonl(out)
+    assert rec["elements"] == [element]
+
+
+@pytest.mark.parametrize(
+    "argv, role",
+    [
+        (["concavity", "{f7}", "--witness", "{kx}"], "witness"),
+        (["obstruct", "{f7}", "--witness", "{kx}"], "witness"),
+        (["finitemap", "{kx}", "{f7}"], "source"),
+    ],
+    ids=["concavity", "obstruct", "finitemap"],
+)
+def test_map_between_base_fields_is_input_error(files, tmp_path, capsys, argv, role):
+    f7 = tmp_path / "f7plane.alg"
+    f7.write_text(F7_PLANE_SRC)
+    argv = [a.format(f7=f7, kx=files["kx"]) for a in argv]
+    code, out = run(argv + ["--no-cache", "--format", "jsonl"], capsys)
+    assert code == cli.EXIT_INPUT == 1
+    (rec,) = jsonl(out)
+    assert rec["type"] == "error" and rec["class"] == "input"
+    assert rec["message"] == (
+        "%s kx is over Q but f7plane is over F7; a map must keep the base field" % role
+    )
 
 
 def test_assertions_echoed(files, capsys):
@@ -665,12 +709,38 @@ def test_no_cache_run_does_not_import_the_cache_machinery(tmp_path):
         "    code = homreg.cli.main(['gb', sys.argv[1], '--cache-dir', sys.argv[2]])",
         "print(code, loaded())",
     ])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script, sample("t34"), str(tmp_path / "cache")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     # the cached run is the control: it does import both
     assert proc.stdout.splitlines() == ["0 []", "0 ['hashlib', 'tempfile']"]
+
+
+def test_commands_do_not_import_dataclasses_or_inspect():
+    # the records are slotted classes; dataclasses would load inspect and ast;
+    # traceback is imported only to report an internal error
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import homreg, homreg.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [homreg.cli.main([c, sys.argv[1], '--no-cache']) for c in ('gb', 'regularity')]",
+        "print(codes, sorted(m for m in ('dataclasses', 'inspect', 'ast', 'traceback') if m in sys.modules))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, sample("t34")],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0] []"]
+
+
+def test_python_dash_m_homreg_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "homreg", "gb", sample("t34"), "--no-cache", "--format", "jsonl"],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(ROOT, "tests", "expected", "t34.gb.jsonl")) as fh:
+        assert proc.stdout == fh.read()

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -188,6 +189,26 @@ def test_convert_field():
     (rel,) = pres5.relations
     coeffs = sorted(c.v for c in rel.terms.values())
     assert coeffs == [1, 3]  # -2 = 3 mod 5
+    # a residue mod 5 is no rational number and no residue mod 7
+    for target in ("Q", "F7"):
+        with pytest.raises(PresentationError, match="cannot map coefficients from F5 to %s" % target):
+            convert_field(pres5, parse_field(target))
+    assert convert_field(pres5, parse_field("F5")) is pres5
+
+
+def test_parse_presentation_in_another_field():
+    src = "field F7; gens x:1 y:1; rels x*y - 2/3*y*x"
+    for name, coeff in (("Q", Fraction(-2, 3)), ("F5", 1), ("F7", 4)):
+        pres = parse_presentation(src, field=parse_field(name))
+        assert pres.field == parse_field(name)
+        assert pres.relations[0].terms[b"\x01\x00"] == coeff
+    # the directive is still required and checked
+    with pytest.raises(PresentationError, match="missing 'field' directive"):
+        parse_presentation("gens x:1", field=parse_field("Q"))
+    with pytest.raises(PresentationError, match="unsupported field F4"):
+        parse_presentation("field F4; gens x:1", field=parse_field("Q"))
+    with pytest.raises(PresentationError, match="is undefined in F3"):
+        parse_presentation(src, field=parse_field("F3"))
 
 
 def test_parse_module_rows():
