@@ -54,17 +54,13 @@ def tensor_presentation(A, B, label=""):
     nA = A.n_gens
     field = A.field
     degs = tuple(d for _, d in gens)
-    rels = []
-    for r in A.relations:
-        rels.append(Poly(dict(r.terms), r.degree))
+    rels = list(A.relations)
     for r in B.relations:
-        rels.append(Poly({bytes(g + nA for g in w): c for w, c in r.terms.items()}, r.degree))
-    one = field.one()
+        rels.append(Poly({bytes(g + nA for g in w): c for w, c in r.terms.items()}, r.degree, r.modulus))
     for i in range(nA):
         for jj in range(B.n_gens):
             j = nA + jj
-            terms = {bytes((i, j)): one, bytes((j, i)): -one}
-            rels.append(Poly.make(terms, degs))
+            rels.append(Poly.make({bytes((i, j)): 1, bytes((j, i)): -1}, degs, field.modulus))
     return make_presentation(
         field, gens, rels, label=label or "%s(x)%s" % (A.label or "A", B.label or "B")
     )

@@ -1,9 +1,15 @@
-"""Core objects: exact scalars, words, homogeneous polynomials, presentations.
+"""Core objects: fields and their scalars, words, homogeneous polynomials, presentations.
+
+A field is Q or F_p (`Field`).  Its scalars are plain values, the same in
+polynomials and in the coordinate vectors of `linalg`: over F_p ints in
+[0, p); over Q ints where integral and `Fraction`s otherwise, never floats.
+`Field.scalar` is the one map from rationals to them.
 
 Words are byte strings of generator indices.  A polynomial is a finite map
-from words to nonzero scalars and is kept homogeneous at all times; the zero
-polynomial has degree NEG_INF, matching the convention deg(0) = -infinity.
-All values are immutable after construction and safe to share.
+from words to nonzero scalars of one field and is kept homogeneous at all
+times; the zero polynomial has degree NEG_INF, matching the convention
+deg(0) = -infinity.  All values are immutable after construction and safe
+to share.
 """
 
 from __future__ import annotations
@@ -72,159 +78,71 @@ class Record(metaclass=_RecordType):
 # scalar fields
 
 
-class RationalField:
-    """The rationals; elements are `fractions.Fraction` (arbitrary precision)."""
-
-    name = "Q"
-    modulus = 0  # the characteristic; coordinate vectors hold ints, or Fractions if not integral
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def from_fraction(self, num, den=1):
-        if not den:
-            raise PresentationError("coefficient %d/%d is undefined in Q" % (num, den))
-        return Fraction(num, den)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("field:Q")
-
-    def __repr__(self):
-        return "Q"
+def integral(q):
+    """The rational `q` as a plain int when it is an integer, else as is."""
+    return q.numerator if q.denominator == 1 else q
 
 
-QQ = RationalField()
+# Miller-Rabin on the first thirteen prime bases is exact below _PRIME_BOUND,
+# the least strong pseudoprime to all of them (J. Sorenson and J. Webster,
+# Math. Comp. 86, 2017); no larger modulus is accepted, as its primality is
+# unproven.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
 
 
-class FpElement:
-    """An element of F_p, stored as the reduced representative in [0, p)."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p, v):
-        self.p = p
-        self.v = v % p
-
-    def _val(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields F_%d and F_%d" % (self.p, other.p))
-            return other.v
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __add__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.p, self.v + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.p, self.v - v)
-
-    def __rsub__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.p, v - self.v)
-
-    def __mul__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.p, self.v * v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.p, self.v * pow(v, -1, self.p))
-
-    def __rtruediv__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.p, v * pow(self.v, -1, self.p))
-
-    def __neg__(self):
-        return FpElement(self.p, -self.v)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        v = self._val(other)
-        if v is None:
-            return NotImplemented
-        return self.v == v % self.p
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __repr__(self):
-        return str(self.v)
-
-
-def _is_prime(p):
-    if p < 2:
+def _is_prime(n):
+    """Deterministic Miller-Rabin test, for 0 <= n < _PRIME_BOUND."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
     return True
 
 
-class PrimeField:
-    """The prime field F_p."""
+class Field:
+    """Q (modulus 0) or the prime field F_p (modulus p)."""
 
-    def __init__(self, p):
-        if not _is_prime(p):
-            raise PresentationError("unsupported field F%d: %d is not prime" % (p, p))
-        self.p = p
-        self.modulus = p  # coordinate vectors hold plain ints in [0, p)
-        self.name = "F%d" % p
+    __slots__ = ("modulus", "name")
 
-    def zero(self):
-        return FpElement(self.p, 0)
+    def __init__(self, modulus=0):
+        self.modulus = modulus  # the characteristic
+        self.name = "F%d" % modulus if modulus else "Q"
 
-    def one(self):
-        return FpElement(self.p, 1)
-
-    def from_int(self, n):
-        return FpElement(self.p, n)
-
-    def from_fraction(self, num, den=1):
-        if den % self.p == 0:
+    def scalar(self, num, den=1):
+        """The rational num/den as a scalar of this field; PresentationError if den is 0 in it."""
+        p = self.modulus
+        if den % p == 0 if p else not den:
             raise PresentationError("coefficient %d/%d is undefined in %s" % (num, den, self.name))
-        return FpElement(self.p, num * pow(den, -1, self.p))
+        if p:
+            return num * pow(den, -1, p) % p
+        return num if den == 1 else integral(Fraction(num, den))
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return isinstance(other, Field) and other.modulus == self.modulus
 
     def __hash__(self):
-        return hash(("field:Fp", self.p))
+        return hash(self.modulus)
 
     def __repr__(self):
         return self.name
+
+
+QQ = Field()
 
 
 def parse_field(name):
@@ -234,7 +152,14 @@ def parse_field(name):
         return QQ
     m = re.fullmatch(r"F(\d+)", name)
     if m:
-        return PrimeField(int(m.group(1)))
+        p = int(m.group(1))
+        if p >= _PRIME_BOUND:
+            raise PresentationError(
+                "unsupported field F%d: primality is proven only below %d" % (p, _PRIME_BOUND)
+            )
+        if not _is_prime(p):
+            raise PresentationError("unsupported field F%d: %d is not prime" % (p, p))
+        return Field(p)
     raise PresentationError("unsupported field %r (expected Q or F<p>)" % name)
 
 
@@ -288,31 +213,40 @@ class MonomialOrder:
 
 
 class Poly:
-    """A homogeneous noncommutative polynomial (word -> nonzero scalar)."""
+    """A homogeneous noncommutative polynomial (word -> nonzero scalar).
 
-    __slots__ = ("terms", "degree")
+    `modulus` is its field's: the terms hold that field's scalars, and
+    arithmetic reduces mod p when it is nonzero.
+    """
 
-    def __init__(self, terms, degree):
+    __slots__ = ("terms", "degree", "modulus")
+
+    def __init__(self, terms, degree, modulus):
         # Internal constructor; use Poly.make or presentation helpers, which
-        # validate homogeneity and drop zero coefficients.
+        # validate homogeneity, reduce the scalars and drop zeros.
         self.terms = terms
         self.degree = degree
+        self.modulus = modulus
 
     @staticmethod
     def zero():
-        return Poly({}, NEG_INF)
+        return Poly({}, NEG_INF, 0)
 
     @staticmethod
-    def make(terms, gen_degs):
-        clean = {w: c for w, c in terms.items() if c}
-        if not clean:
-            return Poly.zero()
+    def _of(terms, degree, p):
+        """The polynomial of `terms` (all of one degree), its scalars reduced and zeros dropped."""
+        clean = {w: r for w, c in terms.items() if (r := c % p if p else integral(c))}
+        return Poly(clean, degree, p) if clean else Poly.zero()
+
+    @staticmethod
+    def make(terms, gen_degs, modulus):
+        clean = Poly._of(terms, NEG_INF, modulus).terms
         degs = {word_degree(w, gen_degs) for w in clean}
-        if len(degs) != 1:
+        if len(degs) > 1:
             raise PresentationError(
                 "inhomogeneous polynomial: term degrees %s" % sorted(degs)
             )
-        return Poly(clean, degs.pop())
+        return Poly(clean, degs.pop(), modulus) if clean else Poly.zero()
 
     def is_zero(self):
         return not self.terms
@@ -337,16 +271,11 @@ class Poly:
             )
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w)
-            s = c if s is None else s + c
-            if s:
-                terms[w] = s
-            elif w in terms:
-                del terms[w]
-        return Poly(terms, self.degree) if terms else Poly.zero()
+            terms[w] = terms.get(w, 0) + c
+        return Poly._of(terms, self.degree, self.modulus)
 
     def __neg__(self):
-        return Poly({w: -c for w, c in self.terms.items()}, self.degree)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -358,21 +287,11 @@ class Poly:
         for u, a in self.terms.items():
             for v, b in other.terms.items():
                 w = u + v
-                c = a * b
-                s = terms.get(w)
-                s = c if s is None else s + c
-                if s:
-                    terms[w] = s
-                elif w in terms:
-                    del terms[w]
-        if not terms:
-            return Poly.zero()
-        return Poly(terms, self.degree + other.degree)
+                terms[w] = terms.get(w, 0) + a * b
+        return Poly._of(terms, self.degree + other.degree, self.modulus)
 
     def scale(self, c):
-        if not c or not self.terms:
-            return Poly.zero()
-        return Poly({w: c * a for w, a in self.terms.items()}, self.degree)
+        return Poly._of({w: c * a for w, a in self.terms.items()}, self.degree, self.modulus)
 
     def lead_word(self):
         """The greatest word: the least byte string, as all terms share one degree."""
@@ -382,13 +301,14 @@ class Poly:
         c = self.terms[self.lead_word()]
         if c == 1:
             return self
-        return self.scale(1 / c)
+        p = self.modulus
+        return self.scale(pow(c, -1, p) if p else 1 / Fraction(c))
 
     def reversed_words(self):
         """The polynomial with every word reversed (opposite algebra image)."""
         if not self.terms:
             return self
-        return Poly({w[::-1]: c for w, c in self.terms.items()}, self.degree)
+        return Poly({w[::-1]: c for w, c in self.terms.items()}, self.degree, self.modulus)
 
     def __repr__(self):
         if not self.terms:
@@ -428,16 +348,16 @@ class AlgebraPresentation(Record):
             raise PresentationError("unknown symbol %r" % name) from None
 
     def gen_poly(self, i):
-        return Poly({LETTERS[i]: self.field.one()}, self.gen_degs[i])
+        return Poly({LETTERS[i]: 1}, self.gen_degs[i], self.field.modulus)
 
     def word_degree(self, word):
         return word_degree(word, self.gen_degs)
 
     def word_poly(self, word):
-        return Poly({bytes(word): self.field.one()}, self.word_degree(word))
+        return Poly({bytes(word): 1}, self.word_degree(word), self.field.modulus)
 
     def one(self):
-        return Poly({b"": self.field.one()}, 0)
+        return Poly({b"": 1}, 0, self.field.modulus)
 
     def parse_poly(self, text):
         return _parse_poly_text(text, self)
@@ -529,24 +449,6 @@ def check_generator_count(n):
             "%d generators; words hold one byte per letter, so at most %d are supported"
             % (n, MAX_GENERATORS)
         )
-
-
-def convert_field(pres, field):
-    """The same presentation with coefficients mapped from Q into another field."""
-    if pres.field == field:
-        return pres
-    if pres.field.modulus:
-        raise PresentationError("cannot map coefficients from %s to %s" % (pres.field, field))
-
-    def conv(c):
-        if isinstance(c, Fraction):
-            return field.from_fraction(c.numerator, c.denominator)
-        return field.from_int(c.v)
-
-    rels = []
-    for r in pres.relations:
-        rels.append(Poly.make({w: conv(c) for w, c in r.terms.items()}, pres.gen_degs))
-    return make_presentation(field, list(zip(pres.gen_names, pres.gen_degs)), rels, label=pres.label)
 
 
 def opposite_presentation(pres):
@@ -654,14 +556,14 @@ class _TokenStream:
 
 
 def _parse_coefficient(ts, field):
-    num = int(ts.next())
+    num, den = int(ts.next()), 1
     if ts.peek() == "/":
         ts.next()
         den_tok = ts.next()
         if den_tok is None or not den_tok.isdigit():
             raise PresentationError("expected integer denominator")
-        return field.from_fraction(num, int(den_tok))
-    return field.from_int(num)
+        den = int(den_tok)
+    return field.scalar(num, den)
 
 
 def _is_name(t):
@@ -686,13 +588,12 @@ def _parse_factor(ts, pres):
 
 def _parse_term(ts, pres):
     """One signed term: [coef] [* name[^k] [* name[^k] ...]]."""
-    field = pres.field
-    coeff = field.one()
+    coeff = 1
     letters = []
     saw_factor = False
     t = ts.peek()
     if t is not None and t.isdigit():
-        coeff = _parse_coefficient(ts, field)
+        coeff = _parse_coefficient(ts, pres.field)
         saw_factor = True
         if ts.peek() == "*":
             ts.next()
@@ -721,21 +622,14 @@ def _parse_poly_stream(ts, pres):
         sign = -1 if t == "-" else 1
     while True:
         coeff, word = _parse_term(ts, pres)
-        if sign < 0:
-            coeff = -coeff
-        prev = terms.get(word)
-        s = coeff if prev is None else prev + coeff
-        if s:
-            terms[word] = s
-        elif word in terms:
-            del terms[word]
+        terms[word] = terms.get(word, 0) + sign * coeff
         t = ts.peek()
         if t in ("+", "-"):
             ts.next()
             sign = -1 if t == "-" else 1
             continue
         break
-    return Poly.make(terms, pres.gen_degs)
+    return Poly.make(terms, pres.gen_degs, pres.field.modulus)
 
 
 def _parse_poly_text(text, pres):
@@ -870,7 +764,7 @@ def _parse_module_row(text, pres, n_gens):
         ts.next()
         sign = -1 if t == "-" else 1
     while True:
-        coeff = pres.field.one()
+        coeff = 1
         letters = []
         t = ts.peek()
         if t is not None and t.isdigit():
@@ -889,9 +783,7 @@ def _parse_module_row(text, pres, n_gens):
             ts.expect("*")
         if slot >= n_gens:
             raise PresentationError("basis symbol e%d out of range" % slot)
-        if sign < 0:
-            coeff = -coeff
-        p = Poly.make({bytes(letters): coeff}, pres.gen_degs)
+        p = Poly.make({bytes(letters): sign * coeff}, pres.gen_degs, pres.field.modulus)
         entries[slot] = entries[slot] + p
         t = ts.peek()
         if t in ("+", "-"):

@@ -24,18 +24,15 @@ from __future__ import annotations
 
 import heapq
 import os
-from fractions import Fraction
 from math import gcd, lcm
 
 from .corealg import (
     LETTERS,
     CertificationError,
-    FpElement,
     Poly,
     PresentationError,
     ResourceLimitError,
 )
-from .linalg import integral
 
 GB_FORMAT_VERSION = 2
 
@@ -126,9 +123,10 @@ class _IntegerBasis:
     such basis with `add`, in the order the elements are found.
     """
 
-    def __init__(self, gen_degs, modulus, leads=(), forms=()):
+    def __init__(self, gen_degs, field, leads=(), forms=()):
         self.gen_degs = gen_degs
-        self.modulus = modulus
+        self.field = field
+        self.modulus = field.modulus
         self._leads = list(leads)
         self._forms = list(forms)
         self.automaton = WordAutomaton(tuple(self._leads), gen_degs)
@@ -209,15 +207,10 @@ class _IntegerBasis:
                     entry[0] -= c * a
         return {w: c if t == scale else c * (scale // t) for w, (c, t) in out.items()}, scale
 
-    def _to_poly(self, out, scale, degree):
-        """The polynomial out / scale, for integers `out` from `_reduce_terms`."""
-        if not out:
-            return Poly.zero()
-        p = self.modulus
-        if p:
-            inv = pow(scale, -1, p)
-            return Poly({w: FpElement(p, c * inv) for w, c in out.items()}, degree)
-        return Poly({w: Fraction(c, scale) for w, c in out.items()}, degree)
+    def _quotient(self, out, scale):
+        """The field scalars out / scale, for integers `out` from `_reduce_terms`."""
+        scalar = self.field.scalar
+        return out if scale == 1 else {w: scalar(c, scale) for w, c in out.items()}
 
 
 class GroebnerBasis(_IntegerBasis):
@@ -236,8 +229,8 @@ class GroebnerBasis(_IntegerBasis):
         self.complete = complete
         p = presentation.field.modulus
         leads = [g.lead_word() for g in self.elements]
-        forms = [_integer_form(_to_ints(g.terms, p)[0], u, p) for g, u in zip(self.elements, leads)]
-        super().__init__(presentation.gen_degs, p, leads, forms)
+        forms = [_integer_form(_to_ints(g.terms)[0], u, p) for g, u in zip(self.elements, leads)]
+        super().__init__(presentation.gen_degs, presentation.field, leads, forms)
         self._normal_words = {}
         self._nf_words = {}
 
@@ -258,25 +251,18 @@ class GroebnerBasis(_IntegerBasis):
         find = self.automaton.find
         if all(find(w) is None for w in p.terms):
             return p  # already normal (about half the calls in a resolution)
-        out, scale = self._reduce_terms(*_to_ints(p.terms, self.modulus))
-        return self._to_poly(out, scale, p.degree)
+        out, scale = self._reduce_terms(*_to_ints(p.terms))
+        return Poly(self._quotient(out, scale), p.degree, self.modulus) if out else Poly.zero()
 
     def nf_word(self, word):
         """Memoized normal form of a single word (hot path for resolutions).
 
-        Returned as (word, scalar) pairs, the scalars those of coordinate
-        vectors: ints in [0, p) over F_p; over Q ints, or Fractions if not integral.
+        Returned as (word, scalar) pairs.
         """
         nf = self._nf_words.get(word)
         if nf is None:
             self.check_degree(self.presentation.word_degree(word), "normal form")
-            out, scale = self._reduce_terms({word: 1}, 1)
-            p = self.modulus
-            if p:
-                inv = pow(scale, -1, p)
-                nf = tuple((w, c * inv % p) for w, c in out.items())
-            else:
-                nf = tuple((w, c if scale == 1 else integral(Fraction(c, scale))) for w, c in out.items())
+            nf = tuple(self._quotient(*self._reduce_terms({word: 1}, 1)).items())
             self._nf_words[word] = nf
         return nf
 
@@ -312,12 +298,9 @@ class GroebnerBasis(_IntegerBasis):
         return len(self.normal_words(j))
 
 
-def _to_ints(terms, p):
+def _to_ints(terms):
     """(ints, den) with ints[w] = den * terms[w] integers: den clears the
-    denominators over Q (p = 0); over F_p, den = 1 and ints are the
-    representatives in [0, p)."""
-    if p:
-        return {w: c.v for w, c in terms.items()}, 1
+    denominators over Q; over F_p, den = 1 and ints are the scalars."""
     den = lcm(*(c.denominator for c in terms.values()))
     return {w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den
 
@@ -396,7 +379,7 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
         heapq.heappush(heap, (r.degree, order.key(r.lead_word()), seq, r))
         seq += 1
 
-    basis = _IntegerBasis(presentation.gen_degs, p)
+    basis = _IntegerBasis(presentation.gen_degs, presentation.field)
     leads, forms = basis._leads, basis._forms
     # cleared when an overlap above d_gb is dropped: every ordered pair of
     # elements, self-pairs included, passes through push_overlaps once
@@ -421,7 +404,7 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
                 continue  # chain criterion
             out, _ = basis._reduce_terms(_s_polynomial(forms[i], forms[k], left, right), 1)
         else:
-            out, _ = basis._reduce_terms(*_to_ints(item.terms, p))
+            out, _ = basis._reduce_terms(*_to_ints(item.terms))
         if not out:
             continue
         if len(leads) >= element_limit:
@@ -438,14 +421,11 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
 
     # tail-reduce for canonical output; the leading words, and with them
     # the overlaps that decided `complete`, are already final
-    one = presentation.field.one()
     reduced = []
     for lead, (lead_coeff, words, coeffs) in zip(leads, forms):
-        degree = presentation.word_degree(lead)
-        out, scale = basis._reduce_terms(dict(zip(words, coeffs)), lead_coeff)
-        terms = basis._to_poly(out, scale, degree).terms
-        terms[lead] = one
-        reduced.append(Poly(terms, degree))
+        terms = basis._quotient(*basis._reduce_terms(dict(zip(words, coeffs)), lead_coeff))
+        terms[lead] = 1
+        reduced.append(Poly(terms, presentation.word_degree(lead), p))
     return GroebnerBasis(presentation, reduced, d_gb, complete)
 
 
@@ -513,10 +493,11 @@ def _deserialize_basis(text, presentation, d_gb):
             for part in body.split():
                 cs, _, ws = part.partition("@")
                 word = bytes(int(i) for i in ws.split(".")) if ws else b""
-                terms[word] = field.from_int(int(cs)) if field.modulus else Fraction(cs)
-            elements.append(Poly.make(terms, presentation.gen_degs))
+                num, _, den = cs.partition("/")
+                terms[word] = field.scalar(int(num), int(den or 1))
+            elements.append(Poly.make(terms, presentation.gen_degs, field.modulus))
         return GroebnerBasis(presentation, elements, d_gb, complete)
-    except (KeyError, ValueError, IndexError, ZeroDivisionError):
+    except (KeyError, ValueError, IndexError):  # PresentationError is a ValueError
         return None
 
 

@@ -4,15 +4,17 @@ All routines work over an exact field (rationals or F_p) and return
 canonical data, so every downstream basis choice is deterministic.
 A coordinate vector is a dict {column: coefficient}; absent columns are
 zero, and inputs may also hold explicit zeros.  A matrix is a list of
-such rows.  Scalars are plain ints in [0, p) over F_p (the field's
-`modulus` is p); over Q (`modulus` 0) they are ints where integral and
-`Fraction`s otherwise, never floats, so integral values cost no gcd.
-Results are in the same representation.  There is one elimination loop for
-both fields, `Echelon.residue`/`Echelon.add`: rows with unit pivots and no
-stored zeros, keyed by pivot column.  `reduced_form` back-substitutes them
-to the unique reduced row echelon form of some leading columns (all of them
-in `row_reduce`), `complement_basis` is first-fit insertion into one
-`Echelon`, and `solve` reads the reduced augmented matrix.
+such rows.  The coefficients are the field's scalars (see `corealg`):
+plain ints in [0, p) over F_p, where the field's `modulus` is p; over Q
+(`modulus` 0) ints where integral and `Fraction`s otherwise, so integral
+values cost no gcd.  Results are in the same representation.
+
+There is one elimination loop for both fields, `Echelon.residue`/
+`Echelon.add`: rows with unit pivots and no stored zeros, keyed by pivot
+column.  `reduced_form` back-substitutes them to the unique reduced row
+echelon form of some leading columns (all of them in `row_reduce`),
+`complement_basis` is first-fit insertion into one `Echelon`, and `solve`
+reads the reduced augmented matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .corealg import Record
+from .corealg import Record, integral
 
 
 class RowReduction(Record, frozen=False):
@@ -140,11 +142,6 @@ class Echelon:
                 v = {k: integral(Fraction(c, pv)) for k, c in v.items()}
         self.rows[p] = v
         return True
-
-
-def integral(q):
-    """The rational `q` as a plain int when it is an integer, else as is."""
-    return q.numerator if q.denominator == 1 else q
 
 
 def reduced(vec, modulus):

@@ -18,10 +18,9 @@ of a basis element (r, w) is one generator acting on the image of
 (r, w minus that letter), so the only normal forms taken are of single
 words (memoized by the Groebner basis) and of the inputs as given.
 
-Coordinate vectors hold the scalars of `linalg`: plain ints in [0, p)
-over F_p; over Q, plain ints where integral and `Fraction`s otherwise.
-`FreeLayer.coords` and `FreeLayer.polys` are the only conversions
-between them and polynomials, whose coefficients are field elements.
+Coordinate vectors hold the same scalars as polynomials (see `corealg`);
+`FreeLayer.coords` and `FreeLayer.polys` read one as the other on a
+layer's normal-word basis.
 
 Termination (a zero kernel, hence finite projective dimension) is only
 declared with a certificate:
@@ -100,19 +99,16 @@ class FreeLayer:
     def coords(self, polys, j):
         """Coordinates of sum_r polys[r] e_r, for normal polys of total degree j."""
         index = self.index(j)
-        if self.modulus:
-            return {index[(r, u)]: c.v for r, p in enumerate(polys) for u, c in p.terms.items()}
-        return {index[(r, u)]: linalg.integral(c) for r, p in enumerate(polys) for u, c in p.terms.items()}
+        return {index[(r, u)]: c for r, p in enumerate(polys) for u, c in p.terms.items()}
 
     def polys(self, j, vec):
         """The element with degree-j coordinates `vec`, as one Poly per slot."""
         basis = self.basis(j)
-        field = self.G.presentation.field
         terms = [{} for _ in self.shifts]
         for idx, c in sorted(vec.items()):  # Poly.make drops zero values
             r, u = basis[idx]
-            terms[r][u] = field.from_int(c)
-        return tuple(Poly.make(t, self.G.presentation.gen_degs) for t in terms)
+            terms[r][u] = c
+        return tuple(Poly.make(t, self.G.presentation.gen_degs, self.modulus) for t in terms)
 
     def add_slot(self, a):
         """Append a generator of degree a once basis(a) is cached; (r, b"") goes last there."""

@@ -9,16 +9,31 @@ recursion behind Ext and the multiplication maps against one direct
 normal form per (map entry x word), and `two_pass_syzygy_step`, which
 checks the resolution's one-elimination step against a separate span
 and kernel computation.  `reference_row_reduce` and
-`reference_solve` are dense Gauss-Jordan elimination on field elements
-(`FpElement` over F_p, `Fraction` over Q), for checking homreg.linalg's
-vectors of plain ints (and, over Q, `Fraction`s where not integral).
+`reference_solve` are dense Gauss-Jordan elimination, for checking
+homreg.linalg.
+
+The eliminations here use no homreg scalar code: over F_p they compute on
+ints with an explicit `% p` after every step and `pow(x, -1, p)` for
+inverses, over Q on `Fraction`s.  `p` is the field's modulus, 0 for Q.
+
+`src_env` is the environment for a test's subprocess that imports this
+checkout's homreg.
 """
 
+import os
 from fractions import Fraction
 
-from homreg.corealg import make_module_presentation
+from homreg.corealg import Poly, make_module_presentation
 from homreg.linalg import complement_basis, row_reduce
 from homreg.resolution import FreeLayer, _images
+
+
+def src_env():
+    """The environment for a subprocess that imports this checkout's homreg."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def free_words(gen_degs, degree):
@@ -55,6 +70,16 @@ def ideal_slice_spanning_set(pres, j):
                     yield {u + w + v: c for w, c in r.terms.items()}
 
 
+def _reduce(x, p):
+    """x mod p over F_p; x itself over Q (p = 0)."""
+    return x % p if p else x
+
+
+def _inverse(x, p):
+    """1 / x: `pow(x, -1, p)` over F_p, a Fraction over Q (p = 0)."""
+    return pow(x, -1, p) if p else 1 / Fraction(x)
+
+
 def ideal_slice_dim(pres, j):
     """dim of the degree-j slice of the two-sided ideal, by brute force.
 
@@ -62,29 +87,29 @@ def ideal_slice_dim(pres, j):
     degree-j free-word basis.
     """
     basis = {w: i for i, w in enumerate(free_words(pres.gen_degs, j))}
-    field = pres.field
+    p = pres.field.modulus
     rows = []
     for terms in ideal_slice_spanning_set(pres, j):
-        vec = [field.zero()] * len(basis)
+        vec = [0] * len(basis)
         for w, c in terms.items():
-            vec[basis[w]] = vec[basis[w]] + c
+            vec[basis[w]] += c
         rows.append(vec)
     # plain forward elimination, kept separate from homreg.linalg
     rank = 0
     pivots = {}
     for row in rows:
-        row = list(row)
-        for p in sorted(pivots):
-            if row[p]:
-                f = row[p]
-                prow = pivots[p]
-                for k in range(p, len(row)):
+        row = [_reduce(x, p) for x in row]
+        for q in sorted(pivots):
+            f = row[q]
+            if f:
+                prow = pivots[q]
+                for k in range(q, len(row)):
                     if prow[k]:
-                        row[k] = row[k] - f * prow[k]
+                        row[k] = _reduce(row[k] - f * prow[k], p)
         lead = next((k for k, x in enumerate(row) if x), None)
         if lead is not None:
-            inv = 1 / row[lead] if isinstance(row[lead], Fraction) else row[lead].__rtruediv__(1)
-            pivots[lead] = [x * inv for x in row]
+            inv = _inverse(row[lead], p)
+            pivots[lead] = [_reduce(x * inv, p) for x in row]
             rank += 1
     return rank
 
@@ -97,20 +122,15 @@ def scalar(field, n):
 def reference_row_reduce(rows, ncols, field):
     """(rank, pivots, rref, kernel) of dict rows, by dense Gauss-Jordan elimination.
 
-    Values are lifted to field elements and the loop runs on those (on
-    `FpElement`s over F_p), separately from homreg.linalg.  The rref rows
-    and kernel vectors (one per free column, ascending) come back as dicts
-    without zeros, in the scalars of coordinate vectors (see `scalar`).
+    The loop runs on residues in [0, p) over F_p and on `Fraction`s over Q,
+    separately from homreg.linalg.  The rref rows and kernel vectors (one
+    per free column, ascending) come back as dicts without zeros.
     """
-    if field.modulus:
-        lift, lower = field.from_int, (lambda x: x.v)
-    else:
-        lift, lower = Fraction, (lambda x: x)
-    zero, one = field.zero(), field.one()
-    dense = [[zero] * ncols for _ in rows]
+    m = field.modulus
+    dense = [[0] * ncols for _ in rows]
     for d, row in zip(dense, rows):
         for k, x in row.items():
-            d[k] = lift(x)
+            d[k] = x % m if m else Fraction(x)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -118,22 +138,22 @@ def reference_row_reduce(rows, ncols, field):
         if piv is None:
             continue
         dense[r], dense[piv] = dense[piv], dense[r]
-        inv = one / dense[r][c]
-        dense[r] = [x * inv for x in dense[r]]
+        inv = _inverse(dense[r][c], m)
+        dense[r] = [_reduce(x * inv, m) for x in dense[r]]
         for i in range(len(dense)):
             if i != r and dense[i][c]:
                 f = dense[i][c]
-                dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
+                dense[i] = [_reduce(a - f * b, m) for a, b in zip(dense[i], dense[r])]
         pivots.append(c)
-    rref = [{k: lower(x) for k, x in enumerate(row) if x} for row in dense[: len(pivots)]]
+    rref = [{k: x for k, x in enumerate(row) if x} for row in dense[: len(pivots)]]
     kernel = []
     for f in range(ncols):
         if f not in pivots:
-            v = {f: one}
+            v = {f: 1}
             for row, p in zip(dense, pivots):
                 if row[f]:
-                    v[p] = -row[f]
-            kernel.append({k: lower(x) for k, x in v.items()})
+                    v[p] = _reduce(-row[f], m)
+            kernel.append(v)
     return len(pivots), tuple(pivots), rref, kernel
 
 
@@ -152,9 +172,9 @@ def reference_solve(rows, ncols, rhs, field):
     return {p: row[ncols] for row, p in zip(rref, pivots) if ncols in row}
 
 
-def _clear_pivots(terms, echelon):
+def _clear_pivots(terms, echelon, p):
     """`terms` minus multiples of echelon rows, until no pivot word is left."""
-    row = {w: c for w, c in terms.items() if c}
+    row = {w: r for w, c in terms.items() if (r := _reduce(c, p))}
     while True:
         hits = [w for w in row if w in echelon]
         if not hits:
@@ -162,8 +182,7 @@ def _clear_pivots(terms, echelon):
         w = min(hits)
         f = row[w]
         for u, a in echelon[w].items():
-            s = row.get(u)
-            s = -f * a if s is None else s - f * a
+            s = _reduce(row.get(u, 0) - f * a, p)
             if s:
                 row[u] = s
             else:
@@ -178,20 +197,20 @@ def ideal_slice_echelon(pres, j):
     pivot word.  So the pivots are the leading words of the slice, and the
     other words of degree j are the normal words.
     """
+    p = pres.field.modulus
     echelon = {}
     for terms in ideal_slice_spanning_set(pres, j):
-        row = _clear_pivots(terms, echelon)
+        row = _clear_pivots(terms, echelon, p)
         if not row:
             continue
         lead = min(row)
-        inv = 1 / row[lead]
-        row = {w: c * inv for w, c in row.items()}
+        inv = _inverse(row[lead], p)
+        row = {w: _reduce(c * inv, p) for w, c in row.items()}
         for other in echelon.values():
             f = other.get(lead)
             if f:
                 for u, a in row.items():
-                    s = other.get(u)
-                    s = -f * a if s is None else s - f * a
+                    s = _reduce(other.get(u, 0) - f * a, p)
                     if s:
                         other[u] = s
                     else:
@@ -200,25 +219,25 @@ def ideal_slice_echelon(pres, j):
     return echelon
 
 
-def free_normal_form(echelon, terms):
+def free_normal_form(echelon, terms, p):
     """The normal form of `terms` (word -> scalar, one degree), by linear algebra.
 
     `echelon` is `ideal_slice_echelon` of that degree.  The result differs
     from `terms` by an element of the ideal and holds normal words only, so
     it is the unique normal form, computed without any Groebner basis.
     """
-    return _clear_pivots(terms, echelon)
+    return _clear_pivots(terms, echelon, p)
 
 
-def _rank(vectors):
+def _rank(vectors, p):
     """Rank of dict vectors with comparable keys, by plain forward elimination."""
     echelon = {}
     for terms in vectors:
-        row = _clear_pivots(terms, echelon)
+        row = _clear_pivots(terms, echelon, p)
         if row:
             lead = min(row)
-            inv = 1 / row[lead]
-            echelon[lead] = {k: c * inv for k, c in row.items()}
+            inv = _inverse(row[lead], p)
+            echelon[lead] = {k: _reduce(c * inv, p) for k, c in row.items()}
     return len(echelon)
 
 
@@ -255,7 +274,7 @@ def ext_reference(R, G, windows):
                 for u, c in G.normal_form(p * pres.word_poly(w)).terms.items():
                     vec[(s, u)] = c
             vectors.append(vec)
-        return _rank(vectors)
+        return _rank(vectors, pres.field.modulus)
 
     entries = {}
     for i, (lo, hi) in windows.items():
@@ -395,10 +414,8 @@ def random_fdim_module(pres, G, rng, n_gens=2, cutoff=3):
             for w in words:
                 c = rng.randrange(-2, 3)
                 if c:
-                    terms[w] = field.from_int(c)
-            from homreg.corealg import Poly
-
-            row.append(Poly.make(terms, pres.gen_degs) if terms else Poly.zero())
+                    terms[w] = c
+            row.append(Poly.make(terms, pres.gen_degs, field.modulus))
         if any(p for p in row):
             rows.append(row)
     width = pres.max_gen_degree()

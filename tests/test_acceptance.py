@@ -328,10 +328,9 @@ def test_criterion_9f_normal_form_and_dimension_oracle():
             terms = {}
             for w in free_words(degs, deg):
                 if rng.random() < 0.35:
-                    c = rng.randrange(1, 101)
-                    terms[w] = field.from_int(c)
+                    terms[w] = rng.randrange(1, 101)
             if terms:
-                rels.append(Poly.make(terms, degs))
+                rels.append(Poly.make(terms, degs, field.modulus))
         if not rels:
             continue
         pres = make_presentation(field, gens, rels, label="rand%d" % trial)
@@ -340,12 +339,10 @@ def test_criterion_9f_normal_form_and_dimension_oracle():
             assert G.dim(j) == brute_algebra_dim(pres, j), (trial, j)
         all_words = free_words(degs, 4)
         for _ in range(4):
-            terms = {w: field.from_int(rng.randrange(1, 101)) for w in rng.sample(all_words, 4)}
-            p = Poly.make(terms, degs)
-            q = Poly.make(
-                {w: field.from_int(rng.randrange(1, 101)) for w in rng.sample(all_words, 4)}, degs
-            )
-            a = field.from_int(rng.randrange(1, 101))
+            terms = {w: rng.randrange(1, 101) for w in rng.sample(all_words, 4)}
+            p = Poly.make(terms, degs, field.modulus)
+            q = Poly.make({w: rng.randrange(1, 101) for w in rng.sample(all_words, 4)}, degs, field.modulus)
+            a = rng.randrange(1, 101)
             assert G.normal_form(p.scale(a) + q) == G.normal_form(p).scale(a) + G.normal_form(q)
             assert G.normal_form(G.normal_form(p)) == G.normal_form(p)
         done += 1

@@ -9,6 +9,7 @@ import pytest
 
 from homreg import cli
 from homreg.cli import main
+from oracles import src_env
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAMPLES = sorted(
@@ -47,13 +48,6 @@ def run(argv, capsys):
 
 def jsonl(out):
     return [json.loads(line) for line in out.splitlines() if line.strip()]
-
-
-def src_env():
-    """The environment for a subprocess that imports this checkout's homreg."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
-    return env
 
 
 def sample(name):
@@ -662,8 +656,8 @@ def test_help_still_exits_zero(capsys):
 def test_closed_stdout_is_internal_when_buffered(files):
     # without PYTHONUNBUFFERED the child's stdout is block-buffered, so the
     # write fails only when the buffer is flushed
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,12 +11,12 @@ from homreg.corealg import (
     NEG_INF,
     Poly,
     PresentationError,
-    convert_field,
     opposite_presentation,
     parse_field,
     parse_module,
     parse_presentation,
 )
+from oracles import src_env
 
 
 def test_parse_commutative_plane():
@@ -105,7 +108,7 @@ def test_poly_multiply_examples():
 def test_homogeneity_enforced_by_constructors():
     pres = parse_presentation("field Q; gens x:1 y:2")
     with pytest.raises(PresentationError):
-        Poly.make({b"\x00": pres.field.one(), b"\x01": pres.field.one()}, pres.gen_degs)
+        Poly.make({b"\x00": 1, b"\x01": 1}, pres.gen_degs, pres.field.modulus)
     # addition of different degrees is rejected
     with pytest.raises(PresentationError):
         pres.parse_poly("x") + pres.parse_poly("y")
@@ -171,29 +174,84 @@ def test_presentation_text_round_trip():
 
 
 def test_prime_field_arithmetic():
-    F5 = parse_field("F5")
-    a = F5.from_int(3)
-    b = F5.from_int(4)
-    assert a + b == 2
-    assert a * b == 2
-    assert a - b == 4
-    assert (a / b).v == (3 * pow(4, -1, 5)) % 5
-    assert -a == 2
-    assert not F5.zero()
-    assert F5.one()
+    pres = parse_presentation("field F5; gens x:1 y:1")
+    x, xy = pres.parse_poly("x"), pres.parse_poly("x*y")
+    assert (x + pres.parse_poly("4*x")).is_zero()
+    assert pres.parse_poly("x + 4*x").is_zero()
+    assert pres.parse_poly("3*x").monic() == x
+    assert pres.parse_poly("2*x") * pres.parse_poly("3*y") == xy
+    assert (-x).terms == {b"\x00": 4}
+    assert x.scale(7).terms == {b"\x00": 2} and x.scale(10).is_zero()
+    assert pres.parse_poly("2/3*x").terms == {b"\x00": 4}  # 2 * 3^-1 = 2 * 2
+    assert pres.format_poly(pres.parse_poly("x*y - 2*y*x")) == "x*y + 3*y*x"
 
 
-def test_convert_field():
-    pres = parse_presentation("field Q; gens x:1 y:1; rels x*y - 2*y*x")
-    pres5 = convert_field(pres, parse_field("F5"))
-    (rel,) = pres5.relations
-    coeffs = sorted(c.v for c in rel.terms.values())
-    assert coeffs == [1, 3]  # -2 = 3 mod 5
-    # a residue mod 5 is no rational number and no residue mod 7
-    for target in ("Q", "F7"):
-        with pytest.raises(PresentationError, match="cannot map coefficients from F5 to %s" % target):
-            convert_field(pres5, parse_field(target))
-    assert convert_field(pres5, parse_field("F5")) is pres5
+def test_rational_scalars_are_ints_where_integral():
+    pres = parse_presentation("field Q; gens x:1 y:1")
+    half = pres.parse_poly("1/2*x")
+    assert half.terms == {b"\x00": Fraction(1, 2)}
+    for p in (half + half, half.scale(2), half.scale(Fraction(4)).monic(), pres.parse_poly("4/2*x")):
+        assert [type(c) for c in p.terms.values()] == [int], p
+    monic = pres.parse_poly("2*x - 3*y").monic()
+    assert monic.terms == {b"\x00": 1, b"\x01": Fraction(-3, 2)}
+    assert type(monic.terms[b"\x00"]) is int
+    assert pres.format_poly(monic) == "x - 3/2*y"
+
+
+# (10^9 + 7)(10^9 + 9): no factor below 10^9, so trial division takes 10^9 steps
+COMPOSITE = (10**9 + 7) * (10**9 + 9)
+# the least strong pseudoprime to all the prime bases 2..37 (Sorenson and Webster)
+PSEUDOPRIME_37 = 399165290221 * 798330580441
+
+
+def test_parse_field_decides_large_moduli_at_once():
+    # run in a subprocess with a timeout, so that a slow primality test
+    # fails here instead of hanging the suite
+    names = ["F1000000000000000003", "F%d" % (2**61 - 1), "F%d" % COMPOSITE, "F6", "F4", "F1", "F0", "F2",
+             "F101", "F%d" % PSEUDOPRIME_37, "F3317044064679887385961813", "F3317044064679887385961981"]
+    code = (
+        "import json\n"
+        "from homreg.corealg import PresentationError, parse_field\n"
+        "out = {}\n"
+        "for name in %r:\n"
+        "    try:\n"
+        "        out[name] = parse_field(name).modulus\n"
+        "    except PresentationError as exc:\n"
+        "        out[name] = str(exc)\n"
+        "print(json.dumps(out))\n" % names
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["F1000000000000000003"] == 10**18 + 3
+    assert out["F%d" % (2**61 - 1)] == 2**61 - 1
+    assert out["F2"] == 2 and out["F101"] == 101
+    for n in (COMPOSITE, 6, 4, 1, 0, PSEUDOPRIME_37):
+        assert out["F%d" % n] == "unsupported field F%d: %d is not prime" % (n, n)
+    # the largest prime below the bound where Miller-Rabin on bases 2..41 is proven exact
+    assert out["F3317044064679887385961813"] == 3317044064679887385961813
+    assert "primality is proven only below" in out["F3317044064679887385961981"]
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    from homreg.corealg import _PRIME_BOUND, _is_prime
+
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to the bases 2, 3, 5 and 7: composites that fewer witnesses miss
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321):
+        assert not _is_prime(n), n
+    assert _is_prime(2**61 - 1) and not _is_prime(COMPOSITE)
+    # bases 2..37 all miss this composite, so base 41 is needed below the bound
+    assert PSEUDOPRIME_37 == 318665857834031151167461 and not _is_prime(PSEUDOPRIME_37)
+    # the bound is the least composite that all thirteen witnesses miss (43 does not),
+    # which is why no modulus from there on is accepted
+    assert _PRIME_BOUND == 1287836182261 * 2575672364521
+    assert _is_prime(_PRIME_BOUND) and pow(43, _PRIME_BOUND - 1, _PRIME_BOUND) != 1
+    largest = 3317044064679887385961813
+    assert _is_prime(largest) and not any(_is_prime(n) for n in range(largest + 1, _PRIME_BOUND))
 
 
 def test_parse_presentation_in_another_field():

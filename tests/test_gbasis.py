@@ -18,6 +18,7 @@ from homreg.gbasis import (
     GroebnerBasis,
     WordAutomaton,
     _IntegerBasis,
+    _body_digest,
     _to_ints,
     buchberger_truncated,
     groebner,
@@ -123,11 +124,11 @@ def test_normal_form_linear_and_idempotent():
         echelon = ideal_slice_echelon(pres, 4)
 
         def rand_scalar(nums, dens):
-            return pres.field.from_fraction(rng.choice(nums), rng.choice(dens))
+            return pres.field.scalar(rng.choice(nums), rng.choice(dens))
 
         def rand_poly():
             terms = {w: rand_scalar(range(-9, 10), range(1, 7)) for w in rng.sample(all4, 5)}
-            return Poly.make(terms, pres.gen_degs)
+            return Poly.make(terms, pres.gen_degs, pres.field.modulus)
 
         for _ in range(20):
             p, q = rand_poly(), rand_poly()
@@ -138,7 +139,7 @@ def test_normal_form_linear_and_idempotent():
             assert lhs == rhs
             nf = G.normal_form(p)
             assert G.normal_form(nf) == nf
-            assert nf.terms == free_normal_form(echelon, p.terms)
+            assert nf.terms == free_normal_form(echelon, p.terms, pres.field.modulus)
 
 
 def test_normal_words_examples():
@@ -222,9 +223,9 @@ def test_random_presentations_over_f101():
             for w in free_words(pres.gen_degs, deg):
                 c = rng.randrange(101) if rng.random() < 0.4 else 0
                 if c:
-                    terms[w] = pres.field.from_int(c)
+                    terms[w] = c
             if terms:
-                rels.append(Poly.make(terms, pres.gen_degs))
+                rels.append(Poly.make(terms, pres.gen_degs, pres.field.modulus))
         if not rels:
             continue
         from homreg.corealg import make_presentation
@@ -240,8 +241,8 @@ def test_random_presentations_over_f101():
         # normal form properties at degree <= 5
         all3 = free_words(pres.gen_degs, 3)
         for _ in range(5):
-            terms = {w: pres.field.from_int(rng.randrange(1, 101)) for w in rng.sample(all3, 3)}
-            p = Poly.make(terms, pres.gen_degs)
+            terms = {w: rng.randrange(1, 101) for w in rng.sample(all3, 3)}
+            p = Poly.make(terms, pres.gen_degs, pres.field.modulus)
             nf = G.normal_form(p)
             assert G.normal_form(nf) == nf
 
@@ -256,10 +257,10 @@ def random_rational_presentation(rng, label):
         words = free_words([1] * n_gens, rng.choice([2, 3]))
         terms = {}
         for w in rng.sample(words, rng.randrange(2, min(6, len(words)) + 1)):
-            terms[w] = QQ.from_fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 7))
+            terms[w] = QQ.scalar(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 7))
         w = rng.choice(list(terms))
-        terms[w] = QQ.from_fraction(rng.choice([-1, 1]) * rng.choice([1, 5, 7]), rng.choice([2, 3, 4]))
-        rels.append(Poly.make(terms, [1] * n_gens))
+        terms[w] = QQ.scalar(rng.choice([-1, 1]) * rng.choice([1, 5, 7]), rng.choice([2, 3, 4]))
+        rels.append(Poly.make(terms, [1] * n_gens, QQ.modulus))
     return make_presentation(QQ, gens, rels, label=label)
 
 
@@ -278,7 +279,7 @@ def test_random_rational_completions_against_free_algebra_oracle():
                     assert leftmost_lead(w, leads) is None, (pres.label, w)
             if g.degree not in echelons:
                 echelons[g.degree] = ideal_slice_echelon(pres, g.degree)
-            nf = free_normal_form(echelons[g.degree], {lead: Fraction(1)})
+            nf = free_normal_form(echelons[g.degree], {lead: 1}, 0)
             expected = {w: -c for w, c in nf.items()}
             expected[lead] = Fraction(1)
             assert g.terms == expected, (pres.label, lead)
@@ -305,11 +306,11 @@ def random_weighted_presentation(rng, field, gens, label):
         terms = {}
         for w in rng.sample(words, rng.randrange(1, min(5, len(words)) + 1)):
             if field.modulus:
-                c = field.from_int(rng.randrange(1, field.modulus))
+                c = rng.randrange(1, field.modulus)
             else:
-                c = field.from_fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 5))
+                c = field.scalar(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 5))
             terms[w] = c
-        rels.append(Poly.make(terms, degs))
+        rels.append(Poly.make(terms, degs, field.modulus))
     return make_presentation(field, gens, rels, label=label)
 
 
@@ -339,9 +340,9 @@ def test_completion_skipping_overlaps_by_chain_criterion_is_the_reduced_basis(fi
                     assert leftmost_lead(w, leads) is None, (label, w)  # tail-reduced
             if g.degree not in echelons:
                 echelons[g.degree] = ideal_slice_echelon(pres, g.degree)
-            nf = free_normal_form(echelons[g.degree], {lead: field.one()})
-            expected = {w: -c for w, c in nf.items()}
-            expected[lead] = field.one()
+            nf = free_normal_form(echelons[g.degree], {lead: 1}, field.modulus)
+            expected = {w: -c % field.modulus if field.modulus else -c for w, c in nf.items()}
+            expected[lead] = 1
             assert g.terms == expected, (label, lead)
         for j in range(d_gb + 1):
             assert G.dim(j) == brute_algebra_dim(pres, j), (label, j)
@@ -456,19 +457,19 @@ def test_lazy_rescaling_reduction_is_the_fraction_normal_form(field_name):
                 terms = {}
                 for w in rng.sample(words, min(len(words), rng.randrange(1, 7))):
                     if p:
-                        terms[w] = field.from_int(rng.randrange(1, p))
+                        terms[w] = rng.randrange(1, p)
                     else:
-                        terms[w] = field.from_fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 6))
-                ints, den = _to_ints(terms, p)
+                        terms[w] = field.scalar(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 6))
+                ints, den = _to_ints(terms)
                 out, scale = G._reduce_terms(ints, den)
                 assert type(scale) is int and all(type(c) is int for c in out.values())
                 rescaled += scale != den
                 if p:
                     inv = pow(scale, -1, p)
-                    got = {w: field.from_int(c * inv) for w, c in out.items()}
+                    got = {w: c * inv % p for w, c in out.items()}
                 else:
                     got = {w: Fraction(c, scale) for w, c in out.items()}
-                assert got == free_normal_form(echelon, terms), (pres.label, terms)
+                assert got == free_normal_form(echelon, terms, p), (pres.label, terms)
     if p:
         assert lead_coeffs == {1}
     else:
@@ -491,6 +492,12 @@ def test_cache_round_trip(tmp_path):
     assert G3.elements == G.elements
 
 
+def _redigested(lines):
+    """The cache lines with the `elements` line's digest recomputed for their body."""
+    key, count, _ = lines[3].split()
+    return lines[:3] + [" ".join([key, count, _body_digest(lines[2], lines[4:])])] + lines[4:]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -501,6 +508,7 @@ def test_cache_round_trip(tmp_path):
         lambda lines: [line.replace("-1@1.1.0", "-5@1.1.0") for line in lines],
         lambda lines: lines[:2] + ["complete 0" if lines[2] == "complete 1" else "complete 1"] + lines[3:],
         lambda lines: "\n".join(lines).encode().replace(b"@", b"\xff@", 1),
+        lambda lines: _redigested([line.replace("-1@1.1.0", "-1/0@1.1.0") for line in lines]),
     ],
     ids=[
         "last-poly-line-deleted",
@@ -510,6 +518,7 @@ def test_cache_round_trip(tmp_path):
         "tampered-coefficient",
         "complete-line-flipped",
         "binary-garbage",
+        "zero-denominator-with-its-digest",
     ],
 )
 def test_malformed_cache_file_is_a_miss(tmp_path, corrupt):

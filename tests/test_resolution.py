@@ -5,7 +5,6 @@ import pytest
 from homreg.corealg import (
     CertificationError,
     PresentationError,
-    convert_field,
     make_module_presentation,
     opposite_presentation,
     parse_field,
@@ -176,7 +175,7 @@ def test_rank_nullity_exactness_bookkeeping():
                         continue
                     q = G.normal_form(pres.word_poly(w) * p)
                     for u, c in q.terms.items():
-                        vec[idx[(r, u)]] = vec.get(idx[(r, u)], pres.field.zero()) + c
+                        vec[idx[(r, u)]] = vec.get(idx[(r, u)], 0) + c
                 cols.append(vec)
             rows = [{} for _ in range(tgt.dim(j))]
             for c, col in enumerate(cols):
@@ -278,10 +277,7 @@ def test_betti_numbers_are_order_independent():
 
 def test_betti_numbers_characteristic_independent_here():
     # the golden examples have characteristic-independent Betti numbers
-    from homreg.corealg import convert_field, parse_field
-
-    pres = parse_presentation(T34)
-    pres101 = convert_field(pres, parse_field("F101"))
+    pres101 = parse_presentation(T34, field=parse_field("F101"))
     G = buchberger_truncated(pres101, 12)
     R = minimal_resolution(G, trivial_module(pres101), 8, 12)
     _, _, _, R0 = resolve_k(T34)
@@ -307,7 +303,7 @@ def test_ext_matches_direct_normal_forms_on_golden(golden):
 
 
 def test_ext_matches_direct_normal_forms_over_f101():
-    pres = convert_field(parse_presentation(T34), parse_field("F101"))
+    pres = parse_presentation(T34, field=parse_field("F101"))
     G = buchberger_truncated(pres, 12)
     R = minimal_resolution(G, trivial_module(pres), 8, 12)
     E = ext_into_algebra(R, G)
@@ -319,7 +315,7 @@ def test_ext_matches_direct_normal_forms_over_f101():
 @pytest.mark.parametrize("right", [False, True])
 def test_layer_action_is_multiplication_by_a_generator(src, field, right):
     # the Sklyanin-type basis at d_gb 6 is incomplete; all degrees stay inside it
-    pres = convert_field(parse_presentation(src), parse_field(field))
+    pres = parse_presentation(src, field=parse_field(field))
     G = buchberger_truncated(pres, 6)
     layer = FreeLayer(G, (0, -1, 2), right=right)
     rng = random.Random(20261018)
@@ -348,7 +344,7 @@ def test_images_are_products_with_words(src, right):
     rng = random.Random(20261018)
     gens = []
     for a in source.shifts:
-        v = {k: pres.field.from_int(rng.choice([-2, -1, 1, 2])) for k in range(target.dim(a))}
+        v = {k: scalar(pres.field, rng.choice([-2, -1, 1, 2])) for k in range(target.dim(a))}
         gens.append(target.polys(a, v))
     gen_vecs = [target.coords(p, a) for p, a in zip(gens, source.shifts)]
     for j, cols in _images(target, source, gen_vecs, 0, 6):
@@ -369,7 +365,7 @@ def test_images_are_products_with_words(src, right):
 def test_multiplication_images_match_direct_normal_forms(src, polys, field, left):
     # two slots of different degrees; x^2*y is not normal on T or the Sklyanin-type
     # algebra, whose basis at d_gb 6 is incomplete (all degrees stay inside it)
-    pres = convert_field(parse_presentation(src), parse_field(field))
+    pres = parse_presentation(src, field=parse_field(field))
     G = buchberger_truncated(pres, 6)
     fs = [pres.parse_poly(p) for p in polys]
     layer, images = multiplication_images(G, fs, 6, left)
@@ -446,7 +442,7 @@ def test_semisimple_module_resolution():
 def test_ext_transposes_differentials_with_mixed_slot_degrees(field):
     # F_0 = A (+) A(-2) and F_1 has slots of degrees (1, 1, 3, 3), so each
     # entry of a differential lands in Hom(F_{i+1}, A) at its own slot degree
-    pres = convert_field(parse_presentation(T34), parse_field(field))
+    pres = parse_presentation(T34, field=parse_field(field))
     G = buchberger_truncated(pres, 12)
     M = semisimple_module(pres, (2, 0))
     R = minimal_resolution(G, M, 8, 12, algebra_hilbert=hilbert_rational(G))
@@ -584,7 +580,7 @@ def test_one_elimination_step_matches_two_passes_on_golden(golden):
 def test_one_elimination_step_matches_two_passes_on_random_modules(field):
     rng = random.Random(20261018)
     for src in (T34, PLANE):
-        pres = convert_field(parse_presentation(src), parse_field(field))
+        pres = parse_presentation(src, field=parse_field(field))
         G = buchberger_truncated(pres, 12)
         done = 0
         while done < 5:
@@ -600,9 +596,8 @@ def test_step_rejects_kernel_vectors_changed_off_their_free_columns(field):
     # add 1 to one entry of one kernel vector at a column that is not free,
     # in a degree with no new generators: there the images span the kernel,
     # so some image involves that vector, and its check must fail
-    pres = convert_field(
-        parse_presentation("field Q; gens x:1 y:1 z:1; rels x*y - y*x, x*z - z*x, y*z - z*y"),
-        parse_field(field),
+    pres = parse_presentation(
+        "field Q; gens x:1 y:1 z:1; rels x*y - y*x, x*z - z*x, y*z - z*y", field=parse_field(field)
     )
     modulus = pres.field.modulus
     G = buchberger_truncated(pres, 6)

@@ -1,19 +1,23 @@
-"""Guards for the word type: every word is `bytes`, one byte per letter.
+"""Guards for the term types: every word is `bytes`, one byte per letter,
+and every scalar is a field scalar.
 
 A word that slipped in as a tuple would be a second dict key for the same
 monomial and silently split a term, so these tests check the type at
 every place words are made, that bytes order is the order the tuples of
 generator indices had, and that cache files written when words were
-tuples still load and are written again byte for byte.
+tuples still load and are written again byte for byte.  At the same
+places they check the scalars: over F_p an int in [0, p), over Q an int,
+or a `Fraction` that is not integral; never a float.
 """
 
 import glob
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
-from homreg.constructions import tensor_presentation
+from homreg.constructions import quotient_by_normal_element, tensor_presentation
 from homreg.corealg import (
     QQ,
     MonomialOrder,
@@ -21,6 +25,7 @@ from homreg.corealg import (
     make_presentation,
     opposite_module,
     opposite_presentation,
+    parse_field,
     parse_module,
     parse_presentation,
 )
@@ -32,6 +37,7 @@ from homreg.gbasis import (
     load_basis,
     save_basis,
 )
+from homreg.regularity import AlgebraArtifacts
 from homreg.resolution import FreeLayer, trivial_module
 
 from oracles import free_words
@@ -42,49 +48,98 @@ SAMPLES = sorted(os.path.splitext(os.path.basename(p))[0] for p in glob.glob(os.
 SKLYANIN = os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg")
 
 
-def read_presentation(path, label):
+def read_presentation(path, label, field=None):
     with open(path) as fh:
-        return parse_presentation(fh.read(), label=label)
+        return parse_presentation(fh.read(), label=label, field=field)
 
 
-def assert_bytes_words(polys, where):
-    words = [w for p in polys for w in p.terms]
+def assert_scalar(c, p, where):
+    """`c` is a scalar of the field of characteristic p."""
+    if p:
+        assert type(c) is int and 0 < c < p, (where, c)
+    else:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (where, c)
+
+
+def assert_terms(polys, where, p):
+    """Every word is bytes and every scalar one of the field of characteristic p."""
+    words = [w for q in polys for w in q.terms]
     assert words, where
     assert all(type(w) is bytes for w in words), (where, [w for w in words if type(w) is not bytes][:3])
+    for q in polys:
+        for c in q.terms.values():
+            assert_scalar(c, p, where)
+        assert not q or q.modulus == p, (where, q)
 
 
-@pytest.mark.parametrize("name", SAMPLES)
-def test_every_word_is_bytes(name, tmp_path):
-    pres = read_presentation(os.path.join(PRESENTATIONS, name + ".alg"), name)
+# an inline sample with a non-integral coefficient, which F5 wraps with -1
+FRAC = "field Q; gens x:1 y:1; rels x*y - 2/3*y*x"
+CASES = [(name, field) for field in (None, "F5", "F101") for name in SAMPLES + ["frac"]]
+# the element each quotient divides by: normal in every sample
+OMEGA = {"ku2": "u", "t34": "x^2", "t34_yx": "x^2"}
+
+
+@pytest.mark.parametrize(
+    "name, field", CASES, ids=["%s-%s" % (n, f) if f else n for n, f in CASES]
+)
+def test_every_word_is_bytes(name, field, tmp_path):
+    field = field and parse_field(field)
+    if name == "frac":
+        pres = parse_presentation(FRAC, label=name, field=field)
+    else:
+        pres = read_presentation(os.path.join(PRESENTATIONS, name + ".alg"), name, field)
+    p = pres.field.modulus
+
+    def check(polys, where):
+        assert_terms(polys, where, p)
+
     gens = [pres.gen_poly(g) for g in range(pres.n_gens)]
-    assert_bytes_words(gens + [pres.one()], "gen_poly/one")
+    check(gens + [pres.one()], "gen_poly/one")
     rels = list(pres.relations)
     if rels:
-        assert_bytes_words(rels, "parse")
+        check(rels, "parse")
         r = rels[0]
-        arithmetic = [r * r, r + r, r - r.scale(pres.field.from_int(3)), -r, r.monic(), r.reversed_words()]
+        arithmetic = [r * r, r + r, r - r.scale(3), -r, r.scale(-1).monic(), r.reversed_words()]
         arithmetic += [g * r for g in gens] + [r * g for g in gens]
         arithmetic.append(pres.parse_poly(pres.format_poly(r)))
-        assert_bytes_words(arithmetic, "arithmetic")
-        assert_bytes_words(opposite_presentation(pres).relations, "opposite_presentation")
-    assert_bytes_words(tensor_presentation(pres, pres).relations, "tensor_presentation")
-    assert_bytes_words([pres.word_poly(w) for w in free_words(pres.gen_degs, 4)], "word_poly")
+        check([q for q in arithmetic if q], "arithmetic")
+        check(opposite_presentation(pres).relations, "opposite_presentation")
+    check(tensor_presentation(pres, pres).relations, "tensor_presentation")
+    words4 = [pres.word_poly(w) for w in free_words(pres.gen_degs, 4)]
+    check(words4, "word_poly")
 
     G = groebner(pres, 8, str(tmp_path))
     loaded = load_basis(pres, 8, str(tmp_path))
     assert loaded is not None and loaded.elements == G.elements
     for basis, where in ((G, "completion"), (loaded, "cache load")):
         if basis.elements:
-            assert_bytes_words(basis.elements, where)
+            check(basis.elements, where)
         assert all(type(u) is bytes for u in basis._leads + list(basis.automaton.states)), where
+    sums = [a.scale(2) - b.scale(3) for a, b in zip(words4, words4[1:])]
+    check([q for q in map(G.normal_form, gens + words4 + sums) if q], "normal_form")
     for j in range(7):
         assert all(type(w) is bytes for w in G.normal_words(j)), j
         for w in free_words(pres.gen_degs, j):
-            assert all(type(u) is bytes for u, _ in G.nf_word(w)), w
+            nf = G.nf_word(w)
+            assert all(type(u) is bytes for u, _ in nf), w
+            for _, c in nf:
+                assert_scalar(c, p, "nf_word")
     for layer in (FreeLayer(G, (0, 1)), FreeLayer(G, (0, 2), right=True)):
         for j in range(6):
             assert all(type(w) is bytes for _, w in layer.basis(j)), j
-    assert_bytes_words([p for row in trivial_module(pres).rows for p in row], "trivial_module")
+            vec = {k: (-1) ** k * (k + 1) % p if p else QQ.scalar((-1) ** k, k + 1) for k in range(layer.dim(j))}
+            if vec:
+                check([q for q in layer.polys(j, vec) if q], "FreeLayer.polys")
+                assert layer.coords(layer.polys(j, vec), j) == {k: c for k, c in vec.items() if c}
+    check([q for row in trivial_module(pres).rows for q in row], "trivial_module")
+
+    art = AlgebraArtifacts(pres, i_max=3, d_max=5, d_gb=8)
+    _, cert = quotient_by_normal_element(art, OMEGA.get(name, "x"))
+    witnesses = [q for q in cert.left_witnesses + cert.right_witnesses if q]
+    if name in ("kx_mod_x2", "stanley_violator"):
+        assert not witnesses  # x times a generator is 0 there
+    else:
+        check(witnesses, "quotient witnesses")
 
 
 @pytest.mark.parametrize("algebra, module", [("t34", "t34_frac"), ("qplane2", "qplane2_right")])
@@ -93,7 +148,7 @@ def test_module_rows_have_bytes_words(algebra, module):
     with open(os.path.join(PRESENTATIONS, module + ".mod")) as fh:
         mpres = parse_module(fh.read(), pres)
     for m in (mpres, opposite_module(mpres)):
-        assert_bytes_words([p for row in m.rows for p in row], module)
+        assert_terms([p for row in m.rows for p in row if p], module, 0)
 
 
 def tuple_key(gen_degs, word):
@@ -147,7 +202,7 @@ def test_pinned_cache_file_loads_and_is_written_again_unchanged(tmp_path, name, 
     G = buchberger_truncated(pres, d_gb)
     assert loaded is not None
     assert loaded.elements == G.elements and loaded.complete == G.complete
-    assert_bytes_words(loaded.elements, name)
+    assert_terms(loaded.elements, name, 0)
     for basis, where in ((G, "computed"), (loaded, "loaded")):
         with open(save_basis(basis, str(tmp_path / where))) as fh:
             assert fh.read() == pinned, where
