@@ -23,18 +23,20 @@ Coordinate vectors hold the same scalars as polynomials (see `corealg`);
 layer's normal-word basis.
 
 Termination (a zero kernel, hence finite projective dimension) is only
-declared with a certificate:
+declared with one of two certificates:
 
   * "socle-window"  - the algebra is finite dimensional with top degree D
     and the window clears max-shift + D, so a nonzero kernel would show a
     socle element inside the window;
   * "euler-exact"   - the alternating sum of shift polynomials times the
-    exact rational Hilbert series of the algebra equals the module's
-    Hilbert series as rational functions;
-  * "window"        - the kernel is empty through d_max and the previous
-    step's generators sit low enough that no syzygy generator of an
-    element inside the window could hide above it.  This is the weakest
-    certificate and is recorded as a caveat.
+    exact rational Hilbert series of the algebra equals the module's.  For
+    a finite-dimensional M the basis must be complete and, with w the
+    widest generator and D the top leading-word degree, Anick's chains
+    (Trans. AMS 296, 1986) must put every computed step inside the window:
+    t_1(M) <= w + top(M), t_i(M) <= D + (i-2)(D-1) + top(M) for i >= 2.
+    Then the truncated complex is the true one and the identity forces the
+    last kernel to be zero.  For an infinite-dimensional M, whose series
+    only a caller passes, this is unproven: homology above d_max may cancel.
 """
 
 from __future__ import annotations
@@ -230,14 +232,12 @@ class PresentedModuleView(_ModuleView):
         return [self.dim(j) for j in range(min(self.min_degree, 0), self.d_max + 1)]
 
     def _final_series(self, j):
-        """The Hilbert series once every piece above degree j is known to vanish."""
+        """The Hilbert series once every piece above j vanishes; coefficients from min(0, lowest)."""
         nonzero = [i for i in range(self.min_degree, j) if self.dim(i)]
         if not nonzero:
             return RationalSeries((0,), (1,), (), NEG_INF)
-        if self.min_degree < 0:
-            return None  # negatively graded pieces: leave uncertified
-        coeffs = tuple(self.dim(i) for i in range(max(nonzero) + 1))
-        return RationalSeries(coeffs, (1,), (), max(nonzero))
+        coeffs = tuple(self.dim(i) for i in range(min(nonzero[0], 0), nonzero[-1] + 1))
+        return RationalSeries(coeffs, (1,), (), nonzero[-1])
 
     def hilbert_if_finite(self):
         """Exact polynomial Hilbert series when finite-dimensionality certifies.
@@ -328,14 +328,8 @@ class BettiTable(Record, frozen=False):
         return [self.t(i) for i in range(top + 1)]
 
     def alternating_shift_poly(self):
-        """Sum_i (-1)^i sum_j beta_{i,j} t^j as an integer coefficient list."""
-        if not self.entries:
-            return [0]
-        top = max(j for (_, j) in self.entries)
-        out = [0] * (top + 1)
-        for (i, j), rank in self.entries.items():
-            out[j] += rank if i % 2 == 0 else -rank
-        return out
+        """Sum_i (-1)^i sum_j beta_{i,j} t^j, see `_alternating_sum`."""
+        return _alternating_sum(self.entries)
 
     def records(self):
         recs = []
@@ -461,38 +455,48 @@ def multiplication_images(G, polys, j_hi, left=True):
 
 def _algebra_top_degree(G, probe):
     """Top degree of a certified finite-dimensional algebra, else None."""
-    width = G.presentation.max_gen_degree()
-    limit = probe
-    if not G.complete:
-        limit = min(limit, G.d_gb)
-    dims = [G.dim(j) for j in range(limit + 1)]
-    nonzero = [j for j, d in enumerate(dims) if d]
-    top = max(nonzero)
-    if top + width > limit:
-        return None
-    return top
+    limit = probe if G.complete else min(probe, G.d_gb)
+    top = max(j for j in range(limit + 1) if G.dim(j))
+    return top if top + G.presentation.max_gen_degree() <= limit else None
 
 
-def _certify_termination(G, prev_shifts, shifts_all, d_max, algebra_hilbert, module_hilbert):
-    max_b = max(prev_shifts)
+def _betti_entries(shifts):
+    """{(i, j): beta_{i,j}} from the generator degrees shifts[i] of each F_i."""
+    entries = {}
+    for i, step in enumerate(shifts):
+        for b in step:
+            entries[(i, b)] = entries.get((i, b), 0) + 1
+    return entries
+
+
+def _alternating_sum(entries):
+    """Sum (-1)^i beta_{i,j} t^j over {(i, j): beta_{i,j}}, coefficients from degree min(0, lowest j)."""
+    degrees = [0] + [j for _, j in entries]
+    lo = min(degrees)
+    out = [0] * (max(degrees) - lo + 1)
+    for (i, j), rank in entries.items():
+        out[j - lo] += rank if i % 2 == 0 else -rank
+    return out
+
+
+def _certify_termination(G, shifts_all, d_max, algebra_hilbert, module_hilbert):
     width = G.presentation.max_gen_degree()
     top = _algebra_top_degree(G, d_max + width)
-    if top is not None and max_b + top <= d_max:
+    if top is not None and max(shifts_all[-1]) + top <= d_max:
         return "socle-window"
-    if algebra_hilbert is not None and module_hilbert is not None:
-        balt = [0]
-        for i, step in enumerate(shifts_all):
-            for b in step:
-                while len(balt) <= b:
-                    balt.append(0)
-                balt[b] += 1 if i % 2 == 0 else -1
-        lhs = _pmul(_pmul(balt, list(algebra_hilbert.numerator)), list(module_hilbert.denominator))
-        rhs = _pmul(list(module_hilbert.numerator), list(algebra_hilbert.denominator))
-        if _ptrim(lhs) == _ptrim(rhs):
-            return "euler-exact"
-    if max_b <= d_max - width:
-        return "window"
-    return None
+    if algebra_hilbert is None or module_hilbert is None:
+        return None
+    if module_hilbert.is_polynomial():
+        # every computed step must be complete: Anick's bounds on t_i(k), plus top(M)
+        lead = max((g.degree for g in G.elements), default=0)
+        anick = [0, width] + [lead + (i - 2) * (lead - 1) for i in range(2, len(shifts_all))]
+        if not G.complete or max(anick[: len(shifts_all)]) + module_hilbert.degree > d_max:
+            return None
+    # both sides start at min(0, lowest degree of M), the lowest shift of F_0
+    balt = _alternating_sum(_betti_entries(shifts_all))
+    lhs = _pmul(_pmul(balt, list(algebra_hilbert.numerator)), list(module_hilbert.denominator))
+    rhs = _pmul(list(module_hilbert.numerator), list(algebra_hilbert.denominator))
+    return "euler-exact" if _ptrim(lhs) == _ptrim(rhs) else None
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +545,7 @@ def minimal_resolution(
         # at the lowest degree where K is nonzero every kernel vector is a
         # new generator, so a step has generators exactly when K is nonzero
         if not any(K.values()):
-            certificate = _certify_termination(
-                G, shifts_all[-1], shifts_all, d_max, algebra_hilbert, module_hilbert
-            )
+            certificate = _certify_termination(G, shifts_all, d_max, algebra_hilbert, module_hilbert)
             if certificate is not None:
                 terminated = True
                 termination_step = i - 1
@@ -575,12 +577,8 @@ def minimal_resolution(
 
 def betti_table(R):
     """beta_{i,j} read off the computed resolution shifts."""
-    entries = {}
-    for i, step in enumerate(R.shifts):
-        for b in step:
-            entries[(i, b)] = entries.get((i, b), 0) + 1
     return BettiTable(
-        entries=entries,
+        entries=_betti_entries(R.shifts),
         steps_computed=R.steps_computed,
         i_max=R.i_max,
         d_max=R.d_max,

@@ -554,6 +554,10 @@ CONSTRUCTION_PINS = {
     "qplane2-qplane2_right.resolve_module": [
         "resolve", sample("qplane2"), "--module", os.path.join(ROOT, "presentations", "qplane2_right.mod"),
     ],
+    # k(2): a finite-dimensional module below degree 0, certified by the Euler identity
+    "comm_plane-comm_plane_k2.resolve_module": [
+        "resolve", sample("comm_plane"), "--module", os.path.join(ROOT, "presentations", "comm_plane_k2.mod"),
+    ],
 }
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from homreg.corealg import CertificationError, parse_presentation
@@ -303,3 +305,63 @@ def test_as_regular_verdict_resolves_one_side_only(golden):
     v = art.as_regular_verdict()
     assert (v.status, v.dim, v.index) == ("yes", 3, 4)
     assert art._opposite is None
+
+
+@pytest.mark.parametrize(
+    "rels, window",
+    [("x*y^12", (8, 12, 13)), ("x^2*y - y*x^2, x*y^2 - y^2*x", (1, 2, 3)), ("x*y*x, y*y*x*x*x", (4, 7, 7))],
+    ids=["x*y^12", "t34", "anick_chains"],
+)
+def test_uncertified_termination_stays_a_lower_bound(rels, window):
+    # x*y^12 and t34 have their first syzygy just above d_max (degrees 13 and 3),
+    # so an empty kernel through d_max proves nothing; x*y*x, y*y*x*x*x has the
+    # endless Anick chains (x*y)^n*x, and at (4, 7, 7) the Betti numbers just
+    # above d_max in two consecutive steps cancel in the Euler sum
+    rep = AlgebraArtifacts(parse_presentation("field Q\ngens x:1 y:1\nrels " + rels), *window).report()
+    assert rep.gldim.kind == rep.torreg_k.kind == "at_least"
+    assert rep.koszul.caveat != "Torreg(k) = 0 certified"
+
+
+def _oracle_algebras():
+    """Seeded algebras on x, y: two monomial (1-3 relations of degree 2-6) to one binomial."""
+    rng = random.Random(2)
+
+    def word(d):
+        return "*".join(rng.choice("xy") for _ in range(d))
+
+    # the case that once certified a false gldim through the Euler identity comes first
+    out = ["x*y*x, y*y*x*x*x"]
+    for n in range(60):
+        if n % 3 < 2:
+            rels = [word(rng.randint(2, 6)) for _ in range(rng.randint(1, 3))]
+        else:
+            rels = []
+            for _ in range(rng.randint(1, 2)):
+                d = rng.randint(2, 4)
+                u, v = word(d), word(d)
+                while v == u:
+                    v = word(d)
+                rels.append("%d*%s - %d*%s" % (rng.randint(1, 3), u, rng.randint(1, 3), v))
+        out.append(", ".join(rels))
+    return out
+
+
+def test_window_monotonicity():
+    # a value certified exact in a small window must survive a larger one,
+    # and a lower bound must not exceed the exact value found there
+    def invariants(rels, window):
+        art = AlgebraArtifacts(parse_presentation("field Q\ngens x:1 y:1\nrels " + rels), *window)
+        R = art.resolution_k()
+        gldim = ("exact", R.termination_step) if R.terminated else ("at_least", R.steps_computed)
+        torreg = tor_regularity(art.betti_k())
+        return {"gldim": gldim, "torreg_k": (torreg.kind, torreg.value)}
+
+    bad = []
+    for rels in _oracle_algebras():
+        small, large = invariants(rels, (4, 7, 7)), invariants(rels, (7, 12, 12))
+        for name, (kind, value) in small.items():
+            if kind == "exact" and large[name] != (kind, value) or (
+                kind == "at_least" and large[name][0] == "exact" and value > large[name][1]
+            ):
+                bad.append((rels, name, small[name], large[name]))
+    assert not bad

@@ -305,7 +305,7 @@ def test_ext_matches_direct_normal_forms_on_golden(golden):
 def test_ext_matches_direct_normal_forms_over_f101():
     pres = parse_presentation(T34, field=parse_field("F101"))
     G = buchberger_truncated(pres, 12)
-    R = minimal_resolution(G, trivial_module(pres), 8, 12)
+    R = minimal_resolution(G, trivial_module(pres), 8, 12, algebra_hilbert=hilbert_rational(G))
     E = ext_into_algebra(R, G)
     assert dict(E.entries) == ext_reference(R, G, E.windows) == {(3, -4): 1}
 
