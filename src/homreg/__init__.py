@@ -39,12 +39,10 @@ from .resolution import (
 from .regularity import (
     AlgebraArtifacts,
     BoundedValue,
-    CMEvidence,
     RegularityReport,
     as_regular_verdict,
     as_regularity,
     build_report,
-    cm_regularity,
     concavity_certificate,
     hilbert_criterion,
     inequality_harness,

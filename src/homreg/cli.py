@@ -96,7 +96,7 @@ def _artifacts(path, args):
     if args.assert_balanced:
         art.assertions.append("balanced dualizing complex: asserted on the command line")
     if args.assert_cm is not None:
-        art.cm_degree_hint = (args.assert_cm, "Cohen-Macaulay degree asserted on the command line")
+        art.cm_degree_hint = args.assert_cm
         art.assertions.append("Cohen-Macaulay of degree %d: asserted on the command line" % args.assert_cm)
     return art
 
@@ -427,22 +427,13 @@ def golden_artifacts(i_max=8, d_max=12, d_gb=12, cache_dir=None):
         arts[label] = reg_mod.AlgebraArtifacts(
             parse_presentation(src, label=label), i_max, d_max, d_gb, cache_dir
         )
-    quotients = {}
-    arts["A2"], quotients["A2"] = cons_mod.quotient_by_normal_element(
-        arts["k[x]"], "x^2", label="A2"
-    )
-    arts["B"], quotients["B"] = cons_mod.quotient_by_normal_element(
-        arts["T"], "x^2", label="B"
-    )
-    arts["Tcomm"], quotients["Tcomm"] = cons_mod.quotient_by_normal_element(
-        arts["T"], "x*y - y*x", label="Tcomm"
-    )
-    arts["k[y]"], quotients["k[y]"] = cons_mod.quotient_by_normal_element(
-        arts["plane"], "x", label="k[y]"
-    )
+    for label, parent, omega in (
+        ("A2", "k[x]", "x^2"), ("B", "T", "x^2"), ("Tcomm", "T", "x*y - y*x"), ("k[y]", "plane", "x")
+    ):
+        arts[label], _ = cons_mod.quotient_by_normal_element(arts[parent], omega, label=label)
     arts["A2xT"] = cons_mod.tensor_product(arts["A2"], arts["T"], label="A2xT")
     arts["A2xA2"] = cons_mod.tensor_product(arts["A2"], arts["A2"], label="A2xA2")
-    return arts, quotients
+    return arts
 
 
 def _quotient_module_torreg(artA, artB):
@@ -473,7 +464,7 @@ def _semisimple_module(pres, degrees):
 
 def build_golden_cases(i_max=8, d_max=12, d_gb=12, cache_dir=None):
     """The golden inequality/equality checks run by `homreg harness`."""
-    arts, _ = golden_artifacts(i_max, d_max, d_gb, cache_dir)
+    arts = golden_artifacts(i_max, d_max, d_gb, cache_dir)
     reports = {k: a.report() for k, a in arts.items()}
     cases = []
 

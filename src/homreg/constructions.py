@@ -2,8 +2,8 @@
 
 Tensor products are built by presentation (disjoint generators plus
 cross-commutators) but their invariants travel the additive shortcuts:
-Hilbert series multiply, Betti tables of k convolve, Torreg and the
-CM-evidence add.  Direct Groebner/resolution computation on the product
+Hilbert series multiply, Betti tables of k convolve, Torreg and CMreg
+add.  Direct Groebner/resolution computation on the product
 presentation stays available for cross-checking on small windows.
 """
 
@@ -21,7 +21,6 @@ from . import linalg
 from .regularity import (
     AlgebraArtifacts,
     BoundedValue,
-    CMEvidence,
     ConcavityWitness,
 )
 from .resolution import BettiTable, FreeLayer, multiplication_images
@@ -126,14 +125,10 @@ def tensor_product(artA, artB, label=""):
     upB = upper_bound(artB, tB)
     if upA is not None and upB is not None:
         art.torreg_upper = (upA[0] + upB[0], "sum of factor upper bounds")
-    cmA, evA = artA.resolve_cmreg()
-    cmB, evB = artB.resolve_cmreg()
-    if evA is not None and evB is not None:
-        art.cm_evidence = CMEvidence(
-            "tensor_additive",
-            (cmA, cmB),
-            tuple(sorted(set(evA.assertions) | set(evB.assertions))),
-        )
+    cmA, caseA = artA.resolve_cmreg()
+    cmB, caseB = artB.resolve_cmreg()
+    if caseA is not None and caseB is not None:
+        art.cmreg_known = cmA.add(cmB, "CMreg additive over tensor factors"), "tensor_additive"
     art.assertions = list(
         dict.fromkeys(
             list(artA.assertions)
@@ -181,10 +176,10 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
 
     Normality witnesses are solved degreewise by exact linear algebra;
     regularity (non-zerodivisor) is certified by dim (Omega*A)_j =
-    dim A_{j-a} for every j up to the bound.  When A carries an exact CM
-    regularity with AS-regular or normal-quotient evidence, B inherits the
-    normal-quotient evidence CMreg(B) = CMreg(A) + deg(Omega) - 1, and for
-    deg(Omega) <= 2 a certified Torreg(k) upper bound propagates.
+    dim A_{j-a} for every j up to the bound.  When A has an exact CMreg
+    from the as_regular or normal_quotient case, B stores CMreg(B) =
+    CMreg(A) + deg(Omega) - 1 as normal_quotient, and for deg(Omega) <= 2
+    a certified Torreg(k) upper bound propagates.
     """
     A = artA.presentation
     G = artA.gb()
@@ -260,20 +255,15 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
     artB = AlgebraArtifacts(presB, artA.i_max, artA.d_max, artA.d_gb, artA.cache_dir)
     artB.assertions = list(artA.assertions)
     if regular_ok:
-        cmA, evA = artA.resolve_cmreg()
-        if cmA.is_exact and evA is not None and evA.case in ("as_regular", "normal_quotient"):
-            artB.cm_evidence = CMEvidence(
-                "normal_quotient", (cmA, a), evA.assertions
-            )
-            if evA.case == "as_regular":
-                d, l = evA.data
+        cmA, caseA = artA.resolve_cmreg()
+        if cmA.is_exact and caseA in ("as_regular", "normal_quotient"):
+            note = "CMreg = parent CMreg + (deg Omega - 1), deg Omega = %d" % a
+            artB.cmreg_known = cmA.add_int(a - 1, note), "normal_quotient"
+            if caseA == "as_regular":
+                v = artA.as_regular_verdict()
                 artB.as_gorenstein_hint = (
-                    (d - 1, l - a),
+                    (v.dim - 1, v.index - a),
                     "quotient of an AS regular algebra by a normal regular element",
-                )
-                artB.cm_degree_hint = (
-                    d - 1,
-                    "Cohen-Macaulay degree inherited from the AS regular parent",
                 )
         if a <= 2:
             tA = artA.resolve_torreg()
@@ -299,7 +289,6 @@ class FiniteMapCertificate(Record):
     left_cokernel: tuple  # dims of A / f(T_{>=1}) A per degree
     right_cokernel: tuple  # dims of A / A f(T_{>=1}) per degree
     verdict: str  # "finite" | "not_finite_up_to_bound" | "inconclusive"
-    top_degree: object
     window: int
 
     @property
@@ -353,7 +342,6 @@ def finite_map_check(artT, images, artA, d_max=None):
         left_cokernel=left,
         right_cokernel=right,
         verdict=verdict,
-        top_degree=top,
         window=d_max,
     )
 

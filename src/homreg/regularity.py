@@ -80,19 +80,6 @@ class BoundedValue(Record):
         return {"kind": self.kind, "value": self.value, "note": self.note}
 
 
-class CMEvidence(Record):
-    """Which special-case formula justifies a CM-regularity value.
-
-    Cases: finite_dimensional (CMreg = top degree), as_regular (d - l),
-    cm_asserted (s + deg h, with s a user assertion), normal_quotient
-    (parent + deg Omega - 1), tensor_additive (sum over factors).
-    """
-
-    case: str
-    data: tuple = ()
-    assertions: tuple = ()
-
-
 class KoszulVerdict(Record):
     status: str  # "yes" | "no" | "unknown"
     caveat: str = ""
@@ -111,7 +98,6 @@ class ASRegularVerdict(Record):
     dim: object = None
     index: object = None
     reason: str = ""
-    assertions: tuple = ()
 
     def text(self):
         if self.status == "yes":
@@ -130,8 +116,9 @@ class AlgebraArtifacts:
 
     Construction operations (tensor products, quotients) may pre-populate
     evidence slots: a known Hilbert series, a known Betti table with its
-    provenance, an evidence-based Torreg value or upper bound, and a CM
-    evidence case.  Reports consume these with full provenance.
+    provenance, an evidence-based Torreg value or upper bound, and a CMreg
+    value with the name of its case.  Reports consume these with full
+    provenance.
     """
 
     def __init__(self, presentation, i_max=DEFAULT_I_MAX, d_max=DEFAULT_D_MAX,
@@ -149,8 +136,8 @@ class AlgebraArtifacts:
         self.betti_provenance = "direct"
         self.torreg_known = None
         self.torreg_upper = None  # (value, note)
-        self.cm_evidence = None
-        self.cm_degree_hint = None  # (s, note)
+        self.cmreg_known = None  # (value, case)
+        self.cm_degree_hint = None  # asserted Cohen-Macaulay degree s
         self.as_gorenstein_hint = None  # ((d, l), note)
         self.assertions = []
         # caches
@@ -249,26 +236,31 @@ class AlgebraArtifacts:
             return BoundedValue.at_least(bv.value, "%s; upper bound %d (%s)" % (bv.note, u, unote))
         return bv
 
-    def resolve_cm_evidence(self, allow_as_regular=True):
-        if self.cm_evidence is not None:
-            return self.cm_evidence
+    def resolve_cmreg(self, allow_as_regular=True):
+        """(CMreg, case) by the first special case that applies; case None
+        with an unknown value when none does.
+
+        A construction's stored value (normal_quotient: parent + deg Omega
+        - 1; tensor_additive: sum over the factors) comes first, then
+        as_regular (d - l for AS type (d, l)), finite_dimensional (the top
+        degree) and cm_asserted (s + deg h for an asserted CM degree s).
+        """
+        if self.cmreg_known is not None:
+            return self.cmreg_known
         if allow_as_regular:
             v = self.as_regular_verdict()
             if v.status == "yes":
-                return CMEvidence("as_regular", (v.dim, v.index))
+                note = "CMreg = d - l for AS type (%d, %d)" % (v.dim, v.index)
+                return BoundedValue.exact(v.dim - v.index, note), "as_regular"
         h = self.hilbert_or_none()
         if h is not None and h.is_polynomial():
-            return CMEvidence("finite_dimensional")
+            note = "CMreg = top degree (finite-dimensional)"
+            return BoundedValue.exact(h.degree, note), "finite_dimensional"
         if self.cm_degree_hint is not None and h is not None:
-            s, note = self.cm_degree_hint
-            return CMEvidence("cm_asserted", (s,), (note,))
-        return None
-
-    def resolve_cmreg(self, allow_as_regular=True):
-        ev = self.resolve_cm_evidence(allow_as_regular)
-        if ev is None:
-            return BoundedValue.unknown("no applicable CM-regularity evidence case"), None
-        return cm_regularity(self, ev), ev
+            s = self.cm_degree_hint
+            note = "CMreg = s + deg h with s = %d (user-asserted Cohen-Macaulay degree)" % s
+            return BoundedValue.exact(s + h.degree, note), "cm_asserted"
+        return BoundedValue.unknown("no applicable CM-regularity evidence case"), None
 
     def as_regular_verdict(self):
         if self._verdict is None:
@@ -309,41 +301,6 @@ def koszul_verdict(table):
     return KoszulVerdict("unknown")
 
 
-def cm_regularity(art, evidence):
-    """CM regularity through one of the evidence-case formulas."""
-    case = evidence.case
-    if case == "finite_dimensional":
-        h = art.hilbert_or_none()
-        if h is None or not h.is_polynomial():
-            raise CertificationError(
-                "finite-dimensional evidence inconsistent: the Hilbert series of %s does not terminate"
-                % art.label
-            )
-        return BoundedValue.exact(h.degree, "CMreg = top degree (finite-dimensional)")
-    if case == "as_regular":
-        d, l = evidence.data
-        return BoundedValue.exact(d - l, "CMreg = d - l for AS type (%d, %d)" % (d, l))
-    if case == "cm_asserted":
-        (s,) = evidence.data
-        h = art.hilbert_or_none()
-        if h is None:
-            raise CertificationError("CM-asserted evidence needs an exact rational Hilbert series")
-        return BoundedValue.exact(
-            s + h.degree, "CMreg = s + deg h with s = %d (user-asserted Cohen-Macaulay degree)" % s
-        )
-    if case == "normal_quotient":
-        parent_value, a = evidence.data
-        return parent_value.add_int(
-            a - 1, "CMreg = parent CMreg + (deg Omega - 1), deg Omega = %d" % a
-        )
-    if case == "tensor_additive":
-        acc = BoundedValue.exact(0)
-        for v in evidence.data:
-            acc = acc.add(v)
-        return BoundedValue(acc.kind, acc.value, "CMreg additive over tensor factors")
-    raise CertificationError("unknown CM evidence case %r" % case)
-
-
 def as_regularity(torreg_k, cmreg):
     """Numerical AS regularity Torreg(k) + CMreg with qualifier propagation."""
     return torreg_k.add(cmreg, "Torreg(k) + CMreg")
@@ -364,7 +321,6 @@ def as_regular_verdict(art):
     numerical AS regularity is certified >= 1.  Everything else: unknown
     to the bound.
     """
-    assertions = (NOETHERIAN_ASSERTION, DUALIZING_ASSERTION)
     if art.known_betti_k is None:
         res = art.resolution_k()
         if res.terminated:
@@ -373,17 +329,13 @@ def as_regular_verdict(art):
             off = sorted(i for (i, _) in ext.entries if i != d)
             if off:
                 return ASRegularVerdict(
-                    "no",
-                    reason="Ext^%d(k, A) is nonzero away from the top step %d" % (off[0], d),
-                    assertions=assertions,
+                    "no", reason="Ext^%d(k, A) is nonzero away from the top step %d" % (off[0], d)
                 )
             top = sorted((j, r) for (i, j), r in ext.entries.items() if i == d)
             if len(top) == 1 and top[0][1] == 1:
-                return ASRegularVerdict("yes", dim=d, index=-top[0][0], assertions=assertions)
+                return ASRegularVerdict("yes", dim=d, index=-top[0][0])
             return ASRegularVerdict(
-                "no",
-                reason="top Ext is not one-dimensional in the certified window",
-                assertions=assertions,
+                "no", reason="top Ext is not one-dimensional in the certified window"
             )
     # numerical route: ASreg >= 1 certified excludes AS regularity
     torreg = art.resolve_torreg()
@@ -391,12 +343,8 @@ def as_regular_verdict(art):
     if cmreg.is_exact and torreg.kind in ("exact", "at_least"):
         low = torreg.value + cmreg.value
         if low >= 1:
-            return ASRegularVerdict(
-                "no",
-                reason="numerical AS regularity >= %d > 0" % low,
-                assertions=assertions,
-            )
-    return ASRegularVerdict("unknown", reason="window too small", assertions=assertions)
+            return ASRegularVerdict("no", reason="numerical AS regularity >= %d > 0" % low)
+    return ASRegularVerdict("unknown", reason="window too small")
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +455,6 @@ def concavity_certificate(art, witnesses=()):
     exact = False
     if verdict.status == "yes":
         exact = True
-        upper = min(upper, -(verdict.dim - verdict.index))
     elif upper == 0:
         exact = True
         notes.append("bound 0 is exact: concavity is nonnegative by definition")
@@ -619,7 +566,7 @@ class RegularityReport(Record, frozen=False):
     window: tuple  # (i_max, d_max, d_gb)
     torreg_k: BoundedValue
     cmreg: BoundedValue
-    cm_evidence: object
+    cm_evidence: object  # the name of the CMreg case, or None
     asreg: BoundedValue
     koszul: KoszulVerdict
     as_regular: ASRegularVerdict
@@ -646,8 +593,7 @@ class RegularityReport(Record, frozen=False):
             )
 
         rec("torreg_k", self.torreg_k.kind, self.torreg_k.value, self.torreg_k.note)
-        cm_case = self.cm_evidence.case if self.cm_evidence else "none"
-        rec("cmreg", self.cmreg.kind, self.cmreg.value, cm_case)
+        rec("cmreg", self.cmreg.kind, self.cmreg.value, self.cm_evidence or "none")
         for name in ("asreg", "gldim", "as_index"):
             bv = getattr(self, name)
             rec(name, bv.kind, bv.value, bv.note)
@@ -664,10 +610,7 @@ class RegularityReport(Record, frozen=False):
         lines = ["regularity report: %s" % self.label]
         lines.append("  window: i_max=%d d_max=%d d_gb=%d" % self.window)
         lines.append("  Torreg(k) : %s" % self.torreg_k)
-        lines.append(
-            "  CMreg     : %s  [%s]"
-            % (self.cmreg, self.cm_evidence.case if self.cm_evidence else "no evidence")
-        )
+        lines.append("  CMreg     : %s  [%s]" % (self.cmreg, self.cm_evidence or "no evidence"))
         lines.append("  ASreg     : %s" % self.asreg)
         lines.append("  Koszul    : %s" % self.koszul.text())
         lines.append("  AS regular: %s" % self.as_regular.text())
@@ -721,19 +664,16 @@ def build_report(art):
         elif torreg.value > 0 and koszul.status != "no":
             koszul = KoszulVerdict("no", witness=None, caveat="Torreg(k) > 0 certified")
     verdict = art.as_regular_verdict()
-    if art.known_betti_k is None:
-        res = art.resolution_k()
-        if res.terminated:
-            gldim = BoundedValue.exact(
-                res.termination_step, "resolution of k terminated (%s)" % res.certificate
-            )
-        else:
-            gldim = BoundedValue.at_least(res.steps_computed, "window i<=%d" % art.i_max)
+    if art.known_betti_k is not None:
+        note = art.betti_provenance
+    elif table.terminated:
+        note = "resolution of k terminated (%s)" % art.resolution_k().certificate
     else:
-        if table.terminated:
-            gldim = BoundedValue.exact(table.termination_step, art.betti_provenance)
-        else:
-            gldim = BoundedValue.at_least(table.steps_computed, art.betti_provenance)
+        note = "window i<=%d" % art.i_max
+    if table.terminated:
+        gldim = BoundedValue.exact(table.termination_step, note)
+    else:
+        gldim = BoundedValue.at_least(table.steps_computed, note)
     as_index = (
         BoundedValue.exact(verdict.index, "from the Ext table")
         if verdict.status == "yes"
@@ -753,7 +693,7 @@ def build_report(art):
     if art.as_gorenstein_hint is not None:
         (d, l), why = art.as_gorenstein_hint
         annotations.append("AS-Gorenstein of type (%d, %d): %s" % (d, l, why))
-    assertions = list(dict.fromkeys(list(art.assertions) + list(verdict.assertions)))
+    assertions = list(dict.fromkeys(art.assertions + [NOETHERIAN_ASSERTION, DUALIZING_ASSERTION]))
     report = RegularityReport(
         label=art.label,
         window=(art.i_max, art.d_max, art.d_gb),

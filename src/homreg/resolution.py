@@ -453,10 +453,10 @@ def multiplication_images(G, polys, j_hi, left=True):
     return source, _images(target, source, gen_vecs, source.min_degree(), j_hi)
 
 
-def _algebra_top_degree(G, probe):
+def _algebra_socle_degree(G, probe):
     """Top degree of a certified finite-dimensional algebra, else None."""
     limit = probe if G.complete else min(probe, G.d_gb)
-    top = max(j for j in range(limit + 1) if G.dim(j))
+    top = max(j for j, n in enumerate(G.automaton.dims(limit)) if n)
     return top if top + G.presentation.max_gen_degree() <= limit else None
 
 
@@ -481,7 +481,7 @@ def _alternating_sum(entries):
 
 def _certify_termination(G, shifts_all, d_max, algebra_hilbert, module_hilbert):
     width = G.presentation.max_gen_degree()
-    top = _algebra_top_degree(G, d_max + width)
+    top = _algebra_socle_degree(G, d_max + width)
     if top is not None and max(shifts_all[-1]) + top <= d_max:
         return "socle-window"
     if algebra_hilbert is None or module_hilbert is None:

@@ -6,5 +6,4 @@ from homreg.cli import golden_artifacts
 @pytest.fixture(scope="session")
 def golden():
     """The golden algebra artifacts, shared (and lazily filled) per session."""
-    arts, _ = golden_artifacts()
-    return arts
+    return golden_artifacts()

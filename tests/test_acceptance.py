@@ -84,7 +84,7 @@ def test_criterion_2_type_34(golden):
     rep = T.report()
     assert rep.torreg_k.is_exact and rep.torreg_k.value == 1
     assert rep.cmreg.is_exact and rep.cmreg.value == -1
-    assert rep.cm_evidence.case == "as_regular" and rep.cm_evidence.data == (3, 4)
+    assert rep.cm_evidence == "as_regular" and rep.cmreg.note == "CMreg = d - l for AS type (3, 4)"
     assert rep.asreg.is_exact and rep.asreg.value == 0
     assert rep.as_regular.status == "yes"
     assert (rep.as_regular.dim, rep.as_regular.index) == (3, 4)

@@ -558,6 +558,11 @@ CONSTRUCTION_PINS = {
     "comm_plane-comm_plane_k2.resolve_module": [
         "resolve", sample("comm_plane"), "--module", os.path.join(ROOT, "presentations", "comm_plane_k2.mod"),
     ],
+    # an asserted Cohen-Macaulay degree: CMreg = s + deg h, which also drives
+    # the numerical "no" route of the AS-regularity verdict
+    "hypersurface_t2.regularity_assert_cm": [
+        "regularity", sample("hypersurface_t2"), "--assert-cm", "1",
+    ],
 }
 
 

@@ -102,11 +102,11 @@ def test_quotient_rejects_zero_candidate(golden):
 
 def test_quotient_evidence_propagation(golden):
     repB = golden["B"].report()
-    assert repB.cm_evidence.case == "normal_quotient"
+    assert repB.cm_evidence == "normal_quotient"
     assert repB.cmreg.value == 0
     # degree-1 quotient of the plane: k[y], CMreg = 0 + (1-1)... parent 0 -> 0
     repY = golden["k[y]"].report()
-    assert repY.cmreg.value == 0 and repY.cm_evidence.case in ("normal_quotient", "as_regular")
+    assert repY.cmreg.value == 0 and repY.cm_evidence in ("normal_quotient", "as_regular")
     # Torreg upper bound propagated for deg <= 2
     assert golden["B"].torreg_upper is not None
     assert golden["B"].torreg_upper[0] == 1
@@ -146,7 +146,7 @@ def test_quotient_chain_rees_propagation(golden):
     B2, cert = quotient_by_normal_element(golden["B"], "x*y + y*x")
     assert cert.normal_ok
     rep = B2.report()
-    assert rep.cm_evidence.case == "normal_quotient"
+    assert rep.cm_evidence == "normal_quotient"
     assert rep.cmreg.value == 1  # 0 + (2 - 1)
 
 
@@ -172,7 +172,7 @@ def test_quotient_evidence_agrees_with_direct_verdict(golden):
     # (d - l = 2 - 2 = 0) computed from its own terminated resolution
     art = golden["Tcomm"]
     rep = art.report()
-    assert rep.cm_evidence.case == "normal_quotient"
+    assert rep.cm_evidence == "normal_quotient"
     assert rep.cmreg.value == 0
     v = art.as_regular_verdict()
     assert v.status == "yes" and (v.dim - v.index) == 0

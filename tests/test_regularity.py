@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from homreg.corealg import CertificationError, parse_presentation
+from homreg.corealg import parse_presentation
 from homreg.regularity import (
     BoundedValue,
-    CMEvidence,
     HarnessCase,
     as_regularity,
     AlgebraArtifacts,
-    cm_regularity,
     concavity_certificate,
     hilbert_criterion,
     inequality_harness,
@@ -60,25 +58,26 @@ def test_koszul_verdicts(golden):
 
 
 def test_cm_regularity_cases(golden):
+    def cmreg(art):
+        bv, case = art.resolve_cmreg()
+        return case, bv.kind, bv.value
+
     # finite-dimensional: CMreg = top degree
     for d in (2, 3):
         art = AlgebraArtifacts(
             parse_presentation("field Q; gens x:1; rels x^%d" % d, label="A%d" % d)
         )
-        bv = cm_regularity(art, CMEvidence("finite_dimensional"))
-        assert bv.is_exact and bv.value == d - 1
-    # AS regular: d - l
-    bv = cm_regularity(golden["T"], CMEvidence("as_regular", (3, 4)))
-    assert bv.value == -1
-    # asserted CM degree s: s + deg h
-    bv = cm_regularity(golden["B"], CMEvidence("cm_asserted", (2,)))
-    assert bv.value == 0
-    # normal quotient: parent + a - 1
-    bv = cm_regularity(golden["B"], CMEvidence("normal_quotient", (BoundedValue.exact(-1), 2)))
-    assert bv.value == 0
-    # inconsistent evidence is rejected
-    with pytest.raises(CertificationError, match="does not terminate"):
-        cm_regularity(golden["T"], CMEvidence("finite_dimensional"))
+        assert cmreg(art) == ("finite_dimensional", "exact", d - 1)
+    # AS regular of type (3, 4): d - l
+    assert cmreg(golden["T"]) == ("as_regular", "exact", -1)
+    # normal quotient B = T/(x^2): CMreg(T) + deg(x^2) - 1
+    assert cmreg(golden["B"]) == ("normal_quotient", "exact", 0)
+    # tensor product: the sum over the factors, CMreg(A2) + CMreg(T) = 1 - 1
+    assert cmreg(golden["A2xT"]) == ("tensor_additive", "exact", 0)
+    # asserted CM degree s = 2 on B built afresh: s + deg h = 2 - 2
+    fresh = AlgebraArtifacts(golden["B"].presentation, i_max=4, d_max=6, d_gb=6)
+    fresh.cm_degree_hint = 2
+    assert cmreg(fresh) == ("cm_asserted", "exact", 0)
 
 
 def test_as_regularity_sum():

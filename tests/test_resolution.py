@@ -207,6 +207,16 @@ def test_resolution_of_k_keeps_kernel_vectors_sparse():
     assert peak < 10 * 2**20
 
 
+def test_termination_check_counts_normal_words_without_listing_them():
+    # the socle-window check only needs to know which dim A_j vanish; over
+    # the free algebra on x, y, z listing the words through d_max + 1 alone
+    # costs 3^(d_max + 1) cached words
+    pres = parse_presentation("field Q; gens x:1 y:1 z:1")
+    G = buchberger_truncated(pres, 6)
+    minimal_resolution(G, trivial_module(pres), 2, 6)
+    assert max(G._normal_words) <= 6
+
+
 def test_degree_growth_beta_zero_below_diagonal():
     for src in (PLANE, T34, "field Q; gens x:1; rels x^3"):
         _, _, _, R = resolve_k(src, i_max=6, d_max=10)
