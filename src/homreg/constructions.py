@@ -102,6 +102,7 @@ def tensor_product(artA, artB, label=""):
         d_max=min(artA.d_max, artB.d_max),
         d_gb=min(artA.d_gb, artB.d_gb),
         cache_dir=artA.cache_dir,
+        element_limit=min(artA.element_limit, artB.element_limit),
     )
     hA, hB = artA.hilbert_or_none(), artB.hilbert_or_none()
     if hA is not None and hB is not None:
@@ -171,7 +172,7 @@ def _solve_witness(layer, cols, product, j):
     return None if sol is None else layer.polys(j, sol)[0]
 
 
-def quotient_by_normal_element(artA, omega, d_max=None, label=""):
+def quotient_by_normal_element(artA, omega_text, label=""):
     """B = A/(Omega) with a normality/regularity certificate.
 
     Normality witnesses are solved degreewise by exact linear algebra;
@@ -183,14 +184,10 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
     """
     A = artA.presentation
     G = artA.gb()
-    if isinstance(omega, str):
-        omega_text = omega
-        omega = A.parse_poly(omega)
-    else:
-        omega_text = A.format_poly(omega)
+    omega = A.parse_poly(omega_text)
     if omega.is_zero() or omega.degree < 1:
         raise PresentationError("the quotient element must be homogeneous of degree >= 1")
-    d_max = artA.d_max if d_max is None else d_max
+    d_max = artA.d_max
     nf_omega = G.normal_form(omega)
     if nf_omega.is_zero():
         raise PresentationError("element reduces to zero modulo the ideal; not a regular candidate")
@@ -252,7 +249,7 @@ def quotient_by_normal_element(artA, omega, d_max=None, label=""):
         rels,
         label=label or (A.label + "/(%s)" % omega_text),
     )
-    artB = AlgebraArtifacts(presB, artA.i_max, artA.d_max, artA.d_gb, artA.cache_dir)
+    artB = AlgebraArtifacts(presB, artA.i_max, artA.d_max, artA.d_gb, artA.cache_dir, artA.element_limit)
     artB.assertions = list(artA.assertions)
     if regular_ok:
         cmA, caseA = artA.resolve_cmreg()
@@ -303,7 +300,7 @@ def _cokernel_dims(G_A, images, d_max, side_left):
     return tuple(G_A.dim(j) - ranks.get(j, 0) for j in range(d_max + 1))
 
 
-def finite_map_check(artT, images, artA, d_max=None):
+def finite_map_check(artT, images, artA):
     """Certify finiteness of a graded map T -> A by cokernel dimensions.
 
     Both module sides are checked.  The verdict is `finite` only when the
@@ -315,9 +312,7 @@ def finite_map_check(artT, images, artA, d_max=None):
     T = artT.presentation
     A = artA.presentation
     G_A = artA.gb()
-    d_max = artA.d_max if d_max is None else d_max
-    if isinstance(images, dict):
-        images = [images[name] for name in T.gen_names]
+    d_max = artA.d_max
     images = [A.parse_poly(p) if isinstance(p, str) else p for p in images]
     if len(images) != T.n_gens:
         raise PresentationError("need one image per source generator")
@@ -346,9 +341,9 @@ def finite_map_check(artT, images, artA, d_max=None):
     )
 
 
-def concavity_witness(artT, images, artA, d_max=None):
+def concavity_witness(artT, images, artA):
     """Package a candidate finite map from an AS regular algebra as a witness."""
-    cert = finite_map_check(artT, images, artA, d_max)
+    cert = finite_map_check(artT, images, artA)
     verdict = artT.as_regular_verdict()
     torregT = artT.resolve_torreg()
     koszul_ok = torregT.is_exact and torregT.value == 0

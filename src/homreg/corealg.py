@@ -360,7 +360,10 @@ class AlgebraPresentation(Record):
         return Poly({b"": 1}, 0, self.field.modulus)
 
     def parse_poly(self, text):
-        return _parse_poly_text(text, self)
+        polys = _parse_list(text, self)
+        if len(polys) != 1:
+            raise PresentationError("expected one polynomial, found %d in %r" % (len(polys), text))
+        return polys[0]
 
     def max_gen_degree(self):
         return max(self.gen_degs) if self.gen_degs else 0
@@ -426,7 +429,7 @@ def make_presentation(field, gens, relations, label=""):
     if len(set(names)) != len(names):
         raise PresentationError("duplicate generator names")
     for n, d in gens:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", n):
+        if not _is_name(n):
             raise PresentationError("bad generator name %r" % n)
         if not isinstance(d, int) or d < 1:
             raise PresentationError(
@@ -523,21 +526,22 @@ def opposite_module(mpres):
 # parsing
 
 
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|\d+|[\^*+/,:-])|(\S)")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"(%s|\d+|[\^*+/,:-])|(\S)" % _NAME_RE.pattern)
+_BASIS_RE = re.compile(r"e(\d+)")
 
 
-def _tokenize(text):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.group(2):
-            raise PresentationError("unexpected character %r" % m.group(2))
-        tokens.append(m.group(1))
-    return tokens
+def _is_name(t):
+    return t is not None and _NAME_RE.fullmatch(t) is not None
 
 
 class _TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text):
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            if m.group(2):
+                raise PresentationError("unexpected character %r" % m.group(2))
+            self.tokens.append(m.group(1))
         self.pos = 0
 
     def peek(self):
@@ -548,96 +552,83 @@ class _TokenStream:
         self.pos += 1
         return t
 
-    def expect(self, tok):
-        t = self.next()
-        if t != tok:
-            raise PresentationError("expected %r, found %r" % (tok, t))
-        return t
+    def accept(self, tok):
+        """Consume the next token if it is `tok`; whether it was."""
+        found = self.peek() == tok
+        self.pos += found
+        return found
 
 
-def _parse_coefficient(ts, field):
-    num, den = int(ts.next()), 1
-    if ts.peek() == "/":
-        ts.next()
-        den_tok = ts.next()
-        if den_tok is None or not den_tok.isdigit():
-            raise PresentationError("expected integer denominator")
-        den = int(den_tok)
-    return field.scalar(num, den)
+def _found(t):
+    return "end of input" if t is None else repr(t)
 
 
-def _is_name(t):
-    return t is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t) is not None
-
-
-def _parse_factor(ts, pres):
-    """One factor name[^k], as the generator index repeated k times."""
+def _natural(ts, what):
     t = ts.next()
-    if not _is_name(t):
-        raise PresentationError("expected a generator name, found %r" % t)
-    idx = pres.gen_index(t)
-    power = 1
-    if ts.peek() == "^":
-        ts.next()
-        e = ts.next()
-        if e is None or not e.isdigit():
-            raise PresentationError("expected integer exponent after '^'")
-        power = int(e)
-    return [idx] * power
+    if t is None or not t.isdigit():
+        raise PresentationError("expected an integer %s, found %s" % (what, _found(t)))
+    return int(t)
 
 
-def _parse_term(ts, pres):
-    """One signed term: [coef] [* name[^k] [* name[^k] ...]]."""
-    coeff = 1
-    letters = []
-    saw_factor = False
-    t = ts.peek()
-    if t is not None and t.isdigit():
-        coeff = _parse_coefficient(ts, pres.field)
-        saw_factor = True
-        if ts.peek() == "*":
-            ts.next()
-        else:
-            return coeff, bytes(letters)
-    while True:
-        if not _is_name(ts.peek()):
-            if not saw_factor:
-                raise PresentationError("expected a term, found %r" % ts.peek())
-            break
-        letters.extend(_parse_factor(ts, pres))
-        saw_factor = True
-        if ts.peek() == "*":
-            ts.next()
-            continue
-        break
-    return coeff, bytes(letters)
+def _parse_sum(ts, pres, n_slots=0):
+    """A signed sum of terms: one Poly, or in a module row (n_slots > 0) one Poly per slot.
 
-
-def _parse_poly_stream(ts, pres):
-    terms = {}
+    A term is a coefficient c or c/d, factors name^k, or both, joined by
+    '*'; in a module row it ends in a basis symbol e<k> with k < n_slots,
+    which is tested before the generator names.  Terms on the same slot
+    and word add up.
+    """
+    field = pres.field
+    sums = [{} for _ in range(n_slots or 1)]
     sign = 1
-    t = ts.peek()
-    if t in ("+", "-"):
-        ts.next()
-        sign = -1 if t == "-" else 1
     while True:
-        coeff, word = _parse_term(ts, pres)
-        terms[word] = terms.get(word, 0) + sign * coeff
         t = ts.peek()
         if t in ("+", "-"):
             ts.next()
             sign = -1 if t == "-" else 1
-            continue
-        break
-    return Poly.make(terms, pres.gen_degs, pres.field.modulus)
+        coeff, letters, slot = 1, [], None
+        more = True  # whether a factor must follow
+        if (ts.peek() or "").isdigit():
+            coeff = field.scalar(int(ts.next()), _natural(ts, "denominator") if ts.accept("/") else 1)
+            more = ts.accept("*")
+        while more:
+            t = ts.next()
+            basis = n_slots and t and _BASIS_RE.fullmatch(t)
+            if basis:
+                slot = int(basis.group(1))
+                break
+            if not _is_name(t):
+                raise PresentationError("expected a factor, found %s" % _found(t))
+            letters += [pres.gen_index(t)] * (_natural(ts, "exponent after '^'") if ts.accept("^") else 1)
+            more = ts.accept("*")
+        if n_slots:
+            if slot is None:
+                raise PresentationError("module term must end in a basis symbol e<k>")
+            if slot >= n_slots:
+                raise PresentationError("basis symbol e%d out of range" % slot)
+        terms = sums[slot or 0]
+        word = bytes(letters)
+        terms[word] = terms.get(word, 0) + sign * coeff
+        if ts.peek() not in ("+", "-"):
+            break
+    polys = [Poly.make(terms, pres.gen_degs, field.modulus) for terms in sums]
+    return polys if n_slots else polys[0]
 
 
-def _parse_poly_text(text, pres):
-    ts = _TokenStream(_tokenize(text))
-    p = _parse_poly_stream(ts, pres)
-    if ts.peek() is not None:
-        raise PresentationError("trailing input %r in polynomial" % ts.peek())
-    return p
+def _parse_list(text, pres, n_slots=0):
+    """The comma-separated items of a `rels` statement, none of them empty:
+    polynomials, or module rows of n_slots entries when n_slots > 0."""
+    ts = _TokenStream(text)
+    items = []
+    if ts.peek() is None:
+        return items
+    while True:
+        items.append(_parse_sum(ts, pres, n_slots))
+        t = ts.next()
+        if t is None:
+            return items
+        if t != ",":
+            raise PresentationError("expected ',' between items, found %r" % t)
 
 
 def _split_statements(text):
@@ -701,21 +692,7 @@ def parse_presentation(text, label="", field=None):
             raise PresentationError("order must be a permutation of all generators")
         gens = [gens[g] for g in precedence]
         proto = make_presentation(field, gens, [], label=label)
-    relations = []
-    for source in rel_sources:
-        ts = _TokenStream(_tokenize(source))
-        while ts.peek() is not None:
-            p = _parse_poly_stream(ts, proto)
-            if p.is_zero():
-                raise PresentationError("zero relation in %r" % source)
-            if p.degree < 1:
-                raise PresentationError("relation %r is a nonzero scalar" % source)
-            relations.append(p)
-            if ts.peek() == ",":
-                ts.next()
-                continue
-            if ts.peek() is not None:
-                raise PresentationError("expected ',' between relations, found %r" % ts.peek())
+    relations = [p for source in rel_sources for p in _parse_list(source, proto)]
     return make_presentation(field, gens, relations, label=label)
 
 
@@ -725,7 +702,7 @@ def parse_module(text, algebra):
     Statements:
         side left|right
         gens <deg> <deg> ...       (internal degrees of the free generators)
-        rels <row>, <row>, ...     (rows are sums of <poly>*e<k> terms)
+        rels <row>, <row>, ...     (sums of terms that each end in a basis symbol e<k>)
     """
     side = "left"
     gen_degs = None
@@ -746,51 +723,7 @@ def parse_module(text, algebra):
             raise PresentationError("unknown module directive %r" % head)
     if gen_degs is None:
         raise PresentationError("missing module 'gens' directive")
-    rows = []
-    for source in row_sources:
-        for chunk in source.split(","):
-            chunk = chunk.strip()
-            if chunk:
-                rows.append(_parse_module_row(chunk, algebra, len(gen_degs)))
+    rows = [row for source in row_sources for row in _parse_list(source, algebra, len(gen_degs))]
+    if rows and not gen_degs:
+        raise PresentationError("a module without generators has no relation rows")
     return make_module_presentation(algebra, side, gen_degs, rows)
-
-
-def _parse_module_row(text, pres, n_gens):
-    ts = _TokenStream(_tokenize(text))
-    entries = [Poly.zero() for _ in range(n_gens)]
-    sign = 1
-    t = ts.peek()
-    if t in ("+", "-"):
-        ts.next()
-        sign = -1 if t == "-" else 1
-    while True:
-        coeff = 1
-        letters = []
-        t = ts.peek()
-        if t is not None and t.isdigit():
-            coeff = _parse_coefficient(ts, pres.field)
-            ts.expect("*")
-        while True:
-            t = ts.peek()
-            if t is None:
-                raise PresentationError("module term must end in a basis symbol e<k>")
-            m = re.fullmatch(r"e(\d+)", t)
-            if m:
-                ts.next()
-                slot = int(m.group(1))
-                break
-            letters.extend(_parse_factor(ts, pres))
-            ts.expect("*")
-        if slot >= n_gens:
-            raise PresentationError("basis symbol e%d out of range" % slot)
-        p = Poly.make({bytes(letters): sign * coeff}, pres.gen_degs, pres.field.modulus)
-        entries[slot] = entries[slot] + p
-        t = ts.peek()
-        if t in ("+", "-"):
-            ts.next()
-            sign = -1 if t == "-" else 1
-            continue
-        if t is None:
-            break
-        raise PresentationError("trailing input %r in module row" % t)
-    return entries

@@ -244,23 +244,32 @@ class AlgebraArtifacts:
         - 1; tensor_additive: sum over the factors) comes first, then
         as_regular (d - l for AS type (d, l)), finite_dimensional (the top
         degree) and cm_asserted (s + deg h for an asserted CM degree s).
+        An asserted s that the as_regular or finite_dimensional value
+        contradicts, s + deg h != CMreg, is a CertificationError.
         """
         if self.cmreg_known is not None:
             return self.cmreg_known
-        if allow_as_regular:
-            v = self.as_regular_verdict()
-            if v.status == "yes":
-                note = "CMreg = d - l for AS type (%d, %d)" % (v.dim, v.index)
-                return BoundedValue.exact(v.dim - v.index, note), "as_regular"
+        v = self.as_regular_verdict() if allow_as_regular else None
         h = self.hilbert_or_none()
-        if h is not None and h.is_polynomial():
+        s = self.cm_degree_hint
+        if v is not None and v.status == "yes":
+            note = "CMreg = d - l for AS type (%d, %d)" % (v.dim, v.index)
+            cm, case = BoundedValue.exact(v.dim - v.index, note), "as_regular"
+        elif h is not None and h.is_polynomial():
             note = "CMreg = top degree (finite-dimensional)"
-            return BoundedValue.exact(h.degree, note), "finite_dimensional"
-        if self.cm_degree_hint is not None and h is not None:
-            s = self.cm_degree_hint
+            cm, case = BoundedValue.exact(h.degree, note), "finite_dimensional"
+        elif s is not None and h is not None:
             note = "CMreg = s + deg h with s = %d (user-asserted Cohen-Macaulay degree)" % s
             return BoundedValue.exact(s + h.degree, note), "cm_asserted"
-        return BoundedValue.unknown("no applicable CM-regularity evidence case"), None
+        else:
+            return BoundedValue.unknown("no applicable CM-regularity evidence case"), None
+        if s is not None and h is not None and s + h.degree != cm.value:
+            raise CertificationError(
+                "asserted Cohen-Macaulay degree %d contradicts CMreg = %d [%s] of %s: "
+                "s + deg h = CMreg with deg h = %d needs s = %d"
+                % (s, cm.value, case, self.label, h.degree, cm.value - h.degree)
+            )
+        return cm, case
 
     def as_regular_verdict(self):
         if self._verdict is None:
@@ -693,7 +702,10 @@ def build_report(art):
     if art.as_gorenstein_hint is not None:
         (d, l), why = art.as_gorenstein_hint
         annotations.append("AS-Gorenstein of type (%d, %d): %s" % (d, l, why))
-    assertions = list(dict.fromkeys(art.assertions + [NOETHERIAN_ASSERTION, DUALIZING_ASSERTION]))
+    assertions = list(art.assertions)
+    if art.cm_degree_hint is not None:  # not inherited: a derived algebra has its own degree
+        assertions.append("Cohen-Macaulay of degree %d: asserted on the command line" % art.cm_degree_hint)
+    assertions = list(dict.fromkeys(assertions + [NOETHERIAN_ASSERTION, DUALIZING_ASSERTION]))
     report = RegularityReport(
         label=art.label,
         window=(art.i_max, art.d_max, art.d_gb),

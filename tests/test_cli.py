@@ -442,6 +442,71 @@ def test_module_row_bad_exponent_is_input_error(files, tmp_path, capsys, row):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["gb", "{dangling}"],
+        ["quotient", sample("t34"), "--omega", "x^2*"],
+        ["finitemap", sample("ku2"), sample("kx"), "--map", "u=x^2*"],
+        ["resolve", sample("comm_plane"), "--module", "{empty_item}"],
+        ["resolve", sample("comm_plane"), "--module", "{trailing_comma}"],
+    ],
+    ids=["rels-dangling-star", "omega-dangling-star", "map-dangling-star", "module-empty-item", "module-trailing-comma"],
+)
+def test_one_term_grammar_refuses_dangling_star_and_empty_items(tmp_path, capsys, argv):
+    # a '*' must be followed by a factor or a basis symbol, and no list item may be empty
+    files = {
+        "dangling": ("a.alg", "field Q\ngens x:1 y:1\nrels x*y - y*x*\n"),
+        "empty_item": ("m.mod", "side left\ngens 0\nrels x*e0,, y*e0\n"),
+        "trailing_comma": ("m.mod", "side left\ngens 0\nrels x*e0,\n"),
+    }
+    paths = {}
+    for key, (name, text) in files.items():
+        paths[key] = tmp_path / key / name
+        paths[key].parent.mkdir()
+        paths[key].write_text(text)
+    argv = [a.format(**paths) for a in argv]
+    code, out = run(argv + ["--no-cache", "--format", "jsonl"], capsys)
+    assert code == cli.EXIT_INPUT == 1
+    (rec,) = jsonl(out)
+    assert rec["type"] == "error" and rec["class"] == "input"
+
+
+def test_quotient_keeps_the_element_limit(capsys):
+    # the quotient (rels x*y - y*x, x^2) needs more than one basis element
+    argv = ["quotient", sample("comm_plane"), "--omega", "x^2", "--element-limit", "1"]
+    code, out = run(argv + ["--no-cache", "--format", "jsonl"], capsys)
+    assert code == cli.EXIT_RESOURCES == 3
+    rec = jsonl(out)[-1]  # after the certificate and the presentation of the quotient
+    assert rec["type"] == "error" and rec["class"] == "resources"
+
+
+@pytest.mark.parametrize(
+    "name, s, needed",
+    [("t34", 0, 3), ("kx_mod_x2", 5, 0)],
+    ids=["as-regular-type-3-4", "finite-dimensional"],
+)
+def test_contradicted_cm_degree_is_certification_error(capsys, name, s, needed):
+    # CMreg = s + deg h: AS type (3, 4) has CMreg -1 and deg h -4, and a
+    # finite-dimensional algebra has CMreg = deg h
+    argv = ["regularity", sample(name), "--assert-cm", str(s)]
+    code, out = run(argv + ["--no-cache", "--format", "jsonl"], capsys)
+    assert code == cli.EXIT_CERTIFICATION == 2
+    (rec,) = jsonl(out)
+    assert rec["type"] == "error" and rec["class"] == "certification"
+    assert "asserted Cohen-Macaulay degree %d contradicts" % s in rec["message"]
+    assert rec["message"].endswith("needs s = %d" % needed)
+
+
+def test_quotient_does_not_inherit_the_cm_degree(capsys):
+    # s = 3 holds for t34 of AS type (3, 4), not for t34/(x^2) of type (2, 2)
+    argv = ["quotient", sample("t34"), "--omega", "x^2", "--assert-cm", "3"]
+    code, out = run(argv + ["--no-cache", "--format", "jsonl"], capsys)
+    assert code == 0
+    regs = [r for r in jsonl(out) if r["type"] == "regularity"]
+    assert regs and not any("Cohen-Macaulay" in a for r in regs for a in r["assertions"])
+
+
+@pytest.mark.parametrize(
     "alg, row, extra",
     [
         ("field Q; gens x:1 y:1; rels x*y - 1/0*y*x", None, []),

@@ -37,6 +37,15 @@ def test_unit_factor(golden):
     assert art.hilbert_or_none().expand(8) == golden["T"].hilbert_or_none().expand(8)
 
 
+def test_derived_algebras_keep_the_element_limit():
+    # the product takes the smaller factor budget, as it does for its window
+    plane = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x*y - y*x"), element_limit=7)
+    kx = AlgebraArtifacts(parse_presentation("field Q; gens z:1"), element_limit=5)
+    assert tensor_product(plane, kx).element_limit == tensor_product(kx, plane).element_limit == 5
+    quotient, _ = quotient_by_normal_element(plane, "x")
+    assert quotient.element_limit == 7
+
+
 def test_series_multiplicativity(golden):
     hA = golden["A2"].hilbert_or_none()
     hT = golden["T"].hilbert_or_none()

@@ -1,4 +1,6 @@
+import glob
 import json
+import os
 import random
 import subprocess
 import sys
@@ -279,3 +281,83 @@ def test_parse_module_rows():
         parse_module("gens 0 1; rels x*e0 - y*e1", pres)
     with pytest.raises(PresentationError, match="out of range"):
         parse_module("gens 0; rels x*e3", pres)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED_ALGEBRAS = sorted(
+    glob.glob(os.path.join(ROOT, "presentations", "*.alg"))
+    + glob.glob(os.path.join(ROOT, "tests", "inputs", "*.alg"))
+    + glob.glob(os.path.join(ROOT, "perfbench", "inputs", "*.alg"))
+)
+
+
+@pytest.mark.parametrize(
+    "rels",
+    ["x*y - y*x*", "2*", "x^2*, y", "x*y - y*x,", "x, , y", ", x", ","],
+    ids=["dangling-star", "coefficient-star", "star-before-comma", "trailing-comma",
+         "empty-item", "leading-comma", "bare-comma"],
+)
+def test_parse_refuses_dangling_star_and_empty_items(rels):
+    with pytest.raises(PresentationError):
+        parse_presentation("field Q; gens x:1 y:1; rels %s" % rels)
+
+
+@pytest.mark.parametrize("text", ["x^2*", "2*", "x*y - y*", "x, y", ""])
+def test_parse_poly_reads_one_whole_polynomial(text):
+    pres = parse_presentation("field Q; gens x:1 y:1")
+    with pytest.raises(PresentationError):
+        pres.parse_poly(text)
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["gens 0; rels x*e0,, y*e0", "gens 0; rels x*e0,", "gens 0; rels , x*e0", "gens 0; rels ,",
+     "gens 0; rels x*e0 - y*", "gens 0; rels 2*", "gens 0; rels x*y", "gens; rels x"],
+    ids=["empty-item", "trailing-comma", "leading-comma", "bare-comma", "dangling-star",
+         "coefficient-star", "no-basis-symbol", "no-generators"],
+)
+def test_parse_module_refuses_malformed_rows(module):
+    pres = parse_presentation("field Q; gens x:1 y:1; rels x*y - y*x")
+    with pytest.raises(PresentationError):
+        parse_module("side left; " + module, pres)
+
+
+def test_parse_module_term_forms():
+    pres = parse_presentation("field Q; gens x:1 y:1; rels x*y - y*x")
+    one, x, zero = pres.one(), pres.gen_poly(0), Poly.zero()
+    for rels, row in (
+        ("e0", (one, zero)),
+        ("-e0", (-one, zero)),
+        ("2*e0", (one.scale(2), zero)),
+        ("1/2*x*e0", (x.scale(Fraction(1, 2)), zero)),
+        ("x*e0 + 2*x*e0 - x*e1", (x.scale(3), -x)),  # terms on one slot and word add up
+        ("x*e0 - x*e0 + e1", (zero, one)),
+    ):
+        assert parse_module("gens 0 0; rels %s" % rels, pres).rows == (row,), rels
+    assert parse_module("gens 0; rels", pres).rows == ()
+    assert parse_presentation("field Q; gens x:1; rels").relations == ()
+
+
+def test_module_row_reads_each_relation_term_by_term():
+    from homreg.cli import GOLDEN_SOURCES
+
+    sources = list(GOLDEN_SOURCES.values()) + [open(path).read() for path in SHIPPED_ALGEBRAS]
+    for src in sources:
+        pres = parse_presentation(src)
+        for r in pres.relations:
+            row = " ".join(
+                "%s %s*%se0" % ("-" if c < 0 else "+", abs(c), "".join(pres.gen_names[g] + "*" for g in w))
+                for w, c in r.terms.items()
+            )
+            assert parse_module("gens 0; rels %s" % row, pres).rows == ((r,),), row
+
+
+@pytest.mark.parametrize("path", SHIPPED_ALGEBRAS, ids=os.path.basename)
+def test_shipped_presentations_reparse_from_their_text(path):
+    with open(path) as fh:
+        pres = parse_presentation(fh.read(), label="a")
+    again = parse_presentation(pres.to_text(), label="a")
+    # to_text orders the relations canonically, so they compare as a set
+    assert set(again.relations) == set(pres.relations) and len(again.relations) == len(pres.relations)
+    for field in ("field", "gen_names", "gen_degs", "order", "label"):
+        assert getattr(again, field) == getattr(pres, field)
