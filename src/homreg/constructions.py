@@ -107,9 +107,7 @@ def tensor_product(artA, artB, label=""):
     hA, hB = artA.hilbert_or_none(), artB.hilbert_or_none()
     if hA is not None and hB is not None:
         art.known_hilbert = series_product(hA, hB)
-    art.known_betti_k = convolve_betti(
-        artA.betti_for_report(), artB.betti_for_report(), art.i_max, art.d_max
-    )
+    art.known_betti_k = convolve_betti(artA.betti_k(), artB.betti_k(), art.i_max, art.d_max)
     art.betti_provenance = "kunneth convolution of %s and %s" % (artA.label, artB.label)
     tA = artA.resolve_torreg()
     tB = artB.resolve_torreg()
@@ -149,10 +147,8 @@ class NormalElementCertificate(Record):
     degree: int
     left_witnesses: tuple  # per generator g: q_g with g*Omega = Omega*q_g mod I
     right_witnesses: tuple  # per generator g: p_g with Omega*g = p_g*Omega mod I
-    normal_ok: bool
     regular_ok: bool
     checked_to: int
-    notes: tuple = ()
 
 
 def _solve_witness(layer, cols, product, j):
@@ -202,21 +198,16 @@ def quotient_by_normal_element(artA, omega_text, label=""):
         layer, images = multiplication_images(G, [omega], a + A.max_gen_degree(), left)
         sides.append((layer, dict(images)))
     left_w, right_w = [], []
-    normal_ok = True
-    failing = None
     for g, (g_omega, omega_g) in enumerate(products):
         j = a + A.gen_degs[g]
         q = _solve_witness(*sides[0], g_omega, j)
         p = _solve_witness(*sides[1], omega_g, j)
+        if q is None or p is None:
+            raise PresentationError(
+                "normality fails for generator %s: no witness polynomial exists" % A.gen_names[g]
+            )
         left_w.append(q)
         right_w.append(p)
-        if q is None or p is None:
-            normal_ok = False
-            failing = A.gen_names[g]
-    if not normal_ok:
-        raise PresentationError(
-            "normality fails for generator %s: no witness polynomial exists" % failing
-        )
 
     # regularity up to the bound: dim (Omega A)_j == dim A_{j-a}
     regular_ok = True
@@ -232,14 +223,8 @@ def quotient_by_normal_element(artA, omega_text, label=""):
         degree=a,
         left_witnesses=tuple(left_w),
         right_witnesses=tuple(right_w),
-        normal_ok=normal_ok,
         regular_ok=regular_ok,
         checked_to=checked_to,
-        notes=(
-            "regularity certified up to degree %d only" % d_max
-            if regular_ok
-            else "regularity fails at degree %d" % (checked_to + 1),
-        ),
     )
 
     rels = list(A.relations) + [omega]
@@ -286,7 +271,6 @@ class FiniteMapCertificate(Record):
     left_cokernel: tuple  # dims of A / f(T_{>=1}) A per degree
     right_cokernel: tuple  # dims of A / A f(T_{>=1}) per degree
     verdict: str  # "finite" | "not_finite_up_to_bound" | "inconclusive"
-    window: int
 
     @property
     def finite(self):
@@ -337,7 +321,6 @@ def finite_map_check(artT, images, artA):
         left_cokernel=left,
         right_cokernel=right,
         verdict=verdict,
-        window=d_max,
     )
 
 
@@ -354,5 +337,4 @@ def concavity_witness(artT, images, artA):
         as_regular_ok=verdict.status == "yes",
         finite_ok=cert.finite,
         koszul_ok=koszul_ok,
-        note="finite map verdict: %s" % cert.verdict,
     )

@@ -15,6 +15,12 @@ column.  `reduced_form` back-substitutes them to the unique reduced row
 echelon form of some leading columns (all of them in `row_reduce`),
 `complement_basis` is first-fit insertion into one `Echelon`, and `solve`
 reads the reduced augmented matrix.
+
+`row_reduce`, `RowReduction`, `complement_basis` and `solve` stay only
+because `perfbench/layertrace.py` wraps them and `tests/oracles.py` uses
+them as references; the one library caller, `constructions._solve_witness`
+through `solve`, can solve on an `Echelon` instead.  ROADMAP items 5 and
+12 delete them.
 """
 
 from __future__ import annotations

@@ -191,14 +191,13 @@ class AlgebraArtifacts:
         return self._res_k
 
     def betti_k(self):
+        """A construction's known table of k (a tensor product's Kunneth
+        table), else the table of the resolution of k."""
+        if self.known_betti_k is not None:
+            return self.known_betti_k
         if self._betti_k is None:
             self._betti_k = res_mod.betti_table(self.resolution_k())
         return self._betti_k
-
-    def betti_for_report(self):
-        if self.known_betti_k is not None:
-            return self.known_betti_k
-        return self.betti_k()
 
     def ext_k(self):
         if self._ext_k is None:
@@ -223,7 +222,7 @@ class AlgebraArtifacts:
         """Torreg(k) merging the window lower bound with any certified upper bound."""
         if self.torreg_known is not None:
             return self.torreg_known
-        bv = tor_regularity(self.betti_for_report())
+        bv = tor_regularity(self.betti_k())
         if bv.kind == "at_least" and self.torreg_upper is not None:
             u, unote = self.torreg_upper
             if bv.value > u:
@@ -420,7 +419,6 @@ class ConcavityWitness(Record):
     as_regular_ok: bool
     finite_ok: bool
     koszul_ok: bool = False
-    note: str = ""
 
 
 class ConcavityBound(Record):
@@ -450,9 +448,7 @@ def concavity_certificate(art, witnesses=()):
     verdict = art.as_regular_verdict()
     if verdict.status == "yes":
         own = -(verdict.dim - verdict.index)
-        usable.append(
-            ConcavityWitness(art.label + " (identity)", own, True, True, note="identity witness")
-        )
+        usable.append(ConcavityWitness(art.label + " (identity)", own, True, True))
         notes.append("algebra is AS regular: c = -CMreg exactly (identity witness)")
     if not usable:
         return ConcavityBound(
@@ -512,7 +508,7 @@ def invariant_ring_obstruction(art, cbound, cmreg_T_range=None):
     algebra.  The relation-degree test runs against a user-supplied range
     of candidate CMreg(T) values.
     """
-    table = art.betti_for_report()
+    table = art.betti_k()
     beta1 = table.t(1)
     beta2 = table.t(2)
     if not cbound.exact:
@@ -665,7 +661,7 @@ def build_report(art):
     torreg = art.resolve_torreg()
     cmreg, cm_evidence = art.resolve_cmreg()
     asreg = as_regularity(torreg, cmreg)
-    table = art.betti_for_report()
+    table = art.betti_k()
     koszul = koszul_verdict(table)
     if torreg.is_exact:
         if torreg.value == 0:

@@ -47,7 +47,6 @@ from .corealg import (
     LETTERS,
     NEG_INF,
     CertificationError,
-    ModulePresentation,
     Poly,
     PresentationError,
     Record,
@@ -181,13 +180,15 @@ class PresentedModuleView(_ModuleView):
                 "the resolution engine takes left modules; convert with opposite_module"
             )
         self.G = G
-        self.d_max = d_max
         self.ambient = FreeLayer(G, mpres.gen_degs)
         self.min_degree = min(mpres.gen_degs) if mpres.gen_degs else 0
         self._echelon = {}
         self._free_cols = {}  # j -> {free ambient column: coordinate}
         self._act_cols = {}
-        self._hilbert = None
+        # the exact polynomial Hilbert series once a zero band of width
+        # max(algebra generator degree) above both the top nonzero degree and
+        # the top module generator degree forces all higher pieces to vanish
+        self.hilbert = None
         # N is the image of the free module on the relation rows, so only the
         # rows themselves need normal forms; rows above d_max are never read
         rows = [
@@ -208,7 +209,7 @@ class PresentedModuleView(_ModuleView):
                 # a zero band as wide as the widest generator forces M = 0 above it
                 band = 0 if self.dim(j) else band + 1
                 if band >= G.presentation.max_gen_degree():
-                    self._hilbert = self._final_series(j)
+                    self.hilbert = self._final_series(j)
                     break
 
     def dim(self, j):
@@ -228,9 +229,6 @@ class PresentedModuleView(_ModuleView):
             for c in self._free_cols.get(j, ())
         ]
 
-    def dims(self):
-        return [self.dim(j) for j in range(min(self.min_degree, 0), self.d_max + 1)]
-
     def _final_series(self, j):
         """The Hilbert series once every piece above j vanishes; coefficients from min(0, lowest)."""
         nonzero = [i for i in range(self.min_degree, j) if self.dim(i)]
@@ -238,15 +236,6 @@ class PresentedModuleView(_ModuleView):
             return RationalSeries((0,), (1,), (), NEG_INF)
         coeffs = tuple(self.dim(i) for i in range(min(nonzero[0], 0), nonzero[-1] + 1))
         return RationalSeries(coeffs, (1,), (), nonzero[-1])
-
-    def hilbert_if_finite(self):
-        """Exact polynomial Hilbert series when finite-dimensionality certifies.
-
-        Recorded when evaluation stops: a zero band of width max(algebra
-        generator degree) above both the top nonzero degree and the top
-        module generator degree forces all higher pieces to vanish.
-        """
-        return self._hilbert
 
 
 class MappedAlgebraView(_ModuleView):
@@ -322,14 +311,6 @@ class BettiTable(Record, frozen=False):
         if js:
             return max(js)
         return NEG_INF
-
-    def t_values(self):
-        top = self.termination_step if self.terminated else self.steps_computed
-        return [self.t(i) for i in range(top + 1)]
-
-    def alternating_shift_poly(self):
-        """Sum_i (-1)^i sum_j beta_{i,j} t^j, see `_alternating_sum`."""
-        return _alternating_sum(self.entries)
 
     def records(self):
         recs = []
@@ -509,24 +490,13 @@ def trivial_module(A):
     return make_module_presentation(A, "left", (0,), rows)
 
 
-def shift_module(mpres, ell):
-    """M(ell): generator and relation degrees all drop by ell."""
-    return ModulePresentation(
-        mpres.algebra,
-        mpres.side,
-        tuple(d - ell for d in mpres.gen_degs),
-        mpres.rows,
-        tuple(d - ell for d in mpres.row_degrees),
-    )
-
-
 def minimal_resolution(
     G, module, i_max, d_max, algebra_hilbert=None, module_hilbert=None, label=""
 ):
     """Minimal free resolution of a presented left module, truncated to (i_max, d_max)."""
     view = PresentedModuleView(G, module, d_max)
     if module_hilbert is None:
-        module_hilbert = view.hilbert_if_finite()
+        module_hilbert = view.hilbert
 
     layer, _, K = _syzygy_step(G, view, view.units(d_max), d_max)
     if not layer.shifts:
@@ -587,7 +557,7 @@ def betti_table(R):
     )
 
 
-def ext_into_algebra(R, G, j_hi=None):
+def ext_into_algebra(R, G):
     """Cohomology ranks of Hom(F_*, A): Ext^i(k, A)_j on a certified window.
 
     Dualizing turns each A(-b) into A(b) with the right-module structure.
@@ -608,7 +578,7 @@ def ext_into_algebra(R, G, j_hi=None):
     for i in range(i_top + 1):
         # the ranks at degree j touch normal words up to degree j + top
         top = max(max_shift(k) for k in range(max(0, i - 1), min(R.steps_computed, i + 1) + 1))
-        windows[i] = (-max_shift(i), R.d_max - top if j_hi is None else j_hi)
+        windows[i] = (-max_shift(i), R.d_max - top)
 
     # C^i_j = Hom(F_i, A)_j has basis (r, w) with w normal of degree j + b_r
     cobases = [FreeLayer(G, [-b for b in shifts], right=True) for shifts in R.shifts]

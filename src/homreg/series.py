@@ -113,20 +113,6 @@ class RationalSeries(Record):
     def is_polynomial(self):
         return self.denominator == (1,)
 
-    def expand(self, upto):
-        """Power-series coefficients c_0..c_upto of numerator/denominator."""
-        num, den = self.numerator, self.denominator
-        out = []
-        for k in range(upto + 1):
-            acc = Fraction(num[k]) if k < len(num) else Fraction(0)
-            for i in range(1, min(k, len(den) - 1) + 1):
-                if den[i]:
-                    acc -= den[i] * out[k - i]
-            if acc.denominator != 1:
-                raise ArithmeticError("non-integral series expansion")
-            out.append(int(acc))
-        return out
-
     def text(self):
         num = _format_poly(self.numerator)
         if self.is_polynomial():
@@ -212,14 +198,6 @@ def make_rational(numerator, denominator):
     d = _to_int_poly(den)
     exps = _factor_denominator(d)
     return RationalSeries(n, d, exps, _pdeg(list(n)) - _pdeg(list(d)))
-
-
-def rational_from_exponents(numerator, exponents):
-    """Helper: numerator / prod(1 - t^e) for a list of exponents."""
-    den = [Fraction(1)]
-    for e in exponents:
-        den = _pmul(den, _one_minus_t_power(e))
-    return make_rational(numerator, den)
 
 
 # -- the three series operations ---------------------------------------------

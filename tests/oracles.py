@@ -23,7 +23,7 @@ checkout's homreg.
 import os
 from fractions import Fraction
 
-from homreg.corealg import Poly, make_module_presentation
+from homreg.corealg import ModulePresentation, Poly, make_module_presentation
 from homreg.linalg import complement_basis, row_reduce
 from homreg.resolution import FreeLayer, _images
 
@@ -368,11 +368,16 @@ def expand_quotient(numerator, denom_exponents, upto):
             new[i] += c
             new[i + e] -= c
         den = new
+    return expand_series(numerator, den, upto)
+
+
+def expand_series(numerator, denominator, upto):
+    """Coefficients of numerator / denominator (constant term 1) through degree upto."""
     out = []
     for k in range(upto + 1):
         acc = Fraction(numerator[k] if k < len(numerator) else 0)
-        for i in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[i] * out[k - i]
+        for i in range(1, min(k, len(denominator) - 1) + 1):
+            acc -= denominator[i] * out[k - i]
         assert acc.denominator == 1
         out.append(int(acc))
     return out
@@ -383,6 +388,17 @@ def eval_rational(rs, t0):
     num = sum(Fraction(c) * t0**i for i, c in enumerate(rs.numerator))
     den = sum(Fraction(c) * t0**i for i, c in enumerate(rs.denominator))
     return num / den
+
+
+def shift_module(mpres, ell):
+    """M(ell): generator and relation degrees all drop by ell."""
+    return ModulePresentation(
+        mpres.algebra,
+        mpres.side,
+        tuple(d - ell for d in mpres.gen_degs),
+        mpres.rows,
+        tuple(d - ell for d in mpres.row_degrees),
+    )
 
 
 def semisimple_module(pres, degrees):

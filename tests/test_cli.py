@@ -560,6 +560,24 @@ def test_quotient_by_zero_divisor_reports_failed_regularity(tmp_path, capsys):
     assert "regular up to degree" not in out
 
 
+def test_quotient_failure_paths(capsys):
+    # x is not normal in the Sklyanin-type algebra: an input error, found
+    # before the regularity check reads any degree above d_gb
+    sklyanin = os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg")
+    argv = ["quotient", sklyanin, "--omega", "x", "--dgb", "4", "--dmax", "8", "--no-cache", "--format", "jsonl"]
+    code, out = run(argv, capsys)
+    assert code == cli.EXIT_INPUT == 1
+    (rec,) = jsonl(out)
+    assert rec["type"] == "error" and rec["class"] == "input"
+    assert rec["message"].startswith("normality fails for generator ")
+    # x is normal in k[x]/(x^2) but kills itself: regular through degree 1 only
+    argv = ["quotient", sample("kx_mod_x2"), "--omega", "x", "--no-cache", "--format", "jsonl"]
+    code, out = run(argv, capsys)
+    assert code == 0
+    cert = next(r for r in jsonl(out) if r["type"] == "normal_element_certificate")
+    assert (cert["normal"], cert["regular"], cert["regular_up_to"]) == (True, False, 1)
+
+
 PIN_COMMANDS = {c: [c] for c in ("regularity", "hilbert", "gb", "resolve", "koszul", "stanley")}
 PIN_COMMANDS["regularity_f101"] = ["regularity", "--field", "F101"]
 PIN_COMMANDS["resolve_f101"] = ["resolve", "--field", "F101"]
@@ -701,6 +719,29 @@ def test_usage_error_is_input_error(files, capsys, bad, fmt):
         assert rec["type"] == "error" and rec["class"] == "input"
     else:
         assert captured.out.startswith("input error: homreg")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--field", "F4", "--assert-cm", "99", "--element-limit", "1"],
+        ["--field", "F7"],
+        ["--element-limit", "1"],
+        ["--assert-cm", "0"],
+        ["--assert-noetherian"],
+        ["--assert-balanced"],
+    ],
+    ids=["all", "field", "element-limit", "assert-cm", "assert-noetherian", "assert-balanced"],
+)
+def test_harness_refuses_the_options_it_ignores(capsys, extra):
+    # the golden suite builds its own algebras: no file to take a field, a limit or an assertion
+    code = main(["harness", "--no-cache", "--format", "jsonl"] + extra)
+    assert code == cli.EXIT_INPUT == 1
+    captured = capsys.readouterr()
+    assert "usage: homreg" in captured.err
+    (rec,) = jsonl(captured.out)
+    assert rec["type"] == "error" and rec["class"] == "input"
+    assert "unrecognized arguments: " + " ".join(extra) in rec["message"]
 
 
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])

@@ -34,7 +34,7 @@ def test_unit_factor(golden):
     # tensoring with k[x]/(x) = k is the identity on series
     unit = AlgebraArtifacts(parse_presentation("field Q; gens e:1; rels e", label="unit"))
     art = tensor_product(golden["T"], unit)
-    assert art.hilbert_or_none().expand(8) == golden["T"].hilbert_or_none().expand(8)
+    assert art.hilbert_or_none() == golden["T"].hilbert_or_none()
 
 
 def test_derived_algebras_keep_the_element_limit():
@@ -85,7 +85,7 @@ def test_convolve_betti_window(golden):
 def test_quotient_certificates(golden):
     T = golden["T"]
     B, cert = quotient_by_normal_element(T, "x^2")
-    assert cert.normal_ok and cert.regular_ok
+    assert None not in cert.left_witnesses + cert.right_witnesses and cert.regular_ok
     assert cert.degree == 2
     # x^2 commutes with everything in T: witnesses are x and y themselves
     names = [T.presentation.format_poly(w) for w in cert.left_witnesses]
@@ -93,7 +93,7 @@ def test_quotient_certificates(golden):
 
     # the anticommuting degree-2 element: witnesses pick up signs
     C, cert2 = quotient_by_normal_element(T, "x*y - y*x")
-    assert cert2.normal_ok and cert2.regular_ok
+    assert None not in cert2.left_witnesses + cert2.right_witnesses and cert2.regular_ok
     names2 = [T.presentation.format_poly(w) for w in cert2.left_witnesses]
     assert names2 == ["-x", "-y"]
 
@@ -153,7 +153,7 @@ def test_quotient_chain_rees_propagation(golden):
     assert golden["B"].as_gorenstein_hint[0] == (2, 2)
     # a further quotient still carries normal-quotient evidence
     B2, cert = quotient_by_normal_element(golden["B"], "x*y + y*x")
-    assert cert.normal_ok
+    assert None not in cert.left_witnesses + cert.right_witnesses
     rep = B2.report()
     assert rep.cm_evidence == "normal_quotient"
     assert rep.cmreg.value == 1  # 0 + (2 - 1)

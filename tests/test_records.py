@@ -30,8 +30,8 @@ RECORDS = [
      {"dim": None, "index": None, "reason": ""}, True),
     (regularity.HilbertCriterionResult, ("verdict", "h_degree", "s", "assertions", "witness_notes"), {}, True),
     (regularity.ConcavityWitness,
-     ("label", "neg_cmreg", "as_regular_ok", "finite_ok", "koszul_ok", "note"),
-     {"koszul_ok": False, "note": ""}, True),
+     ("label", "neg_cmreg", "as_regular_ok", "finite_ok", "koszul_ok"),
+     {"koszul_ok": False}, True),
     (regularity.ConcavityBound, ("upper", "exact", "c_minus", "witnesses", "notes"), {}, True),
     (regularity.ObstructionVerdict, ("status", "inequality", "beta1", "beta2", "notes"), {"notes": ()}, True),
     (regularity.RegularityReport,
@@ -42,11 +42,10 @@ RECORDS = [
      {"lhs": None, "rhs": None, "detail": ""}, True),
     (regularity.HarnessResult, ("name", "status", "detail"), {}, True),
     (constructions.NormalElementCertificate,
-     ("element_text", "degree", "left_witnesses", "right_witnesses", "normal_ok", "regular_ok",
-      "checked_to", "notes"),
-     {"notes": ()}, True),
+     ("element_text", "degree", "left_witnesses", "right_witnesses", "regular_ok", "checked_to"),
+     {}, True),
     (constructions.FiniteMapCertificate,
-     ("images_text", "left_cokernel", "right_cokernel", "verdict", "window"), {}, True),
+     ("images_text", "left_cokernel", "right_cokernel", "verdict"), {}, True),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 
