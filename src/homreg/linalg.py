@@ -100,11 +100,14 @@ class Echelon:
         nonzero, so the residue is zero in every pivot column above `above`.
         Over F_p the values grow as plain ints: a multiplier is reduced
         mod p when its pivot is popped, and the residue once on return.
+        Most calls meet no pivot and return a copy straight away.
         """
         rows = self.rows
         modulus = self.modulus
+        todo = [k for k, c in vec.items() if k > above and k in rows and c]
+        if not todo:
+            return reduced(vec, modulus) if modulus else {k: c for k, c in vec.items() if c}
         v = {k: c for k, c in vec.items() if c}
-        todo = [k for k in v if k > above and k in rows]
         heapify(todo)
         while todo:
             p = heappop(todo)

@@ -729,7 +729,7 @@ def build_report(art):
 
 
 class HarnessCase(Record):
-    """One check: kind 'leq'/'eq' compare values, 'true' asserts a fact."""
+    """One check: kind 'leq'/'eq' compare values, 'true' asserts a fact (None: undecided)."""
 
     name: str
     kind: str
@@ -761,10 +761,11 @@ def inequality_harness(cases):
     results = []
     for case in cases:
         if case.kind == "true":
-            ok = bool(case.lhs)
-            results.append(
-                HarnessResult(case.name, "pass" if ok else "fail", case.detail)
-            )
+            if case.lhs is None:
+                detail = "undecided in the window%s" % ((" | " + case.detail) if case.detail else "")
+                results.append(HarnessResult(case.name, "skip", detail))
+            else:
+                results.append(HarnessResult(case.name, "pass" if case.lhs else "fail", case.detail))
             continue
         lhs = _as_bounded(case.lhs)
         rhs = _as_bounded(case.rhs)

@@ -18,6 +18,12 @@ of a basis element (r, w) is one generator acting on the image of
 (r, w minus that letter), so the only normal forms taken are of single
 words (memoized by the Groebner basis) and of the inputs as given.
 
+A module enters as a view that gives its graded pieces and generator
+actions: `PresentedModuleView` for a presented module, `MappedAlgebraView`
+for an algebra A along generator images of a map T -> A.
+`minimal_resolution` resolves either, so A is resolved over T without
+first being written out as a presentation.
+
 Coordinate vectors hold the same scalars as polynomials (see `corealg`);
 `FreeLayer.coords` and `FreeLayer.polys` read one as the other on a
 layer's normal-word basis.
@@ -47,6 +53,7 @@ from .corealg import (
     LETTERS,
     NEG_INF,
     CertificationError,
+    ModulePresentation,
     Poly,
     PresentationError,
     Record,
@@ -139,8 +146,11 @@ class FreeLayer:
 class _ModuleView:
     """A graded left module given degreewise by generator action matrices.
 
-    Subclasses supply `dim(j)` and an `_act_cols` dict {(g, j): columns},
-    either filled in advance or on demand by `_build_act_columns(g, j)`.
+    Subclasses supply `dim(j)`, `min_degree`, an `_act_cols` dict
+    {(g, j): columns}, either filled in advance or on demand by
+    `_build_act_columns(g, j)`, and two attributes for `minimal_resolution`:
+    `top`, a degree that no known generator lies above, and `hilbert`, the
+    exact Hilbert series when a zero band certifies it, else None.
     """
 
     def act_columns(self, g, j):
@@ -156,6 +166,8 @@ class _ModuleView:
         return {j: {b: {b: 1} for b in range(self.dim(j))} for j in range(self.min_degree, d_max + 1)}
 
     def act_vec(self, g, j, vec):
+        if not vec:
+            return {}
         cols = self.act_columns(g, j)
         out = {}
         for b, c in vec.items():
@@ -164,6 +176,14 @@ class _ModuleView:
             for t, a in cols[b].items():
                 out[t] = out[t] + c * a if t in out else c * a
         return linalg.reduced(out, self.G.presentation.field.modulus)
+
+    def _final_series(self, j):
+        """The Hilbert series once every piece above j vanishes; coefficients from min(0, lowest)."""
+        nonzero = [i for i in range(self.min_degree, j) if self.dim(i)]
+        if not nonzero:
+            return RationalSeries((0,), (1,), (), NEG_INF)
+        coeffs = tuple(self.dim(i) for i in range(min(nonzero[0], 0), nonzero[-1] + 1))
+        return RationalSeries(coeffs, (1,), (), nonzero[-1])
 
 
 class PresentedModuleView(_ModuleView):
@@ -182,6 +202,7 @@ class PresentedModuleView(_ModuleView):
         self.G = G
         self.ambient = FreeLayer(G, mpres.gen_degs)
         self.min_degree = min(mpres.gen_degs) if mpres.gen_degs else 0
+        self.top = max(mpres.gen_degs, default=0)
         self._echelon = {}
         self._free_cols = {}  # j -> {free ambient column: coordinate}
         self._act_cols = {}
@@ -197,15 +218,14 @@ class PresentedModuleView(_ModuleView):
         ]
         spans = _images(self.ambient, FreeLayer(G, mpres.row_degrees), rows, self.min_degree, d_max)
         degs = G.presentation.gen_degs
-        top = max(mpres.gen_degs, default=0)
         band = 0
         for j, span in spans:
             # above the generator degrees M_j = sum_g x_g M_{j - deg x_g}, so zero if those are
-            if j <= top or any(self.dim(j - dg) for dg in degs):
+            if j <= self.top or any(self.dim(j - dg) for dg in degs):
                 ech = self._echelon[j] = linalg.Echelon(G.presentation.field, span)
                 free = (c for c in range(self.ambient.dim(j)) if c not in ech.rows)
                 self._free_cols[j] = {c: i for i, c in enumerate(free)}
-            if j > top:
+            if j > self.top:
                 # a zero band as wide as the widest generator forces M = 0 above it
                 band = 0 if self.dim(j) else band + 1
                 if band >= G.presentation.max_gen_degree():
@@ -229,24 +249,26 @@ class PresentedModuleView(_ModuleView):
             for c in self._free_cols.get(j, ())
         ]
 
-    def _final_series(self, j):
-        """The Hilbert series once every piece above j vanishes; coefficients from min(0, lowest)."""
-        nonzero = [i for i in range(self.min_degree, j) if self.dim(i)]
-        if not nonzero:
-            return RationalSeries((0,), (1,), (), NEG_INF)
-        coeffs = tuple(self.dim(i) for i in range(min(nonzero[0], 0), nonzero[-1] + 1))
-        return RationalSeries(coeffs, (1,), (), nonzero[-1])
-
 
 class MappedAlgebraView(_ModuleView):
-    """An algebra A as a graded left T-module through generator images."""
+    """An algebra A as a graded left T-module through generator images, up to d_max.
+
+    Coordinates at each degree are A's normal words.  `top` is A's top
+    nonzero degree through d_max.
+    """
 
     def __init__(self, G_T, images, G_A, d_max):
+        T, A = G_T.presentation, G_A.presentation
+        if T.field != A.field:
+            raise PresentationError(
+                "%s is over %s but %s is over %s; a map must keep the base field"
+                % (T.label, T.field, A.label, A.field)
+            )
         self.G = G_T
         self.G_A = G_A
         self.d_max = d_max
         self.min_degree = 0
-        degs = G_T.presentation.gen_degs
+        degs = T.gen_degs
         for i, p in enumerate(images):
             if p.is_zero() or p.degree != degs[i]:
                 raise PresentationError(
@@ -259,6 +281,12 @@ class MappedAlgebraView(_ModuleView):
         for j, cols in products:
             for (g, _), col in zip(layer.basis(j), cols):
                 self._act_cols[(g, j - degs[g])].append(col)
+        # A's generators over T through d_max lie at or below `top`, so A
+        # presented through d_max closes PresentedModuleView's zero band
+        # (at top + width) exactly when that degree is inside the window
+        self.top = max((j for j in range(d_max + 1) if self.dim(j)), default=0)
+        closed = self.top + T.max_gen_degree() <= d_max
+        self.hilbert = self._final_series(self.top + 1) if closed else None
 
     def dim(self, j):
         if j < 0 or j > self.d_max:
@@ -493,14 +521,19 @@ def trivial_module(A):
 def minimal_resolution(
     G, module, i_max, d_max, algebra_hilbert=None, module_hilbert=None, label=""
 ):
-    """Minimal free resolution of a presented left module, truncated to (i_max, d_max)."""
-    view = PresentedModuleView(G, module, d_max)
+    """Minimal free resolution of a left module, truncated to (i_max, d_max).
+
+    `module` is a presented left module or a module view over G built
+    through d_max, such as `MappedAlgebraView`.  Without `module_hilbert`
+    the view's zero-band series, if any, is the termination evidence.
+    """
+    view = PresentedModuleView(G, module, d_max) if isinstance(module, ModulePresentation) else module
     if module_hilbert is None:
         module_hilbert = view.hilbert
 
     layer, _, K = _syzygy_step(G, view, view.units(d_max), d_max)
     if not layer.shifts:
-        if max(module.gen_degs, default=d_max) > d_max:
+        if view.top > d_max:
             raise CertificationError(
                 "the module vanishes through d_max = %d but has a generator above it" % d_max
             )
@@ -613,13 +646,14 @@ def ext_into_algebra(R, G):
 def module_via_map(G_T, images, G_A, d_max):
     """A as a graded left T-module along generator images, presented up to d_max.
 
-    Generators are a minimal homogeneous generating set found degreewise;
-    relations are the minimal first syzygies of the cover.  For the right
-    side convert both algebras and the images to the opposite presentation
-    first.
+    The presentation is steps 0 and 1 of the resolution of
+    `MappedAlgebraView`: a minimal homogeneous generating set, shifts[0],
+    and the minimal first syzygies of its cover as relation rows.
+    `minimal_resolution` takes that view directly, so this only shows the
+    module as a presentation.  For the right side convert both algebras
+    and the images to the opposite presentation first.
     """
-    view = MappedAlgebraView(G_T, images, G_A, d_max)
-    layer, _, K = _syzygy_step(G_T, view, view.units(d_max), d_max)
-    _, rel_vecs, _ = _syzygy_step(G_T, layer, K, d_max)
-    rows = [layer.polys(j, v) for j, v in rel_vecs]
+    R = minimal_resolution(G_T, MappedAlgebraView(G_T, images, G_A, d_max), 1, d_max)
+    layer = FreeLayer(G_T, R.shifts[0])
+    rows = [layer.polys(j, v) for j, v in R.maps[0]] if R.maps else ()
     return make_module_presentation(G_T.presentation, "left", layer.shifts, rows)

@@ -666,6 +666,45 @@ def test_harness_output_is_the_benchmark_golden(capsys):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize(
+    "window, undecided",
+    [
+        (
+            ["--imax", "0"],
+            [
+                "non-surjective finite map from Torreg-1 source forces Koszul target",
+                "AS regularity transfers along plane -> k[y]",
+                "Koszul iff c = 0 on T",
+                "Koszul iff c = 0 on plane",
+                "Koszul iff c = 0 on k[x]",
+                "Koszul iff c = 0 on k[u2]",
+                "c_minus(B) = 0 iff B AS regular",
+            ],
+        ),
+        (["--dmax", "0"], ["non-surjective finite map from Torreg-1 source forces Koszul target"]),
+        (
+            ["--imax", "1", "--dmax", "2", "--dgb", "4"],
+            [
+                "AS regularity transfers along plane -> k[y]",
+                "Koszul iff c = 0 on T",
+                "Koszul iff c = 0 on plane",
+                "c_minus(B) = 0 iff B AS regular",
+            ],
+        ),
+    ],
+    ids=["imax0", "dmax0", "imax1-dmax2"],
+)
+def test_harness_skips_what_the_window_leaves_undecided(capsys, window, undecided):
+    # an unknown verdict or a "yes" linear only through the window decides no fact
+    code, out = run(["harness", "--no-cache", "--format", "jsonl"] + window, capsys)
+    assert code == 0
+    recs = {r["name"]: r for r in jsonl(out) if r["type"] == "harness"}
+    assert [n for n, r in recs.items() if r["status"] == "fail"] == []
+    for name in undecided:
+        assert recs[name]["status"] == "skip", name
+        assert recs[name]["detail"].startswith("undecided in the window"), name
+
+
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])
 def test_generator_above_window_is_certification_error(files, tmp_path, capsys, fmt):
     # a module generated in degree 20 is not zero, only invisible at d_max 12

@@ -251,6 +251,9 @@ def test_harness_semantics():
             HarnessCase("insufficient", "leq", BoundedValue.unknown(), BoundedValue.exact(2)),
             HarnessCase("rhs-not-exact", "eq", BoundedValue.exact(1), BoundedValue.at_least(1)),
             HarnessCase("fact", "true", True),
+            HarnessCase("false-fact", "true", False),
+            # a fact the window leaves undecided is neither a pass nor a failure
+            HarnessCase("undecided-fact", "true", None, detail="premise"),
         ]
     )
     statuses = {r.name: r.status for r in results}
@@ -262,9 +265,12 @@ def test_harness_semantics():
         "insufficient": "skip",
         "rhs-not-exact": "skip",
         "fact": "pass",
+        "false-fact": "fail",
+        "undecided-fact": "skip",
     }
     skips = {r.name: r.detail for r in results if r.status == "skip"}
     assert all(d for d in skips.values())  # skipped always carries a reason
+    assert skips["undecided-fact"] == "undecided in the window | premise"
 
 
 def test_weighted_polynomial_ring_type_2_3():

@@ -10,10 +10,14 @@ from homreg.corealg import (
     parse_field,
     parse_presentation,
 )
+from homreg.cli import GOLDEN_SOURCES
+from homreg.constructions import quotient_by_normal_element
 from homreg.gbasis import buchberger_truncated
+from homreg.regularity import AlgebraArtifacts
 from homreg.series import hilbert_rational, hilbert_truncated
 from homreg.resolution import (
     FreeLayer,
+    MappedAlgebraView,
     PresentedModuleView,
     _alternating_sum,
     _images,
@@ -424,6 +428,67 @@ def test_module_via_map_infinite_generation():
     m = module_via_map(GX, [presP.parse_poly("x")], GP, 8)
     # k[x,y] over k[x] needs a new generator in every degree
     assert list(m.gen_degs) == list(range(9))
+
+
+def test_module_via_map_refuses_a_change_of_base_field():
+    presU, GU, _ = setup_algebra("field Q; gens u:1")
+    presX, GX, _ = setup_algebra("field F7; gens x:1; rels x^3")
+    with pytest.raises(PresentationError, match="must keep the base field"):
+        module_via_map(GU, [presX.parse_poly("x")], GX, 6)
+    with pytest.raises(PresentationError, match="must keep the base field"):
+        MappedAlgebraView(GU, [presX.parse_poly("x")], GX, 6)
+
+
+def mapped_pairs(field, seed):
+    """(T, images, A) artifacts at window (6, 10, 10): the golden quotients, k[x]/(x^3)
+    over k[u], k[x] over k[u] with u of degree 2, and seeded maps u -> c*x^a and
+    quotients of the plane by random forms."""
+    rng = random.Random(seed)
+
+    def art(src, label):
+        return AlgebraArtifacts(parse_presentation(src.replace("field Q", "field " + field), label), 6, 10, 10)
+
+    def coeff():
+        return rng.randrange(1, 101) * rng.choice((1, -1))
+
+    def form(words):
+        return " ".join("%+d*%s" % (coeff(), w) for w in words).lstrip("+")
+
+    out = []
+    omegas = [("T", "x^2"), ("T", "x*y - y*x"), ("plane", "x"), ("k[x]", "x^2")]
+    omegas += [("plane", form(rng.choice([["x", "y"], ["x^2", "x*y", "y^2"]]))) for _ in range(2)]
+    for parent, omega in omegas:
+        T = art(GOLDEN_SOURCES[parent], parent)
+        A, _ = quotient_by_normal_element(T, omega)
+        out.append((T, [A.presentation.gen_poly(i) for i in range(A.presentation.n_gens)], A))
+    maps = [(1, 1, 3), (2, 1, None)]
+    maps += [(rng.randrange(1, 4), coeff(), rng.choice([None, 2, 3, 5, 7])) for _ in range(4)]
+    for a, c, n in maps:
+        T = art("field Q; gens u:%d" % a, "k[u]")
+        A = art("field Q; gens x:1" + ("; rels x^%d" % n if n else ""), "A")
+        out.append((T, [A.presentation.parse_poly("%d*x^%d" % (c, a))], A))
+    return out
+
+
+@pytest.mark.parametrize("field, seed", [("Q", 2501), ("F101", 2502)])
+def test_mapped_view_resolves_as_its_presentation(field, seed):
+    # resolving A as a T-module directly must agree with resolving module_via_map's
+    # presentation: same shifts and the same termination, with and without A's series
+    def outcome(R):
+        return R.shifts, R.terminated, R.termination_step, R.certificate
+
+    evidence = 0
+    for T, images, A in mapped_pairs(field, seed):
+        G_T, G_A = T.gb(), A.gb()
+        for h_A in (A.hilbert_or_none(), None):
+            direct, trip = (
+                minimal_resolution(G_T, m, 6, 10, algebra_hilbert=T.hilbert_or_none(), module_hilbert=h_A)
+                for m in (MappedAlgebraView(G_T, images, G_A, 10), module_via_map(G_T, images, G_A, 10))
+            )
+            assert outcome(direct) == outcome(trip), (T.label, A.presentation.to_text(), h_A)
+            evidence += h_A is None and direct.certificate == "euler-exact"
+    # the view's own zero-band series certifies the finite-dimensional cases
+    assert evidence >= 1
 
 
 def test_semisimple_module_resolution():
