@@ -1,4 +1,4 @@
-"""Command-line front end: file IO, reports, cache management, harness.
+"""Command-line front end: file IO, reports, harness.
 
 Machine-readable output is line-delimited JSON with a versioned schema;
 identical inputs produce byte-identical records.  Exit codes: 0 success,
@@ -22,7 +22,6 @@ from .corealg import (
     parse_presentation,
 )
 from . import constructions as cons_mod
-from . import gbasis as gb_mod
 from . import regularity as reg_mod
 from . import resolution as res_mod
 from . import series as series_mod
@@ -70,17 +69,6 @@ def _load_presentation(path, args):
     return parse_presentation(text, label=label, field=field)
 
 
-def _cache_dir(args):
-    if args.no_cache:
-        return None
-    if args.cache_dir:
-        return args.cache_dir
-    env = os.environ.get(gb_mod.CACHE_ENV_VAR)
-    if env:
-        return env
-    return os.path.expanduser("~/.cache/homreg")
-
-
 def _artifacts(path, args):
     pres = _load_presentation(path, args)
     art = reg_mod.AlgebraArtifacts(
@@ -88,7 +76,6 @@ def _artifacts(path, args):
         i_max=args.imax,
         d_max=args.dmax,
         d_gb=args.dgb,
-        cache_dir=_cache_dir(args),
         element_limit=args.element_limit,
     )
     if args.assert_noetherian:
@@ -384,7 +371,7 @@ def cmd_obstruct(args, emit):
 
 
 def cmd_harness(args, emit):
-    cases = build_golden_cases(args.imax, args.dmax, args.dgb, _cache_dir(args))
+    cases = build_golden_cases(args.imax, args.dmax, args.dgb)
     results = inequality_harness(cases)
     failures = 0
     for r in results:
@@ -421,13 +408,11 @@ GOLDEN_SOURCES = {
 }
 
 
-def golden_artifacts(i_max=8, d_max=12, d_gb=12, cache_dir=None):
+def golden_artifacts(i_max=8, d_max=12, d_gb=12):
     """The golden algebras plus derived quotients and tensor products."""
     arts = {}
     for label, src in GOLDEN_SOURCES.items():
-        arts[label] = reg_mod.AlgebraArtifacts(
-            parse_presentation(src, label=label), i_max, d_max, d_gb, cache_dir
-        )
+        arts[label] = reg_mod.AlgebraArtifacts(parse_presentation(src, label=label), i_max, d_max, d_gb)
     for label, parent, omega in (
         ("A2", "k[x]", "x^2"), ("B", "T", "x^2"), ("Tcomm", "T", "x*y - y*x"), ("k[y]", "plane", "x")
     ):
@@ -489,9 +474,9 @@ def _semisimple_module(pres, degrees):
     return make_module_presentation(pres, "left", degrees, rows)
 
 
-def build_golden_cases(i_max=8, d_max=12, d_gb=12, cache_dir=None):
+def build_golden_cases(i_max=8, d_max=12, d_gb=12):
     """The golden inequality/equality checks run by `homreg harness`."""
-    arts = golden_artifacts(i_max, d_max, d_gb, cache_dir)
+    arts = golden_artifacts(i_max, d_max, d_gb)
     reports = {k: a.report() for k, a in arts.items()}
     cases = []
 
@@ -690,14 +675,17 @@ def natural(text):
 
 
 def make_parser():
-    # `harness` builds its own algebras: it takes only the window, format and cache options
+    # `harness` builds its own algebras: it takes only the window and format options
+    # and the ignored `--no-cache`
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("--imax", type=natural, default=reg_mod.DEFAULT_I_MAX)
     window.add_argument("--dmax", type=natural, default=reg_mod.DEFAULT_D_MAX)
     window.add_argument("--dgb", type=natural, default=reg_mod.DEFAULT_D_GB)
     window.add_argument("--format", choices=("text", "jsonl"), default="text")
-    window.add_argument("--no-cache", action="store_true")
-    window.add_argument("--cache-dir")
+    window.add_argument(
+        "--no-cache", action="store_true",
+        help="accepted and ignored: homreg reads and writes no Groebner-basis cache",
+    )
     common = argparse.ArgumentParser(add_help=False, parents=[window])
     common.add_argument("--field", help="override the base field (Q or F<p>)")
     common.add_argument("--assert-cm", type=int, default=None, metavar="S")

@@ -101,7 +101,6 @@ def tensor_product(artA, artB, label=""):
         i_max=min(artA.i_max, artB.i_max),
         d_max=min(artA.d_max, artB.d_max),
         d_gb=min(artA.d_gb, artB.d_gb),
-        cache_dir=artA.cache_dir,
         element_limit=min(artA.element_limit, artB.element_limit),
     )
     hA, hB = artA.hilbert_or_none(), artB.hilbert_or_none()
@@ -234,7 +233,7 @@ def quotient_by_normal_element(artA, omega_text, label=""):
         rels,
         label=label or (A.label + "/(%s)" % omega_text),
     )
-    artB = AlgebraArtifacts(presB, artA.i_max, artA.d_max, artA.d_gb, artA.cache_dir, artA.element_limit)
+    artB = AlgebraArtifacts(presB, artA.i_max, artA.d_max, artA.d_gb, element_limit=artA.element_limit)
     artB.assertions = list(artA.assertions)
     if regular_ok:
         cmA, caseA = artA.resolve_cmreg()

@@ -23,7 +23,6 @@ of lower degree or of disjoint pairs, all in the ideal part below w.
 from __future__ import annotations
 
 import heapq
-import os
 from math import gcd, lcm
 
 from .corealg import (
@@ -33,8 +32,6 @@ from .corealg import (
     PresentationError,
     ResourceLimitError,
 )
-
-GB_FORMAT_VERSION = 2
 
 
 class WordAutomaton:
@@ -429,114 +426,6 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
     return GroebnerBasis(presentation, reduced, d_gb, complete)
 
 
-# ---------------------------------------------------------------------------
-# content-addressed cache
-
-CACHE_ENV_VAR = "HOMREG_CACHE_DIR"
-
-
-def basis_fingerprint(presentation, d_gb):
-    import hashlib  # loads OpenSSL: only when the cache is on
-
-    text = presentation.to_text() + "d_gb %d\nversion %d\n" % (d_gb, GB_FORMAT_VERSION)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _body_digest(complete_line, poly_lines):
-    """sha256 of the `complete` line and the `poly` lines of a cache file."""
-    import hashlib
-
-    return hashlib.sha256("\n".join([complete_line] + poly_lines).encode("utf-8")).hexdigest()
-
-
-def _serialize_basis(G):
-    complete = "complete %d" % (1 if G.complete else 0)
-    polys = []
-    for g in G.elements:
-        parts = []
-        for w in sorted(g.terms):
-            c = g.terms[w]
-            parts.append("%s@%s" % (c, ".".join(str(i) for i in w)))
-        polys.append("poly " + " ".join(parts))
-    lines = [
-        "homreg-gb %d" % GB_FORMAT_VERSION,
-        "fingerprint %s" % basis_fingerprint(G.presentation, G.d_gb),
-        complete,
-        "elements %d %s" % (len(polys), _body_digest(complete, polys)),
-    ]
-    return "\n".join(lines + polys) + "\n"
-
-
-def _deserialize_basis(text, presentation, d_gb):
-    """The basis stored in `text`, or None when it is stale, malformed or altered."""
-    lines = text.splitlines()
-    header = (
-        "homreg-gb %d" % GB_FORMAT_VERSION,
-        "fingerprint %s" % basis_fingerprint(presentation, d_gb),
-    )
-    if tuple(lines[:2]) != header:
-        return None
-    field = presentation.field
-    try:
-        complete = {"complete 1": True, "complete 0": False}[lines[2]]
-        key, count, digest = lines[3].split()
-        if key != "elements" or len(lines) != 4 + int(count):
-            return None
-        if digest != _body_digest(lines[2], lines[4:]):
-            return None
-        elements = []
-        for line in lines[4:]:
-            head, _, body = line.partition(" ")
-            if head != "poly":
-                return None
-            terms = {}
-            for part in body.split():
-                cs, _, ws = part.partition("@")
-                word = bytes(int(i) for i in ws.split(".")) if ws else b""
-                num, _, den = cs.partition("/")
-                terms[word] = field.scalar(int(num), int(den or 1))
-            elements.append(Poly.make(terms, presentation.gen_degs, field.modulus))
-        return GroebnerBasis(presentation, elements, d_gb, complete)
-    except (KeyError, ValueError, IndexError):  # PresentationError is a ValueError
-        return None
-
-
-def save_basis(G, directory):
-    import tempfile
-
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, basis_fingerprint(G.presentation, G.d_gb) + ".gb")
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(_serialize_basis(G))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
-def load_basis(presentation, d_gb, directory):
-    path = os.path.join(directory, basis_fingerprint(presentation, d_gb) + ".gb")
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None  # not a file save_basis wrote: a miss, like any malformed one
-    return _deserialize_basis(text, presentation, d_gb)
-
-
-def groebner(presentation, d_gb, cache_dir=None, element_limit=2000):
-    """Cached entry point: load the basis if present, else compute and store."""
-    if cache_dir:
-        G = load_basis(presentation, d_gb, cache_dir)
-        if G is not None:
-            return G
-    G = buchberger_truncated(presentation, d_gb, element_limit=element_limit)
-    if cache_dir:
-        save_basis(G, cache_dir)
-    return G
+def groebner(presentation, d_gb, element_limit=2000):
+    """The one entry point to completion (perfbench/layertrace.py wraps it by name)."""
+    return buchberger_truncated(presentation, d_gb, element_limit=element_limit)

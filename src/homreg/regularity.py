@@ -119,15 +119,19 @@ class AlgebraArtifacts:
     provenance, an evidence-based Torreg value or upper bound, and a CMreg
     value with the name of its case.  Reports consume these with full
     provenance.
+
+    Groebner bases are computed in this process, never read from disk:
+    `cache_dir` is accepted only as None, for callers that still pass it.
     """
 
     def __init__(self, presentation, i_max=DEFAULT_I_MAX, d_max=DEFAULT_D_MAX,
-                 d_gb=DEFAULT_D_GB, cache_dir=None, element_limit=2000):
+                 d_gb=DEFAULT_D_GB, *, element_limit=2000, cache_dir=None):
+        if cache_dir is not None:
+            raise TypeError("AlgebraArtifacts keeps no Groebner-basis cache: cache_dir must be None")
         self.presentation = presentation
         self.i_max = i_max
         self.d_max = d_max
         self.d_gb = d_gb
-        self.cache_dir = cache_dir
         self.element_limit = element_limit
         self.label = presentation.label or "algebra"
         # evidence slots, populated by constructions
@@ -153,9 +157,7 @@ class AlgebraArtifacts:
 
     def gb(self):
         if self._gb is None:
-            self._gb = gb_mod.groebner(
-                self.presentation, self.d_gb, self.cache_dir, self.element_limit
-            )
+            self._gb = gb_mod.groebner(self.presentation, self.d_gb, self.element_limit)
         return self._gb
 
     def hilbert_or_none(self):
@@ -211,8 +213,7 @@ class AlgebraArtifacts:
                 self.i_max,
                 self.d_max,
                 self.d_gb,
-                self.cache_dir,
-                self.element_limit,
+                element_limit=self.element_limit,
             )
         return self._opposite
 

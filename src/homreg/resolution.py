@@ -281,11 +281,12 @@ class MappedAlgebraView(_ModuleView):
         for j, cols in products:
             for (g, _), col in zip(layer.basis(j), cols):
                 self._act_cols[(g, j - degs[g])].append(col)
-        # A's generators over T through d_max lie at or below `top`, so A
-        # presented through d_max closes PresentedModuleView's zero band
-        # (at top + width) exactly when that degree is inside the window
+        # A is 0 above `top` once it is 0 in degrees top+1..top+w, w the
+        # degree of A's widest generator: every longer word has a prefix
+        # there.  The band is also at least as wide as T's widest generator,
+        # the band PresentedModuleView needs for A presented over T.
         self.top = max((j for j in range(d_max + 1) if self.dim(j)), default=0)
-        closed = self.top + T.max_gen_degree() <= d_max
+        closed = self.top + max(T.max_gen_degree(), A.max_gen_degree()) <= d_max
         self.hilbert = self._final_series(self.top + 1) if closed else None
 
     def dim(self, j):

@@ -231,40 +231,6 @@ def test_concavity_text_without_witness(files, capsys):
     assert rec["upper"]["kind"] == "unknown" and rec["upper"]["value"] is None
 
 
-def test_cache_directory(files, tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    args = ["gb", files["t34"], "--cache-dir", cache, "--format", "jsonl"]
-    _, out1 = run(args, capsys)
-    assert any(name.endswith(".gb") for name in os.listdir(cache))
-    _, out2 = run(args, capsys)  # second run hits the cache
-    assert out1 == out2
-
-
-def test_cache_directory_from_environment(files, tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "env-cache"
-    monkeypatch.setenv("HOMREG_CACHE_DIR", str(cache))
-    code, _ = run(["gb", files["t34"], "--format", "jsonl"], capsys)
-    assert code == 0
-    assert any(name.endswith(".gb") for name in os.listdir(cache))
-
-
-def test_undecodable_cache_file_is_a_miss(tmp_path, capsys):
-    # a cache file that is not valid UTF-8 used to end in exit 4
-    # ("internal error: UnicodeDecodeError"); it is recomputed and overwritten
-    cache = str(tmp_path / "cache")
-    args = ["gb", sample("t34"), "--dgb", "6", "--cache-dir", cache, "--format", "jsonl"]
-    code, out1 = run(args, capsys)
-    assert code == 0
-    (path,) = glob.glob(os.path.join(cache, "*.gb"))
-    with open(path, "wb") as fh:
-        fh.write(b"\xff\xfe homreg-gb \x80\n")
-    code, out2 = run(args, capsys)
-    assert code == 0
-    assert out2 == out1
-    with open(path, "rb") as fh:
-        assert fh.read().startswith(b"homreg-gb ")
-
-
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])
 def test_hilbert_on_incomplete_basis_refuses_rational_form(files, capsys, fmt):
     code, out = run(
@@ -616,6 +582,8 @@ CONSTRUCTION_PINS = {
         "regularity", os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg"),
         "--imax", "4", "--dmax", "6", "--dgb", "6",
     ],
+    # a basis that is not complete at its truncation degree
+    "sklyanin.gb_8": ["gb", os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg"), "--dgb", "8"],
     # completions in which the chain criterion skips overlaps
     "sklyanin.gb_11": ["gb", os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg"), "--dgb", "11"],
     "sklyanin.gb_10_f101": [
@@ -747,7 +715,11 @@ def test_unexpected_error_is_internal(files, capsys, monkeypatch, fault):
 
 
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])
-@pytest.mark.parametrize("bad", [["--bogus"], ["--dgb", "x"]], ids=["unknown-option", "bad-int"])
+@pytest.mark.parametrize(
+    "bad",
+    [["--bogus"], ["--dgb", "x"], ["--cache-dir", "DIR"]],
+    ids=["unknown-option", "bad-int", "cache-dir-is-gone"],
+)
 def test_usage_error_is_input_error(files, capsys, bad, fmt):
     code = main(["gb", files["t34"], "--no-cache", "--format", fmt] + bad)
     assert code == cli.EXIT_INPUT == 1
@@ -844,26 +816,58 @@ def test_more_than_256_generators_is_input_error(tmp_path, capsys, command, size
 
 
 def test_no_cache_run_does_not_import_the_cache_machinery(tmp_path):
-    # hashlib loads OpenSSL; -S keeps site hooks from importing either first
+    # hashlib loads OpenSSL; -S keeps site hooks from importing either first.
+    # A run without `--no-cache` is the same run: nothing is written to HOME
     script = "\n".join([
         "import contextlib, io, sys",
         "import homreg, homreg.cli",
         "def loaded():",
         "    return sorted(m for m in ('hashlib', 'tempfile') if m in sys.modules)",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        "    code = homreg.cli.main(['gb', sys.argv[1], '--no-cache'])",
-        "print(code, loaded())",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        "    code = homreg.cli.main(['gb', sys.argv[1], '--cache-dir', sys.argv[2]])",
-        "print(code, loaded())",
+        "for flags in (['--no-cache'], []):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = homreg.cli.main(['gb', sys.argv[1]] + flags)",
+        "    print(code, loaded())",
     ])
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", script, sample("t34"), str(tmp_path / "cache")],
-        capture_output=True, text=True, env=src_env(), timeout=120,
+        [sys.executable, "-S", "-c", script, sample("t34")],
+        capture_output=True, text=True, env=dict(src_env(), HOME=str(tmp_path)), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    # the cached run is the control: it does import both
-    assert proc.stdout.splitlines() == ["0 []", "0 ['hashlib', 'tempfile']"]
+    assert proc.stdout.splitlines() == ["0 []", "0 []"]
+    assert os.listdir(tmp_path) == []
+
+
+# A Groebner-basis file for comm_plane at d_gb 12 in the format that homreg
+# once read from $HOMREG_CACHE_DIR or ~/.cache/homreg (version 2), its
+# fingerprint and body digest right: it holds no element and claims to be
+# complete.  Read as a proof, it made k[x, y] the free algebra on x and y.
+FORGED_FINGERPRINT = "dff35acecdcf595354d130795f17f7bfaa521d760ead22209e1beed3fb1696c1"
+FORGED_BASIS = (
+    "homreg-gb 2\n"
+    "fingerprint " + FORGED_FINGERPRINT + "\n"
+    "complete 1\n"
+    "elements 0 37cd6d36903d046c0ad9cb827e904364ad3b551c1debe2ffd11f9b42917351cc\n"
+)
+
+
+def tree(root):
+    """Every path under `root` with its bytes (None for a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command", ["regularity", "hilbert"])
+def test_a_basis_file_in_the_old_cache_is_not_read(tmp_path, monkeypatch, capsys, command):
+    for where in (tmp_path, tmp_path / ".cache" / "homreg"):
+        where.mkdir(parents=True, exist_ok=True)
+        (where / (FORGED_FINGERPRINT + ".gb")).write_text(FORGED_BASIS)
+    before = tree(tmp_path)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("HOMREG_CACHE_DIR", str(tmp_path))
+    code, out = run([command, sample("comm_plane"), "--format", "jsonl"], capsys)
+    assert code == 0
+    with open(os.path.join(ROOT, "tests", "expected", "comm_plane.%s.jsonl" % command)) as fh:
+        assert out == fh.read()
+    assert tree(tmp_path) == before
 
 
 def test_commands_do_not_import_dataclasses_or_inspect():

@@ -18,12 +18,8 @@ from homreg.gbasis import (
     GroebnerBasis,
     WordAutomaton,
     _IntegerBasis,
-    _body_digest,
     _to_ints,
     buchberger_truncated,
-    groebner,
-    load_basis,
-    save_basis,
 )
 from homreg.series import hilbert_truncated
 
@@ -475,66 +471,3 @@ def test_lazy_rescaling_reduction_is_the_fraction_normal_form(field_name):
     else:
         assert len(lead_coeffs - {1}) >= 5 and rescaled >= 20
 
-
-def test_cache_round_trip(tmp_path):
-    pres = t34()
-    G = buchberger_truncated(pres, 10)
-    save_basis(G, str(tmp_path))
-    loaded = load_basis(pres, 10, str(tmp_path))
-    assert loaded is not None
-    assert loaded.elements == G.elements
-    assert loaded.complete == G.complete
-    # load_or_compute path
-    G2 = groebner(pres, 10, str(tmp_path))
-    assert G2.elements == G.elements
-    # a different truncation misses the cache and recomputes
-    G3 = groebner(pres, 9, str(tmp_path))
-    assert G3.elements == G.elements
-
-
-def _redigested(lines):
-    """The cache lines with the `elements` line's digest recomputed for their body."""
-    key, count, _ = lines[3].split()
-    return lines[:3] + [" ".join([key, count, _body_digest(lines[2], lines[4:])])] + lines[4:]
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda lines: lines[:-1],
-        lambda lines: lines[:1],
-        lambda lines: lines[:2] + lines[3:],
-        lambda lines: lines[:-1] + [lines[-1].replace("@", "x@", 1)],
-        lambda lines: [line.replace("-1@1.1.0", "-5@1.1.0") for line in lines],
-        lambda lines: lines[:2] + ["complete 0" if lines[2] == "complete 1" else "complete 1"] + lines[3:],
-        lambda lines: "\n".join(lines).encode().replace(b"@", b"\xff@", 1),
-        lambda lines: _redigested([line.replace("-1@1.1.0", "-1/0@1.1.0") for line in lines]),
-    ],
-    ids=[
-        "last-poly-line-deleted",
-        "header-only",
-        "complete-line-missing",
-        "unparsable-term",
-        "tampered-coefficient",
-        "complete-line-flipped",
-        "binary-garbage",
-        "zero-denominator-with-its-digest",
-    ],
-)
-def test_malformed_cache_file_is_a_miss(tmp_path, corrupt):
-    pres = t34()
-    G = buchberger_truncated(pres, 12)
-    path = save_basis(G, str(tmp_path))
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    assert len(lines) == 4 + len(G.elements)
-    bad = corrupt(lines)
-    assert bad != lines
-    if isinstance(bad, list):
-        bad = ("\n".join(bad) + "\n").encode()
-    with open(path, "wb") as fh:
-        fh.write(bad)
-    assert load_basis(pres, 12, str(tmp_path)) is None
-    # the cached entry point recomputes and overwrites the bad file
-    assert groebner(pres, 12, str(tmp_path)).elements == G.elements
-    assert load_basis(pres, 12, str(tmp_path)).elements == G.elements

@@ -31,6 +31,16 @@ def test_bounded_value_arithmetic():
     assert str(a) == ">=2"
 
 
+def test_artifacts_refuse_a_cache_directory():
+    # bases are computed in the process; `cache_dir=None` is still accepted
+    pres = parse_presentation("field Q; gens x:1; rels x^2")
+    assert AlgebraArtifacts(pres, cache_dir=None).gb().complete
+    with pytest.raises(TypeError, match="cache_dir must be None"):
+        AlgebraArtifacts(pres, cache_dir="cache")
+    with pytest.raises(TypeError):
+        AlgebraArtifacts(pres, 8, 12, 12, "cache")
+
+
 def test_tor_regularity_values(golden):
     assert golden["T"].resolve_torreg() == BoundedValue.exact(
         1, golden["T"].resolve_torreg().note

@@ -491,6 +491,20 @@ def test_mapped_view_resolves_as_its_presentation(field, seed):
     assert evidence >= 1
 
 
+def test_mapped_view_zero_band_is_as_wide_as_the_generators_of_A():
+    # A = k<x, z>/(x^2, xz, zx, z^2) with z of degree 5 is 1, x and z, but
+    # over k[u] by u -> x only 1 and x are in the window through degree 4:
+    # the band of zeros at degrees 2..4 is narrower than z, so it proves
+    # nothing about A, and A's series is not 1 + t
+    presU, GU, hU = setup_algebra("field Q; gens u:1")
+    presA = parse_presentation("field Q; gens x:1 z:5; rels x^2, x*z, z*x, z^2")
+    GA = buchberger_truncated(presA, 10)
+    view = MappedAlgebraView(GU, [presA.parse_poly("x")], GA, 4)
+    assert view.top == 1 and view.hilbert is None
+    R = minimal_resolution(GU, view, 4, 4, algebra_hilbert=hU)
+    assert R.certificate != "euler-exact"
+
+
 def test_semisimple_module_resolution():
     presT, GT, hT = setup_algebra(T34)
     M = semisimple_module(presT, (2, 0))

@@ -3,11 +3,10 @@ and every scalar is a field scalar.
 
 A word that slipped in as a tuple would be a second dict key for the same
 monomial and silently split a term, so these tests check the type at
-every place words are made, that bytes order is the order the tuples of
-generator indices had, and that cache files written when words were
-tuples still load and are written again byte for byte.  At the same
-places they check the scalars: over F_p an int in [0, p), over Q an int,
-or a `Fraction` that is not integral; never a float.
+every place words are made, and that bytes order is the order the tuples
+of generator indices had.  At the same places they check the scalars:
+over F_p an int in [0, p), over Q an int, or a `Fraction` that is not
+integral; never a float.
 """
 
 import glob
@@ -29,14 +28,7 @@ from homreg.corealg import (
     parse_module,
     parse_presentation,
 )
-from homreg.gbasis import (
-    GB_FORMAT_VERSION,
-    basis_fingerprint,
-    buchberger_truncated,
-    groebner,
-    load_basis,
-    save_basis,
-)
+from homreg.gbasis import groebner
 from homreg.regularity import AlgebraArtifacts
 from homreg.resolution import FreeLayer, trivial_module
 
@@ -45,7 +37,6 @@ from oracles import free_words
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESENTATIONS = os.path.join(ROOT, "presentations")
 SAMPLES = sorted(os.path.splitext(os.path.basename(p))[0] for p in glob.glob(os.path.join(PRESENTATIONS, "*.alg")))
-SKLYANIN = os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg")
 
 
 def read_presentation(path, label, field=None):
@@ -82,7 +73,7 @@ OMEGA = {"ku2": "u", "t34": "x^2", "t34_yx": "x^2"}
 @pytest.mark.parametrize(
     "name, field", CASES, ids=["%s-%s" % (n, f) if f else n for n, f in CASES]
 )
-def test_every_word_is_bytes(name, field, tmp_path):
+def test_every_word_is_bytes(name, field):
     field = field and parse_field(field)
     if name == "frac":
         pres = parse_presentation(FRAC, label=name, field=field)
@@ -108,13 +99,10 @@ def test_every_word_is_bytes(name, field, tmp_path):
     words4 = [pres.word_poly(w) for w in free_words(pres.gen_degs, 4)]
     check(words4, "word_poly")
 
-    G = groebner(pres, 8, str(tmp_path))
-    loaded = load_basis(pres, 8, str(tmp_path))
-    assert loaded is not None and loaded.elements == G.elements
-    for basis, where in ((G, "completion"), (loaded, "cache load")):
-        if basis.elements:
-            check(basis.elements, where)
-        assert all(type(u) is bytes for u in basis._leads + list(basis.automaton.states)), where
+    G = groebner(pres, 8)
+    if G.elements:
+        check(G.elements, "completion")
+    assert all(type(u) is bytes for u in G._leads + list(G.automaton.states))
     sums = [a.scale(2) - b.scale(3) for a, b in zip(words4, words4[1:])]
     check([q for q in map(G.normal_form, gens + words4 + sums) if q], "normal_form")
     for j in range(7):
@@ -179,33 +167,6 @@ def test_bytes_order_is_the_tuple_order():
             ku, kv = order.key(bu), order.key(bv)
             tu, tv = tuple_key(gen_degs, u), tuple_key(gen_degs, v)
             assert (ku < kv, ku == kv) == (tu < tv, tu == tv), (u, v)
-
-
-# cache files as `homreg gb <file> [--dgb D] --cache-dir DIR` wrote them when
-# words were tuples (format version 2)
-CACHE_PINS = [
-    ("t34.gb_12", os.path.join(PRESENTATIONS, "t34.alg"), 12),
-    ("sklyanin.gb_8", SKLYANIN, 8),
-]
-
-
-@pytest.mark.parametrize("name, path, d_gb", CACHE_PINS, ids=[c[0] for c in CACHE_PINS])
-def test_pinned_cache_file_loads_and_is_written_again_unchanged(tmp_path, name, path, d_gb):
-    assert GB_FORMAT_VERSION == 2
-    with open(os.path.join(ROOT, "tests", "expected", "cache", name + ".gb")) as fh:
-        pinned = fh.read()
-    pres = read_presentation(path, name)
-    cached = tmp_path / "pinned"
-    cached.mkdir()
-    (cached / (basis_fingerprint(pres, d_gb) + ".gb")).write_text(pinned)
-    loaded = load_basis(pres, d_gb, str(cached))
-    G = buchberger_truncated(pres, d_gb)
-    assert loaded is not None
-    assert loaded.elements == G.elements and loaded.complete == G.complete
-    assert_terms(loaded.elements, name, 0)
-    for basis, where in ((G, "computed"), (loaded, "loaded")):
-        with open(save_basis(basis, str(tmp_path / where))) as fh:
-            assert fh.read() == pinned, where
 
 
 def test_at_most_256_generators():
