@@ -9,6 +9,7 @@ presentation stays available for cross-checking on small windows.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 
 from .corealg import (
     PresentationError,
@@ -24,7 +25,7 @@ from .regularity import (
     ConcavityWitness,
 )
 from .resolution import BettiTable, FreeLayer, multiplication_images
-from .series import series_product
+from .series import _pmul, series_product
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +168,30 @@ def _solve_witness(layer, cols, product, j):
     return None if sol is None else layer.polys(j, sol)[0]
 
 
+def _first_mismatch(hB, hA, a):
+    """The lowest degree where H_B and (1 - t^a) H_A differ, or None when they are equal.
+
+    Both denominators have constant term 1, so it is the lowest nonzero
+    degree of the cross-multiplied difference of numerators.
+    """
+    lhs = _pmul(list(hB.numerator), list(hA.denominator))
+    rhs = _pmul(_pmul([1] + [0] * (a - 1) + [-1], list(hA.numerator)), list(hB.denominator))
+    return next((j for j, (x, y) in enumerate(zip_longest(lhs, rhs, fillvalue=0)) if x != y), None)
+
+
 def quotient_by_normal_element(artA, omega_text, label=""):
     """B = A/(Omega) with a normality/regularity certificate.
 
-    Normality witnesses are solved degreewise by exact linear algebra;
-    regularity (non-zerodivisor) is certified by dim (Omega*A)_j =
-    dim A_{j-a} for every j up to the bound.  When A has an exact CMreg
-    from the as_regular or normal_quotient case, B stores CMreg(B) =
-    CMreg(A) + deg(Omega) - 1 as normal_quotient, and for deg(Omega) <= 2
-    a certified Torreg(k) upper bound propagates.
+    Normality witnesses are solved degreewise by exact linear algebra.
+    Omega is then regular (a non-zerodivisor) iff dim (Omega*A)_j =
+    dim A_{j-a} in every degree, that is iff H_B = (1 - t^a) H_A.  With
+    exact series for A and B (complete bases) that identity decides it,
+    and `checked_to` is the degree before the first mismatch, else d_max.
+    Without them the dimensions are compared through d_max only, and B
+    gets no value that rests on regularity.  When regularity is decided
+    and A has an exact CMreg from the as_regular or normal_quotient case,
+    B stores CMreg(B) = CMreg(A) + deg(Omega) - 1 as normal_quotient, and
+    for deg(Omega) <= 2 a certified Torreg(k) upper bound propagates.
     """
     A = artA.presentation
     G = artA.gb()
@@ -208,24 +224,6 @@ def quotient_by_normal_element(artA, omega_text, label=""):
         left_w.append(q)
         right_w.append(p)
 
-    # regularity up to the bound: dim (Omega A)_j == dim A_{j-a}
-    regular_ok = True
-    checked_to = d_max
-    for j, cols in multiplication_images(G, [omega], d_max)[1]:
-        if linalg.Echelon(A.field, cols).rank != len(cols):
-            regular_ok = False
-            checked_to = j - 1
-            break
-
-    cert = NormalElementCertificate(
-        element_text=omega_text,
-        degree=a,
-        left_witnesses=tuple(left_w),
-        right_witnesses=tuple(right_w),
-        regular_ok=regular_ok,
-        checked_to=checked_to,
-    )
-
     rels = list(A.relations) + [omega]
     presB = make_presentation(
         A.field,
@@ -235,7 +233,32 @@ def quotient_by_normal_element(artA, omega_text, label=""):
     )
     artB = AlgebraArtifacts(presB, artA.i_max, artA.d_max, artA.d_gb, element_limit=artA.element_limit)
     artB.assertions = list(artA.assertions)
-    if regular_ok:
+
+    hA, hB = artA.hilbert_or_none(), artB.hilbert_or_none()
+    decided = hA is not None and hB is not None
+    if decided:
+        mismatch = _first_mismatch(hB, hA, a)
+        regular_ok = mismatch is None
+        checked_to = d_max if regular_ok else mismatch - 1
+    else:
+        # dim (Omega A)_j == dim A_{j-a} through the bound only
+        regular_ok = True
+        checked_to = d_max
+        for j, cols in multiplication_images(G, [omega], d_max)[1]:
+            if linalg.Echelon(A.field, cols).rank != len(cols):
+                regular_ok = False
+                checked_to = j - 1
+                break
+
+    cert = NormalElementCertificate(
+        element_text=omega_text,
+        degree=a,
+        left_witnesses=tuple(left_w),
+        right_witnesses=tuple(right_w),
+        regular_ok=regular_ok,
+        checked_to=checked_to,
+    )
+    if regular_ok and decided:
         cmA, caseA = artA.resolve_cmreg()
         if cmA.is_exact and caseA in ("as_regular", "normal_quotient"):
             note = "CMreg = parent CMreg + (deg Omega - 1), deg Omega = %d" % a

@@ -24,6 +24,19 @@ for an algebra A along generator images of a map T -> A.
 `minimal_resolution` resolves either, so A is resolved over T without
 first being written out as a presentation.
 
+Over a complete basis, Anick's chains (`_chain_bound`) also limit the
+degrees each step computes.  When a view's own zero-band series is a
+polynomial of top degree tau (k and every finite-dimensional module seen
+to vanish), every generator of step i lies at or below B_i = (chain
+bound of step i) + tau.  So step i finds generators only through B_i and
+computes its kernel only through max(B_i, B_{i+1}), never past d_max.
+Above B_i it does not read K_{i-1}, which the step before did not
+compute there: the kernel is the null space of the images in the
+target's own coordinates.  The check that the images lie in K_{i-1} is
+moot there, as they are A-multiples of images already checked at or
+below B_i.  A caller's `module_hilbert` never sets the bound, and
+without a complete basis or such a series every step runs to d_max.
+
 Coordinate vectors hold the same scalars as polynomials (see `corealg`);
 `FreeLayer.coords` and `FreeLayer.polys` read one as the other on a
 layer's normal-word basis.
@@ -375,7 +388,7 @@ class ExtTable(Record, frozen=False):
 # engine internals
 
 
-def _syzygy_step(G, target, K, d_max):
+def _syzygy_step(G, target, K, d_max, gen_top=None):
     """Minimal generators of the graded submodule K of `target`, and their cover's kernel.
 
     `K[j]` is a basis {free column: vector} of K_j in reduced form, each
@@ -386,10 +399,18 @@ def _syzygy_step(G, target, K, d_max):
     the identity, are eliminated once: the identity pivots are the
     first-fit new generators, and the images' reduced form gives the
     kernel, which no new generator enters.  Returns the cover's
-    FreeLayer, its generators as (degree, vector) pairs and its kernel.
+    FreeLayer, its generators as (degree, vector) pairs and its kernel
+    through d_max.
+
+    K is read only through `gen_top` (default d_max), above which the
+    caller knows no generator lies.  There the kernel is the null space
+    of the images in `target`'s own coordinates, in the same reduced
+    form, so it is the same kernel.
     """
     field = G.presentation.field
     modulus = field.modulus
+    if gen_top is None:
+        gen_top = d_max
     layer = FreeLayer(G, ())
     gens = []
     kernel = {}
@@ -397,6 +418,14 @@ def _syzygy_step(G, target, K, d_max):
     # a slot is added after its degree is yielded, so `_images` reads no
     # generator vector; its column is appended to that degree's columns
     for j, cols in _images(target, layer, (), j_lo, d_max):
+        if j > gen_top:
+            rows = {}
+            for c, col in enumerate(cols):
+                for t, a in col.items():
+                    rows.setdefault(t, {})[c] = a
+            ech = linalg.Echelon(field, (rows[t] for t in sorted(rows, reverse=True)))
+            kernel[j] = linalg.reduced_form(ech, len(cols))[2]
+            continue
         kj = K.get(j, {})
         free = {f: t for t, f in enumerate(kj)}
         m = len(cols)
@@ -489,6 +518,22 @@ def _alternating_sum(entries):
     return out
 
 
+def _chain_bound(G, i):
+    """Anick's bound on t_i(k) over a complete basis G: the top degree of its (i-1)-chains.
+
+    With w the widest generator degree and D the top leading-word degree,
+    t_0(k) = 0, t_1(k) <= w and t_i(k) <= D + (i - 2)(D - 1) for i >= 2,
+    since each chain after the first overlaps the one before it.  A
+    finite-dimensional M of top degree tau has t_i(M) <= this + tau.
+    """
+    if i == 0:
+        return 0
+    if i == 1:
+        return G.presentation.max_gen_degree()
+    lead = max((g.degree for g in G.elements), default=0)
+    return lead + (i - 2) * (lead - 1)
+
+
 def _certify_termination(G, shifts_all, d_max, algebra_hilbert, module_hilbert):
     width = G.presentation.max_gen_degree()
     top = _algebra_socle_degree(G, d_max + width)
@@ -498,9 +543,8 @@ def _certify_termination(G, shifts_all, d_max, algebra_hilbert, module_hilbert):
         return None
     if module_hilbert.is_polynomial():
         # every computed step must be complete: Anick's bounds on t_i(k), plus top(M)
-        lead = max((g.degree for g in G.elements), default=0)
-        anick = [0, width] + [lead + (i - 2) * (lead - 1) for i in range(2, len(shifts_all))]
-        if not G.complete or max(anick[: len(shifts_all)]) + module_hilbert.degree > d_max:
+        anick = max(_chain_bound(G, i) for i in range(len(shifts_all)))
+        if not G.complete or anick + module_hilbert.degree > d_max:
             return None
     # both sides start at min(0, lowest degree of M), the lowest shift of F_0
     balt = _alternating_sum(_betti_entries(shifts_all))
@@ -527,12 +571,29 @@ def minimal_resolution(
     `module` is a presented left module or a module view over G built
     through d_max, such as `MappedAlgebraView`.  Without `module_hilbert`
     the view's zero-band series, if any, is the termination evidence.
+
+    When G is complete and that view series is a polynomial of top degree
+    tau, step i stops at min(d_max, max(B_i, B_{i+1})), B_i =
+    `_chain_bound(G, i)` + tau (see the module docstring).  The result is
+    the same: K_i's lowest nonzero degree is a generator degree of step
+    i + 1, so K_i vanishes through B_{i+1} only when it vanishes.
     """
     view = PresentedModuleView(G, module, d_max) if isinstance(module, ModulePresentation) else module
     if module_hilbert is None:
         module_hilbert = view.hilbert
+    h = view.hilbert
+    bounded = G.complete and h is not None and h.is_polynomial() and h.degree != NEG_INF
 
-    layer, _, K = _syzygy_step(G, view, view.units(d_max), d_max)
+    def gen_top(i):
+        """A degree that no generator of step i lies above."""
+        return min(d_max, _chain_bound(G, i) + h.degree) if bounded else d_max
+
+    def step(i, target, K):
+        # through step i's own generators and K_i through those of step i + 1:
+        # the bounds need not grow, as w may exceed D
+        return _syzygy_step(G, target, K, max(gen_top(i), gen_top(i + 1)), gen_top(i))
+
+    layer, _, K = step(0, view, view.units(gen_top(0)))
     if not layer.shifts:
         if view.top > d_max:
             raise CertificationError(
@@ -556,7 +617,7 @@ def minimal_resolution(
             break
         if i == i_max + 1:
             break
-        new_layer, new_vecs, K = _syzygy_step(G, layer, K, d_max)
+        new_layer, new_vecs, K = step(i, layer, K)
         # syzygy generators have no scalar entries over a minimal cover
         for j, v in new_vecs:
             basis = layer.basis(j)

@@ -6,9 +6,10 @@ free-word basis, and series are expanded by naive convolution, so these
 can certify the production code paths.  The two exceptions are
 `ext_reference` and `multiplication_columns`, which check the word
 recursion behind Ext and the multiplication maps against one direct
-normal form per (map entry x word), and `two_pass_syzygy_step`, which
+normal form per (map entry x word), `two_pass_syzygy_step`, which
 checks the resolution's one-elimination step against a separate span
-and kernel computation.  `reference_row_reduce` and
+and kernel computation, and `unbounded_resolution`, which runs that
+step through d_max at every homological degree.  `reference_row_reduce` and
 `reference_solve` are dense Gauss-Jordan elimination, for checking
 homreg.linalg.
 
@@ -25,7 +26,13 @@ from fractions import Fraction
 
 from homreg.corealg import ModulePresentation, Poly, make_module_presentation
 from homreg.linalg import complement_basis, row_reduce
-from homreg.resolution import FreeLayer, _images
+from homreg.resolution import (
+    FreeLayer,
+    PresentedModuleView,
+    _certify_termination,
+    _images,
+    _syzygy_step,
+)
 
 
 def src_env():
@@ -445,3 +452,46 @@ def random_fdim_module(pres, G, rng, n_gens=2, cutoff=3):
                 ]
                 rows.append(row)
     return make_module_presentation(pres, "left", degrees, rows)
+
+
+def unbounded_resolution(G, mpres, i_max, d_max, algebra_hilbert=None):
+    """`minimal_resolution` of a presented module with every step run through d_max.
+
+    No step stops at a chain bound.  Returns (shifts, maps, terminated,
+    termination_step, certificate) as the `Resolution` fields would hold
+    them, the certificate read as `minimal_resolution` reads it.
+    """
+    view = PresentedModuleView(G, mpres, d_max)
+    layer, _, K = _syzygy_step(G, view, view.units(d_max), d_max)
+    shifts, maps = [layer.shifts], []
+    for i in range(1, i_max + 2):
+        if not any(K.values()):
+            cert = _certify_termination(G, shifts, d_max, algebra_hilbert, view.hilbert)
+            return tuple(shifts), tuple(maps), cert is not None, i - 1 if cert else None, cert
+        if i == i_max + 1:
+            break
+        layer_i, gens, K = _syzygy_step(G, layer, K, d_max)
+        maps.append(tuple(gens))
+        shifts.append(layer_i.shifts)
+        layer = layer_i
+    return tuple(shifts), tuple(maps), False, None, None
+
+
+def random_algebra_source(rng, field):
+    """A presentation text: 2-3 generators, one of degree 2 in a fifth of the
+    draws, and 1-3 relations of degree 2-4 with 1-3 terms each."""
+    n = rng.randint(2, 3)
+    degs = [1] * n
+    if rng.random() < 0.2:
+        degs[-1] = 2
+    names = "xyz"[:n]
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        words = free_words(degs, rng.randint(2, 4))
+        terms = rng.sample(words, min(len(words), rng.randint(1, 3)))
+        rels.append("".join(
+            "%+d*%s" % (rng.choice((1, -1)) * rng.randint(1, 3), "*".join(names[g] for g in w))
+            for w in terms
+        ).lstrip("+"))
+    gens = " ".join("%s:%d" % (a, d) for a, d in zip(names, degs))
+    return "field %s; gens %s; rels %s" % (field, gens, ", ".join(rels))

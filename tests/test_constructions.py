@@ -185,3 +185,26 @@ def test_quotient_evidence_agrees_with_direct_verdict(golden):
     assert rep.cmreg.value == 0
     v = art.as_regular_verdict()
     assert v.status == "yes" and (v.dim - v.index) == 0
+
+
+@pytest.mark.parametrize("window", [(6, 6, 12), (6, 8, 12)])
+def test_late_zero_divisor_is_not_regular(window):
+    # x is normal in B = plane/(x*y^6) but kills y^6, so it fails to be
+    # regular only in degree 7; B/(x) = k[y] has CMreg 0 at every window
+    plane = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x*y - y*x", label="plane"), *window)
+    B, _ = quotient_by_normal_element(plane, "x*y^6")
+    C, cert = quotient_by_normal_element(B, "x")
+    assert (cert.regular_ok, cert.checked_to) == (False, 6)
+    assert C.cmreg_known is None and C.torreg_upper is None
+    cm, case = C.resolve_cmreg()
+    assert (cm.kind, cm.value, case) == ("exact", 0, "as_regular")
+
+
+def test_quotient_with_an_incomplete_basis_stores_no_value_that_rests_on_regularity():
+    # at d_gb 2 the quotient's basis is incomplete, so regularity is seen
+    # only through d_max and B keeps neither CMreg nor a Torreg upper bound
+    plane = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x*y - y*x", label="plane"), 6, 6, 2)
+    B, cert = quotient_by_normal_element(plane, "x^2 + y^2")
+    assert plane.gb().complete and not B.gb().complete
+    assert (cert.regular_ok, cert.checked_to) == (True, 6)
+    assert B.cmreg_known is None and B.torreg_upper is None and B.as_gorenstein_hint is None

@@ -14,12 +14,13 @@ from homreg.cli import GOLDEN_SOURCES
 from homreg.constructions import quotient_by_normal_element
 from homreg.gbasis import buchberger_truncated
 from homreg.regularity import AlgebraArtifacts
-from homreg.series import hilbert_rational, hilbert_truncated
+from homreg.series import RationalSeries, hilbert_rational, hilbert_truncated
 from homreg.resolution import (
     FreeLayer,
     MappedAlgebraView,
     PresentedModuleView,
     _alternating_sum,
+    _chain_bound,
     _images,
     _syzygy_step,
     betti_table,
@@ -34,11 +35,13 @@ from oracles import (
     ext_reference,
     map_entries,
     multiplication_columns,
+    random_algebra_source,
     random_fdim_module,
     scalar,
     semisimple_module,
     shift_module,
     two_pass_syzygy_step,
+    unbounded_resolution,
 )
 
 
@@ -705,3 +708,63 @@ def test_step_rejects_kernel_vectors_changed_off_their_free_columns(field):
                     changed += 1
         target, K = layer, kernel
     assert changed == 350  # every such change in steps 1-3 through degree 4
+
+
+def _outcome(R):
+    return R.shifts, R.maps, R.terminated, R.termination_step, R.certificate
+
+
+@pytest.mark.parametrize("field, seed", [("Q", 2701), ("F101", 2702)])
+def test_chain_bounded_steps_match_steps_run_through_d_max(field, seed):
+    # over a complete basis step i of a finite-dimensional module stops at
+    # Anick's bound; shifts, maps and termination must be those of every
+    # step run through d_max, on k, k(-a) (+) k and random modules and shifts
+    rng = random.Random(seed)
+    i_max, d_max = 5, 7
+    done = bounded = 0
+    while done < 10:
+        pres = parse_presentation(random_algebra_source(rng, field))
+        G = buchberger_truncated(pres, 8)
+        if not G.complete:
+            continue
+        h = hilbert_rational(G)
+        m = random_fdim_module(pres, G, rng)
+        modules = [
+            trivial_module(pres),
+            semisimple_module(pres, (rng.randint(1, 2), 0)),
+            m,
+            shift_module(m, rng.choice((-1, 1))),
+        ]
+        for m in modules:
+            want = unbounded_resolution(G, m, i_max, d_max, h)
+            assert _outcome(minimal_resolution(G, m, i_max, d_max, algebra_hilbert=h)) == want, (
+                pres.to_text(), m,
+            )
+            top = PresentedModuleView(G, m, d_max).hilbert.degree
+            bounded += any(_chain_bound(G, i) + top < d_max for i in range(len(want[0])))
+        done += 1
+    assert bounded >= 20  # most resolutions stop some step below d_max
+
+
+def test_step_reaches_its_own_generators_when_the_next_chain_bound_is_lower():
+    # k<x, z>/(x^2) with z of degree 3: t_1(k) = 3 (z) exceeds the next
+    # bound D = 2, so step 1 must run through degree 3, not stop at 2
+    pres, G, h = setup_algebra("field Q; gens x:1 z:3; rels x^2")
+    assert (_chain_bound(G, 1), _chain_bound(G, 2)) == (3, 2)
+    R = minimal_resolution(G, trivial_module(pres), 4, 8, algebra_hilbert=h)
+    assert R.shifts[1] == (1, 3)
+    assert _outcome(R) == unbounded_resolution(G, trivial_module(pres), 4, 8, h)
+
+
+def test_chain_bound_reads_the_views_series_not_the_callers():
+    # k(-2) (+) k has top degree 2; a wrong series of degree 0 passed as
+    # module_hilbert must not lower the degrees each step computes
+    presT, GT, hT = setup_algebra(T34)
+    M = semisimple_module(presT, (2, 0))
+    wrong = RationalSeries((1,), (1,), (), 0)
+    plain, misled = (
+        minimal_resolution(GT, M, 8, 12, algebra_hilbert=hT, module_hilbert=mh) for mh in (None, wrong)
+    )
+    assert plain.shifts == misled.shifts and plain.maps == misled.maps
+    assert _outcome(plain) == unbounded_resolution(GT, M, 8, 12, hT)
+    assert plain.shifts[3] == (4, 6)
