@@ -254,12 +254,15 @@ class GroebnerBasis(_IntegerBasis):
     def nf_word(self, word):
         """Memoized normal form of a single word (hot path for resolutions).
 
-        Returned as (word, scalar) pairs.
+        Returned as (word, scalar) pairs; a normal word is its own normal form.
         """
         nf = self._nf_words.get(word)
         if nf is None:
             self.check_degree(self.presentation.word_degree(word), "normal form")
-            nf = tuple(self._quotient(*self._reduce_terms({word: 1}, 1)).items())
+            if self.automaton.find(word) is None:
+                nf = ((word, 1),)
+            else:
+                nf = tuple(self._quotient(*self._reduce_terms({word: 1}, 1)).items())
             self._nf_words[word] = nf
         return nf
 

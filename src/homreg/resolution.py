@@ -452,7 +452,7 @@ def _syzygy_step(G, target, K, d_max, gen_top=None):
     return layer, gens, kernel
 
 
-def _images(target, layer, gen_vecs, j_lo, j_hi):
+def _images(target, layer, gen_vecs, j_lo, j_hi, skip=None):
     """Images of layer.basis(j) for j = j_lo..j_hi under the map e_r -> gen_vecs[r].
 
     Yields (j, columns), one coordinate vector on `target` per basis
@@ -460,20 +460,34 @@ def _images(target, layer, gen_vecs, j_lo, j_hi):
     (r, w minus that letter): the first letter on a left layer, the last on
     a right one.  Degree j reads no degree below j - (max generator degree),
     so older degrees are dropped.
+
+    Ext passes as `skip[j]` the pivots P of an echelon of im d^{i-1}_j, and
+    those columns are None.  Its rows, with distinct least keys in P, and
+    the unit vectors outside P are a basis, and d^i kills im d^{i-1}; so
+    the other columns have the rank of d^i_j.  A skipped column is
+    evaluated only when a higher degree reads it as a prefix.
     """
     degs = layer.G.presentation.gen_degs
     width = layer.G.presentation.max_gen_degree()
     ev = {}  # degree -> (layer.index, columns)
+
+    def image(j, r, w):
+        if not w:
+            return gen_vecs[r]
+        g, rest = (w[-1], w[:-1]) if layer.right else (w[0], w[1:])
+        j0 = j - degs[g]
+        entry = ev.get(j0)
+        if entry is None:  # dropped: only a skipped column's prefix reads this far down
+            return target.act_vec(g, j0, image(j0, r, rest))
+        index, prev = entry
+        k = index[(r, rest)]
+        if prev[k] is None:
+            prev[k] = image(j0, r, rest)
+        return target.act_vec(g, j0, prev[k])
+
     for j in range(j_lo, j_hi + 1):
-        cols = []
-        for r, w in layer.basis(j):
-            if not w:
-                cols.append(gen_vecs[r])
-                continue
-            g, rest = (w[-1], w[:-1]) if layer.right else (w[0], w[1:])
-            j0 = j - degs[g]
-            index, prev = ev[j0]
-            cols.append(target.act_vec(g, j0, prev[index[(r, rest)]]))
+        skipped = skip.get(j, ()) if skip else ()
+        cols = [None if k in skipped else image(j, r, w) for k, (r, w) in enumerate(layer.basis(j))]
         ev[j] = layer.index(j), cols
         ev.pop(j - width, None)
         yield j, cols
@@ -660,6 +674,13 @@ def ext_into_algebra(R, G):
     multiplication of the map entries by words, evaluated degreewise by the
     same word recursion as the resolution's kernels; ranks are exact.  The
     entries m_{rs} are read by transposing the stored syzygy vectors.
+
+    d^i is evaluated only off the pivots P of an echelon of im d^{i-1}_j:
+    rank d^i_j is the rank of d^i on the unit vectors U outside P.  Proof:
+    the echelon's rows have distinct least keys in P, so with U they are a
+    basis, C^i_j = im d^{i-1}_j (+) span(U); and d^i d^{i-1} = 0, as each
+    syzygy lies in the kernel of the map before it.  The pivots of the
+    echelon of d^i(U) are the P of d^{i+1}.
     """
     field = G.presentation.field
     i_top = R.steps_computed if R.terminated else R.steps_computed - 1
@@ -679,6 +700,7 @@ def ext_into_algebra(R, G):
     cobases = [FreeLayer(G, [-b for b in shifts], right=True) for shifts in R.shifts]
 
     ranks = {}  # (i, j) -> rank of d^i: C^i_j -> C^{i+1}_j
+    pivots = {}  # j -> the pivots P of im d^{i-1}_j in C^i_j
     for i, syzygies in enumerate(R.maps):
         src, tgt = cobases[i], cobases[i + 1]
         # d^i(r, b"") holds the entries m_{rs}: the term c*w at slot (r, w) of
@@ -692,8 +714,12 @@ def ext_into_algebra(R, G):
                 gen_vecs[r][tgt.index(src.shifts[r])[(s, w)]] = c
         # Ext^i and Ext^{i+1} read d^i only on their windows
         top = max(windows[k][1] for k in (i, i + 1) if k in windows)
-        for j, cols in _images(tgt, src, gen_vecs, src.min_degree(), top):
-            ranks[(i, j)] = linalg.Echelon(field, cols).rank
+        image_pivots = {}
+        for j, cols in _images(tgt, src, gen_vecs, src.min_degree(), top, pivots):
+            ech = linalg.Echelon(field, (c for c in cols if c is not None))
+            ranks[(i, j)] = ech.rank
+            image_pivots[j] = ech.rows.keys()
+        pivots = image_pivots
 
     entries = {}
     for i in range(0, i_top + 1):

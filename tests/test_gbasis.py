@@ -471,3 +471,34 @@ def test_lazy_rescaling_reduction_is_the_fraction_normal_form(field_name):
     else:
         assert len(lead_coeffs - {1}) >= 5 and rescaled >= 20
 
+
+def test_nf_word_returns_a_normal_word_without_reducing_it(monkeypatch):
+    # a normal word is its own normal form and takes no reduction; other
+    # words keep the reduced normal form, and the degree check comes first
+    calls = []
+    reduce_terms = GroebnerBasis._reduce_terms
+
+    def counting(self, *args):
+        calls.append(args)
+        return reduce_terms(self, *args)
+
+    monkeypatch.setattr(_IntegerBasis, "_reduce_terms", counting)
+    pres = sklyanin_type()
+    G = buchberger_truncated(pres, 6)
+    assert not G.complete
+    normal = 0
+    for w in free_words(pres.gen_degs, 4):
+        before = len(calls)
+        nf = G.nf_word(w)
+        if G.automaton.find(w) is None:
+            assert nf == ((w, 1),) and len(calls) == before
+            normal += 1
+        else:
+            assert len(calls) == before + 1
+        assert dict(nf) == G.normal_form(pres.word_poly(w)).terms
+    assert 0 < normal < 3 ** 4
+    # a normal word above d_gb is refused, though it needs no reduction
+    words = (w + a for w in G.normal_words(6) for a in (b"\x00", b"\x01", b"\x02"))
+    above = next(u for u in words if G.automaton.find(u) is None)
+    with pytest.raises(CertificationError, match="exceeds the certified range"):
+        G.nf_word(above)
