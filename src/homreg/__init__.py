@@ -4,7 +4,6 @@ from .corealg import (
     AlgebraPresentation,
     CertificationError,
     ModulePresentation,
-    MonomialOrder,
     Poly,
     PresentationError,
     ResourceLimitError,

@@ -67,17 +67,21 @@ def tensor_presentation(A, B, label=""):
 
 
 def convolve_betti(tA, tB, i_max, d_max):
-    """Kunneth convolution of two Betti tables of k on the common window."""
-    entries = {}
-    for (p, j1), r1 in tA.entries.items():
-        for (q, j2), r2 in tB.entries.items():
-            i, j = p + q, j1 + j2
-            if i <= i_max and j <= d_max:
-                entries[(i, j)] = entries.get((i, j), 0) + r1 * r2
+    """Kunneth convolution of two Betti tables of k on the common window.
+
+    A terminated product keeps every entry, above d_max too: each is exact,
+    and t_i reads the top one.
+    """
     total = (tA.termination_step if tA.terminated else tA.steps_computed) + (
         tB.termination_step if tB.terminated else tB.steps_computed
     )
     terminated = tA.terminated and tB.terminated and total <= i_max
+    entries = {}
+    for (p, j1), r1 in tA.entries.items():
+        for (q, j2), r2 in tB.entries.items():
+            i, j = p + q, j1 + j2
+            if terminated or (i <= i_max and j <= d_max):
+                entries[(i, j)] = entries.get((i, j), 0) + r1 * r2
     steps = min(total, i_max)
     return BettiTable(
         entries=entries,
@@ -146,24 +150,22 @@ class NormalElementCertificate(Record):
     element_text: str
     degree: int
     left_witnesses: tuple  # per generator g: q_g with g*Omega = Omega*q_g mod I
-    right_witnesses: tuple  # per generator g: p_g with Omega*g = p_g*Omega mod I
     regular_ok: bool
     checked_to: int
 
 
-def _solve_witness(layer, cols, product, j):
-    """Solve Omega*q = product or p*Omega = product in degree j for q/p.
+def _solve_witness(layer, cols, rhs, j):
+    """Solve Omega*q = rhs in degree j for q, or None when there is none.
 
     `layer` and `cols` (columns by degree) come from
-    `multiplication_images(G, [Omega], ...)`: q on the right side, p on
-    the left.
+    `multiplication_images(G, [Omega], ...)` on the left side, and `rhs`
+    is in A's normal-word coordinates.
     """
     G = layer.G
     rows = [{} for _ in range(G.dim(j))]
     for c, col in enumerate(cols[j]):
         for t, a in col.items():
             rows[t][c] = a
-    rhs = FreeLayer(G, (0,)).coords([product], j)
     sol = linalg.solve(rows, len(cols[j]), rhs, G.presentation.field)
     return None if sol is None else layer.polys(j, sol)[0]
 
@@ -182,7 +184,8 @@ def _first_mismatch(hB, hA, a):
 def quotient_by_normal_element(artA, omega_text, label=""):
     """B = A/(Omega) with a normality/regularity certificate.
 
-    Normality witnesses are solved degreewise by exact linear algebra.
+    Normality witnesses q_g, g*Omega = Omega*q_g, are solved degreewise by
+    exact linear algebra; Omega*g in A*Omega is a membership test.
     Omega is then regular (a non-zerodivisor) iff dim (Omega*A)_j =
     dim A_{j-a} in every degree, that is iff H_B = (1 - t^a) H_A.  With
     exact series for A and B (complete bases) that identity decides it,
@@ -205,24 +208,22 @@ def quotient_by_normal_element(artA, omega_text, label=""):
     omega = nf_omega.monic()
     a = omega.degree
 
-    # g*Omega = Omega*q_g and Omega*g = p_g*Omega: one evaluator per side
-    gens = [A.gen_poly(g) for g in range(A.n_gens)]
-    products = [(G.normal_form(gp * omega), G.normal_form(omega * gp)) for gp in gens]
-    sides = []
-    for left in (True, False):
-        layer, images = multiplication_images(G, [omega], a + A.max_gen_degree(), left)
-        sides.append((layer, dict(images)))
-    left_w, right_w = [], []
-    for g, (g_omega, omega_g) in enumerate(products):
-        j = a + A.gen_degs[g]
-        q = _solve_witness(*sides[0], g_omega, j)
-        p = _solve_witness(*sides[1], omega_g, j)
-        if q is None or p is None:
+    # g*Omega = Omega*q_g, solved for the witness q_g; Omega*g in A*Omega, by membership
+    j_hi = a + A.max_gen_degree()
+    layer, left_cols = multiplication_images(G, [omega], j_hi)
+    left_cols = dict(left_cols)
+    _, right_cols = multiplication_images(G, [omega], j_hi, False)
+    right_span = {j: linalg.Echelon(A.field, cols) for j, cols in right_cols}
+    coords = FreeLayer(G, (0,)).coords
+    left_w = []
+    for g in range(A.n_gens):
+        gp, j = A.gen_poly(g), a + A.gen_degs[g]
+        q = _solve_witness(layer, left_cols, coords([G.normal_form(gp * omega)], j), j)
+        if q is None or right_span[j].residue(coords([G.normal_form(omega * gp)], j)):
             raise PresentationError(
                 "normality fails for generator %s: no witness polynomial exists" % A.gen_names[g]
             )
         left_w.append(q)
-        right_w.append(p)
 
     rels = list(A.relations) + [omega]
     presB = make_presentation(
@@ -254,7 +255,6 @@ def quotient_by_normal_element(artA, omega_text, label=""):
         element_text=omega_text,
         degree=a,
         left_witnesses=tuple(left_w),
-        right_witnesses=tuple(right_w),
         regular_ok=regular_ok,
         checked_to=checked_to,
     )
@@ -309,24 +309,17 @@ def _cokernel_dims(G_A, images, d_max, side_left):
 def finite_map_check(artT, images, artA):
     """Certify finiteness of a graded map T -> A by cokernel dimensions.
 
-    Both module sides are checked.  The verdict is `finite` only when the
-    cokernels vanish on a trailing window at least as wide as the largest
-    generator degree of A, so no module generator can hide above the
-    bound; a nonzero cokernel at the top of the window is reported as
-    `not_finite_up_to_bound`, anything else as `inconclusive`.
+    `AlgebraPresentation.map_images` checks the images.  Both module sides
+    are checked.  The verdict is `finite` only when the cokernels vanish on
+    a trailing window at least as wide as the largest generator degree of
+    A, so no module generator can hide above the bound; a nonzero cokernel
+    at the top of the window is reported as `not_finite_up_to_bound`,
+    anything else as `inconclusive`.
     """
-    T = artT.presentation
     A = artA.presentation
+    images = artT.presentation.map_images(A, images)
     G_A = artA.gb()
     d_max = artA.d_max
-    images = [A.parse_poly(p) if isinstance(p, str) else p for p in images]
-    if len(images) != T.n_gens:
-        raise PresentationError("need one image per source generator")
-    for i, p in enumerate(images):
-        if p.is_zero() or p.degree != T.gen_degs[i]:
-            raise PresentationError(
-                "image of %s must be homogeneous of degree %d" % (T.gen_names[i], T.gen_degs[i])
-            )
     left = _cokernel_dims(G_A, images, d_max, side_left=True)
     right = _cokernel_dims(G_A, images, d_max, side_left=False)
     width = A.max_gen_degree()

@@ -164,7 +164,7 @@ def parse_field(name):
 
 
 # ---------------------------------------------------------------------------
-# words and the monomial order
+# words
 
 # A word is a `bytes` object, one byte per letter holding its generator index,
 # so a presentation has at most MAX_GENERATORS generators; b"" is the
@@ -178,34 +178,6 @@ _COMPLEMENT = bytes(range(MAX_GENERATORS - 1, -1, -1))  # byte g -> 255 - g
 
 def word_degree(word, gen_degs):
     return sum(gen_degs[g] for g in word)
-
-
-class MonomialOrder:
-    """Weighted-degree-then-lexicographic order on words.
-
-    Generators are numbered by precedence, highest first, so among words of
-    one weighted degree the greater word is the lexicographically smaller
-    byte string, and plain bytes comparison decides.  `key` is ascending in
-    the order, for the sorts that mix degrees.  The order is total,
-    degree-compatible and multiplicative (two words of equal degree are never
-    proper prefixes of each other, so complementing every byte, g -> 255 - g,
-    reverses their comparison exactly).
-    """
-
-    __slots__ = ("gen_degs",)
-
-    def __init__(self, gen_degs):
-        self.gen_degs = tuple(gen_degs)
-
-    def key(self, word):
-        degs = self.gen_degs
-        return (sum(degs[g] for g in word), word.translate(_COMPLEMENT))
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and other.gen_degs == self.gen_degs
-
-    def __hash__(self):
-        return hash(self.gen_degs)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +306,6 @@ class AlgebraPresentation(Record):
     gen_names: tuple
     gen_degs: tuple
     relations: tuple
-    order: MonomialOrder
     label: str = ""
 
     @property
@@ -353,11 +324,40 @@ class AlgebraPresentation(Record):
     def word_degree(self, word):
         return word_degree(word, self.gen_degs)
 
-    def word_poly(self, word):
-        return Poly({bytes(word): 1}, self.word_degree(word), self.field.modulus)
+    def word_key(self, word):
+        """The sort key of `word` in the monomial order: weighted degree, then lexicographic.
 
-    def one(self):
-        return Poly({b"": 1}, 0, self.field.modulus)
+        Generators are numbered by precedence, highest first, so among words
+        of one weighted degree the greater word is the lexicographically
+        smaller byte string, and plain bytes comparison decides.  The key is
+        ascending in the order, for the sorts that mix degrees.  The order is
+        total, degree-compatible and multiplicative (two words of equal
+        degree are never proper prefixes of each other, so complementing
+        every byte, g -> 255 - g, reverses their comparison exactly).
+        """
+        degs = self.gen_degs
+        return (sum(degs[g] for g in word), word.translate(_COMPLEMENT))
+
+    def map_images(self, target, images):
+        """The images of this algebra's generators under a graded map to `target`, as Polys.
+
+        The one check of a map: string images are parsed in `target`, and
+        PresentationError is raised unless both algebras share the base
+        field and there is one image per generator, nonzero and of the
+        generator's degree.
+        """
+        if self.field != target.field:
+            raise PresentationError(
+                "%s is over %s but %s is over %s; a map must keep the base field"
+                % (self.label, self.field, target.label, target.field)
+            )
+        images = tuple(target.parse_poly(p) if isinstance(p, str) else p for p in images)
+        if len(images) != self.n_gens:
+            raise PresentationError("need one image per source generator")
+        for name, d, p in zip(self.gen_names, self.gen_degs, images):
+            if p.is_zero() or p.degree != d:
+                raise PresentationError("image of %s must be homogeneous of degree %d" % (name, d))
+        return images
 
     def parse_poly(self, text):
         polys = _parse_list(text, self)
@@ -412,7 +412,7 @@ class AlgebraPresentation(Record):
         )
         lines.append("order " + " ".join(self.gen_names))
         if self.relations:
-            rels = sorted(self.relations, key=lambda r: self.order.key(r.lead_word()))
+            rels = sorted(self.relations, key=lambda r: self.word_key(r.lead_word()))
             lines.append("rels " + ", ".join(self.format_poly(r) for r in rels))
         return "\n".join(lines) + "\n"
 
@@ -442,7 +442,7 @@ def make_presentation(field, gens, relations, label=""):
         if r.degree < 1:
             raise PresentationError("relation of degree %s is a nonzero scalar" % r.degree)
         rels.append(r.monic())
-    return AlgebraPresentation(field, names, degs, tuple(rels), MonomialOrder(degs), label)
+    return AlgebraPresentation(field, names, degs, tuple(rels), label)
 
 
 def check_generator_count(n):
@@ -466,7 +466,6 @@ def opposite_presentation(pres):
         pres.gen_names,
         pres.gen_degs,
         tuple(r.reversed_words() for r in pres.relations),
-        pres.order,
         label,
     )
 
@@ -488,10 +487,6 @@ class ModulePresentation(Record):
     gen_degs: tuple
     rows: tuple
     row_degrees: tuple
-
-    @property
-    def n_gens(self):
-        return len(self.gen_degs)
 
 
 def make_module_presentation(algebra, side, gen_degs, rows):

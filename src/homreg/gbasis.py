@@ -220,7 +220,7 @@ class GroebnerBasis(_IntegerBasis):
 
     def __init__(self, presentation, elements, d_gb, complete):
         self.presentation = presentation
-        key = presentation.order.key
+        key = presentation.word_key
         self.elements = tuple(sorted(elements, key=lambda g: key(g.lead_word())))
         self.d_gb = d_gb
         self.complete = complete
@@ -363,7 +363,7 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
     reduction, and the sorted `GroebnerBasis` is built once, at the end.
     Raises ResourceLimitError if the element budget is exhausted.
     """
-    order = presentation.order
+    key = presentation.word_key
     p = presentation.field.modulus
     relations = [r for r in presentation.relations if not r.is_zero()]
     if relations:
@@ -376,7 +376,7 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
     heap = []
     seq = 0
     for r in relations:
-        heapq.heappush(heap, (r.degree, order.key(r.lead_word()), seq, r))
+        heapq.heappush(heap, (r.degree, key(r.lead_word()), seq, r))
         seq += 1
 
     basis = _IntegerBasis(presentation.gen_degs, presentation.field)
@@ -393,7 +393,7 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
             if wdeg > d_gb:
                 complete = False
                 continue
-            heapq.heappush(heap, (wdeg, order.key(w), seq, (i, k, left, w[len(u) :])))
+            heapq.heappush(heap, (wdeg, key(w), seq, (i, k, left, w[len(u) :])))
             seq += 1
 
     while heap:

@@ -296,11 +296,16 @@ def tor_regularity(table):
     return BoundedValue.at_least(v, "window (i<=%d, j<=%d)" % (table.i_max, table.d_max))
 
 
-def koszul_verdict(table):
-    """Linearity of the resolution of k, with an explicit window caveat."""
+def koszul_verdict(table, torreg):
+    """Linearity of the resolution of k, with an explicit window caveat;
+    an exact Torreg(k) of 0 is Koszul, a positive one is not."""
+    if torreg.is_exact and torreg.value == 0:
+        return KoszulVerdict("yes", caveat="Torreg(k) = 0 certified")
     off = sorted((i, j) for (i, j) in table.entries if j != i)
     if off:
         return KoszulVerdict("no", witness=off[0])
+    if torreg.is_exact and torreg.value > 0:
+        return KoszulVerdict("no", caveat="Torreg(k) > 0 certified")
     if table.terminated:
         return KoszulVerdict("yes")
     if table.steps_computed >= 1:
@@ -663,12 +668,7 @@ def build_report(art):
     cmreg, cm_evidence = art.resolve_cmreg()
     asreg = as_regularity(torreg, cmreg)
     table = art.betti_k()
-    koszul = koszul_verdict(table)
-    if torreg.is_exact:
-        if torreg.value == 0:
-            koszul = KoszulVerdict("yes", caveat="Torreg(k) = 0 certified")
-        elif torreg.value > 0 and koszul.status != "no":
-            koszul = KoszulVerdict("no", witness=None, caveat="Torreg(k) > 0 certified")
+    koszul = koszul_verdict(table, torreg)
     verdict = art.as_regular_verdict()
     if art.known_betti_k is not None:
         note = art.betti_provenance

@@ -20,7 +20,8 @@ words (memoized by the Groebner basis) and of the inputs as given.
 
 A module enters as a view that gives its graded pieces and generator
 actions: `PresentedModuleView` for a presented module, `MappedAlgebraView`
-for an algebra A along generator images of a map T -> A.
+for an algebra A along generator images of a map T -> A, which
+`AlgebraPresentation.map_images` checks.
 `minimal_resolution` resolves either, so A is resolved over T without
 first being written out as a presentation.
 
@@ -266,28 +267,18 @@ class PresentedModuleView(_ModuleView):
 class MappedAlgebraView(_ModuleView):
     """An algebra A as a graded left T-module through generator images, up to d_max.
 
-    Coordinates at each degree are A's normal words.  `top` is A's top
-    nonzero degree through d_max.
+    `AlgebraPresentation.map_images` checks the images.  Coordinates at each
+    degree are A's normal words.  `top` is A's top nonzero degree through d_max.
     """
 
     def __init__(self, G_T, images, G_A, d_max):
         T, A = G_T.presentation, G_A.presentation
-        if T.field != A.field:
-            raise PresentationError(
-                "%s is over %s but %s is over %s; a map must keep the base field"
-                % (T.label, T.field, A.label, A.field)
-            )
+        images = T.map_images(A, images)
         self.G = G_T
         self.G_A = G_A
         self.d_max = d_max
         self.min_degree = 0
         degs = T.gen_degs
-        for i, p in enumerate(images):
-            if p.is_zero() or p.degree != degs[i]:
-                raise PresentationError(
-                    "image of generator %d must be homogeneous of degree %d"
-                    % (i, degs[i])
-                )
         # generator g acts on A_j by w -> images[g] * w, one column per normal word
         self._act_cols = {(g, j): [] for g, dg in enumerate(degs) for j in range(d_max - dg + 1)}
         layer, products = multiplication_images(G_A, images, d_max)

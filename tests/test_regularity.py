@@ -58,10 +58,18 @@ def test_tor_regularity_table_level(golden):
 
 
 def test_koszul_verdicts(golden):
-    assert koszul_verdict(golden["plane"].betti_k()).status == "yes"
-    assert koszul_verdict(golden["T"].betti_k()).status == "no"
-    assert koszul_verdict(golden["T"].betti_k()).witness == (2, 3)
-    assert koszul_verdict(golden["B"].betti_k()).status == "no"
+    # the table alone, with no Torreg(k) to decide it
+    u = BoundedValue.unknown()
+    assert koszul_verdict(golden["plane"].betti_k(), u).status == "yes"
+    assert koszul_verdict(golden["T"].betti_k(), u).status == "no"
+    assert koszul_verdict(golden["T"].betti_k(), u).witness == (2, 3)
+    assert koszul_verdict(golden["B"].betti_k(), u).status == "no"
+    # an exact Torreg(k) decides it; an off-diagonal witness is still named
+    plane, T = golden["plane"], golden["T"]
+    assert koszul_verdict(plane.betti_k(), plane.resolve_torreg()).caveat == "Torreg(k) = 0 certified"
+    assert koszul_verdict(T.betti_k(), T.resolve_torreg()).witness == (2, 3)
+    linear = plane.betti_k()
+    assert koszul_verdict(linear, BoundedValue.exact(1)).caveat == "Torreg(k) > 0 certified"
     # A(2) is linear through the window; the report upgrades it to certified
     # yes through the quotient upper bound
     assert golden["A2"].report().koszul.status == "yes"

@@ -35,6 +35,7 @@ from oracles import (
     ext_reference,
     map_entries,
     multiplication_columns,
+    one,
     random_algebra_source,
     random_fdim_module,
     scalar,
@@ -42,6 +43,7 @@ from oracles import (
     shift_module,
     two_pass_syzygy_step,
     unbounded_resolution,
+    word_poly,
 )
 
 
@@ -181,7 +183,7 @@ def test_rank_nullity_exactness_bookkeeping():
                     p = entries[r][s]
                     if not p:
                         continue
-                    q = G.normal_form(pres.word_poly(w) * p)
+                    q = G.normal_form(word_poly(pres, w) * p)
                     for u, c in q.terms.items():
                         vec[idx[(r, u)]] = vec.get(idx[(r, u)], 0) + c
                 cols.append(vec)
@@ -337,7 +339,7 @@ def test_layer_action_is_multiplication_by_a_generator(src, field, right):
                 if rng.random() < 0.5
             }
             polys = layer.polys(j, v)
-            x = pres.word_poly(bytes((g,)))
+            x = word_poly(pres, bytes((g,)))
             products = [p * x if right else x * p for p in polys]
             want = layer.coords([G.normal_form(q) for q in products], j + dg)
             got = layer.act_vec(g, j, v)
@@ -359,7 +361,7 @@ def test_images_are_products_with_words(src, right):
     gen_vecs = [target.coords(p, a) for p, a in zip(gens, source.shifts)]
     for j, cols in _images(target, source, gen_vecs, 0, 6):
         for (r, w), col in zip(source.basis(j), cols):
-            x = pres.word_poly(w)
+            x = word_poly(pres, w)
             products = [q * x if right else x * q for q in gens[r]]
             want = target.coords([G.normal_form(q) for q in products], j)
             assert {k: c for k, c in col.items() if c} == want, (j, r, w)
@@ -440,6 +442,16 @@ def test_module_via_map_refuses_a_change_of_base_field():
         module_via_map(GU, [presX.parse_poly("x")], GX, 6)
     with pytest.raises(PresentationError, match="must keep the base field"):
         MappedAlgebraView(GU, [presX.parse_poly("x")], GX, 6)
+
+
+def test_mapped_algebra_view_needs_one_image_per_generator():
+    presP, GP, _ = setup_algebra(PLANE)
+    presX, GX, _ = setup_algebra("field Q; gens x:1")
+    for images in ([presX.parse_poly("x")], [presX.parse_poly("x")] * 3):
+        with pytest.raises(PresentationError, match="need one image per source generator"):
+            MappedAlgebraView(GP, images, GX, 6)
+        with pytest.raises(PresentationError, match="need one image per source generator"):
+            module_via_map(GP, images, GX, 6)
 
 
 def mapped_pairs(field, seed):
@@ -543,7 +555,7 @@ def test_zero_module_rejected():
     pres, G, _ = setup_algebra(PLANE)
     from homreg.corealg import make_module_presentation
 
-    m = make_module_presentation(pres, "left", (0,), [(pres.one(),)])
+    m = make_module_presentation(pres, "left", (0,), [(one(pres),)])
     with pytest.raises(PresentationError, match="zero module"):
         minimal_resolution(G, m, 2, 4)
 

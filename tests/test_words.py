@@ -19,7 +19,6 @@ import pytest
 from homreg.constructions import quotient_by_normal_element, tensor_presentation
 from homreg.corealg import (
     QQ,
-    MonomialOrder,
     PresentationError,
     make_presentation,
     opposite_module,
@@ -32,7 +31,7 @@ from homreg.gbasis import groebner
 from homreg.regularity import AlgebraArtifacts
 from homreg.resolution import FreeLayer, trivial_module
 
-from oracles import free_words
+from oracles import free_words, one, word_poly
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESENTATIONS = os.path.join(ROOT, "presentations")
@@ -85,7 +84,7 @@ def test_every_word_is_bytes(name, field):
         assert_terms(polys, where, p)
 
     gens = [pres.gen_poly(g) for g in range(pres.n_gens)]
-    check(gens + [pres.one()], "gen_poly/one")
+    check(gens + [one(pres)], "gen_poly/one")
     rels = list(pres.relations)
     if rels:
         check(rels, "parse")
@@ -96,7 +95,7 @@ def test_every_word_is_bytes(name, field):
         check([q for q in arithmetic if q], "arithmetic")
         check(opposite_presentation(pres).relations, "opposite_presentation")
     check(tensor_presentation(pres, pres).relations, "tensor_presentation")
-    words4 = [pres.word_poly(w) for w in free_words(pres.gen_degs, 4)]
+    words4 = [word_poly(pres, w) for w in free_words(pres.gen_degs, 4)]
     check(words4, "word_poly")
 
     G = groebner(pres, 8)
@@ -123,7 +122,7 @@ def test_every_word_is_bytes(name, field):
 
     art = AlgebraArtifacts(pres, i_max=3, d_max=5, d_gb=8)
     _, cert = quotient_by_normal_element(art, OMEGA.get(name, "x"))
-    witnesses = [q for q in cert.left_witnesses + cert.right_witnesses if q]
+    witnesses = [q for q in cert.left_witnesses if q]
     if name in ("kx_mod_x2", "stanley_violator"):
         assert not witnesses  # x times a generator is 0 there
     else:
@@ -140,7 +139,7 @@ def test_module_rows_have_bytes_words(algebra, module):
 
 
 def tuple_key(gen_degs, word):
-    """MonomialOrder.key as it was on tuple words."""
+    """AlgebraPresentation.word_key as it was on tuple words."""
     return (sum(gen_degs[g] for g in word), tuple(-g for g in word))
 
 
@@ -149,7 +148,7 @@ def test_bytes_order_is_the_tuple_order():
     shapes = [(1, 1), (1, 2, 1), (1, 3, 2, 1, 2), tuple(rng.randrange(1, 4) for _ in range(256))]
     for gen_degs in shapes:
         n = len(gen_degs)
-        order = MonomialOrder(gen_degs)
+        key = make_presentation(QQ, [("g%d" % g, d) for g, d in enumerate(gen_degs)], []).word_key
         words = [tuple(rng.randrange(n) for _ in range(rng.randrange(0, 9))) for _ in range(400)]
         # proper prefixes, repeats and the extreme letters, on purpose
         words += [w[:k] for w in words[:60] for k in range(len(w))] + words[:20]
@@ -157,14 +156,14 @@ def test_bytes_order_is_the_tuple_order():
         rng.shuffle(words)
         as_bytes = [bytes(w) for w in words]
         assert [tuple(w) for w in sorted(as_bytes)] == sorted(words), gen_degs
-        assert [tuple(w) for w in sorted(as_bytes, key=order.key)] == sorted(
+        assert [tuple(w) for w in sorted(as_bytes, key=key)] == sorted(
             words, key=lambda w: tuple_key(gen_degs, w)
         ), gen_degs
         assert tuple(min(as_bytes)) == min(words)
         for u, v in zip(words, words[1:]):
             bu, bv = bytes(u), bytes(v)
             assert (bu < bv, bu == bv) == (u < v, u == v)
-            ku, kv = order.key(bu), order.key(bv)
+            ku, kv = key(bu), key(bv)
             tu, tv = tuple_key(gen_degs, u), tuple_key(gen_degs, v)
             assert (ku < kv, ku == kv) == (tu < tv, tu == tv), (u, v)
 
