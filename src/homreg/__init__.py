@@ -15,7 +15,7 @@ from .corealg import (
     parse_module,
     parse_presentation,
 )
-from .gbasis import GroebnerBasis, buchberger_truncated, groebner
+from .gbasis import GroebnerBasis, groebner
 from .series import (
     RationalSeries,
     TruncatedSeries,

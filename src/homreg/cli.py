@@ -16,7 +16,6 @@ from .corealg import (
     CertificationError,
     PresentationError,
     ResourceLimitError,
-    make_module_presentation,
     parse_field,
     parse_module,
     parse_presentation,
@@ -164,7 +163,7 @@ def cmd_gb(args, emit):
 
 def cmd_hilbert(args, emit):
     art = _artifacts(args.file, args)
-    ts = art.hilbert_truncated(args.truncate)
+    ts = series_mod.hilbert_truncated(art.gb(), art.d_max if args.truncate is None else args.truncate)
     emit.record(
         "hilbert_truncated",
         {"label": art.label, "coefficients": list(ts.coefficients), "truncation": ts.truncation},
@@ -464,16 +463,6 @@ def _koszul(report):
     return False if report.koszul.status == "no" else _equals(report.torreg_k, 0)
 
 
-def _semisimple_module(pres, degrees):
-    """Direct sum of shifted trivial modules: k(-d_1) (+) ... (+) k(-d_r)."""
-    rows = []
-    for r in range(len(degrees)):
-        for g in range(pres.n_gens):
-            row = [pres.gen_poly(g) if s == r else None for s in range(len(degrees))]
-            rows.append(row)
-    return make_module_presentation(pres, "left", degrees, rows)
-
-
 def build_golden_cases(i_max=8, d_max=12, d_gb=12):
     """The golden inequality/equality checks run by `homreg harness`."""
     arts = golden_artifacts(i_max, d_max, d_gb)
@@ -482,7 +471,7 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
 
     # Torreg(M) <= CMreg(M) + Torreg(k) on a finite-dimensional module over T
     T = arts["T"]
-    M = _semisimple_module(T.presentation, (2, 0))
+    M = res_mod.trivial_module(T.presentation, (2, 0))
     RM = res_mod.minimal_resolution(
         T.gb(), M, i_max, d_max, algebra_hilbert=T.hilbert_or_none(), label="k(-2)+k over T"
     )

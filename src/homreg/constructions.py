@@ -9,8 +9,6 @@ presentation stays available for cross-checking on small windows.
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
 from .corealg import (
     PresentationError,
     Poly,
@@ -25,7 +23,7 @@ from .regularity import (
     ConcavityWitness,
 )
 from .resolution import BettiTable, FreeLayer, multiplication_images
-from .series import _pmul, series_product
+from .series import first_difference, series_product
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +70,7 @@ def convolve_betti(tA, tB, i_max, d_max):
     A terminated product keeps every entry, above d_max too: each is exact,
     and t_i reads the top one.
     """
-    total = (tA.termination_step if tA.terminated else tA.steps_computed) + (
-        tB.termination_step if tB.terminated else tB.steps_computed
-    )
+    total = tA.steps_computed + tB.steps_computed
     terminated = tA.terminated and tB.terminated and total <= i_max
     entries = {}
     for (p, j1), r1 in tA.entries.items():
@@ -170,17 +166,6 @@ def _solve_witness(layer, cols, rhs, j):
     return None if sol is None else layer.polys(j, sol)[0]
 
 
-def _first_mismatch(hB, hA, a):
-    """The lowest degree where H_B and (1 - t^a) H_A differ, or None when they are equal.
-
-    Both denominators have constant term 1, so it is the lowest nonzero
-    degree of the cross-multiplied difference of numerators.
-    """
-    lhs = _pmul(list(hB.numerator), list(hA.denominator))
-    rhs = _pmul(_pmul([1] + [0] * (a - 1) + [-1], list(hA.numerator)), list(hB.denominator))
-    return next((j for j, (x, y) in enumerate(zip_longest(lhs, rhs, fillvalue=0)) if x != y), None)
-
-
 def quotient_by_normal_element(artA, omega_text, label=""):
     """B = A/(Omega) with a normality/regularity certificate.
 
@@ -238,7 +223,7 @@ def quotient_by_normal_element(artA, omega_text, label=""):
     hA, hB = artA.hilbert_or_none(), artB.hilbert_or_none()
     decided = hA is not None and hB is not None
     if decided:
-        mismatch = _first_mismatch(hB, hA, a)
+        mismatch = first_difference([1], hB, [1] + [0] * (a - 1) + [-1], hA)
         regular_ok = mismatch is None
         checked_to = d_max if regular_ok else mismatch - 1
     else:
@@ -317,8 +302,8 @@ def finite_map_check(artT, images, artA):
     anything else as `inconclusive`.
     """
     A = artA.presentation
-    images = artT.presentation.map_images(A, images)
     G_A = artA.gb()
+    images = artT.presentation.map_images(G_A, images)
     d_max = artA.d_max
     left = _cokernel_dims(G_A, images, d_max, side_left=True)
     right = _cokernel_dims(G_A, images, d_max, side_left=False)

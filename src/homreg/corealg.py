@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 
 NEG_INF = float("-inf")
 
@@ -35,17 +36,16 @@ class ResourceLimitError(RuntimeError):
 class _RecordType(type):
     """Makes a record's annotated fields its `__slots__`; a value in the class body is a default."""
 
-    def __new__(mcs, name, bases, ns, frozen=True):
+    def __new__(mcs, name, bases, ns):
         fields = tuple(ns.get("__annotations__", ()))
         ns.update(__slots__=fields, _defaults={f: ns.pop(f) for f in fields if f in ns})
-        if not frozen:  # assignable and unhashable
-            ns.update(__setattr__=object.__setattr__, __delattr__=object.__delattr__, __hash__=None)
         return super().__new__(mcs, name, bases, ns)
 
 
 class Record(metaclass=_RecordType):
     """A frozen value record: fields by position or keyword, equal to one of its class with
-    equal fields.  Its methods are written out, not generated at import, which cost most of start-up."""
+    equal fields, hashable when its fields are (a dict or list field makes `hash` raise
+    TypeError).  Its methods are written out, not generated at import, which cost most of start-up."""
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
@@ -338,14 +338,16 @@ class AlgebraPresentation(Record):
         degs = self.gen_degs
         return (sum(degs[g] for g in word), word.translate(_COMPLEMENT))
 
-    def map_images(self, target, images):
-        """The images of this algebra's generators under a graded map to `target`, as Polys.
+    def map_images(self, G, images):
+        """The images of this algebra's generators under a graded map to G.presentation, as Polys.
 
-        The one check of a map: string images are parsed in `target`, and
+        The one check of a map: string images are parsed in the target, and
         PresentationError is raised unless both algebras share the base
-        field and there is one image per generator, nonzero and of the
-        generator's degree.
+        field, there is one image per generator, nonzero and of the
+        generator's degree, and each relation with the images substituted
+        reduces to zero modulo G.
         """
+        target = G.presentation
         if self.field != target.field:
             raise PresentationError(
                 "%s is over %s but %s is over %s; a map must keep the base field"
@@ -357,6 +359,13 @@ class AlgebraPresentation(Record):
         for name, d, p in zip(self.gen_names, self.gen_degs, images):
             if p.is_zero() or p.degree != d:
                 raise PresentationError("image of %s must be homogeneous of degree %d" % (name, d))
+        for r in self.relations:
+            terms = (reduce(Poly.__mul__, (images[g] for g in w)).scale(c) for w, c in r.terms.items())
+            if not G.normal_form(sum(terms, Poly.zero())).is_zero():
+                raise PresentationError(
+                    "the relation %s of %s does not map to zero in %s"
+                    % (self.format_poly(r), self.label, target.label)
+                )
         return images
 
     def parse_poly(self, text):

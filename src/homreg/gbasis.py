@@ -349,7 +349,7 @@ def _s_polynomial(f, h, left, right):
     return pending
 
 
-def buchberger_truncated(presentation, d_gb, element_limit=2000):
+def groebner(presentation, d_gb, element_limit=2000):
     """Reduced Groebner basis certified through internal degree `d_gb`.
 
     Deterministic for a fixed presentation and order: obstructions are
@@ -428,7 +428,3 @@ def buchberger_truncated(presentation, d_gb, element_limit=2000):
         reduced.append(Poly(terms, presentation.word_degree(lead), p))
     return GroebnerBasis(presentation, reduced, d_gb, complete)
 
-
-def groebner(presentation, d_gb, element_limit=2000):
-    """The one entry point to completion (perfbench/layertrace.py wraps it by name)."""
-    return buchberger_truncated(presentation, d_gb, element_limit=element_limit)

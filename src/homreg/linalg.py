@@ -31,7 +31,7 @@ from heapq import heapify, heappop, heappush
 from .corealg import Record, integral
 
 
-class RowReduction(Record, frozen=False):
+class RowReduction(Record):
     rank: int
     pivots: tuple
     rref: list

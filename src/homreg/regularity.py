@@ -177,9 +177,6 @@ class AlgebraArtifacts:
             )
         return h
 
-    def hilbert_truncated(self, upto=None):
-        return series_mod.hilbert_truncated(self.gb(), self.d_max if upto is None else upto)
-
     def resolution_k(self):
         if self._res_k is None:
             self._res_k = res_mod.minimal_resolution(
@@ -572,7 +569,7 @@ def ta_tc_pairs(report):
     return ta, tc
 
 
-class RegularityReport(Record, frozen=False):
+class RegularityReport(Record):
     label: str
     window: tuple  # (i_max, d_max, d_gb)
     torreg_k: BoundedValue
@@ -645,8 +642,7 @@ class RegularityReport(Record, frozen=False):
 def _growth_annotation(table):
     """Note when t_i - i is nondecreasing and increasing across the window."""
     ts = []
-    top = table.termination_step if table.terminated else table.steps_computed
-    for i in range(top + 1):
+    for i in range(table.steps_computed + 1):
         t = table.t(i)
         if t is NEG_INF:
             return None

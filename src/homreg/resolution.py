@@ -73,7 +73,7 @@ from .corealg import (
     Record,
     make_module_presentation,
 )
-from .series import RationalSeries, _pmul, _ptrim
+from .series import RationalSeries, first_difference
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ class MappedAlgebraView(_ModuleView):
 
     def __init__(self, G_T, images, G_A, d_max):
         T, A = G_T.presentation, G_A.presentation
-        images = T.map_images(A, images)
+        images = T.map_images(G_A, images)
         self.G = G_T
         self.G_A = G_A
         self.d_max = d_max
@@ -303,12 +303,13 @@ class MappedAlgebraView(_ModuleView):
 # resolution data
 
 
-class Resolution(Record, frozen=False):
+class Resolution(Record):
     """A truncated minimal free resolution ... F_1 -> F_0 of a left module.
 
     `maps[i]` is the differential F_{i+1} -> F_i as the image of each
     generator of F_{i+1}: one (degree, vector) pair per slot of
     `shifts[i + 1]`, the vector sparse on FreeLayer(G, shifts[i]).basis(degree).
+    Terminated, it ends at its last step: termination_step == steps_computed.
     """
 
     label: str
@@ -325,7 +326,7 @@ class Resolution(Record, frozen=False):
         return len(self.shifts) - 1
 
 
-class BettiTable(Record, frozen=False):
+class BettiTable(Record):
     """Ranks beta_{i,j} of a minimal resolution, truncated to (i_max, d_max)."""
 
     entries: dict
@@ -364,7 +365,7 @@ class BettiTable(Record, frozen=False):
         return "\n".join(lines)
 
 
-class ExtTable(Record, frozen=False):
+class ExtTable(Record):
     """Ranks of Ext^i(k, A) per internal degree on a certified window.
 
     `windows[i]` is the certified internal-degree interval (j_lo, j_hi)
@@ -553,19 +554,19 @@ def _certify_termination(G, shifts_all, d_max, algebra_hilbert, module_hilbert):
             return None
     # both sides start at min(0, lowest degree of M), the lowest shift of F_0
     balt = _alternating_sum(_betti_entries(shifts_all))
-    lhs = _pmul(_pmul(balt, list(algebra_hilbert.numerator)), list(module_hilbert.denominator))
-    rhs = _pmul(list(module_hilbert.numerator), list(algebra_hilbert.denominator))
-    return "euler-exact" if _ptrim(lhs) == _ptrim(rhs) else None
+    return "euler-exact" if first_difference(balt, algebra_hilbert, [1], module_hilbert) is None else None
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def trivial_module(A):
-    """The trivial module k = A/A_{>=1}: one generator, killed by every generator."""
-    rows = [(A.gen_poly(g),) for g in range(A.n_gens)]
-    return make_module_presentation(A, "left", (0,), rows)
+def trivial_module(A, shifts=(0,)):
+    """k(-s_1) (+) ... (+) k(-s_r) for k = A/A_{>=1}, and k itself by default: one
+    generator per shift, killed by every generator of A."""
+    n = len(shifts)
+    rows = [[A.gen_poly(g) if s == r else None for s in range(n)] for r in range(n) for g in range(A.n_gens)]
+    return make_module_presentation(A, "left", shifts, rows)
 
 
 def minimal_resolution(

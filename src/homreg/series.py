@@ -12,6 +12,7 @@ before anything is returned.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from .corealg import CertificationError, Record
 
@@ -252,6 +253,18 @@ def _berlekamp_massey(seq):
         else:
             shift += 1
     return _ptrim(c)
+
+
+def first_difference(p, h, q, g):
+    """The lowest degree where the power series p*h and q*g differ, or None when they agree.
+
+    p, q are coefficient lists and h, g rational series.  Both denominators
+    have constant term 1, so this is the lowest nonzero degree of the
+    cross-multiplied difference p*N_h*D_g - q*N_g*D_h.
+    """
+    lhs = _pmul(_pmul(p, list(h.numerator)), list(g.denominator))
+    rhs = _pmul(_pmul(q, list(g.numerator)), list(h.denominator))
+    return next((j for j, (x, y) in enumerate(zip_longest(lhs, rhs, fillvalue=0)) if x != y), None)
 
 
 def series_product(h1, h2):

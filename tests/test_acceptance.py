@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from homreg.corealg import parse_presentation
-from homreg.gbasis import buchberger_truncated
+from homreg.gbasis import groebner
 from homreg.regularity import (
     AlgebraArtifacts,
     concavity_certificate,
@@ -144,7 +144,7 @@ def test_criterion_5_stanley(golden):
     # the functional equation is 1-d (negative), the unique solution; it is
     # verified below against exact substitution at rational sample points
     for d in (2, 3, 4, 5):
-        G = buchberger_truncated(
+        G = groebner(
             parse_presentation("field Q; gens x:1; rels x^%d" % d), 12
         )
         h = hilbert_rational(G)
@@ -335,7 +335,7 @@ def test_criterion_9f_normal_form_and_dimension_oracle():
         if not rels:
             continue
         pres = make_presentation(field, gens, rels, label="rand%d" % trial)
-        G = buchberger_truncated(pres, 6, element_limit=400)
+        G = groebner(pres, 6, element_limit=400)
         for j in range(6):
             assert G.dim(j) == brute_algebra_dim(pres, j), (trial, j)
         all_words = free_words(degs, 4)

@@ -247,6 +247,16 @@ def test_hilbert_on_incomplete_basis_refuses_rational_form(files, capsys, fmt):
         assert "rational form refused: Groebner basis incomplete" in out
 
 
+def test_hilbert_truncate_keeps_the_first_coefficients_of_the_default_run(files, capsys):
+    # the default truncation is d_max, 12; --truncate 5 keeps its first six coefficients
+    _, out = run(["hilbert", files["t34"], "--no-cache", "--format", "jsonl"], capsys)
+    default = jsonl(out)[0]
+    _, out = run(["hilbert", files["t34"], "--truncate", "5", "--no-cache", "--format", "jsonl"], capsys)
+    truncated = jsonl(out)[0]
+    assert default["truncation"] == 12 and truncated["truncation"] == 5
+    assert truncated["coefficients"] == default["coefficients"][:6] == [1, 2, 4, 6, 9, 12]
+
+
 def test_field_override(files, capsys):
     code, out = run(
         ["gb", files["t34"], "--field", "F101", "--format", "jsonl", "--no-cache"],

@@ -10,7 +10,7 @@ from homreg.constructions import (
     tensor_presentation,
     tensor_product,
 )
-from homreg.resolution import betti_table, minimal_resolution, trivial_module
+from homreg.resolution import MappedAlgebraView, betti_table, minimal_resolution, trivial_module
 from homreg.series import series_product
 
 
@@ -171,6 +171,41 @@ def test_finite_map_refuses_a_change_of_base_field():
     for check in (finite_map_check, concavity_witness):
         with pytest.raises(PresentationError, match=r"k\[u\] is over Q but k\[x\] is over F7; a map must keep"):
             check(ku, ["x"], kx)
+
+
+def test_a_map_must_send_the_relations_to_zero():
+    # x -> x, y -> y is no map k[x, y] -> E = k<x, y>/(x^2, y^2), as xy - yx is not
+    # zero in E; its cokernels are k alone, so without the check it passed as finite
+    plane = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x*y - y*x", label="plane"), 4, 6, 6)
+    E = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x^2, y^2", label="E"), 4, 6, 6)
+    message = r"the relation x\*y - y\*x of plane does not map to zero in E"
+    for check in (finite_map_check, concavity_witness):
+        with pytest.raises(PresentationError, match=message):
+            check(plane, ["x", "y"], E)
+    with pytest.raises(PresentationError, match=message):
+        MappedAlgebraView(plane.gb(), ["x", "y"], E.gb(), 6)
+    # x, y -> x is a map, and not finite: E / xE is spanned by the words y, yx, yxy, ...
+    assert finite_map_check(plane, ["x", "x"], E).verdict == "not_finite_up_to_bound"
+
+
+def test_terminated_tables_end_at_their_termination_step(golden):
+    # minimal_resolution stops at step i - 1 after i - 1 steps, and a Kunneth
+    # convolution sets both to its step count
+    tables = {art.label: art.betti_k() for art in golden.values()}
+    terminated = [t for t in tables.values() if t.terminated]
+    tables.update(
+        ("%d(x)%d" % (a, b), convolve_betti(tA, tB, 8, 12))
+        for a, tA in enumerate(terminated)
+        for b, tB in enumerate(terminated)
+    )
+    for label, table in tables.items():
+        assert not table.terminated or table.termination_step == table.steps_computed, label
+    for art in golden.values():
+        if art.known_betti_k is None:
+            R = art.resolution_k()
+            assert not R.terminated or R.termination_step == R.steps_computed, art.label
+    assert {"A2xT", "A2xA2"} <= tables.keys() and len(terminated) >= 3
+    assert sum(t.terminated for t in tables.values()) > 2 * len(terminated)
 
 
 def test_quotient_chain_rees_propagation(golden):

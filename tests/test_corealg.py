@@ -17,6 +17,7 @@ from homreg.corealg import (
     parse_module,
     parse_presentation,
 )
+from homreg.gbasis import groebner
 from oracles import src_env, word_poly
 
 
@@ -143,7 +144,8 @@ def test_monomial_order_properties():
 def test_map_images_is_the_one_check_of_a_map():
     T = parse_presentation("field Q; gens u:1 v:2", label="T")
     A = parse_presentation("field Q; gens x:1", label="A")
-    assert T.map_images(A, ["x", A.parse_poly("x^2")]) == (A.parse_poly("x"), A.parse_poly("x^2"))
+    GA = groebner(A, 4)
+    assert T.map_images(GA, ["x", A.parse_poly("x^2")]) == (A.parse_poly("x"), A.parse_poly("x^2"))
     for images, message in (
         (["x"], "need one image per source generator"),
         (["x", "x^2", "x^3"], "need one image per source generator"),
@@ -151,10 +153,17 @@ def test_map_images_is_the_one_check_of_a_map():
         (["x", "x"], "image of v must be homogeneous of degree 2"),
     ):
         with pytest.raises(PresentationError, match=message):
-            T.map_images(A, images)
+            T.map_images(GA, images)
     A7 = parse_presentation("field F7; gens x:1", label="A7")
     with pytest.raises(PresentationError, match="T is over Q but A7 is over F7; a map must keep the base field"):
-        T.map_images(A7, ["x", "x^2"])
+        T.map_images(groebner(A7, 4), ["x", "x^2"])
+    # the relations must map to zero: in E = k<x, y>/(x^2, y^2), xy - yx is not zero
+    P = parse_presentation("field Q; gens u:1 v:1; rels u*v - v*u", label="P")
+    E = parse_presentation("field Q; gens x:1 y:1; rels x^2, y^2", label="E")
+    GE = groebner(E, 6)
+    with pytest.raises(PresentationError, match=r"the relation u\*v - v\*u of P does not map to zero in E"):
+        P.map_images(GE, ["x", "y"])
+    assert P.map_images(GE, ["x", "2*x"]) == (E.parse_poly("x"), E.parse_poly("2*x"))
 
 
 def test_order_precedence_controls_leading_word():

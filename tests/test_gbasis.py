@@ -19,7 +19,7 @@ from homreg.gbasis import (
     WordAutomaton,
     _IntegerBasis,
     _to_ints,
-    buchberger_truncated,
+    groebner,
 )
 from homreg.series import hilbert_truncated
 
@@ -48,7 +48,7 @@ def t34():
 
 
 def test_plane_basis_complete():
-    G = buchberger_truncated(plane(), 8)
+    G = groebner(plane(), 8)
     assert G.complete
     assert len(G.elements) == 1
     assert G.elements[0] == plane().parse_poly("x*y - y*x")
@@ -57,7 +57,7 @@ def test_plane_basis_complete():
 def test_t34_basis_complete_with_zero_overlap():
     # oracle: the single overlap word x^2y^2 must reduce to zero by degree 6
     pres = t34()
-    G = buchberger_truncated(pres, 8)
+    G = groebner(pres, 8)
     assert G.complete
     assert set(G.elements) == {
         pres.parse_poly("x^2*y - y*x^2"),
@@ -71,20 +71,20 @@ def test_t34_basis_complete_with_zero_overlap():
 
 def test_monomial_ideal_basis():
     pres = parse_presentation("field Q; gens x:1; rels x^3", label="A3")
-    G = buchberger_truncated(pres, 6)
+    G = groebner(pres, 6)
     assert G.complete
     assert [g.degree for g in G.elements] == [3]
 
 
 def test_truncation_below_relation_degree_rejected():
     with pytest.raises(PresentationError, match="below the maximal relation degree"):
-        buchberger_truncated(t34(), 2)
+        groebner(t34(), 2)
 
 
 def test_incomplete_flag_when_overlaps_exceed_window():
     # x^3 self-overlaps live in degrees 4 and 5; d_gb = 3 cannot certify them
     pres = parse_presentation("field Q; gens x:1; rels x^3")
-    G = buchberger_truncated(pres, 3)
+    G = groebner(pres, 3)
     assert not G.complete
     with pytest.raises(CertificationError):
         G.normal_words(4)
@@ -93,12 +93,12 @@ def test_incomplete_flag_when_overlaps_exceed_window():
 
 
 def test_normal_form_examples():
-    G = buchberger_truncated(plane(), 8)
+    G = groebner(plane(), 8)
     p = plane().parse_poly("x*y")
     assert G.normal_form(p) == plane().parse_poly("y*x")
     assert G.normal_form(plane().parse_poly("y*x")) == plane().parse_poly("y*x")
 
-    GT = buchberger_truncated(t34(), 8)
+    GT = groebner(t34(), 8)
     assert GT.normal_form(t34().parse_poly("x^2*y")) == t34().parse_poly("y*x^2")
 
 
@@ -116,7 +116,7 @@ def test_normal_form_linear_and_idempotent():
     # integer form), rescales, so the result is out / (S * den)
     rng = random.Random(3)
     for pres in (t34(), sklyanin_type()):
-        G = buchberger_truncated(pres, 8)
+        G = groebner(pres, 8)
         all4 = free_words(pres.gen_degs, 4)
         echelon = ideal_slice_echelon(pres, 4)
 
@@ -140,22 +140,22 @@ def test_normal_form_linear_and_idempotent():
 
 
 def test_normal_words_examples():
-    G = buchberger_truncated(plane(), 8)
+    G = groebner(plane(), 8)
     assert len(G.normal_words(2)) == 3  # dim k[x,y]_2
 
     presB = parse_presentation("field Q; gens x:1 y:1; rels x^2, x*y^2 - y^2*x", label="B")
-    GB = buchberger_truncated(presB, 8)
+    GB = groebner(presB, 8)
     assert len(GB.normal_words(3)) == 4  # dim B_3 = 4, h_B = 1/(1-t)^2
 
     presA3 = parse_presentation("field Q; gens x:1; rels x^3")
-    GA3 = buchberger_truncated(presA3, 8)
+    GA3 = groebner(presA3, 8)
     assert GA3.normal_words(3) == ()
 
 
 def test_determinism():
     pres = t34()
-    G1 = buchberger_truncated(pres, 10)
-    G2 = buchberger_truncated(pres, 10)
+    G1 = groebner(pres, 10)
+    G2 = groebner(pres, 10)
     assert G1.elements == G2.elements
     assert G1.complete == G2.complete
 
@@ -188,7 +188,7 @@ def test_dimension_consistency_against_brute_force():
     ]
     complete = []
     for pres in cases:
-        G = buchberger_truncated(pres, 6)
+        G = groebner(pres, 6)
         complete.append(G.complete)
         for j in range(6):
             assert G.dim(j) == brute_algebra_dim(pres, j), (pres.label, j)
@@ -230,7 +230,7 @@ def test_random_presentations_over_f101():
         pres = make_presentation(
             pres.field, [("g%d" % i, 1) for i in range(n_gens)], rels, label=pres.label
         )
-        G = buchberger_truncated(pres, 6, element_limit=300)
+        G = groebner(pres, 6, element_limit=300)
         for j in range(6):
             if not G.complete and j > G.d_gb:
                 break
@@ -265,7 +265,7 @@ def test_random_rational_completions_against_free_algebra_oracle():
     rng = random.Random(808)
     for trial in range(6):
         pres = random_rational_presentation(rng, "randQ%d" % trial)
-        G = buchberger_truncated(pres, 6, element_limit=300)
+        G = groebner(pres, 6, element_limit=300)
         leads = [g.lead_word() for g in G.elements]
         echelons = {}
         for g in G.elements:
@@ -287,7 +287,7 @@ def test_random_rational_completions_against_free_algebra_oracle():
 def test_sklyanin_type_completion_at_d_gb_10():
     # Fraction-free reduction scales pending rows by lead coefficients 2 and
     # 3 over and over; the basis must still be the reduced one
-    G = buchberger_truncated(sklyanin_type(), 10)
+    G = groebner(sklyanin_type(), 10)
     assert len(G.elements) == 33
     assert not G.complete
     for j in range(11):
@@ -327,7 +327,7 @@ def test_completion_skipping_overlaps_by_chain_criterion_is_the_reduced_basis(fi
         gens, d_gb = shapes[trial % len(shapes)]
         label = "%s-%d" % (field_name, trial)
         pres = random_weighted_presentation(rng, field, gens, label)
-        G = buchberger_truncated(pres, d_gb, element_limit=300)
+        G = groebner(pres, d_gb, element_limit=300)
         leads = [g.lead_word() for g in G.elements]
         echelons = {}
         for g in G.elements:
@@ -356,7 +356,7 @@ def test_chain_criterion_skips_sklyanin_type_overlaps(monkeypatch):
         return reduce_terms(self, *args)
 
     monkeypatch.setattr(_IntegerBasis, "_reduce_terms", counting)
-    G = buchberger_truncated(sklyanin_type(), 9)  # the presentation of perfbench's sklyanin_gb
+    G = groebner(sklyanin_type(), 9)  # the presentation of perfbench's sklyanin_gb
     assert len(G.elements) == 26
     assert len(calls) == 118
 
@@ -385,7 +385,7 @@ def test_sklyanin_type_completion_builds_the_basis_once(monkeypatch):
     monkeypatch.setattr(GroebnerBasis, "__init__", counting_init)
     monkeypatch.setattr(Poly, "__init__", counting_poly_init)
     monkeypatch.setattr(_IntegerBasis, "_reduce_terms", counting_reduce)
-    G = buchberger_truncated(pres, 9)
+    G = groebner(pres, 9)
     assert len(built) == 1
     assert len(reductions) == 118
     first_tail = len(reductions) - len(G.elements)
@@ -425,7 +425,7 @@ def test_automaton_table_matches_suffix_scan_on_random_lead_sets():
 @pytest.mark.parametrize("name", SAMPLES)
 def test_automaton_table_matches_suffix_scan_on_sample_bases(name):
     pres = parse_presentation(open(os.path.join(PRESENTATIONS, name + ".alg")).read(), label=name)
-    G = buchberger_truncated(pres, 8)
+    G = groebner(pres, 8)
     A = G.automaton
     assert (A.states, A.delta) == suffix_scan_automaton(A.leads, len(pres.gen_degs))
 
@@ -443,7 +443,7 @@ def test_lazy_rescaling_reduction_is_the_fraction_normal_form(field_name):
     for trial in range(12):
         gens = shapes[trial % len(shapes)]
         pres = random_weighted_presentation(rng, field, gens, "%s-%d" % (field_name, trial))
-        G = buchberger_truncated(pres, 6, element_limit=300)
+        G = groebner(pres, 6, element_limit=300)
         lead_coeffs.update(form[0] for form in G._forms)
         for j in range(2, 6):
             if not G.complete and j > G.d_gb:
@@ -485,7 +485,7 @@ def test_nf_word_returns_a_normal_word_without_reducing_it(monkeypatch):
 
     monkeypatch.setattr(_IntegerBasis, "_reduce_terms", counting)
     pres = sklyanin_type()
-    G = buchberger_truncated(pres, 6)
+    G = groebner(pres, 6)
     assert not G.complete
     normal = 0
     for w in free_words(pres.gen_degs, 4):

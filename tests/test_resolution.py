@@ -12,7 +12,7 @@ from homreg.corealg import (
 )
 from homreg.cli import GOLDEN_SOURCES
 from homreg.constructions import quotient_by_normal_element
-from homreg.gbasis import buchberger_truncated
+from homreg.gbasis import groebner
 from homreg.regularity import AlgebraArtifacts
 from homreg.series import RationalSeries, hilbert_rational, hilbert_truncated
 from homreg.resolution import (
@@ -49,7 +49,7 @@ from oracles import (
 
 def setup_algebra(src, d_gb=12):
     pres = parse_presentation(src)
-    G = buchberger_truncated(pres, d_gb)
+    G = groebner(pres, d_gb)
     h = hilbert_rational(G) if G.complete else None
     return pres, G, h
 
@@ -206,7 +206,7 @@ def test_resolution_of_k_keeps_kernel_vectors_sparse():
     import tracemalloc
 
     pres = parse_presentation("field Q; gens x:1 y:1; rels x*y^12")
-    G = buchberger_truncated(pres, 13)
+    G = groebner(pres, 13)
     tracemalloc.start()
     try:
         R = minimal_resolution(G, trivial_module(pres), 8, 10)
@@ -222,7 +222,7 @@ def test_termination_check_counts_normal_words_without_listing_them():
     # the free algebra on x, y, z listing the words through d_max + 1 alone
     # costs 3^(d_max + 1) cached words
     pres = parse_presentation("field Q; gens x:1 y:1 z:1")
-    G = buchberger_truncated(pres, 6)
+    G = groebner(pres, 6)
     minimal_resolution(G, trivial_module(pres), 2, 6)
     assert max(G._normal_words) <= 6
 
@@ -239,7 +239,7 @@ def test_left_right_symmetry():
         pres, G, h, R = resolve_k(src)
         B = betti_table(R)
         op = opposite_presentation(pres)
-        Gop = buchberger_truncated(op, 12)
+        Gop = groebner(op, 12)
         hop = hilbert_rational(Gop) if Gop.complete else None
         Rop = minimal_resolution(Gop, trivial_module(op), 8, 12, algebra_hilbert=hop)
         assert dict(betti_table(Rop).entries) == dict(B.entries)
@@ -287,7 +287,7 @@ def test_betti_numbers_are_order_independent():
     # any grading-compatible multiplicative order gives the same Betti table
     src = T34 + "; order y x"
     pres = parse_presentation(src)
-    G = buchberger_truncated(pres, 12)
+    G = groebner(pres, 12)
     h = hilbert_rational(G)
     R = minimal_resolution(G, trivial_module(pres), 8, 12, algebra_hilbert=h)
     _, _, _, R0 = resolve_k(T34)
@@ -298,7 +298,7 @@ def test_betti_numbers_are_order_independent():
 def test_betti_numbers_characteristic_independent_here():
     # the golden examples have characteristic-independent Betti numbers
     pres101 = parse_presentation(T34, field=parse_field("F101"))
-    G = buchberger_truncated(pres101, 12)
+    G = groebner(pres101, 12)
     R = minimal_resolution(G, trivial_module(pres101), 8, 12)
     _, _, _, R0 = resolve_k(T34)
     assert dict(betti_table(R).entries) == dict(betti_table(R0).entries)
@@ -316,7 +316,7 @@ def test_ext_matches_direct_normal_forms_on_golden(golden):
 
 def test_ext_matches_direct_normal_forms_over_f101():
     pres = parse_presentation(T34, field=parse_field("F101"))
-    G = buchberger_truncated(pres, 12)
+    G = groebner(pres, 12)
     R = minimal_resolution(G, trivial_module(pres), 8, 12, algebra_hilbert=hilbert_rational(G))
     E = ext_into_algebra(R, G)
     assert dict(E.entries) == ext_reference(R, G, E.windows) == {(3, -4): 1}
@@ -328,7 +328,7 @@ def test_ext_matches_direct_normal_forms_over_f101():
 def test_layer_action_is_multiplication_by_a_generator(src, field, right):
     # the Sklyanin-type basis at d_gb 6 is incomplete; all degrees stay inside it
     pres = parse_presentation(src, field=parse_field(field))
-    G = buchberger_truncated(pres, 6)
+    G = groebner(pres, 6)
     layer = FreeLayer(G, (0, -1, 2), right=right)
     rng = random.Random(20261018)
     for j in range(-1, 5):
@@ -378,7 +378,7 @@ def test_multiplication_images_match_direct_normal_forms(src, polys, field, left
     # two slots of different degrees; x^2*y is not normal on T or the Sklyanin-type
     # algebra, whose basis at d_gb 6 is incomplete (all degrees stay inside it)
     pres = parse_presentation(src, field=parse_field(field))
-    G = buchberger_truncated(pres, 6)
+    G = groebner(pres, 6)
     fs = [pres.parse_poly(p) for p in polys]
     layer, images = multiplication_images(G, fs, 6, left)
     seen = 0
@@ -513,16 +513,22 @@ def test_mapped_view_zero_band_is_as_wide_as_the_generators_of_A():
     # nothing about A, and A's series is not 1 + t
     presU, GU, hU = setup_algebra("field Q; gens u:1")
     presA = parse_presentation("field Q; gens x:1 z:5; rels x^2, x*z, z*x, z^2")
-    GA = buchberger_truncated(presA, 10)
+    GA = groebner(presA, 10)
     view = MappedAlgebraView(GU, [presA.parse_poly("x")], GA, 4)
     assert view.top == 1 and view.hilbert is None
     R = minimal_resolution(GU, view, 4, 4, algebra_hilbert=hU)
     assert R.certificate != "euler-exact"
 
 
+def test_trivial_module_builds_every_sum_of_shifted_copies_of_k():
+    presT = parse_presentation(T34)
+    assert trivial_module(presT) == trivial_module(presT, (0,)) == semisimple_module(presT, (0,))
+    assert trivial_module(presT, (2, 0)) == semisimple_module(presT, (2, 0))
+
+
 def test_semisimple_module_resolution():
     presT, GT, hT = setup_algebra(T34)
-    M = semisimple_module(presT, (2, 0))
+    M = trivial_module(presT, (2, 0))
     R = minimal_resolution(GT, M, 8, 12, algebra_hilbert=hT)
     B = betti_table(R)
     assert R.terminated and R.termination_step == 3
@@ -541,7 +547,7 @@ def test_ext_transposes_differentials_with_mixed_slot_degrees(field):
     # F_0 = A (+) A(-2) and F_1 has slots of degrees (1, 1, 3, 3), so each
     # entry of a differential lands in Hom(F_{i+1}, A) at its own slot degree
     pres = parse_presentation(T34, field=parse_field(field))
-    G = buchberger_truncated(pres, 12)
+    G = groebner(pres, 12)
     M = semisimple_module(pres, (2, 0))
     R = minimal_resolution(G, M, 8, 12, algebra_hilbert=hilbert_rational(G))
     assert R.shifts[:2] == ((0, 2), (1, 1, 3, 3))
@@ -680,7 +686,7 @@ def test_one_elimination_step_matches_two_passes_on_random_modules(field):
     rng = random.Random(20261018)
     for src in (T34, PLANE):
         pres = parse_presentation(src, field=parse_field(field))
-        G = buchberger_truncated(pres, 12)
+        G = groebner(pres, 12)
         done = 0
         while done < 5:
             m = random_fdim_module(pres, G, rng)
@@ -699,7 +705,7 @@ def test_step_rejects_kernel_vectors_changed_off_their_free_columns(field):
         "field Q; gens x:1 y:1 z:1; rels x*y - y*x, x*z - z*x, y*z - z*y", field=parse_field(field)
     )
     modulus = pres.field.modulus
-    G = buchberger_truncated(pres, 6)
+    G = groebner(pres, 6)
     d_max = 4
     target = PresentedModuleView(G, trivial_module(pres), d_max)
     K = target.units(d_max)
@@ -736,7 +742,7 @@ def test_chain_bounded_steps_match_steps_run_through_d_max(field, seed):
     done = bounded = 0
     while done < 10:
         pres = parse_presentation(random_algebra_source(rng, field))
-        G = buchberger_truncated(pres, 8)
+        G = groebner(pres, 8)
         if not G.complete:
             continue
         h = hilbert_rational(G)
@@ -822,7 +828,7 @@ def test_ext_matches_direct_normal_forms_on_random_algebras(monkeypatch, field, 
     several = prefix_read = 0
     for _ in range(40):
         pres = parse_presentation(random_algebra_source(rng, field))
-        G = buchberger_truncated(pres, 7)
+        G = groebner(pres, 7)
         h = hilbert_rational(G) if G.complete else None
         R = minimal_resolution(G, trivial_module(pres), 5, 7, algebra_hilbert=h)
         yielded.clear()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from homreg.corealg import CertificationError, parse_presentation
-from homreg.gbasis import buchberger_truncated
+from homreg.gbasis import groebner
 from homreg.series import (
     RationalSeries,
     hilbert_rational,
@@ -17,7 +17,7 @@ from oracles import eval_rational, expand_quotient, expand_series
 
 
 def gb_of(src, d_gb=12):
-    return buchberger_truncated(parse_presentation(src), d_gb)
+    return groebner(parse_presentation(src), d_gb)
 
 
 def test_truncated_coefficients():
