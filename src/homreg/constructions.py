@@ -85,7 +85,6 @@ def convolve_betti(tA, tB, i_max, d_max):
         i_max=i_max,
         d_max=d_max,
         terminated=terminated,
-        termination_step=steps if terminated else None,
     )
 
 

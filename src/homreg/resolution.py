@@ -35,8 +35,8 @@ Above B_i it does not read K_{i-1}, which the step before did not
 compute there: the kernel is the null space of the images in the
 target's own coordinates.  The check that the images lie in K_{i-1} is
 moot there, as they are A-multiples of images already checked at or
-below B_i.  A caller's `module_hilbert` never sets the bound, and
-without a complete basis or such a series every step runs to d_max.
+below B_i.  Without a complete basis or such a series every step runs
+to d_max.
 
 Coordinate vectors hold the same scalars as polynomials (see `corealg`);
 `FreeLayer.coords` and `FreeLayer.polys` read one as the other on a
@@ -49,14 +49,14 @@ declared with one of two certificates:
     and the window clears max-shift + D, so a nonzero kernel would show a
     socle element inside the window;
   * "euler-exact"   - the alternating sum of shift polynomials times the
-    exact rational Hilbert series of the algebra equals the module's.  For
-    a finite-dimensional M the basis must be complete and, with w the
-    widest generator and D the top leading-word degree, Anick's chains
-    (Trans. AMS 296, 1986) must put every computed step inside the window:
-    t_1(M) <= w + top(M), t_i(M) <= D + (i-2)(D-1) + top(M) for i >= 2.
-    Then the truncated complex is the true one and the identity forces the
-    last kernel to be zero.  For an infinite-dimensional M, whose series
-    only a caller passes, this is unproven: homology above d_max may cancel.
+    exact rational Hilbert series of the algebra equals the module's own
+    zero-band series, a polynomial, so M is finite dimensional.  The basis
+    must be complete and, with w the widest generator and D the top
+    leading-word degree, Anick's chains (Trans. AMS 296, 1986) must put
+    every computed step inside the window: t_1(M) <= w + top(M),
+    t_i(M) <= D + (i-2)(D-1) + top(M) for i >= 2.  Then the truncated
+    complex is the true one and the identity forces the last kernel to be
+    zero.
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ class Resolution(Record):
     `maps[i]` is the differential F_{i+1} -> F_i as the image of each
     generator of F_{i+1}: one (degree, vector) pair per slot of
     `shifts[i + 1]`, the vector sparse on FreeLayer(G, shifts[i]).basis(degree).
-    Terminated, it ends at its last step: termination_step == steps_computed.
+    It is terminated when it holds a certificate, and then ends at its last step.
     """
 
     label: str
@@ -317,13 +317,19 @@ class Resolution(Record):
     maps: tuple  # maps[i]: F_{i+1} -> F_i, i = 0..len-1
     i_max: int
     d_max: int
-    terminated: bool
-    termination_step: object
     certificate: object
 
     @property
     def steps_computed(self):
         return len(self.shifts) - 1
+
+    @property
+    def terminated(self):
+        return self.certificate is not None
+
+    @property
+    def termination_step(self):
+        return self.steps_computed if self.terminated else None
 
 
 class BettiTable(Record):
@@ -334,7 +340,10 @@ class BettiTable(Record):
     i_max: int
     d_max: int
     terminated: bool
-    termination_step: object
+
+    @property
+    def termination_step(self):
+        return self.steps_computed if self.terminated else None
 
     def betti(self, i, j):
         return self.entries.get((i, j), 0)
@@ -540,21 +549,20 @@ def _chain_bound(G, i):
     return lead + (i - 2) * (lead - 1)
 
 
-def _certify_termination(G, shifts_all, d_max, algebra_hilbert, module_hilbert):
+def _certify_termination(G, view, shifts_all, d_max, algebra_hilbert):
     width = G.presentation.max_gen_degree()
     top = _algebra_socle_degree(G, d_max + width)
     if top is not None and max(shifts_all[-1]) + top <= d_max:
         return "socle-window"
-    if algebra_hilbert is None or module_hilbert is None:
+    h = view.hilbert
+    if algebra_hilbert is None or h is None or not G.complete:
         return None
-    if module_hilbert.is_polynomial():
-        # every computed step must be complete: Anick's bounds on t_i(k), plus top(M)
-        anick = max(_chain_bound(G, i) for i in range(len(shifts_all)))
-        if not G.complete or anick + module_hilbert.degree > d_max:
-            return None
+    # every computed step must be complete: Anick's bounds on t_i(k), plus top(M)
+    if max(_chain_bound(G, i) for i in range(len(shifts_all))) + h.degree > d_max:
+        return None
     # both sides start at min(0, lowest degree of M), the lowest shift of F_0
     balt = _alternating_sum(_betti_entries(shifts_all))
-    return "euler-exact" if first_difference(balt, algebra_hilbert, [1], module_hilbert) is None else None
+    return "euler-exact" if first_difference(balt, algebra_hilbert, [1], h) is None else None
 
 
 # ---------------------------------------------------------------------------
@@ -569,26 +577,22 @@ def trivial_module(A, shifts=(0,)):
     return make_module_presentation(A, "left", shifts, rows)
 
 
-def minimal_resolution(
-    G, module, i_max, d_max, algebra_hilbert=None, module_hilbert=None, label=""
-):
+def minimal_resolution(G, module, i_max, d_max, algebra_hilbert=None, label=""):
     """Minimal free resolution of a left module, truncated to (i_max, d_max).
 
     `module` is a presented left module or a module view over G built
-    through d_max, such as `MappedAlgebraView`.  Without `module_hilbert`
-    the view's zero-band series, if any, is the termination evidence.
+    through d_max, such as `MappedAlgebraView`.  The view's zero-band
+    series, if any, is the module's only termination evidence.
 
-    When G is complete and that view series is a polynomial of top degree
-    tau, step i stops at min(d_max, max(B_i, B_{i+1})), B_i =
-    `_chain_bound(G, i)` + tau (see the module docstring).  The result is
+    When G is complete and that series has top degree tau, step i stops
+    at min(d_max, max(B_i, B_{i+1})), B_i = `_chain_bound(G, i)` + tau
+    (see the module docstring).  The result is
     the same: K_i's lowest nonzero degree is a generator degree of step
     i + 1, so K_i vanishes through B_{i+1} only when it vanishes.
     """
     view = PresentedModuleView(G, module, d_max) if isinstance(module, ModulePresentation) else module
-    if module_hilbert is None:
-        module_hilbert = view.hilbert
     h = view.hilbert
-    bounded = G.complete and h is not None and h.is_polynomial() and h.degree != NEG_INF
+    bounded = G.complete and h is not None and h.degree != NEG_INF
 
     def gen_top(i):
         """A degree that no generator of step i lies above."""
@@ -609,17 +613,12 @@ def minimal_resolution(
     shifts_all = [layer.shifts]
     maps = []
 
-    terminated = False
-    termination_step = None
     certificate = None
     for i in range(1, i_max + 2):
         # at the lowest degree where K is nonzero every kernel vector is a
         # new generator, so a step has generators exactly when K is nonzero
         if not any(K.values()):
-            certificate = _certify_termination(G, shifts_all, d_max, algebra_hilbert, module_hilbert)
-            if certificate is not None:
-                terminated = True
-                termination_step = i - 1
+            certificate = _certify_termination(G, view, shifts_all, d_max, algebra_hilbert)
             break
         if i == i_max + 1:
             break
@@ -640,8 +639,6 @@ def minimal_resolution(
         maps=tuple(maps),
         i_max=i_max,
         d_max=d_max,
-        terminated=terminated,
-        termination_step=termination_step,
         certificate=certificate,
     )
 
@@ -654,7 +651,6 @@ def betti_table(R):
         i_max=R.i_max,
         d_max=R.d_max,
         terminated=R.terminated,
-        termination_step=R.termination_step,
     )
 
 

@@ -476,7 +476,7 @@ def unbounded_resolution(G, mpres, i_max, d_max, algebra_hilbert=None):
     shifts, maps = [layer.shifts], []
     for i in range(1, i_max + 2):
         if not any(K.values()):
-            cert = _certify_termination(G, shifts, d_max, algebra_hilbert, view.hilbert)
+            cert = _certify_termination(G, view, shifts, d_max, algebra_hilbert)
             return tuple(shifts), tuple(maps), cert is not None, i - 1 if cert else None, cert
         if i == i_max + 1:
             break

@@ -644,6 +644,39 @@ def test_harness_output_is_the_benchmark_golden(capsys):
         assert out == fh.read()
 
 
+def test_quotient_module_torreg_fails_when_the_window_table_is_not_the_theorems(golden, monkeypatch):
+    # T/(x^2) has H_B = (1 - t^2) H_T, so the value is 1 by 0 -> T(-2) -> T -> B -> 0,
+    # and an engine table with one more entry contradicts that resolution
+    from homreg import regularity, resolution
+
+    case = cli._quotient_module_torreg(golden["T"], golden["B"], 2)
+    assert case.lhs == regularity.BoundedValue.exact(1, case.lhs.note)
+    assert [r.status for r in regularity.inequality_harness([case])] == ["pass"]
+    betti_table = resolution.betti_table
+
+    def one_more_entry(R):
+        t = betti_table(R)
+        return resolution.BettiTable({**t.entries, (2, 3): 1}, 2, t.i_max, t.d_max, t.terminated)
+
+    monkeypatch.setattr(resolution, "betti_table", one_more_entry)
+    case = cli._quotient_module_torreg(golden["T"], golden["B"], 2)
+    assert case.name == "torreg(B as T-module) == deg(Omega) - 1"
+    assert [r.status for r in regularity.inequality_harness([case])] == ["fail"]
+
+
+def test_quotient_module_torreg_by_a_normal_zero_divisor_is_not_exact(golden):
+    # x^2 is normal in k[x]/(x^3) but kills x: no short resolution, and
+    # k[x]/(x^2) has infinite projective dimension over k[x]/(x^3)
+    from homreg import regularity
+    from homreg.constructions import quotient_by_normal_element
+
+    B, cert = quotient_by_normal_element(golden["A3"], "x^2")
+    assert not cert.regular_ok
+    case = cli._quotient_module_torreg(golden["A3"], B, 2)
+    assert case.kind == "eq" and not case.lhs.is_exact
+    assert [r.status for r in regularity.inequality_harness([case])] == ["skip"]
+
+
 @pytest.mark.parametrize(
     "window, undecided",
     [

@@ -188,26 +188,6 @@ def test_a_map_must_send_the_relations_to_zero():
     assert finite_map_check(plane, ["x", "x"], E).verdict == "not_finite_up_to_bound"
 
 
-def test_terminated_tables_end_at_their_termination_step(golden):
-    # minimal_resolution stops at step i - 1 after i - 1 steps, and a Kunneth
-    # convolution sets both to its step count
-    tables = {art.label: art.betti_k() for art in golden.values()}
-    terminated = [t for t in tables.values() if t.terminated]
-    tables.update(
-        ("%d(x)%d" % (a, b), convolve_betti(tA, tB, 8, 12))
-        for a, tA in enumerate(terminated)
-        for b, tB in enumerate(terminated)
-    )
-    for label, table in tables.items():
-        assert not table.terminated or table.termination_step == table.steps_computed, label
-    for art in golden.values():
-        if art.known_betti_k is None:
-            R = art.resolution_k()
-            assert not R.terminated or R.termination_step == R.steps_computed, art.label
-    assert {"A2xT", "A2xA2"} <= tables.keys() and len(terminated) >= 3
-    assert sum(t.terminated for t in tables.values()) > 2 * len(terminated)
-
-
 def test_quotient_chain_rees_propagation(golden):
     # B is AS Gorenstein of type (2, 2) by the quotient bookkeeping
     assert golden["B"].as_gorenstein_hint[0] == (2, 2)

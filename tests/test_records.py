@@ -18,11 +18,8 @@ RECORDS = [
     (series.TruncatedSeries, ("coefficients", "truncation"), {}),
     (series.RationalSeries, ("numerator", "denominator", "denom_exponents", "degree"), {}),
     (series.StanleyVerdict, ("satisfied", "sign", "shift"), {"sign": None, "shift": None}),
-    (resolution.Resolution,
-     ("label", "shifts", "maps", "i_max", "d_max", "terminated", "termination_step", "certificate"),
-     {}),
-    (resolution.BettiTable,
-     ("entries", "steps_computed", "i_max", "d_max", "terminated", "termination_step"), {}),
+    (resolution.Resolution, ("label", "shifts", "maps", "i_max", "d_max", "certificate"), {}),
+    (resolution.BettiTable, ("entries", "steps_computed", "i_max", "d_max", "terminated"), {}),
     (resolution.ExtTable, ("entries", "windows"), {}),
     (regularity.BoundedValue, ("kind", "value", "note"), {"note": ""}),
     (regularity.KoszulVerdict, ("status", "caveat", "witness"), {"caveat": "", "witness": None}),
@@ -142,3 +139,15 @@ def test_a_record_holding_a_dict_or_list_is_unhashable(cls, fields, defaults):
             hash(rec)
         with pytest.raises(AttributeError):
             setattr(rec, fields[0], "new")
+
+
+def test_termination_is_read_off_the_certificate():
+    shifts = ((0,), (1,), (2,))
+    R = resolution.Resolution("k", shifts, ((), ()), 8, 12, None)
+    assert R.terminated is False and R.termination_step is None
+    R = resolution.Resolution("k", shifts, ((), ()), 8, 12, "euler-exact")
+    assert R.terminated is True and R.termination_step == R.steps_computed == 2
+    table = resolution.betti_table(R)
+    assert table.terminated and table.termination_step == table.steps_computed == 2
+    table = resolution.BettiTable({(0, 0): 1}, 3, 8, 12, False)
+    assert table.termination_step is None

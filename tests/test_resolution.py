@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -13,8 +14,8 @@ from homreg.corealg import (
 from homreg.cli import GOLDEN_SOURCES
 from homreg.constructions import quotient_by_normal_element
 from homreg.gbasis import groebner
-from homreg.regularity import AlgebraArtifacts
-from homreg.series import RationalSeries, hilbert_rational, hilbert_truncated
+from homreg.regularity import AlgebraArtifacts, tor_regularity
+from homreg.series import hilbert_rational, hilbert_truncated
 from homreg.resolution import (
     FreeLayer,
     MappedAlgebraView,
@@ -411,10 +412,11 @@ def test_module_via_map_quotient():
     m = module_via_map(GT, images, GB, 10)
     assert m.gen_degs == (0,)  # cyclic: B = T/(x^2)
     assert len(m.rows) == 1 and m.row_degrees == (2,)
-    R = minimal_resolution(GT, m, 6, 10, algebra_hilbert=hT, module_hilbert=hB)
-    B = betti_table(R)
-    assert dict(B.entries) == {(0, 0): 1, (1, 2): 1}
-    assert R.terminated  # T(-2) -> T -> B is the whole resolution
+    R = minimal_resolution(GT, m, 6, 10, algebra_hilbert=hT)
+    # T(-2) -> T -> B is the whole resolution, but B is infinite dimensional:
+    # its own series certifies nothing, so the window shows it unterminated
+    assert R.shifts == ((0,), (2,))
+    assert not R.terminated
 
 
 def test_module_via_map_free_extension():
@@ -423,8 +425,9 @@ def test_module_via_map_free_extension():
     m = module_via_map(GU, [presX.parse_poly("x^2")], GX, 10)
     assert m.gen_degs == (0, 1)  # k[x] = k[u] + k[u]x
     assert m.rows == ()
-    R = minimal_resolution(GU, m, 4, 10, algebra_hilbert=hU, module_hilbert=hX)
-    assert R.terminated and R.termination_step == 0
+    R = minimal_resolution(GU, m, 4, 10, algebra_hilbert=hU)
+    assert R.shifts == ((0, 1),)  # free, but k[x] is infinite dimensional
+    assert not R.terminated
 
 
 def test_module_via_map_infinite_generation():
@@ -488,20 +491,19 @@ def mapped_pairs(field, seed):
 @pytest.mark.parametrize("field, seed", [("Q", 2501), ("F101", 2502)])
 def test_mapped_view_resolves_as_its_presentation(field, seed):
     # resolving A as a T-module directly must agree with resolving module_via_map's
-    # presentation: same shifts and the same termination, with and without A's series
+    # presentation: same shifts and the same termination
     def outcome(R):
         return R.shifts, R.terminated, R.termination_step, R.certificate
 
     evidence = 0
     for T, images, A in mapped_pairs(field, seed):
         G_T, G_A = T.gb(), A.gb()
-        for h_A in (A.hilbert_or_none(), None):
-            direct, trip = (
-                minimal_resolution(G_T, m, 6, 10, algebra_hilbert=T.hilbert_or_none(), module_hilbert=h_A)
-                for m in (MappedAlgebraView(G_T, images, G_A, 10), module_via_map(G_T, images, G_A, 10))
-            )
-            assert outcome(direct) == outcome(trip), (T.label, A.presentation.to_text(), h_A)
-            evidence += h_A is None and direct.certificate == "euler-exact"
+        direct, trip = (
+            minimal_resolution(G_T, m, 6, 10, algebra_hilbert=T.hilbert_or_none())
+            for m in (MappedAlgebraView(G_T, images, G_A, 10), module_via_map(G_T, images, G_A, 10))
+        )
+        assert outcome(direct) == outcome(trip), (T.label, A.presentation.to_text())
+        evidence += direct.certificate == "euler-exact"
     # the view's own zero-band series certifies the finite-dimensional cases
     assert evidence >= 1
 
@@ -772,20 +774,27 @@ def test_step_reaches_its_own_generators_when_the_next_chain_bound_is_lower():
     R = minimal_resolution(G, trivial_module(pres), 4, 8, algebra_hilbert=h)
     assert R.shifts[1] == (1, 3)
     assert _outcome(R) == unbounded_resolution(G, trivial_module(pres), 4, 8, h)
-
-
-def test_chain_bound_reads_the_views_series_not_the_callers():
-    # k(-2) (+) k has top degree 2; a wrong series of degree 0 passed as
-    # module_hilbert must not lower the degrees each step computes
+    # k(-2) (+) k over T34 has top degree 2, which lifts every step's bound by 2
     presT, GT, hT = setup_algebra(T34)
     M = semisimple_module(presT, (2, 0))
-    wrong = RationalSeries((1,), (1,), (), 0)
-    plain, misled = (
-        minimal_resolution(GT, M, 8, 12, algebra_hilbert=hT, module_hilbert=mh) for mh in (None, wrong)
-    )
-    assert plain.shifts == misled.shifts and plain.maps == misled.maps
-    assert _outcome(plain) == unbounded_resolution(GT, M, 8, 12, hT)
-    assert plain.shifts[3] == (4, 6)
+    R = minimal_resolution(GT, M, 8, 12, algebra_hilbert=hT)
+    assert _outcome(R) == unbounded_resolution(GT, M, 8, 12, hT)
+    assert R.shifts[3] == (4, 6)
+
+
+def test_a_module_series_comes_only_from_the_module_itself():
+    # M = T/(u^5) (+) T(-5) over T = k[u] has the series of T: its degree-5
+    # generator and relation cancel there, so at d_max 4 the window's ((0,),)
+    # satisfies the Euler identity with H_M, though Torreg(M) = 5.  Only the
+    # module's own series may certify, and M, infinite dimensional, has none
+    params = inspect.signature(minimal_resolution).parameters
+    assert list(params) == ["G", "module", "i_max", "d_max", "algebra_hilbert", "label"]
+    presT, GT, hT = setup_algebra("field Q; gens u:1")
+    M = make_module_presentation(presT, "left", (0, 5), [(presT.parse_poly("u^5"), None)])
+    R = minimal_resolution(GT, M, 4, 4, algebra_hilbert=hT)
+    assert not R.terminated and not tor_regularity(betti_table(R)).is_exact
+    R = minimal_resolution(GT, M, 4, 8, algebra_hilbert=hT)
+    assert R.shifts == ((0, 5), (5,))  # Torreg(M) = 5
 
 
 def test_ext_evaluates_only_the_columns_outside_the_previous_image(monkeypatch):
