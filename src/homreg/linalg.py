@@ -153,6 +153,18 @@ class Echelon:
         return True
 
 
+def rank_and_pivots(vectors, field):
+    """Rank of the list `vectors` and the (unique) pivots of their span; an
+    `Echelon` eliminates only when two least nonzero keys coincide."""
+    nonzero = [vec if all(vec.values()) else {k: c for k, c in vec.items() if c} for vec in vectors]
+    nonzero = [vec for vec in nonzero if vec]
+    leads = set(map(min, nonzero))
+    if len(leads) == len(nonzero):
+        return len(leads), leads
+    ech = Echelon(field, nonzero)
+    return ech.rank, ech.rows.keys()
+
+
 def reduced(vec, modulus):
     """`vec` with its values reduced mod p and zeros dropped over F_p; as is over Q."""
     if modulus:

@@ -328,14 +328,17 @@ def as_regular_verdict(art):
       * so the right resolution also terminates at d, Betti table mirrored;
       * by P** = P, Ext^i(k_A, A) = H_{d-i}(P): k at i = d, 0 elsewhere.
     The "yes" is exactly as strong as the left termination certificate.
-    No: either the top fails concentration in a certified range, or the
-    numerical AS regularity is certified >= 1.  Everything else: unknown
-    to the bound.
+    Tor(k, k) is the same from either side, so the table is its mirror:
+    one generator at step d, in degree l, and beta_{i,j} = beta_{d-i,l-j}.
+    No: a terminated table breaks that (no Ext is read), the top fails
+    concentration in a certified range, or ASreg >= 1.  Else: unknown.
     """
     if art.known_betti_k is None:
         res = art.resolution_k()
         if res.terminated:
             d = res.termination_step
+            if asymmetry := _betti_asymmetry(art.betti_k().entries, d):
+                return ASRegularVerdict("no", reason=asymmetry)
             ext = art.ext_k()
             off = sorted(i for (i, _) in ext.entries if i != d)
             if off:
@@ -356,6 +359,18 @@ def as_regular_verdict(art):
         if low >= 1:
             return ASRegularVerdict("no", reason="numerical AS regularity >= %d > 0" % low)
     return ASRegularVerdict("unknown", reason="window too small")
+
+
+def _betti_asymmetry(entries, d):
+    """The first entry of a table ending at step d that breaks the AS symmetry, as text, else None."""
+    (l, r), *rest = sorted((j, r) for (i, j), r in entries.items() if i == d)
+    if r != 1 or rest:
+        return "β_{%d,%d} = %d at the top step d = %d" % (d, l, r, d)
+    for (i, j), r in sorted(entries.items()):
+        mirror = entries.get((d - i, l - j), 0)
+        if r != mirror:
+            return "β_{%d,%d} = %d but β_{%d,%d} = %d" % (i, j, r, d - i, l - j, mirror)
+    return None
 
 
 # ---------------------------------------------------------------------------

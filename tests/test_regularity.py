@@ -17,6 +17,9 @@ from homreg.regularity import (
     tor_regularity,
 )
 from homreg.constructions import concavity_witness
+from homreg.resolution import ext_into_algebra
+
+from oracles import random_algebra_source
 
 
 def test_bounded_value_arithmetic():
@@ -157,6 +160,48 @@ def test_hilbert_criterion(golden):
     assert any("does NOT satisfy" in n for n in r.witness_notes)
     assert any("conditional" in n for n in r.witness_notes)
     assert any("user assertion" in a for a in r.assertions)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_free_algebra_is_refuted_by_its_top_step_without_ext(n):
+    art = AlgebraArtifacts(parse_presentation("field Q; gens " + " ".join("%s:1" % g for g in "xyzw"[:n])))
+    assert art.as_regular_verdict().text() == "no (β_{1,1} = %d at the top step d = 1)" % n
+    assert art._ext_k is None
+
+
+def test_an_asymmetric_table_with_a_one_dimensional_top_is_refuted_without_ext():
+    # x*y^12 ends in one generator, beta_{2,13} = 1, so only the entry comparison sees it
+    art = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x*y^12"), 8, 14, 14)
+    table = art.betti_k()
+    assert table.terminated and table.entries == {(0, 0): 1, (1, 1): 2, (2, 13): 1}
+    assert art.as_regular_verdict().text() == "no (β_{1,1} = 2 but β_{1,12} = 0)"
+    assert art._ext_k is None
+
+
+def ext_verdict(art):
+    """"yes" when Ext^i(k, A) on its windows is one k at the top step d and zero elsewhere, else "no"."""
+    R = art.resolution_k()
+    E = ext_into_algebra(R, art.gb())
+    top = [r for (i, _), r in E.entries.items() if i == R.termination_step]
+    return "yes" if top == [1] and len(E.entries) == 1 else "no"
+
+
+def test_betti_symmetry_agrees_with_the_ext_verdict(golden):
+    # a refutation by the table must be a "no" of Ext, and every "yes" of
+    # Ext must pass the table, so the verdict is Ext's wherever k terminates
+    arts = [art for art in golden.values() if art.known_betti_k is None]
+    for field, seed in (("Q", 7), ("F101", 8)):
+        rng = random.Random(seed)
+        for _ in range(40):
+            arts.append(AlgebraArtifacts(parse_presentation(random_algebra_source(rng, field)), 5, 7, 7))
+    refuted = agreed = 0
+    for art in arts:
+        if art.resolution_k().terminated:
+            verdict = art.as_regular_verdict()
+            assert verdict.status == ext_verdict(art), art.presentation.to_text()
+            refuted += verdict.reason.startswith("β")
+            agreed += verdict.status == "yes"
+    assert refuted >= 10 and agreed >= 5
 
 
 def test_ta_tc_validation(golden):

@@ -14,6 +14,7 @@ from homreg.corealg import (
 from homreg.cli import GOLDEN_SOURCES
 from homreg.constructions import quotient_by_normal_element
 from homreg.gbasis import groebner
+from homreg import resolution
 from homreg.regularity import AlgebraArtifacts, tor_regularity
 from homreg.series import hilbert_rational, hilbert_truncated
 from homreg.resolution import (
@@ -284,6 +285,46 @@ def test_ext_tables():
     assert all(i == 0 for (i, _) in E3.entries)
 
 
+def test_first_map_shortcut_needs_f0_equal_to_a_and_a_letter_that_starts_no_leading_word(golden):
+    # x starts the leading word x^3, and d^0 kills the socle x^2 of k[x]/(x^3)
+    pres, G, h = setup_algebra("field Q; gens x:1; rels x^3")
+    R = minimal_resolution(G, trivial_module(pres), 6, 10, algebra_hilbert=h)
+    E = ext_into_algebra(R, G)
+    assert dict(E.entries) == ext_reference(R, G, E.windows)
+    assert E.entries[(0, 2)] == 1
+    assert resolution._free_letter(R, G) is None
+    # every letter of stanley_violator starts a leading word
+    art = golden["stanley_violator"]
+    assert resolution._free_letter(art.resolution_k(), art.gb()) is None
+    # F_0 = A (+) A(-2) for k (+) k(-2), though y starts no leading word of T
+    pres, G, h = setup_algebra(T34)
+    R = minimal_resolution(G, semisimple_module(pres, (2, 0)), 8, 12, algebra_hilbert=h)
+    assert resolution._free_letter(R, G) is None
+    _, G, _, R = resolve_k(T34)
+    assert resolution._free_letter(R, G) == (0, b"\x01")  # the syzygy y
+
+
+def test_last_map_shortcut_needs_the_top_syzygy_to_generate_the_augmentation_ideal():
+    # k<x, y>/(yx) terminates at 2 with one top syzygy y*e_x, whose right ideal yA misses x
+    src = "field Q; gens x:1 y:1; rels y*x"
+    pres, G, h, R = resolve_k(src)
+    assert R.terminated and R.shifts == ((0,), (1, 1), (2,))
+    E = ext_into_algebra(R, G)
+    assert dict(E.entries) == ext_reference(R, G, E.windows)
+    assert resolution._augmentation_top(R, G) is None
+    verdict = AlgebraArtifacts(pres).as_regular_verdict()
+    assert verdict.text() == "no (Ext^1(k, A) is nonzero away from the top step 2)"
+    # the free algebra on x, y, z ends in three top generators
+    _, G, _, R = resolve_k("field Q; gens x:1 y:1 z:1", d_max=6)
+    assert R.terminated and R.shifts == ((0,), (1, 1, 1))
+    assert resolution._augmentation_top(R, G) is None
+    # on the AS regular plane, T and k[x, y, z, w] it fires, and Ext^d = k(l)
+    for src, top in ((PLANE, (2, -2)), (T34, (3, -4)), (POLY4, (4, -4))):
+        _, G, _, R = resolve_k(src, d_max=6)
+        assert resolution._augmentation_top(R, G) == -top[1]
+        assert dict(ext_into_algebra(R, G).entries) == {top: 1}
+
+
 def test_betti_numbers_are_order_independent():
     # any grading-compatible multiplicative order gives the same Betti table
     src = T34 + "; order y x"
@@ -305,14 +346,62 @@ def test_betti_numbers_characteristic_independent_here():
     assert dict(betti_table(R).entries) == dict(betti_table(R0).entries)
 
 
-def test_ext_matches_direct_normal_forms_on_golden(golden):
+def record_shortcuts(monkeypatch):
+    """Count where Ext's three shortcuts fire and where they decline.
+
+    Returns {"a": [fired, declined], "b": ..., "c": ...}.  (b) declines
+    only where it applies, on a terminated R with one top generator; (c)
+    declines when `linalg.rank_and_pivots` falls back to an `Echelon`.
+    """
+    from homreg import linalg, resolution
+
+    seen = {"a": [0, 0], "b": [0, 0], "c": [0, 0]}
+    free_letter = resolution._free_letter
+    onto = resolution._augmentation_top
+    rank_and_pivots = linalg.rank_and_pivots
+    built = []
+
+    class CountingEchelon(linalg.Echelon):
+        def __init__(self, field, vectors=()):
+            built.append(self)
+            super().__init__(field, vectors)
+
+    def first(R, G):
+        out = free_letter(R, G)
+        seen["a"][out is None] += 1
+        return out
+
+    def last(R, G):
+        out = onto(R, G)
+        if R.terminated and len(R.shifts[-1]) == 1:
+            seen["b"][out is None] += 1
+        return out
+
+    def middle(vectors, field):
+        n = len(built)
+        out = rank_and_pivots(vectors, field)
+        seen["c"][len(built) > n] += 1
+        return out
+
+    monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
+    monkeypatch.setattr(linalg, "rank_and_pivots", middle)
+    monkeypatch.setattr(resolution, "_free_letter", first)
+    monkeypatch.setattr(resolution, "_augmentation_top", last)
+    return seen
+
+
+def test_ext_matches_direct_normal_forms_on_golden(golden, monkeypatch):
     # A3 and stanley_violator have resolutions of k that do not terminate
     assert not golden["A3"].resolution_k().terminated
     assert not golden["stanley_violator"].resolution_k().terminated
+    seen = record_shortcuts(monkeypatch)
     for label, art in golden.items():
         R, G = art.resolution_k(), art.gb()
         E = ext_into_algebra(R, G)
         assert dict(E.entries) == ext_reference(R, G, E.windows), label
+    # every golden algebra with a terminated resolution of one top generator
+    # is AS regular, so (b) declines only on the random algebras below
+    assert all(seen["a"]) and seen["b"][0] and all(seen["c"])
 
 
 def test_ext_matches_direct_normal_forms_over_f101():
@@ -625,7 +714,7 @@ def test_unit_coefficients_keep_q_vectors_plain_ints(monkeypatch):
     # k[x,y,z] has only coefficients +-1, so over Q its resolution and Ext
     # never meet a non-integral value: every stored value is a plain int,
     # and the elimination runs without Fraction arithmetic
-    from homreg import linalg
+    from homreg import linalg, resolution
 
     echelons = []
 
@@ -639,11 +728,23 @@ def test_unit_coefficients_keep_q_vectors_plain_ints(monkeypatch):
     pres, G, h, R = resolve_k(src, i_max=4, d_max=5)
     assert dict(betti_table(R).entries) == {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1}
     n_resolution = len(echelons)
+    # Ext reads its ranks off the columns `_images` yields, mostly without
+    # elimination, so those columns are checked as well as its echelons
+    columns = []
+    images = resolution._images
+
+    def recording(*args):
+        for j, cols in images(*args):
+            columns.extend(c for c in cols if c is not None)
+            yield j, cols
+
+    monkeypatch.setattr(resolution, "_images", recording)
     ext = ext_into_algebra(R, G)
     assert ext.entries == {(3, -3): 1}
-    assert n_resolution and len(echelons) > n_resolution
+    assert n_resolution and len(echelons) > n_resolution and columns
     values = [c for syzygies in R.maps for _, vec in syzygies for c in vec.values()]
     values += [c for ech in echelons for row in ech.rows.values() for c in row.values()]
+    values += [c for col in columns for c in col.values()]
     assert values and all(type(c) is int for c in values)
 
 
@@ -798,23 +899,29 @@ def test_a_module_series_comes_only_from_the_module_itself():
 
 
 def test_ext_evaluates_only_the_columns_outside_the_previous_image(monkeypatch):
-    # rank d^i_j is the rank of d^i on the unit vectors outside the pivots of
-    # im d^{i-1}_j; on k[x, y, z, w] at (8, 6, 6) the others are 610 of 1,890
-    from homreg import linalg
+    # rank d^i_j is the rank of d^i on the unit vectors outside a coordinate
+    # set onto which im d^{i-1}_j projects isomorphically.  On k[x, y, z, w]
+    # at (8, 6, 6), with a_n = dim A_n = C(n + 3, 3), d^0 and d^3 are read off
+    # the algebra ((a) and (b) of `ext_into_algebra`), and (b)'s membership
+    # test evaluates only m_r * 1 for its 4 entries m_r.  Koszul
+    # exactness leaves 4a_{j+1} - a_j columns of d^1 for j = -1..4 (434) and
+    # 6a_{j+2} - 4a_{j+1} + a_j of d^2 for j = -2..3 (511): 949 in all
+    from homreg import resolution
 
     pres, G, h = setup_algebra(POLY4, d_gb=6)
     R = minimal_resolution(G, trivial_module(pres), 8, 6, algebra_hilbert=h)
-    calls = []
-    add = linalg.Echelon.add
+    evaluated = []
+    images = resolution._images
 
-    def counting(self, vec):
-        calls.append(vec)
-        return add(self, vec)
+    def counting(*args):
+        for j, cols in images(*args):
+            yield j, cols
+            evaluated.extend(c for c in cols if c is not None)
 
-    monkeypatch.setattr(linalg.Echelon, "add", counting)
+    monkeypatch.setattr(resolution, "_images", counting)
     E = ext_into_algebra(R, G)
     assert dict(E.entries) == {(4, -4): 1}
-    assert len(calls) == 1280  # the sum of the ranks of the d^i
+    assert len(evaluated) == 949
 
 
 @pytest.mark.parametrize("field, seed", [("Q", 7), ("F101", 8)])
@@ -833,6 +940,7 @@ def test_ext_matches_direct_normal_forms_on_random_algebras(monkeypatch, field, 
             yield j, cols
 
     monkeypatch.setattr(resolution, "_images", recording)
+    seen = record_shortcuts(monkeypatch)
     rng = random.Random(seed)
     several = prefix_read = 0
     for _ in range(40):
@@ -847,3 +955,5 @@ def test_ext_matches_direct_normal_forms_on_random_algebras(monkeypatch, field, 
         prefix_read += any(cols[k] is not None for cols, skipped in yielded for k in skipped)
     # Ext at two or more homological degrees leaves some U columns in ker d^i
     assert several >= 20 and prefix_read >= 5
+    # each shortcut fires and declines here, and (c) falls back to an Echelon
+    assert all(seen["a"]) and all(seen["b"]) and all(seen["c"])
