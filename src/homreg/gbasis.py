@@ -230,6 +230,7 @@ class GroebnerBasis(_IntegerBasis):
         super().__init__(presentation.gen_degs, presentation.field, leads, forms)
         self._normal_words = {}
         self._nf_words = {}
+        self._dims = ()
 
     def check_degree(self, d, what="computation"):
         if not self.complete and d > self.d_gb:
@@ -294,8 +295,14 @@ class GroebnerBasis(_IntegerBasis):
         return out
 
     def dim(self, j):
-        """dim_k A_j, from the normal-word count."""
-        return len(self.normal_words(j))
+        """dim_k A_j, a path count of the automaton; the counts are kept, through
+        d_gb at least, and recounted only when a higher degree is asked for."""
+        if j < 0:
+            return 0
+        self.check_degree(j, "normal words")
+        if j >= len(self._dims):
+            self._dims = self.automaton.dims(max(j, self.d_gb))
+        return self._dims[j]
 
 
 def _to_ints(terms):

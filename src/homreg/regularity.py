@@ -13,11 +13,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .corealg import (
+    LETTERS,
+    AlgebraPresentation,
     CertificationError,
     NEG_INF,
+    Poly,
     Record,
     opposite_presentation,
 )
+from .linalg import Echelon, reduced_form
 from . import gbasis as gb_mod
 from . import resolution as res_mod
 from . import series as series_mod
@@ -332,6 +336,8 @@ def as_regular_verdict(art):
     one generator at step d, in degree l, and beta_{i,j} = beta_{d-i,l-j}.
     No: a terminated table breaks that (no Ext is read), the top fails
     concentration in a certified range, or ASreg >= 1.  Else: unknown.
+    A certified Koszul algebra is decided by its Koszul dual instead of
+    Ext (`_koszul_dual_verdict`), in all degrees either way.
     """
     if art.known_betti_k is None:
         res = art.resolution_k()
@@ -339,6 +345,8 @@ def as_regular_verdict(art):
             d = res.termination_step
             if asymmetry := _betti_asymmetry(art.betti_k().entries, d):
                 return ASRegularVerdict("no", reason=asymmetry)
+            if (dual := _koszul_dual_verdict(art, d)) is not None:
+                return dual
             ext = art.ext_k()
             off = sorted(i for (i, _) in ext.entries if i != d)
             if off:
@@ -359,6 +367,43 @@ def as_regular_verdict(art):
         if low >= 1:
             return ASRegularVerdict("no", reason="numerical AS regularity >= %d > 0" % low)
     return ASRegularVerdict("unknown", reason="window too small")
+
+
+def _koszul_dual_verdict(art, d):
+    """The verdict for a Koszul A from its dual A^! = T(V*)/(R^perp), else None.
+
+    A Koszul algebra is AS regular iff A^! is Frobenius (S. P. Smith, CMS
+    Conf. Proc. 19, 1996; D.-M. Lu, J. H. Palmieri, Q.-S. Wu and J. J.
+    Zhang, J. Pure Appl. Algebra 213, 2009), so both answers hold in all
+    degrees.  It applies to a terminated AS-symmetric table of degree-1
+    generators on j = i with beta_{1,1} = n: then I_1 = 0, A is Koszul,
+    and R = I_2 is spanned by the degree-2 basis elements.  R^perp is for
+    <xi_a xi_b, x_c x_d> = delta_ac delta_bd; the other convention gives
+    the opposite of A^!, Frobenius exactly when A^! is.  By Koszul duality
+    dim A^!_i = beta_{i,i} (else CertificationError), so A^!_d is one word,
+    and A^! is Frobenius iff every A^!_i x A^!_{d-i} -> A^!_d is nondegenerate.
+    """
+    pres, entries = art.presentation, art.betti_k().entries
+    n, field = pres.n_gens, pres.field
+    if set(pres.gen_degs) - {1} or any(i != j for i, j in entries) or entries.get((1, 1), 0) != n:
+        return None
+    rows = [{w[0] * n + w[1]: c for w, c in g.terms.items()} for g in art.gb().elements if g.degree == 2]
+    perp = reduced_form(Echelon(field, rows), n * n)[2].values()
+    words = [LETTERS[a] + LETTERS[b] for a in range(n) for b in range(n)]
+    rels = tuple(Poly({words[k]: c for k, c in v.items()}, 2, field.modulus) for v in perp)
+    dual = AlgebraPresentation(field, pres.gen_names, pres.gen_degs, rels)
+    D = gb_mod.groebner(dual, max(d, 2), art.element_limit)
+    if [D.dim(i) for i in range(d + 1)] != [entries.get((i, i), 0) for i in range(d + 1)]:
+        raise CertificationError("the Koszul dual of %s is not of the dimensions beta_{i,i}" % art.label)
+    (top,) = D.normal_words(d)
+    for i in range(d + 1):
+        right = D.normal_words(d - i)
+        pairing = [{k: c for k, v in enumerate(right) for w, c in D.nf_word(u + v) if w == top}
+                   for u in D.normal_words(i)]
+        if Echelon(field, pairing).rank < len(pairing):
+            reason = "the pairing A^!_%d × A^!_%d → A^!_%d of the Koszul dual is degenerate"
+            return ASRegularVerdict("no", reason=reason % (i, d - i, d))
+    return ASRegularVerdict("yes", dim=d, index=d)
 
 
 def _betti_asymmetry(entries, d):

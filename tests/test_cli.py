@@ -588,6 +588,16 @@ CONSTRUCTION_PINS = {
     # non-unit coefficients: the witness 1/2*y, and eliminations whose pivots
     # are not +-1 (2, 1/2, -3/2, ...)
     "qplane2.quotient_x": ["quotient", sample("qplane2"), "--omega", "x"],
+    # the poly4_regularity workload's report, over Q and over F101; kept in
+    # tests/inputs/, since every file in presentations/ is pinned at the default window
+    "poly4.regularity_8_6_6": [
+        "regularity", os.path.join(ROOT, "tests", "inputs", "poly4.alg"),
+        "--imax", "8", "--dmax", "6", "--dgb", "6",
+    ],
+    "poly4.regularity_8_6_6_f101": [
+        "regularity", os.path.join(ROOT, "tests", "inputs", "poly4.alg"),
+        "--imax", "8", "--dmax", "6", "--dgb", "6", "--field", "F101",
+    ],
     "sklyanin.regularity_4_6_6": [
         "regularity", os.path.join(ROOT, "perfbench", "inputs", "sklyanin.alg"),
         "--imax", "4", "--dmax", "6", "--dgb", "6",

@@ -28,6 +28,7 @@ from oracles import (
     free_normal_form,
     free_words,
     ideal_slice_echelon,
+    random_algebra_source,
     suffix_scan_automaton,
     word_poly,
 )
@@ -503,3 +504,22 @@ def test_nf_word_returns_a_normal_word_without_reducing_it(monkeypatch):
     above = next(u for u in words if G.automaton.find(u) is None)
     with pytest.raises(CertificationError, match="exceeds the certified range"):
         G.nf_word(above)
+
+
+def test_dim_counts_paths_and_lists_no_words(golden):
+    # dim_k A_j is read off the automaton, equal to the number of normal words
+    # on the golden and seeded random bases, and lists no words itself
+    bases = [art.gb() for art in golden.values()]
+    for field, seed in (("Q", 7), ("F101", 8)):
+        rng = random.Random(seed)
+        bases += [groebner(parse_presentation(random_algebra_source(rng, field)), 7) for _ in range(20)]
+    for G in bases:
+        for j in range(-1, min(G.d_gb, 8) + 1):
+            assert G.dim(j) == len(G.normal_words(j)), (G.presentation.to_text(), j)
+    free = groebner(parse_presentation("field Q; gens x:1 y:1 z:1"), 12)
+    assert free.dim(12) == 531441 == 3 ** 12
+    assert 12 not in free._normal_words
+    G = groebner(sklyanin_type(), 6)
+    assert not G.complete and G.dim(-1) == 0
+    with pytest.raises(CertificationError, match="normal words at degree 7 exceeds the certified range"):
+        G.dim(7)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from homreg.corealg import parse_presentation
+from homreg import regularity, resolution
+from homreg.corealg import CertificationError, parse_field, parse_presentation
 from homreg.regularity import (
     BoundedValue,
     HarnessCase,
@@ -17,7 +18,7 @@ from homreg.regularity import (
     tor_regularity,
 )
 from homreg.constructions import concavity_witness
-from homreg.resolution import ext_into_algebra
+from homreg.resolution import BettiTable, ext_into_algebra
 
 from oracles import random_algebra_source
 
@@ -188,20 +189,115 @@ def ext_verdict(art):
 
 def test_betti_symmetry_agrees_with_the_ext_verdict(golden):
     # a refutation by the table must be a "no" of Ext, and every "yes" of
-    # Ext must pass the table, so the verdict is Ext's wherever k terminates
-    arts = [art for art in golden.values() if art.known_betti_k is None]
+    # Ext must pass the table, so the verdict is Ext's wherever k terminates;
+    # so is the Koszul dual's, wherever it decides
+    arts = [("golden", art) for art in golden.values() if art.known_betti_k is None]
     for field, seed in (("Q", 7), ("F101", 8)):
         rng = random.Random(seed)
         for _ in range(40):
-            arts.append(AlgebraArtifacts(parse_presentation(random_algebra_source(rng, field)), 5, 7, 7))
+            pres = parse_presentation(random_algebra_source(rng, field))
+            arts.append(("random", AlgebraArtifacts(pres, 5, 7, 7)))
     refuted = agreed = 0
-    for art in arts:
-        if art.resolution_k().terminated:
+    decided = {("golden", "yes"): 0, ("random", "yes"): 0, ("random", "no"): 0}
+    for origin, art in arts:
+        R = art.resolution_k()
+        if R.terminated:
             verdict = art.as_regular_verdict()
             assert verdict.status == ext_verdict(art), art.presentation.to_text()
             refuted += verdict.reason.startswith("β")
             agreed += verdict.status == "yes"
+            if not verdict.reason.startswith("β"):
+                dual = regularity._koszul_dual_verdict(art, R.termination_step)
+                if dual is not None:
+                    assert dual == verdict, art.presentation.to_text()
+                    decided[origin, dual.status] += 1
     assert refuted >= 10 and agreed >= 5
+    assert decided[("golden", "yes")] >= 3 and decided[("random", "yes")] >= 1
+    assert decided[("random", "no")] >= 3
+
+
+KOSZUL_AS_REGULAR = {
+    "k[x]": ("field Q; gens x:1", 1),
+    "plane": ("field Q; gens x:1 y:1; rels x*y - y*x", 2),
+    "q-plane": ("field Q; gens x:1 y:1; rels x*y - 2*y*x", 2),
+    "k[x,y,z]": ("field Q; gens x:1 y:1 z:1; rels x*y - y*x, x*z - z*x, y*z - z*y", 3),
+    "k[x,y,z,w]": (
+        "field Q; gens x:1 y:1 z:1 w:1; "
+        "rels x*y - y*x, x*z - z*x, x*w - w*x, y*z - z*y, y*w - w*y, z*w - w*z",
+        4,
+    ),
+}
+
+
+def refuse_ext(monkeypatch):
+    def no_ext(R, G):
+        raise AssertionError("Ext(k, A) was computed")
+
+    monkeypatch.setattr(resolution, "ext_into_algebra", no_ext)
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+@pytest.mark.parametrize("name", sorted(KOSZUL_AS_REGULAR))
+def test_the_koszul_dual_decides_koszul_as_regular_algebras_without_ext(monkeypatch, name, field):
+    # A^! is Frobenius: an exterior algebra, or a q-exterior one for the q-plane
+    refuse_ext(monkeypatch)
+    src, d = KOSZUL_AS_REGULAR[name]
+    art = AlgebraArtifacts(parse_presentation(src, field=parse_field(field)), 8, 6, 6)
+    report = art.report()
+    assert report.as_regular.text() == "yes, type (%d, %d)" % (d, d)
+    assert report.as_index.value == d and report.cmreg.value == 0
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_the_koszul_dual_refutes_a_koszul_algebra_with_a_symmetric_table(monkeypatch, field):
+    # k<x, y>/(yx) has the table 1, 2, 1 but A^! = k<X, Y>/(X^2, XY, Y^2), where X*A^!_1 = 0
+    pres = parse_presentation("field Q; gens x:1 y:1; rels y*x", field=parse_field(field))
+    art = AlgebraArtifacts(pres)
+    assert art.betti_k().entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
+    assert ext_verdict(AlgebraArtifacts(pres)) == "no"
+    refuse_ext(monkeypatch)
+    reason = "the pairing A^!_1 × A^!_1 → A^!_2 of the Koszul dual is degenerate"
+    assert art.as_regular_verdict().text() == "no (%s)" % reason
+
+
+@pytest.mark.parametrize(
+    "src, text",
+    [
+        # a generator of degree 2
+        pytest.param("field Q; gens u:2", "yes, type (1, 2)", id="k[u2]"),
+        # cubic relations
+        pytest.param("field Q; gens x:1 y:1; rels x^2*y - y*x^2, x*y^2 - y^2*x", "yes, type (3, 4)", id="T34"),
+        # a relation of degree 1
+        pytest.param("field Q; gens x:1 y:1; rels x*y - y*x, x", "yes, type (1, 1)", id="k[y]"),
+        # k does not terminate
+        pytest.param("field Q; gens x:1; rels x^2", "no (numerical AS regularity >= 1 > 0)", id="k[x]/(x^2)"),
+    ],
+)
+def test_the_koszul_dual_declines_and_the_verdict_stays(monkeypatch, src, text):
+    seen = []
+    dual_verdict = regularity._koszul_dual_verdict
+
+    def spy(art, d):
+        seen.append(dual_verdict(art, d))
+        return seen[-1]
+
+    monkeypatch.setattr(regularity, "_koszul_dual_verdict", spy)
+    art = AlgebraArtifacts(parse_presentation(src))
+    assert art.as_regular_verdict().text() == text
+    assert seen == ([None] if art.resolution_k().terminated else [])
+    assert (art._ext_k is None) == (not seen)
+
+
+def test_a_koszul_dual_off_the_betti_diagonal_raises():
+    # an AS-symmetric linear table 1, 4, 5, 4, 1 for k[x, y, z, w], whose dual is the
+    # exterior algebra (1, 4, 6, 4, 1): an internal error, never a verdict
+    src, _ = KOSZUL_AS_REGULAR["k[x,y,z,w]"]
+    art = AlgebraArtifacts(parse_presentation(src), 8, 6, 6)
+    table = art.betti_k()
+    assert table.entries[(2, 2)] == 6
+    art._betti_k = BettiTable({**table.entries, (2, 2): 5}, *table._values()[1:])
+    with pytest.raises(CertificationError, match="Koszul dual"):
+        art.as_regular_verdict()
 
 
 def test_ta_tc_validation(golden):
