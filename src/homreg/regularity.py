@@ -407,9 +407,13 @@ def _koszul_dual_verdict(art, d):
 
 
 def _betti_asymmetry(entries, d):
-    """The first entry of a table ending at step d that breaks the AS symmetry, as text, else None."""
-    (l, r), *rest = sorted((j, r) for (i, j), r in entries.items() if i == d)
-    if r != 1 or rest:
+    """What breaks the AS symmetry of a table ending at step d, as text (all top entries if many), or None."""
+    top = sorted((j, r) for (i, j), r in entries.items() if i == d)
+    if len(top) > 1:
+        named = ", ".join("β_{%d,%d} = %d" % (d, j, r) for j, r in top)
+        return "%s: %d generators at the top step d = %d" % (named, sum(r for _, r in top), d)
+    [(l, r)] = top
+    if r != 1:
         return "β_{%d,%d} = %d at the top step d = %d" % (d, l, r, d)
     for (i, j), r in sorted(entries.items()):
         mirror = entries.get((d - i, l - j), 0)

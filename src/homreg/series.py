@@ -3,16 +3,18 @@
 Rational forms are computed only from complete Groebner bases, via the
 basis's normal-word automaton (`GroebnerBasis.automaton`).  Its path
 counts satisfy a linear recurrence whose order is bounded by the number
-of states times the largest generator degree; Berlekamp-Massey on twice
-that many exact coefficients gives the denominator, and the numerator is
-the coefficient series multiplied back in, verified to be a polynomial
-before anything is returned.
+of states times the largest generator degree; fraction-free
+Berlekamp-Massey over Z on twice that many coefficients gives the
+reduced denominator (integral, by Fatou), and the numerator is the
+coefficient series multiplied back in, verified over Z to be a
+polynomial before anything is returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd
 
 from .corealg import CertificationError, Record
 
@@ -33,7 +35,7 @@ def _pdeg(c):
 def _pmul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -74,16 +76,6 @@ def _pgcd(a, b):
         lead = a[-1]
         a = [x / lead for x in a]
     return a
-
-
-def _to_int_poly(c):
-    out = []
-    for x in c:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ArithmeticError("expected integer polynomial, found %s" % f)
-        out.append(int(f))
-    return tuple(out)
 
 
 # -- series types -------------------------------------------------------------
@@ -155,30 +147,33 @@ def _format_poly(coeffs):
     return " ".join(bits) if bits else "0"
 
 
-def _one_minus_t_power(e):
-    c = [Fraction(0)] * (e + 1)
-    c[0] = Fraction(1)
-    c[e] = Fraction(-1)
-    return c
-
-
 def _factor_denominator(den):
-    """Express `den` as prod (1 - t^e_i), smallest exponents first, or None."""
-    den = _ptrim([Fraction(x) for x in den])
-    if den == [Fraction(1)]:
+    """Express the integer polynomial `den` as prod (1 - t^e_i), smallest exponents first, or None.
+
+    den = (1 - t^e) * q gives q_k = den_k + q_(k-e); the division is exact
+    iff the q_k so computed vanish in the top e degrees.
+    """
+    den = _ptrim(den)
+    if den == [1]:
         return ()
-    deg = _pdeg(den)
-    for e in range(1, deg + 1):
-        q, r = _pdivmod(den, _one_minus_t_power(e))
-        if not r:
-            rest = _factor_denominator(q)
+    top = _pdeg(den)
+    for e in range(1, top + 1):
+        q = []
+        for k, c in enumerate(den):
+            q.append(c + q[k - e] if k >= e else c)
+        if not any(q[top - e + 1 :]):
+            rest = _factor_denominator(q[: top - e + 1])
             if rest is not None:
                 return tuple(sorted((e,) + rest))
     return None
 
 
 def make_rational(numerator, denominator):
-    """Normalize an exact rational series: cancel, scale, factor, grade."""
+    """Normalize an exact rational series: cancel, scale, factor, grade.
+
+    The cancelling gcd runs over Q: the factors of `series_product` can
+    share one, as (1 + t) * 1/((1 - t)^2 (1 - t^2)) = 1/(1 - t)^3 does.
+    """
     num = _ptrim([Fraction(x) for x in numerator])
     den = _ptrim([Fraction(x) for x in denominator])
     if not den:
@@ -195,10 +190,10 @@ def make_rational(numerator, denominator):
         raise ArithmeticError("denominator vanishes at t = 0")
     num = [x / c0 for x in num]
     den = [x / c0 for x in den]
-    n = _to_int_poly(num)
-    d = _to_int_poly(den)
-    exps = _factor_denominator(d)
-    return RationalSeries(n, d, exps, _pdeg(list(n)) - _pdeg(list(d)))
+    if any(x.denominator != 1 for x in num + den):
+        raise ArithmeticError("expected integer polynomials, found (%s) / (%s)" % (num, den))
+    n, d = tuple(int(x) for x in num), tuple(int(x) for x in den)
+    return RationalSeries(n, d, _factor_denominator(d), len(n) - len(d))
 
 
 # -- the three series operations ---------------------------------------------
@@ -211,48 +206,60 @@ def hilbert_truncated(G, upto):
 
 
 def hilbert_rational(G):
-    """Exact rational Hilbert series from a complete Groebner basis."""
+    """Exact rational Hilbert series from a complete Groebner basis.
+
+    h = N / det(I - M(t)) with deg det <= bound and deg N < bound, so the
+    linear complexity L is at most bound and 2 * (bound + 1) coefficients
+    make Berlekamp-Massey's C unique.  For h = N/D reduced, every valid C
+    is D * Q with deg(N * Q) < L = max(deg D, deg N + 1), so Q = 1, C = D
+    and nothing is left to cancel.  The numerator is checked over Z.
+    """
     if not G.complete:
         raise CertificationError(
             "rational Hilbert series requires a complete Groebner basis "
             "(basis certified only up to degree %d); use hilbert_truncated instead" % G.d_gb
         )
-    # h = N / det(I - M(t)) with deg det <= bound and deg N < bound, so the
-    # sequence's linear complexity is at most bound and 2 * bound + 1
-    # coefficients fix the denominator
     bound = len(G.automaton.states) * max(G.presentation.max_gen_degree(), 1)
-    dims = [Fraction(c) for c in G.automaton.dims(2 * (bound + 1))]
+    dims = G.automaton.dims(2 * (bound + 1))
     den = _berlekamp_massey(dims)
     prod = _pmul(dims, den)
     num = _ptrim(prod[: bound + 1])
     if any(prod[bound + 1 : len(dims)]):
         raise ArithmeticError("internal error: numerator not polynomial")
-    return make_rational(num, den)
+    return RationalSeries(tuple(num), tuple(den), _factor_denominator(den), _pdeg(num) - _pdeg(den))
 
 
 def _berlekamp_massey(seq):
-    """Shortest connection polynomial of `seq` (Massey 1969), over Q.
+    """Shortest connection polynomial of the integer sequence `seq` (Massey 1969), over Z.
 
     Returns C with C[0] = 1 and sum_i C[i] * seq[n - i] = 0 for every n
     from the linear complexity L (at least deg C) up to len(seq) - 1; C is
-    unique when len(seq) >= 2 * L.
+    unique when len(seq) >= 2 * L.  The update c - (d / last) t^shift b is
+    scaled by `last`, then c is divided by its content; `last` stays the
+    discrepancy of `b` as stored.  The final division by C[0] is exact for
+    a rational integer series (Fatou 1906: its reduced C is in Z[t]).
     """
-    c, b = [Fraction(1)], [Fraction(1)]
-    length, shift, last = 0, 1, Fraction(1)
+    c, b = [1], [1]
+    length, shift, last = 0, 1, 1
     for n in range(len(seq)):
         d = sum(c[i] * seq[n - i] for i in range(min(len(c), n + 1)))
         if not d:
             shift += 1
             continue
-        prev = list(c)
-        c = c + [Fraction(0)] * (len(b) + shift - len(c))
+        prev = c
+        c = [last * x for x in c] + [0] * (len(b) + shift - len(c))
         for i, x in enumerate(b):
-            c[i + shift] -= d / last * x
+            c[i + shift] -= d * x
+        content = gcd(*c)
+        c = [x // content for x in c]
         if 2 * length <= n:
             length, b, last, shift = n + 1 - length, prev, d, 1
         else:
             shift += 1
-    return _ptrim(c)
+    c = _ptrim(c)
+    if any(x % c[0] for x in c):
+        raise ArithmeticError("internal error: connection polynomial not integral")
+    return [x // c[0] for x in c]
 
 
 def first_difference(p, h, q, g):
@@ -269,9 +276,7 @@ def first_difference(p, h, q, g):
 
 def series_product(h1, h2):
     """h_{A (x) B} = h_A * h_B for exact rational series."""
-    num = _pmul([Fraction(c) for c in h1.numerator], [Fraction(c) for c in h2.numerator])
-    den = _pmul([Fraction(c) for c in h1.denominator], [Fraction(c) for c in h2.denominator])
-    return make_rational(num, den)
+    return make_rational(_pmul(h1.numerator, h2.numerator), _pmul(h1.denominator, h2.denominator))
 
 
 # -- Stanley's functional equation --------------------------------------------
@@ -296,28 +301,17 @@ def stanley_check(h):
     shift, which is settled by exact polynomial comparison.  The (sign, l)
     pair is unique when it exists.
     """
-    num = [Fraction(c) for c in h.numerator]
-    den = [Fraction(c) for c in h.denominator]
+    num, den = list(h.numerator), list(h.denominator)
     if not _ptrim(num):
         return StanleyVerdict(False)
-    rev_n = list(reversed(num))
-    rev_d = list(reversed(den))
-    lhs = _ptrim(_pmul(rev_n, den))
-    rhs = _ptrim(_pmul(num, rev_d))
+    lhs = _pmul(num[::-1], den)
+    rhs = _pmul(num, den[::-1])
     val_l = next(i for i, c in enumerate(lhs) if c)
     val_r = next(i for i, c in enumerate(rhs) if c)
     m = val_l - val_r
-    if _pdeg(lhs) - _pdeg(rhs) != m:
-        return StanleyVerdict(False)
-    ratio = lhs[val_l] / rhs[val_r]
-    if ratio == 1:
-        sign = 1
-    elif ratio == -1:
-        sign = -1
-    else:
-        return StanleyVerdict(False)
-    shifted = [Fraction(0)] * m + [sign * c for c in rhs]
-    if _ptrim(shifted) != lhs:
+    # the lowest terms fix the sign; any other ratio fails the comparison
+    sign = 1 if lhs[val_l] == rhs[val_r] else -1
+    if [0] * m + [sign * c for c in rhs] != lhs:
         return StanleyVerdict(False)
     # h(1/t) = t^(degD - degN) revN/revD = sign t^(m + degD - degN) h(t)
     ell = m + (_pdeg(den) - _pdeg(num))

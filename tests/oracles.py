@@ -9,7 +9,10 @@ recursion behind Ext and the multiplication maps against one direct
 normal form per (map entry x word), `two_pass_syzygy_step`, which
 checks the resolution's one-elimination step against a separate span
 and kernel computation, and `unbounded_resolution`, which runs that
-step through d_max at every homological degree.  `reference_row_reduce` and
+step through d_max at every homological degree.  `hilbert_rational_reference`
+is the Fraction route to a rational Hilbert series: Berlekamp-Massey over
+Q, `make_rational`'s gcd over Q and trial long division by each (1 - t^e).
+`reference_row_reduce` and
 `reference_solve` are dense Gauss-Jordan elimination, for checking
 homreg.linalg.
 
@@ -33,6 +36,7 @@ from homreg.resolution import (
     _images,
     _syzygy_step,
 )
+from homreg.series import RationalSeries, make_rational
 
 
 def src_env():
@@ -376,16 +380,21 @@ def brute_algebra_dim(pres, j):
     return len(free_words(pres.gen_degs, j)) - ideal_slice_dim(pres, j)
 
 
-def expand_quotient(numerator, denom_exponents, upto):
-    """Coefficients of numerator / prod(1 - t^e), by direct convolution."""
+def one_minus_t_product(exponents):
+    """prod (1 - t^e) over `exponents`, expanded by direct convolution."""
     den = [1]
-    for e in denom_exponents:
+    for e in exponents:
         new = [0] * (len(den) + e)
         for i, c in enumerate(den):
             new[i] += c
             new[i + e] -= c
         den = new
-    return expand_series(numerator, den, upto)
+    return den
+
+
+def expand_quotient(numerator, denom_exponents, upto):
+    """Coefficients of numerator / prod(1 - t^e), by direct convolution."""
+    return expand_series(numerator, one_minus_t_product(denom_exponents), upto)
 
 
 def expand_series(numerator, denominator, upto):
@@ -398,6 +407,63 @@ def expand_series(numerator, denominator, upto):
         assert acc.denominator == 1
         out.append(int(acc))
     return out
+
+
+def berlekamp_massey_over_q(seq):
+    """Shortest connection polynomial of `seq` over Q (Massey 1969), C[0] = 1, trailing zeros trimmed."""
+    c, b = [Fraction(1)], [Fraction(1)]
+    length, shift, last = 0, 1, Fraction(1)
+    for n in range(len(seq)):
+        d = sum(c[i] * seq[n - i] for i in range(min(len(c), n + 1)))
+        if not d:
+            shift += 1
+            continue
+        prev = list(c)
+        c = c + [Fraction(0)] * (len(b) + shift - len(c))
+        for i, x in enumerate(b):
+            c[i + shift] -= d / last * x
+        if 2 * length <= n:
+            length, b, last, shift = n + 1 - length, prev, d, 1
+        else:
+            shift += 1
+    while not c[-1]:
+        c.pop()
+    return c
+
+
+def one_minus_t_exponents(den):
+    """`den` as prod (1 - t^e_i), exponents ascending, by trial long division from the top; else None."""
+    den = [Fraction(c) for c in den]
+    while den and not den[-1]:
+        den.pop()
+    if den == [1]:
+        return ()
+    top = len(den) - 1
+    for e in range(1, top + 1):
+        r, q = list(den), [Fraction(0)] * (top - e + 1)
+        for k in range(top, e - 1, -1):
+            q[k - e] = -r[k]  # (1 - t^e) leads with -t^e
+            r[k - e] += r[k]
+            r[k] = 0
+        if not any(r):
+            rest = one_minus_t_exponents(q)
+            if rest is not None:
+                return tuple(sorted((e,) + rest))
+    return None
+
+
+def hilbert_rational_reference(G):
+    """The rational Hilbert series of a complete basis G by the Fraction route:
+    Berlekamp-Massey over Q on the same 2 * (bound + 1) + 1 coefficients as
+    `hilbert_rational`, the numerator by convolution, cancelled and scaled by
+    `make_rational`'s gcd over Q, exponents by `one_minus_t_exponents`."""
+    bound = len(G.automaton.states) * max(G.presentation.max_gen_degree(), 1)
+    dims = [Fraction(c) for c in G.automaton.dims(2 * (bound + 1))]
+    den = berlekamp_massey_over_q(dims)
+    prod = [sum(dims[i] * den[k - i] for i in range(k + 1) if k - i < len(den)) for k in range(len(dims))]
+    assert not any(prod[bound + 1 :])
+    h = make_rational(prod[: bound + 1], den)
+    return RationalSeries(h.numerator, h.denominator, one_minus_t_exponents(h.denominator), h.degree)
 
 
 def eval_rational(rs, t0):

@@ -179,6 +179,16 @@ def test_an_asymmetric_table_with_a_one_dimensional_top_is_refuted_without_ext()
     assert art._ext_k is None
 
 
+def test_a_top_step_with_two_generators_names_both():
+    src = "field Q; gens x:1 y:1 z:2; rels -3*x*z-2*x*y*x-1*y*x*y, 1*x*y"
+    art = AlgebraArtifacts(parse_presentation(src), 5, 7, 7)
+    table = art.betti_k()
+    assert table.terminated and table.entries == {(0, 0): 1, (1, 1): 2, (1, 2): 1, (2, 2): 1, (2, 3): 1}
+    verdict = art.as_regular_verdict().text()
+    assert verdict == "no (β_{2,2} = 1, β_{2,3} = 1: 2 generators at the top step d = 2)"
+    assert art._ext_k is None
+
+
 def ext_verdict(art):
     """"yes" when Ext^i(k, A) on its windows is one k at the top step d and zero elsewhere, else "no"."""
     R = art.resolution_k()

@@ -1,11 +1,18 @@
+import glob
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
+from homreg import series
+from homreg.cli import main
 from homreg.corealg import CertificationError, parse_presentation
 from homreg.gbasis import groebner
 from homreg.series import (
     RationalSeries,
+    _berlekamp_massey,
+    _factor_denominator,
     hilbert_rational,
     hilbert_truncated,
     make_rational,
@@ -13,7 +20,16 @@ from homreg.series import (
     stanley_check,
 )
 
-from oracles import eval_rational, expand_quotient, expand_series
+from oracles import (
+    eval_rational,
+    expand_quotient,
+    expand_series,
+    hilbert_rational_reference,
+    one_minus_t_product,
+    random_algebra_source,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def gb_of(src, d_gb=12):
@@ -161,3 +177,87 @@ def test_rational_expansion_matches_truncated(src):
     upto = 3 * (2 * (bound + 1) + 1)
     h = hilbert_rational(G)
     assert expand_series(h.numerator, h.denominator, upto) == list(hilbert_truncated(G, upto).coefficients)
+
+
+def oracle_bases(which, golden):
+    """The complete bases of one input set of the integer-series oracle test."""
+    if which == "golden":
+        bases = [art.gb() for art in golden.values()]
+    elif which == "presentations":
+        bases = []
+        for path in sorted(glob.glob(os.path.join(ROOT, "presentations", "*.alg"))):
+            with open(path) as fh:
+                bases.append(groebner(parse_presentation(fh.read()), 7))
+        assert len(bases) == 10
+    else:
+        field, seeds = {"random-Q": ("Q", (1, 7, 11)), "random-F101": ("F101", (2, 8, 12))}[which]
+        bases = []
+        for seed in seeds:
+            rng = random.Random(seed)
+            bases += [groebner(parse_presentation(random_algebra_source(rng, field)), 7) for _ in range(60)]
+    return [G for G in bases if G.complete]
+
+
+@pytest.mark.parametrize("which", ["golden", "presentations", "random-Q", "random-F101"])
+def test_the_integer_series_is_the_fraction_route(which, golden):
+    bases = oracle_bases(which, golden)
+    assert len(bases) >= 8
+    unfactored = 0
+    for G in bases:
+        h = hilbert_rational(G)
+        ref = hilbert_rational_reference(G)
+        for field in ("numerator", "denominator", "denom_exponents", "degree"):
+            assert getattr(h, field) == getattr(ref, field), (field, G.presentation.to_text())
+        unfactored += h.denom_exponents is None
+        # past the 2 * (bound + 1) + 1 coefficients Berlekamp-Massey saw
+        upto = 3 * (len(G.automaton.states) * max(G.presentation.max_gen_degree(), 1) + 1)
+        assert expand_series(h.numerator, h.denominator, upto) == G.automaton.dims(upto)
+    if which.startswith("random"):
+        assert unfactored >= 10
+
+
+def test_berlekamp_massey_over_z():
+    fibonacci = [1, 1]
+    while len(fibonacci) < 12:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    assert _berlekamp_massey(fibonacci) == [1, -1, -1]
+    assert _berlekamp_massey([2**n for n in range(10)]) == [1, -2]
+    # 1/((1 - t)^2 (1 - t^3)) gives back its expanded denominator
+    assert _berlekamp_massey(expand_quotient([1], [1, 1, 3], 15)) == [1, -2, 1, -1, 2, -1]
+    # t^2 + t^3/(1 - t) = t^2/(1 - t): complexity 3, connection polynomial of degree 1
+    assert _berlekamp_massey([0, 0, 1, 1, 1, 1, 1, 1]) == [1, -1]
+    # (1 + 2t^2)/(1 - 2t - 2t^2): updates with content 4, 4 and 12, and C[0] = -1 before the last division
+    assert _berlekamp_massey(expand_series([1, 0, 2], [1, -2, -2], 11)) == [1, -2, -2]
+    # 4 * (1/2)^n: the connection polynomial 1 - t/2 is not integral
+    with pytest.raises(ArithmeticError, match="internal error"):
+        _berlekamp_massey([4, 2, 1])
+
+
+def test_one_minus_t_power_factoring():
+    for exponents in ((1,), (2,), (1, 1, 2), (2, 1, 1), (3, 1, 2), (2, 3, 1, 1), (4, 2), (5, 1, 5)):
+        assert _factor_denominator(one_minus_t_product(exponents)) == tuple(sorted(exponents))
+    assert _factor_denominator([1, -1, -1]) is None
+    assert _factor_denominator([1, -2]) is None
+    assert _factor_denominator([1, 0, -1]) == (2,)
+    assert _factor_denominator([1]) == ()
+
+
+def test_the_golden_suite_builds_its_series_on_ints(monkeypatch, capsys):
+    # only make_rational, for series_product's cancelling gcd, may build a Fraction
+    def no_fraction(*args):
+        raise AssertionError("Fraction(%s) on the integer series path" % ", ".join(map(repr, args)))
+
+    gcd_over_q, calls = series.make_rational, []
+
+    def make_rational_with_fractions(numerator, denominator):
+        calls.append((numerator, denominator))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(series, "Fraction", Fraction)
+            return gcd_over_q(numerator, denominator)
+
+    monkeypatch.setattr(series, "Fraction", no_fraction)
+    monkeypatch.setattr(series, "make_rational", make_rational_with_fractions)
+    assert main(["harness", "--no-cache", "--format", "jsonl"]) == 0
+    with open(os.path.join(ROOT, "perfbench", "expected", "golden_harness.jsonl")) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert calls
