@@ -18,6 +18,23 @@ final by then).  Leads are inter-reduced, so that u_k overlaps u_i in a
 proper factor of w or is disjoint from it, and likewise for u_j; then
 s_ij = (g_i c - x g_k y) + (x g_k y - a g_j) is a sum of shifted S-polys
 of lower degree or of disjoint pairs, all in the ideal part below w.
+
+Work is shared within a degree, as in F4's symbolic preprocessing
+(J.-C. Faugere, J. Pure Appl. Algebra 139, 1999).  Every generator has
+degree >= 1 and obstructions are popped in nondecreasing degree, so while
+degree d is completed a leading word of degree d is a factor of a
+degree-d word only if it is that word, and the chain criterion's w[1:-1]
+has degree <= d - 2.  The automaton therefore holds only the leading
+words below d, which are final, and is rebuilt when a higher degree is
+reached and once before the tail reduction.  Each degree-d word that a
+reduction pops gets its reducer row (the reducing element's tail placed
+at the word's position, or "normal") once per degree, and the other
+reductions of that degree reuse it.  A row stays valid through the
+degree: the first factor of a word among the final lower-degree leading
+words cannot change, and a new degree-d leading word u was normal when it
+was found, so the only row it makes stale is u's own.  Adding u replaces
+that row by u's form, which is also how a word equal to a leading word of
+the current degree finds its element without the automaton.
 """
 
 from __future__ import annotations
@@ -117,7 +134,8 @@ class _IntegerBasis:
     the denominators and removes the content (so L > 0); over F_p the
     coefficients are representatives mod p and g is monic, so L = 1.
     `_leads[i]` is the leading word of `_forms[i]`.  Completion grows one
-    such basis with `add`, in the order the elements are found.
+    such basis, in the order the elements are found, and calls `rebuild`
+    once per degree.
     """
 
     def __init__(self, gen_degs, field, leads=(), forms=()):
@@ -128,13 +146,12 @@ class _IntegerBasis:
         self._forms = list(forms)
         self.automaton = WordAutomaton(tuple(self._leads), gen_degs)
 
-    def add(self, lead, form):
-        """Append an element; only the automaton is rebuilt."""
-        self._leads.append(lead)
-        self._forms.append(form)
-        self.automaton = WordAutomaton(tuple(self._leads), self.gen_degs)
+    def rebuild(self):
+        """Rebuild the automaton if elements were appended since it was built."""
+        if len(self.automaton.leads) < len(self._leads):
+            self.automaton = WordAutomaton(tuple(self._leads), self.gen_degs)
 
-    def _reduce_terms(self, pending, den):
+    def _reduce_terms(self, pending, den, rows=None):
         """Reduce the integers `pending` (word -> int, all of one degree) to
         normal words, for the input pending / den (see `_to_ints`).
 
@@ -160,6 +177,13 @@ class _IntegerBasis:
         heap holds each word once, and a word cancelled to 0 stays in
         `pending` until it is popped.  Reduction only adds smaller words, so
         a popped word never returns.
+
+        Completion passes `rows`, the reducer rows of the current degree
+        (see `groebner`): word -> () if the word is normal, else (L, the
+        tail words placed at the word's position, coeffs).  A popped word
+        is looked up there first and its row filled on a miss, so each word
+        meets the automaton and the bytes concatenation once per degree.
+        The other callers get a fresh dict per call.
         """
         p = self.modulus
         forms = self._forms
@@ -171,6 +195,7 @@ class _IntegerBasis:
             pending[w] = [c, den]
         out = {}
         scale = den
+        rows = {} if rows is None else rows
         while heap:
             w = heapq.heappop(heap)
             c, t = pending.pop(w)
@@ -180,19 +205,26 @@ class _IntegerBasis:
                 c %= p
             if not c:
                 continue
-            hit = find(w)
-            if hit is None:
+            row = rows.get(w)
+            if row is None:
+                hit = find(w)
+                if hit is None:
+                    row = ()
+                else:
+                    pos, i = hit
+                    lead_coeff, words, coeffs = forms[i]
+                    left, right = w[:pos], w[pos + len(leads[i]) :]
+                    row = lead_coeff, tuple([left + u + right for u in words]), coeffs
+                rows[w] = row
+            if not row:
                 out[w] = [c, scale]
                 continue
-            pos, i = hit
-            lead_coeff, words, coeffs = forms[i]
+            lead_coeff, words, coeffs = row
             if lead_coeff != 1:
                 q = gcd(c, lead_coeff)
                 c //= q
                 scale *= lead_coeff // q
-            left, right = w[:pos], w[pos + len(leads[i]) :]
-            for u, a in zip(words, coeffs):
-                w2 = left + u + right
+            for w2, a in zip(words, coeffs):
                 entry = pending.get(w2)
                 if entry is None:
                     pending[w2] = [-c * a, scale]
@@ -368,6 +400,9 @@ def groebner(presentation, d_gb, element_limit=2000):
     elements found are kept only as leading words and integer forms, in one
     growing `_IntegerBasis`; they become polynomials in the final tail
     reduction, and the sorted `GroebnerBasis` is built once, at the end.
+    The automaton is rebuilt once per degree that found elements, and the
+    reducer rows are kept for one degree at a time, so they hold at most
+    one degree's reducible words (module docstring).
     Raises ResourceLimitError if the element budget is exhausted.
     """
     key = presentation.word_key
@@ -391,6 +426,7 @@ def groebner(presentation, d_gb, element_limit=2000):
     # cleared when an overlap above d_gb is dropped: every ordered pair of
     # elements, self-pairs included, passes through push_overlaps once
     complete = True
+    current, rows = 0, {}  # the degree being completed and its reducer rows
 
     def push_overlaps(i, k):
         nonlocal seq, complete
@@ -405,13 +441,16 @@ def groebner(presentation, d_gb, element_limit=2000):
 
     while heap:
         d, _, _, item = heapq.heappop(heap)
+        if d > current:
+            current, rows = d, {}
+            basis.rebuild()
         if isinstance(item, tuple):  # an overlap, not a relation
             i, k, left, right = item
             if basis.automaton.find((left + leads[k])[1:-1]) is not None:
                 continue  # chain criterion
-            out, _ = basis._reduce_terms(_s_polynomial(forms[i], forms[k], left, right), 1)
+            out, _ = basis._reduce_terms(_s_polynomial(forms[i], forms[k], left, right), 1, rows)
         else:
-            out, _ = basis._reduce_terms(*_to_ints(item.terms))
+            out, _ = basis._reduce_terms(*_to_ints(item.terms), rows)
         if not out:
             continue
         if len(leads) >= element_limit:
@@ -419,7 +458,10 @@ def groebner(presentation, d_gb, element_limit=2000):
                 "Groebner completion exceeded %d elements at degree %d" % (element_limit, d)
             )
         lead = min(out)
-        basis.add(lead, _integer_form(out, lead, p))
+        # lead was normal until now: its row, possibly cached as (), is its form
+        rows[lead] = form = _integer_form(out, lead, p)
+        leads.append(lead)
+        forms.append(form)
         n = len(leads) - 1
         for k in range(n + 1):
             push_overlaps(n, k)
@@ -428,6 +470,7 @@ def groebner(presentation, d_gb, element_limit=2000):
 
     # tail-reduce for canonical output; the leading words, and with them
     # the overlaps that decided `complete`, are already final
+    basis.rebuild()
     reduced = []
     for lead, (lead_coeff, words, coeffs) in zip(leads, forms):
         terms = basis._quotient(*basis._reduce_terms(dict(zip(words, coeffs)), lead_coeff))

@@ -312,6 +312,27 @@ def random_weighted_presentation(rng, field, gens, label):
     return make_presentation(field, gens, rels, label=label)
 
 
+def assert_reduced_basis(pres, G, d_gb, label):
+    """G is the reduced basis of `pres` through d_gb, element by element
+    against the free-algebra oracle, and its dimensions are the brute ones."""
+    p = pres.field.modulus
+    leads = [g.lead_word() for g in G.elements]
+    echelons = {}
+    for g in G.elements:
+        lead = g.lead_word()
+        for w in g.terms:
+            if w != lead:
+                assert leftmost_lead(w, leads) is None, (label, w)  # tail-reduced
+        if g.degree not in echelons:
+            echelons[g.degree] = ideal_slice_echelon(pres, g.degree)
+        nf = free_normal_form(echelons[g.degree], {lead: 1}, p)
+        expected = {w: -c % p if p else -c for w, c in nf.items()}
+        expected[lead] = 1
+        assert g.terms == expected, (label, lead)
+    for j in range(d_gb + 1):
+        assert G.dim(j) == brute_algebra_dim(pres, j), (label, j)
+
+
 @pytest.mark.parametrize("field_name", ["Q", "F101", "F7"])
 def test_completion_skipping_overlaps_by_chain_criterion_is_the_reduced_basis(field_name):
     # the completion skips every overlap whose word w has a leading word in
@@ -328,22 +349,7 @@ def test_completion_skipping_overlaps_by_chain_criterion_is_the_reduced_basis(fi
         gens, d_gb = shapes[trial % len(shapes)]
         label = "%s-%d" % (field_name, trial)
         pres = random_weighted_presentation(rng, field, gens, label)
-        G = groebner(pres, d_gb, element_limit=300)
-        leads = [g.lead_word() for g in G.elements]
-        echelons = {}
-        for g in G.elements:
-            lead = g.lead_word()
-            for w in g.terms:
-                if w != lead:
-                    assert leftmost_lead(w, leads) is None, (label, w)  # tail-reduced
-            if g.degree not in echelons:
-                echelons[g.degree] = ideal_slice_echelon(pres, g.degree)
-            nf = free_normal_form(echelons[g.degree], {lead: 1}, field.modulus)
-            expected = {w: -c % field.modulus if field.modulus else -c for w, c in nf.items()}
-            expected[lead] = 1
-            assert g.terms == expected, (label, lead)
-        for j in range(d_gb + 1):
-            assert G.dim(j) == brute_algebra_dim(pres, j), (label, j)
+        assert_reduced_basis(pres, groebner(pres, d_gb, element_limit=300), d_gb, label)
 
 
 def test_chain_criterion_skips_sklyanin_type_overlaps(monkeypatch):
@@ -392,6 +398,56 @@ def test_sklyanin_type_completion_builds_the_basis_once(monkeypatch):
     first_tail = len(reductions) - len(G.elements)
     assert reductions[first_tail] == 0
     assert len(polys) >= len(G.elements)  # the counter sees the tail reduction's Polys
+
+
+def test_sklyanin_type_completion_builds_one_automaton_per_degree(monkeypatch):
+    # regression guard: completion rebuilds the automaton once per degree that
+    # found elements (plus the empty one at the start and the GroebnerBasis's),
+    # and reads each word's reducer row once per degree; rebuilding per
+    # element and searching per reduction took 28 builds and 5,903 finds
+    builds, finds = [], []
+    init, find = WordAutomaton.__init__, WordAutomaton.find
+
+    def counting_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    def counting_find(self, word):
+        finds.append(word)
+        return find(self, word)
+
+    monkeypatch.setattr(WordAutomaton, "__init__", counting_init)
+    monkeypatch.setattr(WordAutomaton, "find", counting_find)
+    G = groebner(sklyanin_type(), 9)
+    assert len(G.elements) == 26
+    assert len(builds) <= len({g.degree for g in G.elements}) + 2 == 10
+    assert len(finds) <= 2800
+
+
+def test_a_word_popped_as_normal_that_becomes_a_leading_word_in_the_same_degree(monkeypatch):
+    # the stale-row case of the per-degree reducer rows: a degree-d word that
+    # one reduction pops as normal (row ()) and that a later reduction of the
+    # same degree makes a leading word; its row must become its element's
+    # form.  The seed was found by a search over random_weighted_presentation.
+    pres = random_weighted_presentation(random.Random(5), parse_field("Q"), [("x", 1), ("t", 2)], "stale")
+    log = []  # (rows of the reduction's degree, its normal words after it, new lead or None)
+    reduce_terms = _IntegerBasis._reduce_terms
+
+    def logging(self, pending, den, rows=None):
+        out, scale = reduce_terms(self, pending, den, rows)
+        if rows is not None:
+            log.append((rows, {w for w, row in rows.items() if row == ()}, min(out) if out else None))
+        return out, scale
+
+    monkeypatch.setattr(_IntegerBasis, "_reduce_terms", logging)
+    G = groebner(pres, 8)
+    stale = [
+        lead
+        for j, (rows, _, lead) in enumerate(log)
+        if lead is not None and any(r is rows and lead in normal for r, normal, _ in log[:j])
+    ]
+    assert stale
+    assert_reduced_basis(pres, G, 8, "stale")
 
 
 def random_lead_set(rng, gen_degs):
