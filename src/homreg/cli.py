@@ -36,7 +36,7 @@ EXIT_INTERNAL = 4
 
 # (exception types, error class, text prefix, exit code); anything else is internal
 _FAILURES = (
-    ((PresentationError, FileNotFoundError), "input", "input error", EXIT_INPUT),
+    (PresentationError, "input", "input error", EXIT_INPUT),
     (CertificationError, "certification", "certification error", EXIT_CERTIFICATION),
     (ResourceLimitError, "resources", "resource limit", EXIT_RESOURCES),
 )
@@ -60,18 +60,20 @@ class Emitter:
             self.out.write(text + "\n")
 
 
-def _load_presentation(path, args):
-    with open(path) as fh:
-        text = fh.read()
-    label = os.path.splitext(os.path.basename(path))[0]
-    field = parse_field(args.field) if args.field else None
-    return parse_presentation(text, label=label, field=field)
+def _read_input(path):
+    """The text of an input file; one that cannot be opened or decoded as UTF-8 is an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # an OSError's own text names the path again
+        raise PresentationError("cannot read %s: %s" % (path, getattr(exc, "strerror", None) or exc)) from None
 
 
 def _artifacts(path, args):
-    pres = _load_presentation(path, args)
+    label = os.path.splitext(os.path.basename(path))[0]
+    field = parse_field(args.field) if args.field else None
     art = reg_mod.AlgebraArtifacts(
-        pres,
+        parse_presentation(_read_input(path), label=label, field=field),
         i_max=args.imax,
         d_max=args.dmax,
         d_gb=args.dgb,
@@ -186,8 +188,7 @@ def cmd_hilbert(args, emit):
 def cmd_resolve(args, emit):
     art = _artifacts(args.file, args)
     if args.module:
-        with open(args.module) as fh:
-            mpres = parse_module(fh.read(), art.presentation)
+        mpres = parse_module(_read_input(args.module), art.presentation)
         if mpres.side == "right":
             from .corealg import opposite_module
 

@@ -26,15 +26,18 @@ degree d is completed a leading word of degree d is a factor of a
 degree-d word only if it is that word, and the chain criterion's w[1:-1]
 has degree <= d - 2.  The automaton therefore holds only the leading
 words below d, which are final, and is rebuilt when a higher degree is
-reached and once before the tail reduction.  Each degree-d word that a
-reduction pops gets its reducer row (the reducing element's tail placed
-at the word's position, or "normal") once per degree, and the other
-reductions of that degree reuse it.  A row stays valid through the
-degree: the first factor of a word among the final lower-degree leading
-words cannot change, and a new degree-d leading word u was normal when it
-was found, so the only row it makes stale is u's own.  Adding u replaces
-that row by u's form, which is also how a word equal to a leading word of
-the current degree finds its element without the automaton.
+reached.  Each degree-d word that a reduction pops gets its reducer row
+(the reducing element's tail placed at the word's position, or
+"normal") once per degree, and the other reductions of that degree reuse
+it.  A row stays valid through the degree: the first factor of a word
+among the final lower-degree leading words cannot change, and a new
+degree-d leading word u was normal when it was found, so the only row it
+makes stale is u's own.  Adding u replaces that row by u's form, which
+is also how a word equal to a leading word of the current degree finds
+its element without the automaton.
+
+Completion runs on integer forms only, and `groebner` returns the basis
+it grew, so no form is ever recomputed from a polynomial.
 """
 
 from __future__ import annotations
@@ -125,31 +128,56 @@ class WordAutomaton:
         return [sum(row) for row in counts]
 
 
-class _IntegerBasis:
-    """Basis elements as integer forms, with their automaton; reduction.
+class GroebnerBasis:
+    """A reduced (possibly degree-truncated) two-sided Groebner basis.
 
-    Each element g has an integer form (L, words, coeffs): g times a nonzero
-    scalar, split into its lead coefficient L and its other terms (parallel
-    tuples, which take less memory than pairs).  Over Q the scalar clears
-    the denominators and removes the content (so L > 0); over F_p the
-    coefficients are representatives mod p and g is monic, so L = 1.
-    `_leads[i]` is the leading word of `_forms[i]`.  Completion grows one
-    such basis, in the order the elements are found, and calls `rebuild`
-    once per degree.
+    Reduction runs on plain integers.  Each element g has an integer form
+    (L, words, coeffs): g times a nonzero scalar, split into its lead
+    coefficient L and its other terms (parallel tuples, which take less
+    memory than pairs).  Over Q the scalar clears the denominators and
+    removes the content (so L > 0); over F_p the coefficients are
+    representatives mod p and g is monic, so L = 1.  `_leads[i]` is the
+    leading word of `_forms[i]`.  `groebner` appends the elements in the
+    order they are found, then `_finish` sorts them and sets `elements`.
     """
 
-    def __init__(self, gen_degs, field, leads=(), forms=()):
-        self.gen_degs = gen_degs
-        self.field = field
-        self.modulus = field.modulus
-        self._leads = list(leads)
-        self._forms = list(forms)
-        self.automaton = WordAutomaton(tuple(self._leads), gen_degs)
+    def __init__(self, presentation, d_gb):
+        self.presentation = presentation
+        self.modulus = presentation.field.modulus
+        self.d_gb = d_gb
+        self.complete = False
+        self.elements = ()
+        self._leads, self._forms = [], []
+        self.automaton = WordAutomaton((), presentation.gen_degs)
+        self._normal_words, self._nf_words, self._dims = {}, {}, ()
 
-    def rebuild(self):
-        """Rebuild the automaton if elements were appended since it was built."""
-        if len(self.automaton.leads) < len(self._leads):
-            self.automaton = WordAutomaton(tuple(self._leads), self.gen_degs)
+    def check_degree(self, d, what="computation"):
+        if not self.complete and d > self.d_gb:
+            raise CertificationError(
+                "%s at degree %d exceeds the certified range (basis complete only up to %d)"
+                % (what, d, self.d_gb)
+            )
+
+    def _finish(self, complete):
+        """Sort the elements by leading word and build the automaton over them
+        in that order, so `find`'s index names `elements[i]`; tail-reduce each
+        form in place (a normal form is unique, so the reducers' tails do not
+        matter) and read `elements` off the reduced forms."""
+        pres, p = self.presentation, self.modulus
+        pairs = sorted(zip(self._leads, self._forms), key=lambda pair: pres.word_key(pair[0]))
+        self._leads = [u for u, _ in pairs]
+        self._forms = forms = [form for _, form in pairs]
+        self.automaton = WordAutomaton(tuple(self._leads), pres.gen_degs)
+        for i, (lead, (lead_coeff, words, coeffs)) in enumerate(pairs):
+            out, scale = self._reduce_terms(dict(zip(words, coeffs)), lead_coeff)
+            forms[i] = _integer_form({lead: scale, **out}, lead, p)
+        self.elements = tuple(
+            Poly({**self._quotient(dict(zip(words, coeffs)), c), u: 1}, pres.word_degree(u), p)
+            for u, (c, words, coeffs) in zip(self._leads, forms)
+        )
+        self.complete = complete
+
+    # -- reduction ---------------------------------------------------------
 
     def _reduce_terms(self, pending, den, rows=None):
         """Reduce the integers `pending` (word -> int, all of one degree) to
@@ -238,40 +266,8 @@ class _IntegerBasis:
 
     def _quotient(self, out, scale):
         """The field scalars out / scale, for integers `out` from `_reduce_terms`."""
-        scalar = self.field.scalar
+        scalar = self.presentation.field.scalar
         return out if scale == 1 else {w: scalar(c, scale) for w, c in out.items()}
-
-
-class GroebnerBasis(_IntegerBasis):
-    """A reduced (possibly degree-truncated) two-sided Groebner basis.
-
-    Reduction runs on plain integers (`_IntegerBasis`): each element gets
-    its integer form once, when the basis is built.  Completion builds the
-    basis once, from its final tail-reduced elements.
-    """
-
-    def __init__(self, presentation, elements, d_gb, complete):
-        self.presentation = presentation
-        key = presentation.word_key
-        self.elements = tuple(sorted(elements, key=lambda g: key(g.lead_word())))
-        self.d_gb = d_gb
-        self.complete = complete
-        p = presentation.field.modulus
-        leads = [g.lead_word() for g in self.elements]
-        forms = [_integer_form(_to_ints(g.terms)[0], u, p) for g, u in zip(self.elements, leads)]
-        super().__init__(presentation.gen_degs, presentation.field, leads, forms)
-        self._normal_words = {}
-        self._nf_words = {}
-        self._dims = ()
-
-    def check_degree(self, d, what="computation"):
-        if not self.complete and d > self.d_gb:
-            raise CertificationError(
-                "%s at degree %d exceeds the certified range (basis complete only up to %d)"
-                % (what, d, self.d_gb)
-            )
-
-    # -- reduction ---------------------------------------------------------
 
     def normal_form(self, p):
         """The unique reduced representative of `p` modulo the ideal."""
@@ -326,15 +322,19 @@ class GroebnerBasis(_IntegerBasis):
         self._normal_words[j] = out
         return out
 
+    def dims(self, upto):
+        """[dim_k A_j for j <= upto], path counts of the automaton; the counts are
+        kept, through d_gb at least, and recounted only for a higher degree."""
+        self.check_degree(upto, "normal words")
+        if upto >= len(self._dims):
+            self._dims = self.automaton.dims(max(upto, self.d_gb))
+        return self._dims[: upto + 1]
+
     def dim(self, j):
-        """dim_k A_j, a path count of the automaton; the counts are kept, through
-        d_gb at least, and recounted only when a higher degree is asked for."""
+        """dim_k A_j; every kept count is certified (see `dims`)."""
         if j < 0:
             return 0
-        self.check_degree(j, "normal words")
-        if j >= len(self._dims):
-            self._dims = self.automaton.dims(max(j, self.d_gb))
-        return self._dims[j]
+        return self._dims[j] if j < len(self._dims) else self.dims(j)[j]
 
 
 def _to_ints(terms):
@@ -397,12 +397,12 @@ def groebner(presentation, d_gb, element_limit=2000):
     k-th elements found, with u_i*right and left*u_k one word w; an
     overlap's S-polynomial is built from the integer forms when it is
     popped, unless the chain criterion (module docstring) skips it.  The
-    elements found are kept only as leading words and integer forms, in one
-    growing `_IntegerBasis`; they become polynomials in the final tail
-    reduction, and the sorted `GroebnerBasis` is built once, at the end.
-    The automaton is rebuilt once per degree that found elements, and the
-    reducer rows are kept for one degree at a time, so they hold at most
-    one degree's reducible words (module docstring).
+    elements found are kept only as leading words and integer forms, in the
+    `GroebnerBasis` that is returned; they become polynomials once, after
+    the final tail reduction (`GroebnerBasis._finish`).  The automaton is
+    rebuilt once per degree that found elements, and the reducer rows are
+    kept for one degree at a time, so they hold at most one degree's
+    reducible words (module docstring).
     Raises ResourceLimitError if the element budget is exhausted.
     """
     key = presentation.word_key
@@ -421,7 +421,7 @@ def groebner(presentation, d_gb, element_limit=2000):
         heapq.heappush(heap, (r.degree, key(r.lead_word()), seq, r))
         seq += 1
 
-    basis = _IntegerBasis(presentation.gen_degs, presentation.field)
+    basis = GroebnerBasis(presentation, d_gb)
     leads, forms = basis._leads, basis._forms
     # cleared when an overlap above d_gb is dropped: every ordered pair of
     # elements, self-pairs included, passes through push_overlaps once
@@ -443,7 +443,8 @@ def groebner(presentation, d_gb, element_limit=2000):
         d, _, _, item = heapq.heappop(heap)
         if d > current:
             current, rows = d, {}
-            basis.rebuild()
+            if len(basis.automaton.leads) < len(leads):  # elements found since the last build
+                basis.automaton = WordAutomaton(tuple(leads), presentation.gen_degs)
         if isinstance(item, tuple):  # an overlap, not a relation
             i, k, left, right = item
             if basis.automaton.find((left + leads[k])[1:-1]) is not None:
@@ -468,13 +469,6 @@ def groebner(presentation, d_gb, element_limit=2000):
             if k != n:
                 push_overlaps(k, n)
 
-    # tail-reduce for canonical output; the leading words, and with them
-    # the overlaps that decided `complete`, are already final
-    basis.rebuild()
-    reduced = []
-    for lead, (lead_coeff, words, coeffs) in zip(leads, forms):
-        terms = basis._quotient(*basis._reduce_terms(dict(zip(words, coeffs)), lead_coeff))
-        terms[lead] = 1
-        reduced.append(Poly(terms, presentation.word_degree(lead), p))
-    return GroebnerBasis(presentation, reduced, d_gb, complete)
+    basis._finish(complete)
+    return basis
 

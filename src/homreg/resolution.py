@@ -507,7 +507,7 @@ def multiplication_images(G, polys, j_hi, left=True):
 def _algebra_socle_degree(G, probe):
     """Top degree of a certified finite-dimensional algebra, else None."""
     limit = probe if G.complete else min(probe, G.d_gb)
-    top = max(j for j, n in enumerate(G.automaton.dims(limit)) if n)
+    top = max(j for j, n in enumerate(G.dims(limit)) if n)
     return top if top + G.presentation.max_gen_degree() <= limit else None
 
 

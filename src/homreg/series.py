@@ -1,18 +1,18 @@
 """Hilbert series: truncated coefficients, exact rational forms, Stanley test.
 
 Rational forms are computed only from complete Groebner bases, via the
-basis's normal-word automaton (`GroebnerBasis.automaton`).  Its path
-counts satisfy a linear recurrence whose order is bounded by the number
-of states times the largest generator degree; fraction-free
-Berlekamp-Massey over Z on twice that many coefficients gives the
+path counts of the basis's normal-word automaton (`GroebnerBasis.dims`).
+They satisfy a linear recurrence whose order is bounded by the number of
+states times the largest generator degree.  `_rational_series` reads the
+reduced form off twice that many integer coefficients, for h_A and for
+`series_product` alike: fraction-free Berlekamp-Massey over Z gives the
 reduced denominator (integral, by Fatou), and the numerator is the
 coefficient series multiplied back in, verified over Z to be a
-polynomial before anything is returned.
+polynomial before anything is returned.  Nothing is cancelled by a gcd.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
@@ -43,39 +43,6 @@ def _pmul(a, b):
             if y:
                 out[i + j] += x * y
     return _ptrim(out)
-
-
-def _pdivmod(a, b):
-    a = _ptrim([Fraction(x) for x in a])
-    b = _ptrim([Fraction(x) for x in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return [], []
-    db = _pdeg(b)
-    lead = b[-1]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        k = len(r) - 1 - db
-        f = r[-1] / lead
-        q[k] = f
-        for i in range(len(b)):
-            r[i + k] -= f * b[i]
-        r.pop()  # the leading coefficient cancels exactly
-        r = _ptrim(r)
-    return _ptrim(q), _ptrim(r)
-
-
-def _pgcd(a, b):
-    a, b = _ptrim([Fraction(x) for x in a]), _ptrim([Fraction(x) for x in b])
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
 
 
 # -- series types -------------------------------------------------------------
@@ -168,63 +135,37 @@ def _factor_denominator(den):
     return None
 
 
-def make_rational(numerator, denominator):
-    """Normalize an exact rational series: cancel, scale, factor, grade.
-
-    The cancelling gcd runs over Q: the factors of `series_product` can
-    share one, as (1 + t) * 1/((1 - t)^2 (1 - t^2)) = 1/(1 - t)^3 does.
-    """
-    num = _ptrim([Fraction(x) for x in numerator])
-    den = _ptrim([Fraction(x) for x in denominator])
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return RationalSeries((0,), (1,), (), float("-inf"))
-    g = _pgcd(num, den)
-    if _pdeg(g) >= 1:
-        num, _ = _pdivmod(num, g)
-        den, _ = _pdivmod(den, g)
-    # scale so the denominator has constant term 1
-    c0 = den[0]
-    if not c0:
-        raise ArithmeticError("denominator vanishes at t = 0")
-    num = [x / c0 for x in num]
-    den = [x / c0 for x in den]
-    if any(x.denominator != 1 for x in num + den):
-        raise ArithmeticError("expected integer polynomials, found (%s) / (%s)" % (num, den))
-    n, d = tuple(int(x) for x in num), tuple(int(x) for x in den)
-    return RationalSeries(n, d, _factor_denominator(d), len(n) - len(d))
-
-
 # -- the three series operations ---------------------------------------------
 
 
 def hilbert_truncated(G, upto):
     """Coefficients dim A_j for j <= upto, from normal-word counts."""
     G.check_degree(upto, "Hilbert coefficients")
-    return TruncatedSeries(tuple(G.automaton.dims(upto)), upto)
+    return TruncatedSeries(tuple(G.dims(upto)), upto)
 
 
 def hilbert_rational(G):
-    """Exact rational Hilbert series from a complete Groebner basis.
-
-    h = N / det(I - M(t)) with deg det <= bound and deg N < bound, so the
-    linear complexity L is at most bound and 2 * (bound + 1) coefficients
-    make Berlekamp-Massey's C unique.  For h = N/D reduced, every valid C
-    is D * Q with deg(N * Q) < L = max(deg D, deg N + 1), so Q = 1, C = D
-    and nothing is left to cancel.  The numerator is checked over Z.
-    """
+    """Exact rational Hilbert series from a complete Groebner basis:
+    h = N / det(I - M(t)) with deg det <= bound and deg N < bound."""
     if not G.complete:
         raise CertificationError(
             "rational Hilbert series requires a complete Groebner basis "
             "(basis certified only up to degree %d); use hilbert_truncated instead" % G.d_gb
         )
     bound = len(G.automaton.states) * max(G.presentation.max_gen_degree(), 1)
-    dims = G.automaton.dims(2 * (bound + 1))
-    den = _berlekamp_massey(dims)
-    prod = _pmul(dims, den)
+    return _rational_series(G.dims(2 * (bound + 1)), bound)
+
+
+def _rational_series(seq, bound):
+    """The reduced series N/D whose coefficients begin with the integers
+    `seq`, when its linear complexity L = max(deg D, deg N + 1) is at most
+    `bound` and len(seq) >= 2 * bound: then Berlekamp-Massey's C is unique,
+    and as every valid C is D * Q with deg(N * Q) < L, Q = 1 and C = D, with
+    nothing left to cancel.  The numerator is checked over Z."""
+    den = _berlekamp_massey(seq)
+    prod = _pmul(seq, den)
     num = _ptrim(prod[: bound + 1])
-    if any(prod[bound + 1 : len(dims)]):
+    if any(prod[bound + 1 : len(seq)]):
         raise ArithmeticError("internal error: numerator not polynomial")
     return RationalSeries(tuple(num), tuple(den), _factor_denominator(den), _pdeg(num) - _pdeg(den))
 
@@ -275,8 +216,21 @@ def first_difference(p, h, q, g):
 
 
 def series_product(h1, h2):
-    """h_{A (x) B} = h_A * h_B for exact rational series."""
-    return make_rational(_pmul(h1.numerator, h2.numerator), _pmul(h1.denominator, h2.denominator))
+    """h_{A (x) B} = h_A * h_B for exact rational series.
+
+    N = N_1 N_2 and D = D_1 D_2 can share a factor, as (1 + t) and
+    (1 - t^2) do, but N/D (D(0) = 1, so it expands over Z) has linear
+    complexity at most b = max(deg D, deg N + 1), which bounds the reduced form.
+    """
+    num = _pmul(h1.numerator, h2.numerator)
+    den = _pmul(h1.denominator, h2.denominator)
+    top = _pdeg(den)
+    bound = max(top, _pdeg(num) + 1)
+    seq = []
+    for k in range(2 * (bound + 1) + 1):
+        c = num[k] if k < len(num) else 0
+        seq.append(c - sum(den[i] * seq[k - i] for i in range(1, min(k, top) + 1)))
+    return _rational_series(seq, bound)
 
 
 # -- Stanley's functional equation --------------------------------------------

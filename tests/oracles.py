@@ -11,7 +11,8 @@ checks the resolution's one-elimination step against a separate span
 and kernel computation, and `unbounded_resolution`, which runs that
 step through d_max at every homological degree.  `hilbert_rational_reference`
 is the Fraction route to a rational Hilbert series: Berlekamp-Massey over
-Q, `make_rational`'s gcd over Q and trial long division by each (1 - t^e).
+Q, `make_rational`'s gcd over Q and trial long division by each (1 - t^e);
+`series_product_reference` multiplies two series by the same gcd over Q.
 `reference_row_reduce` and
 `reference_solve` are dense Gauss-Jordan elimination, for checking
 homreg.linalg.
@@ -36,7 +37,7 @@ from homreg.resolution import (
     _images,
     _syzygy_step,
 )
-from homreg.series import RationalSeries, make_rational
+from homreg.series import RationalSeries, _factor_denominator, _pdeg, _ptrim
 
 
 def src_env():
@@ -452,6 +453,67 @@ def one_minus_t_exponents(den):
     return None
 
 
+def _pdivmod(a, b):
+    a = _ptrim([Fraction(x) for x in a])
+    b = _ptrim([Fraction(x) for x in b])
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return [], []
+    db = _pdeg(b)
+    lead = b[-1]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while r and len(r) - 1 >= db:
+        k = len(r) - 1 - db
+        f = r[-1] / lead
+        q[k] = f
+        for i in range(len(b)):
+            r[i + k] -= f * b[i]
+        r.pop()  # the leading coefficient cancels exactly
+        r = _ptrim(r)
+    return _ptrim(q), _ptrim(r)
+
+
+def _pgcd(a, b):
+    a, b = _ptrim([Fraction(x) for x in a]), _ptrim([Fraction(x) for x in b])
+    while b:
+        _, r = _pdivmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [x / lead for x in a]
+    return a
+
+
+def make_rational(numerator, denominator):
+    """Normalize an exact rational series: cancel, scale, factor, grade.
+
+    The cancelling gcd runs over Q: the factors of `series_product` can
+    share one, as (1 + t) * 1/((1 - t)^2 (1 - t^2)) = 1/(1 - t)^3 does.
+    """
+    num = _ptrim([Fraction(x) for x in numerator])
+    den = _ptrim([Fraction(x) for x in denominator])
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return RationalSeries((0,), (1,), (), float("-inf"))
+    g = _pgcd(num, den)
+    if _pdeg(g) >= 1:
+        num, _ = _pdivmod(num, g)
+        den, _ = _pdivmod(den, g)
+    # scale so the denominator has constant term 1
+    c0 = den[0]
+    if not c0:
+        raise ArithmeticError("denominator vanishes at t = 0")
+    num = [x / c0 for x in num]
+    den = [x / c0 for x in den]
+    if any(x.denominator != 1 for x in num + den):
+        raise ArithmeticError("expected integer polynomials, found (%s) / (%s)" % (num, den))
+    n, d = tuple(int(x) for x in num), tuple(int(x) for x in den)
+    return RationalSeries(n, d, _factor_denominator(d), len(n) - len(d))
+
+
 def hilbert_rational_reference(G):
     """The rational Hilbert series of a complete basis G by the Fraction route:
     Berlekamp-Massey over Q on the same 2 * (bound + 1) + 1 coefficients as
@@ -464,6 +526,23 @@ def hilbert_rational_reference(G):
     assert not any(prod[bound + 1 :])
     h = make_rational(prod[: bound + 1], den)
     return RationalSeries(h.numerator, h.denominator, one_minus_t_exponents(h.denominator), h.degree)
+
+
+def series_product_reference(h1, h2):
+    """h1 * h2 by the Fraction route: the product's numerator and denominator
+    cancelled by `make_rational`'s gcd over Q, exponents by `one_minus_t_exponents`."""
+    num = _pmul_reference(h1.numerator, h2.numerator)
+    h = make_rational(num, _pmul_reference(h1.denominator, h2.denominator))
+    return RationalSeries(h.numerator, h.denominator, one_minus_t_exponents(h.denominator), h.degree)
+
+
+def _pmul_reference(a, b):
+    """The product of two coefficient lists, by direct convolution."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def eval_rational(rs, t0):

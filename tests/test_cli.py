@@ -83,6 +83,22 @@ def test_missing_file_exit_code(files, capsys):
     assert "input error" in out
 
 
+@pytest.mark.parametrize("where", ["algebra", "module"])
+@pytest.mark.parametrize("bad", ["missing", "directory", "not-utf8"])
+def test_an_unreadable_input_file_is_an_input_error(files, tmp_path, capsys, where, bad):
+    path = tmp_path / "bad.alg"
+    if bad == "directory":
+        path.mkdir()
+    elif bad == "not-utf8":
+        path.write_bytes(b"field Q\ngens x:1 # \xff\n")
+    argv = ["gb", str(path)] if where == "algebra" else ["resolve", files["t34"], "--module", str(path)]
+    code, out = run(argv + ["--format", "jsonl", "--no-cache"], capsys)
+    assert code == cli.EXIT_INPUT == 1
+    (rec,) = jsonl(out)
+    assert rec["type"] == "error" and rec["class"] == "input"
+    assert rec["message"].startswith("cannot read %s: " % path)
+
+
 def test_bad_truncation_exit_code(files, capsys):
     code, out = run(["gb", files["t34"], "--dgb", "2", "--no-cache"], capsys)
     assert code == 1

@@ -14,10 +14,10 @@ from homreg.corealg import (
     parse_field,
     parse_presentation,
 )
+from homreg import gbasis
 from homreg.gbasis import (
     GroebnerBasis,
     WordAutomaton,
-    _IntegerBasis,
     _to_ints,
     groebner,
 )
@@ -362,20 +362,22 @@ def test_chain_criterion_skips_sklyanin_type_overlaps(monkeypatch):
         calls.append(args)
         return reduce_terms(self, *args)
 
-    monkeypatch.setattr(_IntegerBasis, "_reduce_terms", counting)
+    monkeypatch.setattr(GroebnerBasis, "_reduce_terms", counting)
     G = groebner(sklyanin_type(), 9)  # the presentation of perfbench's sklyanin_gb
     assert len(G.elements) == 26
     assert len(calls) == 118
 
 
 def test_sklyanin_type_completion_builds_the_basis_once(monkeypatch):
-    # regression guard: completion grows one integer basis, so the sorted
-    # GroebnerBasis is built once, at the end, and S-polynomials are integer
-    # dicts: no Poly is made before the tail reduction (the last reductions,
-    # one per element)
+    # regression guard: completion grows the GroebnerBasis it returns, on
+    # integer forms only.  Every Poly is made after the last reduction (the
+    # tail reduction), one per element; only the relations are turned into
+    # integers, and each element gets its integer form twice, when it is
+    # found and when its tail is reduced, never again from its Poly
     pres = sklyanin_type()
-    built, polys, reductions = [], [], []
-    init, poly_init, reduce_terms = GroebnerBasis.__init__, Poly.__init__, _IntegerBasis._reduce_terms
+    built, polys, reductions, to_ints, integer_forms = [], [], [], [], []
+    init, poly_init, reduce_terms = GroebnerBasis.__init__, Poly.__init__, GroebnerBasis._reduce_terms
+    to_ints_of, integer_form_of = gbasis._to_ints, gbasis._integer_form
 
     def counting_init(self, *args):
         built.append(args)
@@ -389,22 +391,34 @@ def test_sklyanin_type_completion_builds_the_basis_once(monkeypatch):
         reductions.append(len(polys))  # Polys made before this reduction
         return reduce_terms(self, *args)
 
+    def logging_to_ints(terms):
+        to_ints.append(terms)
+        return to_ints_of(terms)
+
+    def counting_integer_form(*args):
+        integer_forms.append(args)
+        return integer_form_of(*args)
+
     monkeypatch.setattr(GroebnerBasis, "__init__", counting_init)
     monkeypatch.setattr(Poly, "__init__", counting_poly_init)
-    monkeypatch.setattr(_IntegerBasis, "_reduce_terms", counting_reduce)
+    monkeypatch.setattr(GroebnerBasis, "_reduce_terms", counting_reduce)
+    monkeypatch.setattr(gbasis, "_to_ints", logging_to_ints)
+    monkeypatch.setattr(gbasis, "_integer_form", counting_integer_form)
     G = groebner(pres, 9)
     assert len(built) == 1
-    assert len(reductions) == 118
-    first_tail = len(reductions) - len(G.elements)
-    assert reductions[first_tail] == 0
-    assert len(polys) >= len(G.elements)  # the counter sees the tail reduction's Polys
+    assert reductions == [0] * 118
+    assert len(polys) == len(G.elements) == 26
+    assert sorted(map(id, to_ints)) == sorted(id(r.terms) for r in pres.relations)
+    assert len(integer_forms) == 2 * len(G.elements)
 
 
 def test_sklyanin_type_completion_builds_one_automaton_per_degree(monkeypatch):
     # regression guard: completion rebuilds the automaton once per degree that
-    # found elements (plus the empty one at the start and the GroebnerBasis's),
-    # and reads each word's reducer row once per degree; rebuilding per
-    # element and searching per reduction took 28 builds and 5,903 finds
+    # found elements, with the empty one at the start and the final sorted
+    # one in place of the last rebuild, and reads each word's reducer row
+    # once per degree; rebuilding per element and searching per reduction
+    # took 28 builds and 5,903 finds, and building the GroebnerBasis apart
+    # from the completion took one more
     builds, finds = [], []
     init, find = WordAutomaton.__init__, WordAutomaton.find
 
@@ -420,7 +434,7 @@ def test_sklyanin_type_completion_builds_one_automaton_per_degree(monkeypatch):
     monkeypatch.setattr(WordAutomaton, "find", counting_find)
     G = groebner(sklyanin_type(), 9)
     assert len(G.elements) == 26
-    assert len(builds) <= len({g.degree for g in G.elements}) + 2 == 10
+    assert len(builds) <= len({g.degree for g in G.elements}) + 1 == 9
     assert len(finds) <= 2800
 
 
@@ -431,7 +445,7 @@ def test_a_word_popped_as_normal_that_becomes_a_leading_word_in_the_same_degree(
     # form.  The seed was found by a search over random_weighted_presentation.
     pres = random_weighted_presentation(random.Random(5), parse_field("Q"), [("x", 1), ("t", 2)], "stale")
     log = []  # (rows of the reduction's degree, its normal words after it, new lead or None)
-    reduce_terms = _IntegerBasis._reduce_terms
+    reduce_terms = GroebnerBasis._reduce_terms
 
     def logging(self, pending, den, rows=None):
         out, scale = reduce_terms(self, pending, den, rows)
@@ -439,7 +453,7 @@ def test_a_word_popped_as_normal_that_becomes_a_leading_word_in_the_same_degree(
             log.append((rows, {w for w, row in rows.items() if row == ()}, min(out) if out else None))
         return out, scale
 
-    monkeypatch.setattr(_IntegerBasis, "_reduce_terms", logging)
+    monkeypatch.setattr(GroebnerBasis, "_reduce_terms", logging)
     G = groebner(pres, 8)
     stale = [
         lead
@@ -540,7 +554,7 @@ def test_nf_word_returns_a_normal_word_without_reducing_it(monkeypatch):
         calls.append(args)
         return reduce_terms(self, *args)
 
-    monkeypatch.setattr(_IntegerBasis, "_reduce_terms", counting)
+    monkeypatch.setattr(GroebnerBasis, "_reduce_terms", counting)
     pres = sklyanin_type()
     G = groebner(pres, 6)
     assert not G.complete

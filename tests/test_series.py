@@ -5,17 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from homreg import series
 from homreg.cli import main
 from homreg.corealg import CertificationError, parse_presentation
-from homreg.gbasis import groebner
+from homreg.gbasis import WordAutomaton, groebner
 from homreg.series import (
     RationalSeries,
     _berlekamp_massey,
     _factor_denominator,
     hilbert_rational,
     hilbert_truncated,
-    make_rational,
     series_product,
     stanley_check,
 )
@@ -27,6 +25,7 @@ from oracles import (
     hilbert_rational_reference,
     one_minus_t_product,
     random_algebra_source,
+    series_product_reference,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -87,18 +86,22 @@ def test_rational_refused_for_incomplete_basis():
 
 
 def test_series_product():
-    one_plus_t = make_rational([1, 1], [1])  # the polynomial 1 + t
+    one_plus_t = RationalSeries((1, 1), (1,), (), 1)  # the polynomial 1 + t
     prod = series_product(one_plus_t, one_plus_t)
     assert prod.numerator == (1, 2, 1)
     assert prod.degree == 2
 
     GT = gb_of("field Q; gens x:1 y:1; rels x^2*y - y*x^2, x*y^2 - y^2*x")
     hT = hilbert_rational(GT)
-    unit = make_rational([1], [1])
+    unit = RationalSeries((1,), (1,), (), 0)
     assert series_product(hT, unit) == hT
 
-    h2 = make_rational([1], [1, -2, 1])  # 1 / (1 - t)^2
+    h2 = RationalSeries((1,), (1, -2, 1), (1, 1), -2)  # 1 / (1 - t)^2
     assert series_product(hT, h2).degree == hT.degree + h2.degree
+
+    # (1 + t) * 1/((1 - t)^2 (1 - t^2)) cancels to 1/(1 - t)^3
+    h3 = RationalSeries((1,), tuple(one_minus_t_product((1, 1, 2))), (1, 1, 2), -4)
+    assert series_product(one_plus_t, h3) == RationalSeries((1,), (1, -3, 3, -1), (1, 1, 1), -3)
 
 
 def test_stanley_truncated_polynomial_rings():
@@ -143,10 +146,15 @@ def test_stanley_matches_sample_point_substitution():
 
 
 def test_degree_is_a_invariant_after_cancellation():
-    # (1 - t^2) / (1 - t)^2 cancels to (1 + t)/(1 - t): degree 0
+    # (1 - t^2) * 1/(1 - t)^2 cancels to (1 + t)/(1 - t): degree 0
     h = RationalSeries((1, 1), (1, -1), (1,), 0)
-    built = make_rational([1, 0, -1], [1, -2, 1])
+    one_minus_t2 = RationalSeries((1, 0, -1), (1,), (), 2)
+    built = series_product(one_minus_t2, RationalSeries((1,), (1, -2, 1), (1, 1), -2))
     assert built == h
+    # and a product that cancels to a polynomial: (1 - t^2) * 1/(1 - t) = 1 + t
+    assert series_product(one_minus_t2, RationalSeries((1,), (1, -1), (1,), -1)) == RationalSeries(
+        (1, 1), (1,), (), 1
+    )
 
 
 def test_free_algebra_series():
@@ -203,6 +211,7 @@ def test_the_integer_series_is_the_fraction_route(which, golden):
     bases = oracle_bases(which, golden)
     assert len(bases) >= 8
     unfactored = 0
+    series = []
     for G in bases:
         h = hilbert_rational(G)
         ref = hilbert_rational_reference(G)
@@ -212,8 +221,19 @@ def test_the_integer_series_is_the_fraction_route(which, golden):
         # past the 2 * (bound + 1) + 1 coefficients Berlekamp-Massey saw
         upto = 3 * (len(G.automaton.states) * max(G.presentation.max_gen_degree(), 1) + 1)
         assert expand_series(h.numerator, h.denominator, upto) == G.automaton.dims(upto)
+        series.append(h)
     if which.startswith("random"):
         assert unfactored >= 10
+    # series_product against the gcd over Q, on every pair of distinct series
+    series = list(dict.fromkeys(series))
+    cancelled = 0
+    for i, h1 in enumerate(series):
+        for h2 in series[i:]:
+            prod = series_product(h1, h2)
+            assert prod == series_product_reference(h1, h2), (h1, h2)
+            cancelled += len(prod.denominator) < len(h1.denominator) + len(h2.denominator) - 1
+    if which.startswith("random"):
+        assert cancelled >= 50
 
 
 def test_berlekamp_massey_over_z():
@@ -242,22 +262,20 @@ def test_one_minus_t_power_factoring():
     assert _factor_denominator([1]) == ()
 
 
-def test_the_golden_suite_builds_its_series_on_ints(monkeypatch, capsys):
-    # only make_rational, for series_product's cancelling gcd, may build a Fraction
-    def no_fraction(*args):
-        raise AssertionError("Fraction(%s) on the integer series path" % ", ".join(map(repr, args)))
+def test_a_harness_run_recounts_paths_only_for_a_higher_degree(monkeypatch, capsys):
+    # regression guard: hilbert_truncated, hilbert_rational, the socle degree
+    # and dim all read the basis's kept path counts, so an automaton's counts
+    # are recounted only for a higher degree; reading them apart took 34
+    uptos = {}
+    dims = WordAutomaton.dims
 
-    gcd_over_q, calls = series.make_rational, []
+    def logging_dims(self, upto):
+        uptos.setdefault(id(self), []).append(upto)
+        return dims(self, upto)
 
-    def make_rational_with_fractions(numerator, denominator):
-        calls.append((numerator, denominator))
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(series, "Fraction", Fraction)
-            return gcd_over_q(numerator, denominator)
-
-    monkeypatch.setattr(series, "Fraction", no_fraction)
-    monkeypatch.setattr(series, "make_rational", make_rational_with_fractions)
-    assert main(["harness", "--no-cache", "--format", "jsonl"]) == 0
+    monkeypatch.setattr(WordAutomaton, "dims", logging_dims)
+    assert main(["harness", "--format", "jsonl"]) == 0
     with open(os.path.join(ROOT, "perfbench", "expected", "golden_harness.jsonl")) as fh:
         assert capsys.readouterr().out == fh.read()
-    assert calls
+    assert all(seq == sorted(set(seq)) for seq in uptos.values()), uptos
+    assert sum(map(len, uptos.values())) <= 21
