@@ -10,8 +10,6 @@ assertion strings and surface in every report that uses them.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .corealg import (
     LETTERS,
     AlgebraPresentation,
@@ -324,8 +322,12 @@ def as_regularity(torreg_k, cmreg):
 def as_regular_verdict(art):
     """Certificate-backed AS-regularity verdict.
 
-    Yes: the resolution P of k terminates at step d and Ext(k, A) is
-    one-dimensional in (d, -l) and zero elsewhere: type (d, l).  The right
+    Yes: the resolution P of k terminates at step d, its table is AS
+    symmetric with top shift l, and Ext^i(k, A) is zero on its window for
+    every i < d: type (d, l).  Termination is "euler-exact", so H_A P(t) = 1
+    for P(t) = sum (-1)^i beta_{i,j} t^j; with P(1/t) = (-1)^d t^-l P(t),
+    Hom(P, A) has Euler characteristic (-1)^d delta_{j,-l} in degree j, so
+    Ext^d(k, A) is k in degree -l on its window and is not read.  The right
     side needs no second resolution (T. Levasseur, Glasgow Math. J. 34, 1992):
       * P* = Hom_A(P, A), read backwards, is a minimal free resolution of
         k_A(l), because its entries are transposes of entries in A_{>=1};
@@ -334,8 +336,11 @@ def as_regular_verdict(art):
     The "yes" is exactly as strong as the left termination certificate.
     Tor(k, k) is the same from either side, so the table is its mirror:
     one generator at step d, in degree l, and beta_{i,j} = beta_{d-i,l-j}.
-    No: a terminated table breaks that (no Ext is read), the top fails
-    concentration in a certified range, or ASreg >= 1.  Else: unknown.
+    No: a terminated table breaks that (no Ext is read), a lower Ext is
+    nonzero in its window, ASreg >= 1, or the basis is complete and the
+    reduced numerator N of H_A is not 1: a finite resolution of k has
+    finitely generated terms (Anick's chains), so N P = D, and gcd(N, D) = 1
+    forces N = 1.  Else: unknown.
     A certified Koszul algebra is decided by its Koszul dual instead of
     Ext (`_koszul_dual_verdict`), in all degrees either way.
     """
@@ -347,18 +352,12 @@ def as_regular_verdict(art):
                 return ASRegularVerdict("no", reason=asymmetry)
             if (dual := _koszul_dual_verdict(art, d)) is not None:
                 return dual
-            ext = art.ext_k()
-            off = sorted(i for (i, _) in ext.entries if i != d)
+            off = sorted(i for (i, _) in art.ext_k().entries if i != d)
             if off:
                 return ASRegularVerdict(
                     "no", reason="Ext^%d(k, A) is nonzero away from the top step %d" % (off[0], d)
                 )
-            top = sorted((j, r) for (i, j), r in ext.entries.items() if i == d)
-            if len(top) == 1 and top[0][1] == 1:
-                return ASRegularVerdict("yes", dim=d, index=-top[0][0])
-            return ASRegularVerdict(
-                "no", reason="top Ext is not one-dimensional in the certified window"
-            )
+            return ASRegularVerdict("yes", dim=d, index=art.betti_k().t(d))
     # numerical route: ASreg >= 1 certified excludes AS regularity
     torreg = art.resolve_torreg()
     cmreg, _ = art.resolve_cmreg(allow_as_regular=False)
@@ -366,6 +365,10 @@ def as_regular_verdict(art):
         low = torreg.value + cmreg.value
         if low >= 1:
             return ASRegularVerdict("no", reason="numerical AS regularity >= %d > 0" % low)
+    if art.known_betti_k is None and art.gb().complete:
+        if (numerator := art.hilbert().numerator) != (1,):
+            reason = "the Hilbert series numerator %s is not 1, so gldim = ∞"
+            return ASRegularVerdict("no", reason=reason % series_mod.format_poly(numerator))
     return ASRegularVerdict("unknown", reason="window too small")
 
 
@@ -595,12 +598,8 @@ def invariant_ring_obstruction(art, cbound, cmreg_T_range=None):
     if cmreg_T_range is not None and beta2 is not NEG_INF:
         violated_all = True
         for cm_T in cmreg_T_range:
-            bound = min(
-                Fraction(beta2, 2) - cm_T,
-                Fraction(beta2 - cm_T - 1, 2),
-                Fraction(beta2 - 2),
-            )
-            if Fraction(c) >= bound:
+            # c >= min(beta2/2 - cm_T, (beta2 - cm_T - 1)/2, beta2 - 2), doubled
+            if 2 * c >= min(beta2 - 2 * cm_T, beta2 - cm_T - 1, 2 * beta2 - 4):
                 violated_all = False
         if violated_all:
             return ObstructionVerdict(

@@ -43,20 +43,18 @@ Coordinate vectors hold the same scalars as polynomials (see `corealg`);
 layer's normal-word basis.
 
 Termination (a zero kernel, hence finite projective dimension) is only
-declared with one of two certificates:
-
-  * "socle-window"  - the algebra is finite dimensional with top degree D
-    and the window clears max-shift + D, so a nonzero kernel would show a
-    socle element inside the window;
-  * "euler-exact"   - the alternating sum of shift polynomials times the
-    exact rational Hilbert series of the algebra equals the module's own
-    zero-band series, a polynomial, so M is finite dimensional.  The basis
-    must be complete and, with w the widest generator and D the top
-    leading-word degree, Anick's chains (Trans. AMS 296, 1986) must put
-    every computed step inside the window: t_1(M) <= w + top(M),
-    t_i(M) <= D + (i-2)(D-1) + top(M) for i >= 2.  Then the truncated
-    complex is the true one and the identity forces the last kernel to be
-    zero.
+declared with one certificate, "euler-exact": the alternating sum of shift
+polynomials times the exact rational Hilbert series of the algebra equals
+the module's own zero-band series, a polynomial, so M is finite
+dimensional.  The basis must be complete and, with w the widest generator
+and D the top leading-word degree, Anick's chains (Trans. AMS 296, 1986)
+must put every computed step inside the window: t_1(M) <= w + top(M),
+t_i(M) <= D + (i-2)(D-1) + top(M) for i >= 2.  Then the truncated complex
+is the true one and the identity forces the last kernel to be zero.
+Nothing is certified from the algebra alone, as a generator above the
+window may have syzygies.  Over a finite-dimensional A that loses nothing:
+a top-degree element kills A_+, so a minimal map out of a nonzero free
+module is never injective, and a terminated resolution ends at step 0.
 """
 
 from __future__ import annotations
@@ -504,13 +502,6 @@ def multiplication_images(G, polys, j_hi, left=True):
     return source, _images(target, source, gen_vecs, source.min_degree(), j_hi)
 
 
-def _algebra_socle_degree(G, probe):
-    """Top degree of a certified finite-dimensional algebra, else None."""
-    limit = probe if G.complete else min(probe, G.d_gb)
-    top = max(j for j, n in enumerate(G.dims(limit)) if n)
-    return top if top + G.presentation.max_gen_degree() <= limit else None
-
-
 def _betti_entries(shifts):
     """{(i, j): beta_{i,j}} from the generator degrees shifts[i] of each F_i."""
     entries = {}
@@ -547,10 +538,6 @@ def _chain_bound(G, i):
 
 
 def _certify_termination(G, view, shifts_all, d_max, algebra_hilbert):
-    width = G.presentation.max_gen_degree()
-    top = _algebra_socle_degree(G, d_max + width)
-    if top is not None and max(shifts_all[-1]) + top <= d_max:
-        return "socle-window"
     h = view.hilbert
     if algebra_hilbert is None or h is None or not G.complete:
         return None

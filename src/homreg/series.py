@@ -74,13 +74,13 @@ class RationalSeries(Record):
         return self.denominator == (1,)
 
     def text(self):
-        num = _format_poly(self.numerator)
+        num = format_poly(self.numerator)
         if self.is_polynomial():
             return num
         if self.denom_exponents is not None:
             den = "".join("(1-t^%d)" % e if e != 1 else "(1-t)" for e in self.denom_exponents)
         else:
-            den = "(" + _format_poly(self.denominator) + ")"
+            den = "(" + format_poly(self.denominator) + ")"
         return "(%s) / %s" % (num, den)
 
     def record(self):
@@ -92,7 +92,7 @@ class RationalSeries(Record):
         }
 
 
-def _format_poly(coeffs):
+def format_poly(coeffs):
     bits = []
     for i, c in enumerate(coeffs):
         if not c:

@@ -167,6 +167,25 @@ def test_resolve_right_module(files, tmp_path, capsys):
     assert ranks == {(0, 0): 1, (1, 1): 2, (2, 3): 2, (3, 4): 1}
 
 
+def test_a_generator_above_the_window_leaves_the_resolution_open(tmp_path, capsys):
+    # T (+) k(-20) over T = k[u]/(u^2): the window through degree 12 shows a free
+    # module, but k(-20) has infinite projective dimension, which a wider window shows
+    alg = tmp_path / "u2.alg"
+    alg.write_text("field Q\ngens u:1\nrels u^2\n")
+    mod = tmp_path / "t20.mod"
+    mod.write_text("side left\ngens 0 20\nrels u*e1\n")
+    argv = ["resolve", str(alg), "--module", str(mod), "--format", "jsonl", "--no-cache"]
+    code, out = run(argv, capsys)
+    assert code == 0
+    (rec,) = jsonl(out)
+    assert (rec["terminated"], rec["termination_step"], rec["certificate"]) == (False, None, None)
+    code, out = run(argv + ["--dmax", "24", "--dgb", "24", "--imax", "4"], capsys)
+    (rec,) = jsonl(out)
+    ranks = {(e["i"], e["j"]): e["rank"] for e in rec["entries"]}
+    assert ranks == {(0, 0): 1, (0, 20): 1, (1, 21): 1, (2, 22): 1, (3, 23): 1, (4, 24): 1}
+    assert not rec["terminated"]
+
+
 def test_resolve_text_grid(files, capsys):
     code, out = run(["resolve", files["t34"], "--no-cache"], capsys)
     assert code == 0

@@ -37,7 +37,7 @@ def test_the_check_sees_relative_and_absolute_imports(tmp_path):
 
 
 # the modules whose arithmetic runs on plain integers only
-INTEGER_ONLY = ("gbasis.py", "series.py")
+INTEGER_ONLY = ("gbasis.py", "regularity.py", "series.py")
 
 
 def fraction_imports(path):

@@ -5,6 +5,7 @@ import pytest
 
 from homreg.corealg import (
     CertificationError,
+    Poly,
     PresentationError,
     make_module_presentation,
     opposite_presentation,
@@ -220,12 +221,13 @@ def test_resolution_of_k_keeps_kernel_vectors_sparse():
 
 
 def test_termination_check_counts_normal_words_without_listing_them():
-    # the socle-window check only needs to know which dim A_j vanish; over
-    # the free algebra on x, y, z listing the words through d_max + 1 alone
-    # costs 3^(d_max + 1) cached words
+    # "euler-exact" reads the algebra only through its rational series, which
+    # counts paths of the word automaton; over the free algebra on x, y, z
+    # listing the words through d_max + 1 alone costs 3^(d_max + 1) cached words
     pres = parse_presentation("field Q; gens x:1 y:1 z:1")
     G = groebner(pres, 6)
-    minimal_resolution(G, trivial_module(pres), 2, 6)
+    R = minimal_resolution(G, trivial_module(pres), 2, 6, algebra_hilbert=hilbert_rational(G))
+    assert R.certificate == "euler-exact" and R.shifts == ((0,), (1, 1, 1))
     assert max(G._normal_words) <= 6
 
 
@@ -612,6 +614,18 @@ def test_mapped_view_zero_band_is_as_wide_as_the_generators_of_A():
     assert R.certificate != "euler-exact"
 
 
+def test_a_finite_dimensional_algebra_certifies_nothing_above_the_window():
+    # the same A over k[u]/(u^2): at d_max 4 the window shows only 1 and x, a
+    # free module, but z in degree 5 has u*z = 0, so the resolution never ends
+    presU, GU, hU = setup_algebra("field Q; gens u:1; rels u^2")
+    presA = parse_presentation("field Q; gens x:1 z:5; rels x^2, x*z, z*x, z^2")
+    GA = groebner(presA, 12)
+    R = minimal_resolution(GU, MappedAlgebraView(GU, [presA.parse_poly("x")], GA, 4), 4, 4, algebra_hilbert=hU)
+    assert R.shifts == ((0,),) and not R.terminated and R.certificate is None
+    R = minimal_resolution(GU, MappedAlgebraView(GU, [presA.parse_poly("x")], GA, 12), 4, 12, algebra_hilbert=hU)
+    assert R.shifts == ((0, 5), (6,), (7,), (8,), (9,)) and not R.terminated
+
+
 def test_trivial_module_builds_every_sum_of_shifted_copies_of_k():
     presT = parse_presentation(T34)
     assert trivial_module(presT) == trivial_module(presT, (0,)) == semisimple_module(presT, (0,))
@@ -958,3 +972,49 @@ def test_ext_matches_direct_normal_forms_on_random_algebras(monkeypatch, field, 
     assert several >= 20 and prefix_read >= 5
     # each shortcut fires and declines here, and (c) falls back to an Echelon
     assert all(seen["a"]) and all(seen["b"]) and all(seen["c"])
+
+
+FINITE_DIMENSIONAL = (
+    "field %s; gens u:1; rels u^2",
+    "field %s; gens u:1; rels u^3",
+    "field %s; gens u:2; rels u^2",
+    "field %s; gens x:1 y:1; rels x*y - y*x, x^2, y^2",
+    "field %s; gens x:1 y:1; rels x*y - y*x, x^2, y^3",
+    "field %s; gens x:1 y:1; rels x*y - y*x, x^2 - y^2, x*y",
+)
+
+
+@pytest.mark.parametrize("field, seed", [("Q", 3701), ("F101", 3702)])
+def test_a_terminated_resolution_stays_terminated_in_a_wider_window(field, seed):
+    # presented modules over k[u]/(u^n) and finite-dimensional quotients of the
+    # plane, with generators drawn below and above d_max: a resolution that is
+    # terminated at d_max must be terminated with the same shifts at d_max + 12
+    rng = random.Random(seed)
+    i_max, d_max = 4, 6
+    terminated = above = 0
+    for src in FINITE_DIMENSIONAL:
+        pres, G, h = setup_algebra(src % field)
+        for _ in range(12):
+            choices = (0, 1, 2, d_max - 1, d_max + rng.randint(1, 4))
+            degrees = sorted(rng.choice(choices) for _ in range(rng.randint(1, 3)))
+            rows = []
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                rdeg = rng.choice(degrees) + rng.randint(1, 2)
+                row = [
+                    Poly.make({w: c for w in G.normal_words(rdeg - a) if (c := rng.randrange(-2, 3))},
+                              pres.gen_degs, pres.field.modulus) if rdeg >= a else None
+                    for a in degrees
+                ]
+                if any(row):
+                    rows.append(row)
+            m = make_module_presentation(pres, "left", degrees, rows)
+            try:
+                narrow = minimal_resolution(G, m, i_max, d_max, algebra_hilbert=h)
+            except (CertificationError, PresentationError):  # zero in the window, or zero
+                continue
+            if narrow.terminated:
+                wide = minimal_resolution(G, m, i_max, d_max + 12, algebra_hilbert=h)
+                assert wide.terminated and wide.shifts == narrow.shifts, (src % field, m)
+                terminated += 1
+            above += max(degrees) > d_max
+    assert terminated >= 10 and above >= 10

@@ -263,9 +263,9 @@ def test_one_minus_t_power_factoring():
 
 
 def test_a_harness_run_recounts_paths_only_for_a_higher_degree(monkeypatch, capsys):
-    # regression guard: hilbert_truncated, hilbert_rational, the socle degree
-    # and dim all read the basis's kept path counts, so an automaton's counts
-    # are recounted only for a higher degree; reading them apart took 34
+    # regression guard: hilbert_truncated, hilbert_rational and dim all read
+    # the basis's kept path counts, so an automaton's counts are recounted
+    # only for a higher degree; reading them apart took 34
     uptos = {}
     dims = WordAutomaton.dims
 
