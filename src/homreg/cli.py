@@ -13,6 +13,7 @@ import os
 import sys
 
 from .corealg import (
+    NEG_INF,
     CertificationError,
     PresentationError,
     ResourceLimitError,
@@ -51,7 +52,7 @@ class Emitter:
         if self.fmt == "jsonl":
             rec = {"schema": SCHEMA, "type": rtype}
             rec.update(payload)
-            self.out.write(json.dumps(rec, sort_keys=True) + "\n")
+            self.out.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
         else:
             self.out.write((text if text is not None else "%s: %s" % (rtype, payload)) + "\n")
 
@@ -362,8 +363,9 @@ def cmd_obstruct(args, emit):
             "label": art.label,
             "status": verdict.status,
             "inequality": verdict.inequality,
-            "beta1": verdict.beta1,
-            "beta2": verdict.beta2,
+            # t_i of a step with no generators is NEG_INF, which JSON has no number for
+            "beta1": None if verdict.beta1 is NEG_INF else verdict.beta1,
+            "beta2": None if verdict.beta2 is NEG_INF else verdict.beta2,
         },
         text="invariant-subring obstruction for %s: %s" % (art.label, verdict.text()),
     )
@@ -493,7 +495,7 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
             "torreg<=cmreg+torreg_k on k(-2)+k over T",
             "leq",
             tM,
-            reports["T"].torreg_k.add_int(degM),
+            reports["T"].torreg_k.add(BoundedValue.exact(degM)),
             "finite-dimensional module case: CMreg(M) = deg(M) = 2",
         )
     )

@@ -246,7 +246,7 @@ def quotient_by_normal_element(artA, omega_text, label=""):
         cmA, caseA = artA.resolve_cmreg()
         if cmA.is_exact and caseA in ("as_regular", "normal_quotient"):
             note = "CMreg = parent CMreg + (deg Omega - 1), deg Omega = %d" % a
-            artB.cmreg_known = cmA.add_int(a - 1, note), "normal_quotient"
+            artB.cmreg_known = cmA.add(BoundedValue.exact(a - 1), note), "normal_quotient"
             if caseA == "as_regular":
                 v = artA.as_regular_verdict()
                 artB.as_gorenstein_hint = (

@@ -298,7 +298,11 @@ class GroebnerBasis:
     # -- normal words ------------------------------------------------------
 
     def normal_words(self, j):
-        """All degree-j words avoiding leading words, ascending in the order."""
+        """All degree-j words avoiding leading words, ascending in the order.
+
+        That is descending as bytes, the order the walk emits: the stack
+        pops the highest letter first, and letters have positive degree,
+        so no word of degree j is a proper prefix of another."""
         if j < 0:
             return ()
         self.check_degree(j, "normal words")
@@ -317,7 +321,6 @@ class GroebnerBasis:
             for g, t in enumerate(delta[s]):
                 if t >= 0 and degs[g] <= rem:
                     stack.append((word + LETTERS[g], rem - degs[g], t))
-        out.sort(reverse=True)
         out = tuple(out)
         self._normal_words[j] = out
         return out

@@ -66,11 +66,6 @@ class BoundedValue(Record):
         kind = "exact" if self.kind == other.kind == "exact" else "at_least"
         return BoundedValue(kind, self.value + other.value, note)
 
-    def add_int(self, n, note=""):
-        if self.kind == "unknown":
-            return BoundedValue.unknown(note)
-        return BoundedValue(self.kind, self.value + n, note)
-
     def __str__(self):
         if self.kind == "exact":
             return str(self.value)

@@ -93,18 +93,10 @@ class FreeLayer:
         self._basis = {}
         self._index = {}
 
-    def min_degree(self):
-        return min(self.shifts) if self.shifts else 0
-
     def basis(self, j):
         b = self._basis.get(j)
         if b is None:
-            b = []
-            for r, a in enumerate(self.shifts):
-                if j - a >= 0:
-                    for w in self.G.normal_words(j - a):
-                        b.append((r, w))
-            b = tuple(b)
+            b = tuple((r, w) for r, a in enumerate(self.shifts) for w in self.G.normal_words(j - a))
             self._basis[j] = b
             self._index[j] = {x: i for i, x in enumerate(b)}
         return b
@@ -387,7 +379,7 @@ class ExtTable(Record):
 # engine internals
 
 
-def _syzygy_step(G, target, K, d_max, gen_top=None):
+def _syzygy_step(G, target, K, d_max, gen_top):
     """Minimal generators of the graded submodule K of `target`, and their cover's kernel.
 
     `K[j]` is a basis {free column: vector} of K_j in reduced form, each
@@ -401,15 +393,13 @@ def _syzygy_step(G, target, K, d_max, gen_top=None):
     FreeLayer, its generators as (degree, vector) pairs and its kernel
     through d_max.
 
-    K is read only through `gen_top` (default d_max), above which the
-    caller knows no generator lies.  There the kernel is the null space
-    of the images in `target`'s own coordinates, in the same reduced
-    form, so it is the same kernel.
+    K is read only through `gen_top`, above which the caller knows no
+    generator lies.  There the kernel is the null space of the images in
+    `target`'s own coordinates, in the same reduced form, so it is the
+    same kernel.
     """
     field = G.presentation.field
     modulus = field.modulus
-    if gen_top is None:
-        gen_top = d_max
     layer = FreeLayer(G, ())
     gens = []
     kernel = {}
@@ -499,7 +489,7 @@ def multiplication_images(G, polys, j_hi, left=True):
     target = FreeLayer(G, (0,), right=left)
     source = FreeLayer(G, [f.degree for f in polys], right=left)
     gen_vecs = [target.coords([G.normal_form(f)], f.degree) for f in polys]
-    return source, _images(target, source, gen_vecs, source.min_degree(), j_hi)
+    return source, _images(target, source, gen_vecs, min(source.shifts, default=0), j_hi)
 
 
 def _betti_entries(shifts):

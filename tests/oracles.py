@@ -343,7 +343,7 @@ def two_pass_syzygy_step(G, target, K, d_max):
         gens.extend((j, v) for v in complement_basis(span, kj, pres.field))
     layer = FreeLayer(G, [j for j, _ in gens])
     kernel = {}
-    for j, cols in _images(target, layer, [v for _, v in gens], layer.min_degree(), d_max):
+    for j, cols in _images(target, layer, [v for _, v in gens], min(layer.shifts, default=0), d_max):
         rows = [{} for _ in range(target.dim(j))]
         for c, col in enumerate(cols):
             for t, a in col.items():
@@ -617,7 +617,7 @@ def unbounded_resolution(G, mpres, i_max, d_max, algebra_hilbert=None):
     them, the certificate read as `minimal_resolution` reads it.
     """
     view = PresentedModuleView(G, mpres, d_max)
-    layer, _, K = _syzygy_step(G, view, view.units(d_max), d_max)
+    layer, _, K = _syzygy_step(G, view, view.units(d_max), d_max, d_max)
     shifts, maps = [layer.shifts], []
     for i in range(1, i_max + 2):
         if not any(K.values()):
@@ -625,7 +625,7 @@ def unbounded_resolution(G, mpres, i_max, d_max, algebra_hilbert=None):
             return tuple(shifts), tuple(maps), cert is not None, i - 1 if cert else None, cert
         if i == i_max + 1:
             break
-        layer_i, gens, K = _syzygy_step(G, layer, K, d_max)
+        layer_i, gens, K = _syzygy_step(G, layer, K, d_max, d_max)
         maps.append(tuple(gens))
         shifts.append(layer_i.shifts)
         layer = layer_i

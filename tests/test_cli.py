@@ -984,3 +984,101 @@ def test_python_dash_m_homreg_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     with open(os.path.join(ROOT, "tests", "expected", "t34.gb.jsonl")) as fh:
         assert proc.stdout == fh.read()
+
+
+def _strict_jsonl(out):
+    """Parse each line as RFC 8259 JSON, which has no NaN or infinities."""
+    def refuse(name):
+        raise ValueError("not a JSON number: %s" % name)
+
+    return [json.loads(line, parse_constant=refuse) for line in out.splitlines() if line.strip()]
+
+
+def test_obstruct_writes_null_for_a_step_with_no_generators(tmp_path, capsys):
+    # over an algebra without relations the resolution of k stops at step 1,
+    # so t_2 is NEG_INF: JSON has no number for it, and null stands in
+    free = tmp_path / "free.alg"
+    free.write_text("field Q; gens x:1 y:1\n")
+    for path in (sample("kx"), str(free)):
+        code, out = run(["obstruct", path, "--no-cache", "--format", "jsonl"], capsys)
+        assert code == 0
+        (rec,) = _strict_jsonl(out)
+        assert (rec["beta1"], rec["beta2"]) == (1, None), path
+
+
+def test_a_record_holding_an_infinity_is_an_internal_error(files, capsys, monkeypatch):
+    def cmd_gb(args, emit):
+        emit.record("gb", {"degree": float("-inf")})
+
+    monkeypatch.setattr(cli, "cmd_gb", cmd_gb)
+    code, out = run(["gb", files["t34"], "--no-cache", "--format", "jsonl"], capsys)
+    assert code == cli.EXIT_INTERNAL == 4
+    (rec,) = _strict_jsonl(out)
+    assert rec["type"] == "error" and rec["class"] == "internal"
+    assert rec["message"].startswith("ValueError: Out of range float values are not JSON compliant")
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["gb", "{alg}"], "gens x:1 x:1", "duplicate generator names"),
+        (["gb", "{alg}"], "gens 1x:1", "bad generator name '1x'"),
+        (["gb", "{alg}"], "gens x:1; rels x - x", "zero relation"),
+        (["gb", "{alg}"], "gens x:1; rels 1", "relation of degree 0 is a nonzero scalar"),
+        (["gb", "{alg}"], "gens x:1; rels x @ x", "unexpected character '@'"),
+        (["gb", "{alg}"], "gens x:1 y:1; rels x y", "expected ',' between items, found 'y'"),
+        (["gb", "{alg}"], "gens x", "generator 'x' needs a degree, e.g. x:1"),
+        (["gb", "{alg}"], "gens x:a", "bad degree 'a' for generator 'x'"),
+        (["gb", "{alg}"], "gens x:1; frob 3", "unknown directive 'frob'"),
+        (["gb", "{alg}"], "rels x", "missing 'gens' directive"),
+        (["resolve", "{plane}", "--module", "{mod}"], "side up; gens 0", "module side must be 'left' or 'right'"),
+        (["resolve", "{plane}", "--module", "{mod}"], "gens 0; rels x*e0 - x*e0", "zero relation row"),
+        (["resolve", "{plane}", "--module", "{mod}"], "gens a", "module generator degrees must be integers"),
+        (["resolve", "{plane}", "--module", "{mod}"], "gens 0; frob 1", "unknown module directive 'frob'"),
+        (["resolve", "{plane}", "--module", "{mod}"], "rels x*e0", "missing module 'gens' directive"),
+        (["finitemap", "{ku2}", "{kx}", "--map", "x"], None, "--map expects name=polynomial, got 'x'"),
+        (["quotient", "{t34}", "--omega", "1"], None, "the quotient element must be homogeneous of degree >= 1"),
+        (["quotient", "{t34}", "--omega", "x - x"], None, "the quotient element must be homogeneous of degree >= 1"),
+    ],
+    ids=[
+        "gens-duplicate", "gens-bad-name", "rels-zero", "rels-scalar", "rels-bad-character",
+        "rels-missing-comma", "gens-no-degree", "gens-bad-degree", "unknown-directive", "no-gens",
+        "module-side", "module-zero-row", "module-bad-degree", "module-unknown-directive", "module-no-gens",
+        "map-no-equals", "omega-scalar", "omega-zero",
+    ],
+)
+def test_input_errors_name_their_cause(tmp_path, capsys, argv, text, message):
+    # an algebra text follows "field Q; ", a module text is the whole file
+    paths = {"plane": tmp_path / "plane.alg", "alg": tmp_path / "a.alg", "mod": tmp_path / "m.mod"}
+    paths["plane"].write_text(PLANE_SRC)
+    if text is not None:
+        paths["alg" if argv[0] == "gb" else "mod"].write_text(("field Q; " if argv[0] == "gb" else "") + text + "\n")
+    paths.update({name: sample(name) for name in ("ku2", "kx", "t34")})
+    argv = [a.format(**paths) for a in argv]
+    code, out = run(argv + ["--no-cache", "--format", "jsonl"], capsys)
+    assert code == cli.EXIT_INPUT == 1
+    assert jsonl(out) == [{"schema": cli.SCHEMA, "type": "error", "class": "input", "message": message}]
+
+
+def test_obstruct_without_an_exact_concavity_bound_draws_no_conclusion(capsys):
+    # with no witness the concavity of k[x]/(x^3) is not exact, so neither
+    # degree test runs; beta_1 and beta_2 are still reported
+    code, out = run(["obstruct", sample("kx_mod_x3"), "--no-cache", "--format", "jsonl"], capsys)
+    assert code == 0
+    (rec,) = jsonl(out)
+    assert (rec["status"], rec["inequality"]) == ("no conclusion", "concavity bound is not exact")
+    assert (rec["beta1"], rec["beta2"]) == (1, 3)
+
+
+def test_finitemap_is_inconclusive_when_the_window_is_too_narrow(tmp_path, capsys):
+    # k[x, z]/(z^2), deg z = 2, over k[x]: the cokernel k[z]/(z^2) lives in
+    # degrees 0 and 2, so "finite" needs d_max >= 2 + 2; at 3 the top is zero
+    alg = tmp_path / "kxz.alg"
+    alg.write_text("field Q; gens x:1 z:2; rels x*z - z*x, z^2\n")
+    for d_max, verdict in ((3, "inconclusive"), (4, "finite")):
+        argv = ["finitemap", sample("kx"), str(alg), "--dmax", str(d_max), "--dgb", "4"]
+        code, out = run(argv + ["--no-cache", "--format", "jsonl"], capsys)
+        assert code == 0
+        (rec,) = jsonl(out)
+        assert rec["verdict"] == verdict
+        assert rec["left_cokernel"][:4] == rec["right_cokernel"][:4] == [1, 0, 1, 0]

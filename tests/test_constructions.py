@@ -248,3 +248,30 @@ def test_quotient_with_an_incomplete_basis_stores_no_value_that_rests_on_regular
     assert plane.gb().complete and not B.gb().complete
     assert (cert.regular_ok, cert.checked_to) == (True, 6)
     assert B.cmreg_known is None and B.torreg_upper is None and B.as_gorenstein_hint is None
+
+
+def test_quotient_window_check_finds_a_zero_divisor_without_series():
+    # at d_gb 2 the basis of k[x, y]/(x*y) is incomplete, so there is no
+    # series identity to decide regularity; x*y = 0 shows x a zero divisor
+    # in degree 2, through the dimensions alone
+    zd = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x*y - y*x, x*y", label="zd"), 4, 2, 2)
+    B, cert = quotient_by_normal_element(zd, "x")
+    assert not zd.gb().complete
+    assert (cert.regular_ok, cert.checked_to) == (False, 1)
+    assert B.cmreg_known is None and B.torreg_upper is None
+
+
+def test_quotient_inherits_the_torreg_upper_bound_of_its_parent():
+    # T (x) T has Torreg 2 from its step-4 shift 6, beyond i_max 3, so its
+    # quotient by x^2 sees Torreg >= 1 only and keeps 2 as an upper bound;
+    # a second degree-2 quotient inherits that bound
+    T = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x^2*y - y*x^2, x*y^2 - y^2*x", label="T"), 3, 8, 8)
+    TT = tensor_product(T, T)
+    assert str(TT.resolve_torreg()) == "2"
+    B, _ = quotient_by_normal_element(TT, "x^2")
+    assert str(B.resolve_torreg()) == ">=1"
+    C, cert = quotient_by_normal_element(B, "x2^2")
+    assert cert.regular_ok
+    assert C.torreg_upper == (
+        2, "inherited upper bound: Torreg does not grow under quotients by degree<=2 normal regular elements"
+    )

@@ -12,6 +12,7 @@ from homreg.corealg import (
     NEG_INF,
     Poly,
     PresentationError,
+    make_module_presentation,
     opposite_presentation,
     parse_field,
     parse_module,
@@ -306,6 +307,13 @@ def test_parse_module_rows():
         parse_module("gens 0 1; rels x*e0 - y*e1", pres)
     with pytest.raises(PresentationError, match="out of range"):
         parse_module("gens 0; rels x*e3", pres)
+
+
+def test_module_rows_must_have_one_entry_per_generator():
+    # the parser always builds full rows, so only an API caller can get this wrong
+    pres = parse_presentation("field Q; gens x:1 y:1; rels x*y - y*x")
+    with pytest.raises(PresentationError, match="^relation row length does not match generator count$"):
+        make_module_presentation(pres, "left", (0, 1), [(pres.gen_poly(0),)])
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -1,5 +1,6 @@
 """No homreg module imports a private name (one starting with `_`) from
-another, and the integer-only modules import no `Fraction`."""
+another, the integer-only modules import no `Fraction`, and the legacy
+elimination API has no caller in src/ beyond the one each keeps."""
 
 import ast
 import glob
@@ -74,3 +75,57 @@ def test_the_fraction_check_sees_every_import_form(tmp_path):
         (3, "corealg", "Fraction"),
         (4, "fractions.x", None),
     ]
+
+
+# the legacy elimination API and `module_via_map` stay for perfbench's layer
+# tracer only: each name may be called from these callers in src/ and no other
+LEGACY_CALLERS = {
+    "row_reduce": {"linalg.solve"},
+    "solve": {"constructions._solve_witness"},
+    "RowReduction": {"linalg.row_reduce"},
+    "complement_basis": set(),
+    "module_via_map": set(),
+}
+
+
+def calls_by_caller(path, names):
+    """{name: {caller}} for each call of a name in `names` in the file at
+    `path`, as a bare name or as an attribute; the caller is the module
+    name and the enclosing class and function names, dot-joined."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                found.setdefault(name, set()).add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, (os.path.splitext(os.path.basename(path))[0],))
+    return found
+
+
+def test_the_legacy_elimination_api_keeps_its_one_caller_each():
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        for name, callers in calls_by_caller(path, LEGACY_CALLERS).items():
+            found.setdefault(name, set()).update(callers)
+    assert {name: found.get(name, set()) for name in LEGACY_CALLERS} == LEGACY_CALLERS
+
+
+def test_the_caller_check_sees_attribute_and_bare_calls(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from . import linalg\nfrom .linalg import row_reduce\n\n"
+                    "def f(m):\n    return linalg.row_reduce(m, 1, None)\n\n"
+                    "class C:\n    def g(self, m):\n        return row_reduce(m, 1, None)\n\n"
+                    "row_reduce\nmodule_via_map(1)\n")
+    assert calls_by_caller(str(path), {"row_reduce", "module_via_map"}) == {
+        "row_reduce": {"m.f", "m.C.g"},
+        "module_via_map": {"m"},
+    }

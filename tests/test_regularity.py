@@ -31,7 +31,7 @@ def test_bounded_value_arithmetic():
     assert e.add(a).kind == "at_least" and e.add(a).value == 5
     assert a.add(a).value == 4
     assert e.add(u).kind == "unknown"
-    assert e.add_int(-1).value == 2
+    assert e.add(BoundedValue.exact(-1)).value == 2
     assert str(a) == ">=2"
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from homreg.corealg import (
+    NEG_INF,
     CertificationError,
     Poly,
     PresentationError,
@@ -268,6 +269,23 @@ def test_strictly_increasing_t_on_as_regular():
         B = betti_table(R)
         ts = [B.t(i) for i in range(R.termination_step + 1)]
         assert all(a < b for a, b in zip(ts, ts[1:]))
+
+
+def test_t_of_a_step_with_no_generators_is_neg_inf():
+    # the resolution of k over a free algebra stops after the generators
+    _, _, _, R = resolve_k("field Q; gens x:1 y:1")
+    B = betti_table(R)
+    assert (R.terminated, R.termination_step) == (True, 1)
+    assert (B.t(0), B.t(1)) == (0, 1)
+    assert B.t(2) is NEG_INF and B.t(5) is NEG_INF
+
+
+def test_ext_refuses_a_resolution_too_short_to_dualize():
+    # at i_max 0 only F_0 is built, and k[x]'s resolution has not ended
+    _, G, _, R = resolve_k("field Q; gens x:1", i_max=0)
+    assert (R.steps_computed, R.terminated) == (0, False)
+    with pytest.raises(PresentationError, match="^resolution too short to dualize$"):
+        ext_into_algebra(R, G)
 
 
 def test_ext_tables():
@@ -779,7 +797,7 @@ def _steps_against_two_pass(G, mpres, i_max, d_max):
     for _ in range(i_max + 1):
         if not any(K.values()):
             break
-        layer, gens, kernel = _syzygy_step(G, target, K, d_max)
+        layer, gens, kernel = _syzygy_step(G, target, K, d_max, d_max)
         want_gens, want_kernel = two_pass_syzygy_step(
             G, target, {j: list(kj.values()) for j, kj in K.items()}, d_max
         )
@@ -829,7 +847,7 @@ def test_step_rejects_kernel_vectors_changed_off_their_free_columns(field):
     K = target.units(d_max)
     changed = 0
     for step in range(4):
-        layer, gens, kernel = _syzygy_step(G, target, K, d_max)
+        layer, gens, kernel = _syzygy_step(G, target, K, d_max, d_max)
         new_degrees = {j for j, _ in gens}
         for j, kj in K.items():
             if step == 0 or not kj or j in new_degrees:
@@ -840,7 +858,7 @@ def test_step_rejects_kernel_vectors_changed_off_their_free_columns(field):
                     bad = dict(v)
                     bad[p] = c % modulus if modulus else c
                     with pytest.raises(ValueError, match="lies outside the submodule"):
-                        _syzygy_step(G, target, {**K, j: {**kj, f: bad}}, d_max)
+                        _syzygy_step(G, target, {**K, j: {**kj, f: bad}}, d_max, d_max)
                     changed += 1
         target, K = layer, kernel
     assert changed == 350  # every such change in steps 1-3 through degree 4
