@@ -138,6 +138,13 @@ def _emit_report(emit, report):
     emit.text_block(report.to_text())
 
 
+def _emit_constructed(emit, art):
+    """A constructed algebra: its `presentation` record, then its regularity report."""
+    text = art.presentation.to_text()
+    emit.record("presentation", {"label": art.label, "text": text}, text=text.rstrip())
+    _emit_report(emit, art.report())
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -166,7 +173,7 @@ def cmd_gb(args, emit):
 
 def cmd_hilbert(args, emit):
     art = _artifacts(args.file, args)
-    ts = series_mod.hilbert_truncated(art.gb(), art.d_max if args.truncate is None else args.truncate)
+    ts = series_mod.hilbert_truncated(art.gb(), art.d_max)
     emit.record(
         "hilbert_truncated",
         {"label": art.label, "coefficients": list(ts.coefficients), "truncation": ts.truncation},
@@ -256,13 +263,7 @@ def cmd_stanley(args, emit):
 def cmd_tensor(args, emit):
     artA = _artifacts(args.file_a, args)
     artB = _artifacts(args.file_b, args)
-    art = cons_mod.tensor_product(artA, artB)
-    emit.record(
-        "presentation",
-        {"label": art.label, "text": art.presentation.to_text()},
-        text=art.presentation.to_text().rstrip(),
-    )
-    _emit_report(emit, art.report())
+    _emit_constructed(emit, cons_mod.tensor_product(artA, artB))
     return EXIT_OK
 
 
@@ -291,12 +292,7 @@ def cmd_quotient(args, emit):
             else "regularity fails at degree %d" % (cert.checked_to + 1),
         ),
     )
-    emit.record(
-        "presentation",
-        {"label": artB.label, "text": artB.presentation.to_text()},
-        text=artB.presentation.to_text().rstrip(),
-    )
-    _emit_report(emit, artB.report())
+    _emit_constructed(emit, artB)
     return EXIT_OK
 
 
@@ -323,7 +319,10 @@ def cmd_finitemap(args, emit):
 
 
 def _witnesses(args, artA):
+    """One witness into artA per --witness file; --assert-cm is about FILE, not a map's source."""
     arts = [_artifacts(wpath, args) for wpath in args.witness or ()]
+    for artT in arts:
+        artT.cm_degree_hint = None
     overrides = _map_overrides(args.map, [artT.presentation for artT in arts])
     return [
         cons_mod.concavity_witness(
@@ -458,22 +457,9 @@ def _iff(a, b):
     return None if a is None or b is None else a == b
 
 
-def _equals(bv, n):
-    """Whether a BoundedValue is n: decided when exact or when its lower bound exceeds n."""
-    if bv.is_exact:
-        return bv.value == n
-    return False if bv.kind == "at_least" and bv.value > n else None
-
-
 def _verdict(v):
     """A yes/no verdict as True/False; "unknown" is None."""
     return {"yes": True, "no": False}.get(v.status)
-
-
-def _koszul(report):
-    """Koszulness as certified: "no", or Torreg(k) = 0 decided; a "yes" linear only
-    through the window is None."""
-    return False if report.koszul.status == "no" else _equals(report.torreg_k, 0)
 
 
 def build_golden_cases(i_max=8, d_max=12, d_gb=12):
@@ -502,16 +488,11 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
 
     # quotient equality: CMreg(B) - CMreg(A) = deg(Omega) - 1 = Torreg(_A B)
     for child, parent, a in (("B", "T", 2), ("Tcomm", "T", 2), ("k[y]", "plane", 1)):
-        lhs = reports[child].cmreg.add(
-            BoundedValue.exact(-reports[parent].cmreg.value)
-            if reports[parent].cmreg.is_exact
-            else BoundedValue.unknown()
-        )
         cases.append(
             HarnessCase(
                 "cmreg(%s) - cmreg(%s) == deg(Omega) - 1" % (child, parent),
                 "eq",
-                lhs,
+                reports[child].cmreg.add(reports[parent].cmreg.negated()),
                 a - 1,
             )
         )
@@ -560,10 +541,10 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
             "true",
             _all(
                 cert.finite or None,  # a cokernel not yet zero decides nothing
-                _equals(reports["k[u2]"].torreg_k, 1),
+                reports["k[u2]"].torreg_k.equals(1),
                 # a degree-1 cokernel: not surjective; d_max 0 does not reach it
                 cert.left_cokernel[1] > 0 if len(cert.left_cokernel) > 1 else None,
-                _koszul(reports["k[x]"]),
+                reports["k[x]"].torreg_k.equals(0),  # Koszul: Torreg(k) = 0
             ),
             detail="k[u2] -> k[x], u |-> x^2",
         )
@@ -599,20 +580,15 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
             HarnessCase(
                 "c(%s) == -CMreg(%s)" % (label, label),
                 "eq",
-                bound.upper if bound.exact else BoundedValue.unknown(),
-                BoundedValue.exact(-reports[label].cmreg.value)
-                if reports[label].cmreg.is_exact
-                else BoundedValue.unknown(),
+                bound.value,
+                reports[label].cmreg.negated(),
             )
         )
         cases.append(
             HarnessCase(
                 "Koszul iff c = 0 on %s" % label,
                 "true",
-                _iff(
-                    _koszul(reports[label]),
-                    _equals(bound.upper if bound.exact else BoundedValue.unknown(), 0),
-                ),
+                _iff(reports[label].torreg_k.equals(0), bound.value.equals(0)),
             )
         )
 
@@ -628,10 +604,10 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
         HarnessCase(
             "c_minus(B) = 0 iff B AS regular",
             "true",
-            _iff(_equals(boundB.c_minus, 0), _verdict(reports["B"].as_regular)),
+            _iff(boundB.c_minus.equals(0), _verdict(reports["B"].as_regular)),
         )
     )
-    cases.append(HarnessCase("c(B) == 1", "eq", boundB.upper if boundB.exact else BoundedValue.unknown(), 1))
+    cases.append(HarnessCase("c(B) == 1", "eq", boundB.value, 1))
 
     # ASreg >= 0 on every exact report; ASreg = 0 iff AS regular on decided cases
     for label, rep in sorted(reports.items()):
@@ -702,7 +678,6 @@ def make_parser():
 
     p = sub.add_parser("hilbert", parents=[common], help="Hilbert series")
     p.add_argument("file")
-    p.add_argument("--truncate", type=natural, default=None)
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("resolve", parents=[common], help="Betti table")

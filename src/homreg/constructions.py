@@ -22,7 +22,7 @@ from .regularity import (
     BoundedValue,
     ConcavityWitness,
 )
-from .resolution import BettiTable, FreeLayer, multiplication_images
+from .resolution import BettiTable, FreeLayer, multiplication_images, vanishes_above
 from .series import first_difference, series_product
 
 
@@ -114,13 +114,7 @@ def tensor_product(artA, artB, label=""):
         art.torreg_known = BoundedValue.exact(
             tA.value + tB.value, "Torreg additive over tensor factors"
         )
-    def upper_bound(factor_art, factor_torreg):
-        if factor_torreg.is_exact:
-            return (factor_torreg.value, "exact factor value")
-        return factor_art.torreg_upper
-
-    upA = upper_bound(artA, tA)
-    upB = upper_bound(artB, tB)
+    upA, upB = artA.torreg_upper_bound(), artB.torreg_upper_bound()
     if upA is not None and upB is not None:
         art.torreg_upper = (upA[0] + upB[0], "sum of factor upper bounds")
     cmA, caseA = artA.resolve_cmreg()
@@ -183,7 +177,7 @@ def quotient_by_normal_element(artA, omega_text, label=""):
     A = artA.presentation
     G = artA.gb()
     omega = A.parse_poly(omega_text)
-    if omega.is_zero() or omega.degree < 1:
+    if not omega.is_zero() and omega.degree < 1:
         raise PresentationError("the quotient element must be homogeneous of degree >= 1")
     d_max = artA.d_max
     nf_omega = G.normal_form(omega)
@@ -253,18 +247,10 @@ def quotient_by_normal_element(artA, omega_text, label=""):
                     (v.dim - 1, v.index - a),
                     "quotient of an AS regular algebra by a normal regular element",
                 )
-        if a <= 2:
-            tA = artA.resolve_torreg()
-            upper = None
-            if tA.is_exact:
-                upper = (tA.value, "Torreg does not grow under quotients by degree<=2 normal regular elements")
-            elif artA.torreg_upper is not None:
-                upper = (
-                    artA.torreg_upper[0],
-                    "inherited upper bound: " + artA.torreg_upper[1],
-                )
-            if upper is not None:
-                artB.torreg_upper = upper
+        if a <= 2 and (upper := artA.torreg_upper_bound()) is not None:
+            value, inherited = upper
+            grows = "Torreg does not grow under quotients by degree<=2 normal regular elements"
+            artB.torreg_upper = (value, grows if inherited is None else "inherited upper bound: " + inherited)
     return artB, cert
 
 
@@ -306,10 +292,8 @@ def finite_map_check(artT, images, artA):
     d_max = artA.d_max
     left = _cokernel_dims(G_A, images, d_max, side_left=True)
     right = _cokernel_dims(G_A, images, d_max, side_left=False)
-    width = A.max_gen_degree()
-    nonzero = [j for j in range(d_max + 1) if left[j] or right[j]]
-    top = max(nonzero) if nonzero else 0
-    if top + width <= d_max:
+    # both cokernels are generated in degree 0, where they are k, so top + width <= d_max
+    if vanishes_above(lambda j: left[j] or right[j], d_max, A.max_gen_degree()):
         verdict = "finite"
     elif left[d_max] or right[d_max]:
         verdict = "not_finite_up_to_bound"
@@ -327,13 +311,11 @@ def concavity_witness(artT, images, artA):
     """Package a candidate finite map from an AS regular algebra as a witness."""
     cert = finite_map_check(artT, images, artA)
     verdict = artT.as_regular_verdict()
-    torregT = artT.resolve_torreg()
-    koszul_ok = torregT.is_exact and torregT.value == 0
-    neg_cm = (verdict.index - verdict.dim) if verdict.status == "yes" else 0
+    cmreg, _ = artT.resolve_cmreg()  # checks an asserted CM degree of T
     return ConcavityWitness(
         label=artT.label,
-        neg_cmreg=neg_cm,
+        neg_cmreg=-cmreg.value if verdict.status == "yes" else 0,
         as_regular_ok=verdict.status == "yes",
         finite_ok=cert.finite,
-        koszul_ok=koszul_ok,
+        koszul_ok=bool(artT.resolve_torreg().equals(0)),
     )

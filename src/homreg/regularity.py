@@ -66,6 +66,17 @@ class BoundedValue(Record):
         kind = "exact" if self.kind == other.kind == "exact" else "at_least"
         return BoundedValue(kind, self.value + other.value, note)
 
+    def equals(self, n):
+        """Whether the value is n: True or False when an exact value or a
+        lower bound above n decides it, else None."""
+        if self.is_exact:
+            return self.value == n
+        return False if self.kind == "at_least" and self.value > n else None
+
+    def negated(self):
+        """The negative of an exact value; a lower bound bounds nothing from below."""
+        return BoundedValue.exact(-self.value) if self.is_exact else BoundedValue.unknown()
+
     def __str__(self):
         if self.kind == "exact":
             return str(self.value)
@@ -229,6 +240,12 @@ class AlgebraArtifacts:
                 return BoundedValue.exact(u, "window lower bound meets upper bound: " + unote)
             return BoundedValue.at_least(bv.value, "%s; upper bound %d (%s)" % (bv.note, u, unote))
         return bv
+
+    def torreg_upper_bound(self):
+        """A certified upper bound on Torreg(k) as (value, note): the exact value
+        with note None, else the stored `torreg_upper`, else None."""
+        torreg = self.resolve_torreg()
+        return (torreg.value, None) if torreg.is_exact else self.torreg_upper
 
     def resolve_cmreg(self, allow_as_regular=True):
         """(CMreg, case) by the first special case that applies; case None
@@ -493,6 +510,11 @@ class ConcavityBound(Record):
     witnesses: tuple
     notes: tuple
 
+    @property
+    def value(self):
+        """The concavity itself: the bound when it is exact, else unknown."""
+        return self.upper if self.exact else BoundedValue.unknown()
+
     def text(self):
         c = self.upper if self.exact or self.upper.kind == "unknown" else "<= %s" % self.upper
         return "c = %s, c_minus = %s" % (c, self.c_minus)
@@ -605,6 +627,12 @@ def invariant_ring_obstruction(art, cbound, cmreg_T_range=None):
                 beta2,
             )
         notes.append("relation-degree test inconclusive on the supplied CMreg(T) range")
+    elif cmreg_T_range is not None and not table.terminated and table.steps_computed < 2:
+        # beta_2 reads NEG_INF both for an empty step 2 and for one never computed
+        notes.append(
+            "relation-degree test not run: step 2 of the resolution of k is undecided "
+            "in the window (i<=%d, j<=%d)" % (table.i_max, table.d_max)
+        )
     return ObstructionVerdict(
         "no conclusion", "c = %d >= beta_1 - 1 = %d" % (c, (beta1 - 1) if beta1 is not NEG_INF else 0),
         beta1, beta2, tuple(notes),

@@ -147,6 +147,18 @@ class FreeLayer:
         return linalg.reduced(out, self.modulus)
 
 
+def vanishes_above(dim, j, width):
+    """Whether the width pieces ending at degree j of a module, read by dim(i), are zero.
+
+    The one zero-band rule: then a module generated at or below j - width,
+    over an algebra with generators of degree <= width, is zero above
+    j - width, as each piece above is a sum of generators times pieces at
+    most width degrees lower.  The caller chooses the width and j.  No
+    degree below 0 is read, so a module with pieces there asks at j >= width - 1.
+    """
+    return not any(dim(i) for i in range(max(j - width + 1, 0), j + 1))
+
+
 class _ModuleView:
     """A graded left module given degreewise by generator action matrices.
 
@@ -154,7 +166,7 @@ class _ModuleView:
     {(g, j): columns}, either filled in advance or on demand by
     `_build_act_columns(g, j)`, and two attributes for `minimal_resolution`:
     `top`, a degree that no known generator lies above, and `hilbert`, the
-    exact Hilbert series when a zero band certifies it, else None.
+    exact Hilbert series when `vanishes_above` certifies it, else None.
     """
 
     def act_columns(self, g, j):
@@ -210,9 +222,8 @@ class PresentedModuleView(_ModuleView):
         self._echelon = {}
         self._free_cols = {}  # j -> {free ambient column: coordinate}
         self._act_cols = {}
-        # the exact polynomial Hilbert series once a zero band of width
-        # max(algebra generator degree) above both the top nonzero degree and
-        # the top module generator degree forces all higher pieces to vanish
+        # the exact polynomial Hilbert series once a zero band above the top
+        # generator degree and degree -1 forces every higher piece to vanish
         self.hilbert = None
         # N is the image of the free module on the relation rows, so only the
         # rows themselves need normal forms; rows above d_max are never read
@@ -222,19 +233,16 @@ class PresentedModuleView(_ModuleView):
         ]
         spans = _images(self.ambient, FreeLayer(G, mpres.row_degrees), rows, self.min_degree, d_max)
         degs = G.presentation.gen_degs
-        band = 0
+        width = G.presentation.max_gen_degree()
         for j, span in spans:
             # above the generator degrees M_j = sum_g x_g M_{j - deg x_g}, so zero if those are
             if j <= self.top or any(self.dim(j - dg) for dg in degs):
                 ech = self._echelon[j] = linalg.Echelon(G.presentation.field, span)
                 free = (c for c in range(self.ambient.dim(j)) if c not in ech.rows)
                 self._free_cols[j] = {c: i for i, c in enumerate(free)}
-            if j > self.top:
-                # a zero band as wide as the widest generator forces M = 0 above it
-                band = 0 if self.dim(j) else band + 1
-                if band >= G.presentation.max_gen_degree():
-                    self.hilbert = self._final_series(j)
-                    break
+            if j - width >= max(self.top, -1) and vanishes_above(self.dim, j, width):
+                self.hilbert = self._final_series(j)
+                break
 
     def dim(self, j):
         return len(self._free_cols.get(j, ()))
@@ -275,12 +283,12 @@ class MappedAlgebraView(_ModuleView):
         for j, cols in products:
             for (g, _), col in zip(layer.basis(j), cols):
                 self._act_cols[(g, j - degs[g])].append(col)
-        # A is 0 above `top` once it is 0 in degrees top+1..top+w, w the
-        # degree of A's widest generator: every longer word has a prefix
-        # there.  The band is also at least as wide as T's widest generator,
-        # the band PresentedModuleView needs for A presented over T.
+        # A, generated in degree 0 over itself, is closed by a zero band as wide
+        # as its widest generator, and as T's, the band PresentedModuleView
+        # needs for A presented over T.  A_0 = k is read whenever the band
+        # reaches degree 0, so the band closes A exactly when top + width <= d_max.
         self.top = max((j for j in range(d_max + 1) if self.dim(j)), default=0)
-        closed = self.top + max(T.max_gen_degree(), A.max_gen_degree()) <= d_max
+        closed = vanishes_above(self.dim, d_max, max(T.max_gen_degree(), A.max_gen_degree()))
         self.hilbert = self._final_series(self.top + 1) if closed else None
 
     def dim(self, j):

@@ -283,13 +283,21 @@ def test_hilbert_on_incomplete_basis_refuses_rational_form(files, capsys, fmt):
 
 
 def test_hilbert_truncate_keeps_the_first_coefficients_of_the_default_run(files, capsys):
-    # the default truncation is d_max, 12; --truncate 5 keeps its first six coefficients
+    # the truncation is d_max, 12 by default; --dmax 5 keeps its first six coefficients
     _, out = run(["hilbert", files["t34"], "--no-cache", "--format", "jsonl"], capsys)
     default = jsonl(out)[0]
-    _, out = run(["hilbert", files["t34"], "--truncate", "5", "--no-cache", "--format", "jsonl"], capsys)
+    _, out = run(["hilbert", files["t34"], "--dmax", "5", "--no-cache", "--format", "jsonl"], capsys)
     truncated = jsonl(out)[0]
     assert default["truncation"] == 12 and truncated["truncation"] == 5
     assert truncated["coefficients"] == default["coefficients"][:6] == [1, 2, 4, 6, 9, 12]
+
+
+def test_hilbert_has_no_truncate_option(files, capsys):
+    # --truncate N only repeated --dmax N, so it is gone
+    code, out = run(["hilbert", files["t34"], "--truncate", "5", "--no-cache", "--format", "jsonl"], capsys)
+    assert code == cli.EXIT_INPUT == 1
+    (rec,) = jsonl(out)
+    assert rec["class"] == "input" and "unrecognized arguments: --truncate 5" in rec["message"]
 
 
 def test_field_override(files, capsys):
@@ -844,7 +852,7 @@ def test_harness_refuses_the_options_it_ignores(capsys, extra):
 
 
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])
-@pytest.mark.parametrize("flag", ["--imax", "--dmax", "--dgb", "--truncate", "--element-limit"])
+@pytest.mark.parametrize("flag", ["--imax", "--dmax", "--dgb", "--element-limit"])
 def test_negative_window_flag_is_input_error(files, capsys, flag, fmt):
     # `--dmax -1` used to reach WordAutomaton.dims and exit 4 with an IndexError
     code = main(["hilbert", files["kx"], "--no-cache", "--format", fmt, flag, "-1"])
@@ -1038,7 +1046,7 @@ def test_a_record_holding_an_infinity_is_an_internal_error(files, capsys, monkey
         (["resolve", "{plane}", "--module", "{mod}"], "rels x*e0", "missing module 'gens' directive"),
         (["finitemap", "{ku2}", "{kx}", "--map", "x"], None, "--map expects name=polynomial, got 'x'"),
         (["quotient", "{t34}", "--omega", "1"], None, "the quotient element must be homogeneous of degree >= 1"),
-        (["quotient", "{t34}", "--omega", "x - x"], None, "the quotient element must be homogeneous of degree >= 1"),
+        (["quotient", "{t34}", "--omega", "x - x"], None, "element reduces to zero modulo the ideal; not a regular candidate"),
     ],
     ids=[
         "gens-duplicate", "gens-bad-name", "rels-zero", "rels-scalar", "rels-bad-character",
@@ -1072,13 +1080,28 @@ def test_obstruct_without_an_exact_concavity_bound_draws_no_conclusion(capsys):
 
 def test_finitemap_is_inconclusive_when_the_window_is_too_narrow(tmp_path, capsys):
     # k[x, z]/(z^2), deg z = 2, over k[x]: the cokernel k[z]/(z^2) lives in
-    # degrees 0 and 2, so "finite" needs d_max >= 2 + 2; at 3 the top is zero
+    # degrees 0 and 2, so "finite" needs d_max >= 2 + 2; at 3 the top is zero.
+    # Below d_max 1 the band would reach below degree 0, and reads degree 0
     alg = tmp_path / "kxz.alg"
     alg.write_text("field Q; gens x:1 z:2; rels x*z - z*x, z^2\n")
-    for d_max, verdict in ((3, "inconclusive"), (4, "finite")):
+    verdicts = ((0, "not_finite_up_to_bound"), (1, "inconclusive"), (3, "inconclusive"), (4, "finite"))
+    for d_max, verdict in verdicts:
         argv = ["finitemap", sample("kx"), str(alg), "--dmax", str(d_max), "--dgb", "4"]
         code, out = run(argv + ["--no-cache", "--format", "jsonl"], capsys)
         assert code == 0
         (rec,) = jsonl(out)
         assert rec["verdict"] == verdict
-        assert rec["left_cokernel"][:4] == rec["right_cokernel"][:4] == [1, 0, 1, 0]
+        assert rec["left_cokernel"] == rec["right_cokernel"] == [1, 0, 1, 0, 0][: d_max + 1]
+
+
+def test_assert_cm_is_about_file_not_the_witnesses(capsys):
+    # kx, AS regular of type (1, 1), needs s = 1, so s = 5 contradicts it as
+    # FILE; as a witness it is only the source of a map and is not asserted
+    argv = ["concavity", sample("hypersurface_t2"), "--witness", sample("kx"), "--assert-cm", "5"]
+    code, out = run(argv + ["--no-cache", "--format", "jsonl"], capsys)
+    assert code == 0
+    (rec,) = jsonl(out)
+    assert (rec["upper"]["value"], rec["exact"], rec["c_minus"]["value"]) == (0, True, 6)
+    code, out = run(["concavity", sample("kx"), "--assert-cm", "5", "--no-cache", "--format", "jsonl"], capsys)
+    assert code == cli.EXIT_CERTIFICATION == 2
+    assert "asserted Cohen-Macaulay degree 5 contradicts" in jsonl(out)[0]["message"]

@@ -1,6 +1,6 @@
 import pytest
 
-from homreg.corealg import PresentationError, parse_presentation
+from homreg.corealg import CertificationError, PresentationError, parse_presentation
 from homreg.regularity import AlgebraArtifacts
 from homreg.constructions import (
     concavity_witness,
@@ -275,3 +275,22 @@ def test_quotient_inherits_the_torreg_upper_bound_of_its_parent():
     assert C.torreg_upper == (
         2, "inherited upper bound: Torreg does not grow under quotients by degree<=2 normal regular elements"
     )
+
+
+def test_a_witness_cmreg_goes_through_resolve_cmreg(golden):
+    # k[x] is AS regular of type (1, 1): CMreg 0 = s + deg h needs s = 1
+    kx = AlgebraArtifacts(parse_presentation("field Q; gens x:1", label="k[x]"))
+    kx.cm_degree_hint = 5
+    with pytest.raises(CertificationError, match="asserted Cohen-Macaulay degree 5 contradicts"):
+        concavity_witness(kx, ["x"], golden["hyp"])
+    kx.cm_degree_hint = 1
+    w = concavity_witness(kx, ["x"], golden["hyp"])
+    assert (w.neg_cmreg, w.as_regular_ok, w.finite_ok, w.koszul_ok) == (0, True, True, True)
+
+
+def test_torreg_upper_bound_is_the_exact_value_else_the_stored_bound(golden):
+    assert golden["T"].torreg_upper_bound() == (1, None)
+    T = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x^2*y - y*x^2, x*y^2 - y^2*x"), 2, 8, 8)
+    assert str(T.resolve_torreg()) == ">=1" and T.torreg_upper_bound() is None
+    T.torreg_upper = (5, "a stored bound")
+    assert T.torreg_upper_bound() == (5, "a stored bound")

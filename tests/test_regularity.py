@@ -628,3 +628,48 @@ def test_window_monotonicity():
             ):
                 bad.append((rels, name, small[name], large[name]))
     assert not bad
+
+
+def test_bounded_value_equality_is_three_valued():
+    e, a, u = BoundedValue.exact(0), BoundedValue.at_least(1), BoundedValue.unknown()
+    assert (e.equals(0), e.equals(1), a.equals(0), a.equals(1), a.equals(2), u.equals(0)) == (
+        True, False, False, None, None, None
+    )
+    assert BoundedValue.exact(3).negated() == BoundedValue.exact(-3)
+    assert a.negated().kind == u.negated().kind == "unknown"
+
+
+def test_a_koszul_no_decides_that_torreg_k_is_not_zero(golden):
+    # "no" is an off-diagonal beta_{i,j}, j > i, so Torreg(k) >= 1, or an exact Torreg(k) > 0
+    seen = set()
+    for label, art in golden.items():
+        report = art.report()
+        seen.add(report.koszul.status)
+        if report.koszul.status == "no":
+            assert report.torreg_k.equals(0) is False, label
+        if report.torreg_k.equals(0):
+            assert report.koszul.status == "yes", label
+    assert seen == {"yes", "no"}
+
+
+def test_concavity_bound_value_is_the_bound_only_when_exact(golden):
+    exact = concavity_certificate(golden["T"], [])
+    assert exact.value == exact.upper == BoundedValue.exact(1, exact.upper.note)
+    assert concavity_certificate(golden["A3"], []).value.kind == "unknown"
+
+
+def test_obstruction_says_when_the_relation_degree_test_needs_step_2(golden):
+    # k[x]/(x^3) is obstructed at i_max 8 (test_obstruction_relation_degree_test),
+    # but at i_max 1 beta_2 is not computed, which is not beta_2 = 0
+    art = AlgebraArtifacts(parse_presentation("field Q; gens x:1; rels x^3", label="A3"), 1, 12, 12)
+    bound = concavity_certificate(art, [concavity_witness(golden["k[x]"], ["x"], art)])
+    assert bound.exact and bound.upper.value == 0
+    verdict = invariant_ring_obstruction(art, bound, cmreg_T_range=range(-1, 2))
+    assert verdict.status == "no conclusion"
+    assert verdict.notes == (
+        "relation-degree test not run: step 2 of the resolution of k is undecided in the window (i<=1, j<=12)",
+    )
+    # k[x] terminates at step 1, so its empty step 2 is known and needs no note
+    kx = golden["k[x]"]
+    verdict = invariant_ring_obstruction(kx, concavity_certificate(kx, []), cmreg_T_range=range(-1, 2))
+    assert verdict.status == "no conclusion" and verdict.notes == ()

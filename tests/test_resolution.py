@@ -1036,3 +1036,65 @@ def test_a_terminated_resolution_stays_terminated_in_a_wider_window(field, seed)
                 terminated += 1
             above += max(degrees) > d_max
     assert terminated >= 10 and above >= 10
+
+
+@pytest.mark.parametrize(
+    "src, rows, width",
+    [("field Q; gens x:1", ["x^2"], 1), ("field Q; gens x:1 t:2; rels x*t - t*x", ["x^2", "t"], 2)],
+    ids=["width-1", "width-2"],
+)
+def test_presented_view_closes_exactly_when_top_plus_width_reaches_d_max(src, rows, width):
+    # A/(x^2, t) is k + kx: its top nonzero degree 1 lies above its generator at 0
+    pres, G, _ = setup_algebra(src)
+    M = make_module_presentation(pres, "left", (0,), [(pres.parse_poly(r),) for r in rows])
+    assert PresentedModuleView(G, M, 1 + width).hilbert.numerator == (1, 1)
+    assert PresentedModuleView(G, M, width).hilbert is None
+
+
+@pytest.mark.parametrize(
+    "src, width",
+    [("field Q; gens x:1; rels x^2", 1), ("field Q; gens x:1 t:2; rels x^2, t", 2)],
+    ids=["width-1", "width-2"],
+)
+def test_mapped_view_closes_exactly_when_top_plus_width_reaches_d_max(src, width):
+    # A = k + kx over k[u] by u -> x; a generator t of degree 2, killed, widens A
+    presU, GU, _ = setup_algebra("field Q; gens u:1")
+    presA = parse_presentation(src)
+    GA = groebner(presA, 8)
+    closed = MappedAlgebraView(GU, [presA.parse_poly("x")], GA, 1 + width)
+    assert closed.top == 1 and closed.hilbert.numerator == (1, 1)
+    assert MappedAlgebraView(GU, [presA.parse_poly("x")], GA, width).hilbert is None
+
+
+def test_a_module_below_degree_0_closes_on_its_own_pieces():
+    # k[x]/(x^2) shifted to degrees -3 and -2: the band that closes it lies in
+    # degrees >= 0, so the nonzero piece at -2 is never skipped
+    pres, G, h = setup_algebra("field Q; gens x:1")
+    M = make_module_presentation(pres, "left", (-3,), [(pres.parse_poly("x^2"),)])
+    h_M = PresentedModuleView(G, M, 6).hilbert
+    assert (h_M.numerator, h_M.degree) == ((1, 1), -2)
+    R = minimal_resolution(G, M, 4, 6, algebra_hilbert=h)
+    assert R.shifts == ((-3,), (-1,)) and R.certificate == "euler-exact"
+
+
+def test_every_zero_band_is_decided_by_vanishes_above(monkeypatch):
+    from homreg import constructions
+
+    pres, G, _ = setup_algebra("field Q; gens x:1")
+    M = make_module_presentation(pres, "left", (0,), [(pres.parse_poly("x^2"),)])
+    presA = parse_presentation("field Q; gens x:1; rels x^2")
+    GA = groebner(presA, 8)
+    arts = [AlgebraArtifacts(parse_presentation(s), 4, 4, 4) for s in ("field Q; gens u:2", "field Q; gens x:1")]
+
+    def decisions():
+        return (
+            PresentedModuleView(G, M, 4).hilbert is not None,
+            MappedAlgebraView(G, [presA.parse_poly("x")], GA, 4).hilbert is not None,
+            constructions.finite_map_check(arts[0], ["x^2"], arts[1]).finite,
+        )
+
+    assert decisions() == (True, True, True)
+    # with the rule answering no, none of the three closes on its own
+    for module in (resolution, constructions):
+        monkeypatch.setattr(module, "vanishes_above", lambda dim, j, width: False)
+    assert decisions() == (False, False, False)
