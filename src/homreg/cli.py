@@ -17,6 +17,7 @@ from .corealg import (
     CertificationError,
     PresentationError,
     ResourceLimitError,
+    opposite_module,
     parse_field,
     parse_module,
     parse_presentation,
@@ -25,6 +26,7 @@ from . import constructions as cons_mod
 from . import regularity as reg_mod
 from . import resolution as res_mod
 from . import series as series_mod
+from .gbasis import DEFAULT_ELEMENT_LIMIT
 from .regularity import BoundedValue, HarnessCase, inequality_harness
 
 SCHEMA = "homreg/1"
@@ -198,8 +200,6 @@ def cmd_resolve(args, emit):
     if args.module:
         mpres = parse_module(_read_input(args.module), art.presentation)
         if mpres.side == "right":
-            from .corealg import opposite_module
-
             mpres = opposite_module(mpres)
             G = art.opposite().gb()
         else:
@@ -430,7 +430,9 @@ def _quotient_module_torreg(artA, artB, a):
     degree; A*Omega is the ideal (Omega), Omega being normal, so 0 -> A(-a) -> A
     -> B -> 0 is the minimal resolution and Torreg_A(B) = a - 1.  The engine's
     window table of B over A must then be {(0, 0): 1, (1, a): 1} cut to the
-    window, or the case fails.  Otherwise the value is the window's Torreg.
+    window, or the case fails.  Otherwise Omega is not proven regular, so a - 1
+    is not the theorem's value: the window's Torreg may prove it, but a
+    different value refutes nothing.
     """
     label = "%s as %s-module" % (artB.label, artA.label)
     name = "torreg(%s) == deg(Omega) - 1" % label
@@ -442,10 +444,18 @@ def _quotient_module_torreg(artA, artB, a):
     table = res_mod.betti_table(R)
     one_minus_ta = [1] + [0] * (a - 1) + [-1]
     if hA is None or hB is None or series_mod.first_difference([1], hB, one_minus_ta, hA) is not None:
-        return HarnessCase(name, "eq", reg_mod.tor_regularity(table), a - 1)
+        case = _compare(name, reg_mod.tor_regularity(table), "==", a - 1)
+        return HarnessCase(name, case.holds or None, case.detail)
     if table.entries != {(i, j): 1 for i, j in ((0, 0), (1, a)) if i <= R.i_max and j <= R.d_max}:
-        return HarnessCase(name, "true", False, "window table %s" % sorted(table.entries.items()))
-    return HarnessCase(name, "eq", BoundedValue.exact(a - 1, "0 -> A(-a) -> A -> B -> 0"), a - 1)
+        return HarnessCase(name, False, "window table %s" % sorted(table.entries.items()))
+    return _compare(name, BoundedValue.exact(a - 1, "0 -> A(-a) -> A -> B -> 0"), "==", a - 1)
+
+
+def _compare(name, lhs, op, rhs, detail=""):
+    """The case `lhs op rhs` (op "<=" or "==", an int side exact), decided by BoundedValue."""
+    lhs, rhs = (v if isinstance(v, BoundedValue) else BoundedValue.exact(v) for v in (lhs, rhs))
+    holds = lhs.at_most(rhs) if op == "<=" else lhs.equals(rhs)
+    return HarnessCase(name, holds, "%s %s %s%s" % (lhs, op, rhs, (" | " + detail) if detail else ""))
 
 
 def _all(*facts):
@@ -477,10 +487,10 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
     tM = reg_mod.tor_regularity(res_mod.betti_table(RM))
     degM = 2  # top degree of the module, = CMreg for finite-dimensional modules
     cases.append(
-        HarnessCase(
+        _compare(
             "torreg<=cmreg+torreg_k on k(-2)+k over T",
-            "leq",
             tM,
+            "<=",
             reports["T"].torreg_k.add(BoundedValue.exact(degM)),
             "finite-dimensional module case: CMreg(M) = deg(M) = 2",
         )
@@ -489,10 +499,10 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
     # quotient equality: CMreg(B) - CMreg(A) = deg(Omega) - 1 = Torreg(_A B)
     for child, parent, a in (("B", "T", 2), ("Tcomm", "T", 2), ("k[y]", "plane", 1)):
         cases.append(
-            HarnessCase(
+            _compare(
                 "cmreg(%s) - cmreg(%s) == deg(Omega) - 1" % (child, parent),
-                "eq",
                 reports[child].cmreg.add(reports[parent].cmreg.negated()),
+                "==",
                 a - 1,
             )
         )
@@ -502,10 +512,10 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
     for prod, f1, f2 in (("A2xT", "A2", "T"), ("A2xA2", "A2", "A2")):
         for inv in ("torreg_k", "cmreg", "asreg"):
             cases.append(
-                HarnessCase(
+                _compare(
                     "%s additive on %s" % (inv, prod),
-                    "eq",
                     getattr(reports[prod], inv),
+                    "==",
                     getattr(reports[f1], inv).add(getattr(reports[f2], inv)),
                 )
             )
@@ -513,10 +523,10 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
     # Torreg does not grow under quotients by normal regular elements of degree <= 2
     for child, parent in (("B", "T"), ("Tcomm", "T"), ("k[y]", "plane"), ("A2", "k[x]")):
         cases.append(
-            HarnessCase(
+            _compare(
                 "torreg_k(%s) <= torreg_k(%s) (normal quotient, deg <= 2)" % (child, parent),
-                "leq",
                 reports[child].torreg_k,
+                "<=",
                 reports[parent].torreg_k,
             )
         )
@@ -528,9 +538,7 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
         if not tr.is_exact:
             continue
         ok = all(j - i <= tr.value for (i, j) in table.entries)
-        cases.append(
-            HarnessCase("t_i <= Torreg + i on %s" % label, "true", ok, detail="window table")
-        )
+        cases.append(HarnessCase("t_i <= Torreg + i on %s" % label, ok, "window table"))
 
     # Koszul descent along non-surjective finite maps with Torreg(T-side k) = 1
     ku, kx = arts["k[u2]"], arts["k[x]"]
@@ -538,7 +546,6 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
     cases.append(
         HarnessCase(
             "non-surjective finite map from Torreg-1 source forces Koszul target",
-            "true",
             _all(
                 cert.finite or None,  # a cokernel not yet zero decides nothing
                 reports["k[u2]"].torreg_k.equals(1),
@@ -546,7 +553,7 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
                 cert.left_cokernel[1] > 0 if len(cert.left_cokernel) > 1 else None,
                 reports["k[x]"].torreg_k.equals(0),  # Koszul: Torreg(k) = 0
             ),
-            detail="k[u2] -> k[x], u |-> x^2",
+            "k[u2] -> k[x], u |-> x^2",
         )
     )
 
@@ -554,9 +561,8 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
     cases.append(
         HarnessCase(
             "AS regularity transfers along plane -> k[y]",
-            "true",
             _all(_verdict(reports["plane"].as_regular), _verdict(reports["k[y]"].as_regular)),
-            detail="quotient by a degree-1 normal regular element",
+            "quotient by a degree-1 normal regular element",
         )
     )
 
@@ -564,10 +570,10 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
     w_direct = cons_mod.concavity_witness(kx, ["x"], arts["hyp"])
     w_composed = cons_mod.concavity_witness(ku, ["x^2"], arts["hyp"])
     cases.append(
-        HarnessCase(
+        _compare(
             "composing finite maps never lowers the witness -CMreg",
-            "leq",
             w_direct.neg_cmreg,
+            "<=",
             w_composed.neg_cmreg,
             "k[u2] -> k[x] -> hyp",
         )
@@ -577,17 +583,16 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
     for label in ("T", "plane", "k[x]", "k[u2]"):
         bound = reg_mod.concavity_certificate(arts[label], [])
         cases.append(
-            HarnessCase(
+            _compare(
                 "c(%s) == -CMreg(%s)" % (label, label),
-                "eq",
                 bound.value,
+                "==",
                 reports[label].cmreg.negated(),
             )
         )
         cases.append(
             HarnessCase(
                 "Koszul iff c = 0 on %s" % label,
-                "true",
                 _iff(reports[label].torreg_k.equals(0), bound.value.equals(0)),
             )
         )
@@ -599,25 +604,25 @@ def build_golden_cases(i_max=8, d_max=12, d_gb=12):
         arts["B"],
     )
     boundB = reg_mod.concavity_certificate(arts["B"], [wT])
-    cases.append(HarnessCase("c_minus(B) >= 0", "leq", 0, boundB.c_minus))
+    # an inexact c_minus is at_least(0), which is the statement itself: only an exact one decides
+    case = _compare("c_minus(B) >= 0", 0, "<=", boundB.c_minus)
+    cases.append(case if boundB.c_minus.is_exact else HarnessCase(case.name, None, case.detail))
     cases.append(
         HarnessCase(
             "c_minus(B) = 0 iff B AS regular",
-            "true",
             _iff(boundB.c_minus.equals(0), _verdict(reports["B"].as_regular)),
         )
     )
-    cases.append(HarnessCase("c(B) == 1", "eq", boundB.value, 1))
+    cases.append(_compare("c(B) == 1", boundB.value, "==", 1))
 
     # ASreg >= 0 on every exact report; ASreg = 0 iff AS regular on decided cases
     for label, rep in sorted(reports.items()):
         if rep.asreg.is_exact:
-            cases.append(HarnessCase("asreg(%s) >= 0" % label, "leq", 0, rep.asreg))
+            cases.append(_compare("asreg(%s) >= 0" % label, 0, "<=", rep.asreg))
             if rep.as_regular.status in ("yes", "no"):
                 cases.append(
                     HarnessCase(
                         "asreg(%s) = 0 iff AS regular" % label,
-                        "true",
                         (rep.asreg.value == 0) == (rep.as_regular.status == "yes"),
                     )
                 )
@@ -662,7 +667,7 @@ def make_parser():
     common.add_argument("--assert-noetherian", action="store_true")
     common.add_argument("--assert-balanced", action="store_true")
     common.add_argument(
-        "--element-limit", type=natural, default=2000,
+        "--element-limit", type=natural, default=DEFAULT_ELEMENT_LIMIT,
         help="Groebner completion budget (element count)",
     )
 

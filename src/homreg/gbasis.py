@@ -53,6 +53,8 @@ from .corealg import (
     ResourceLimitError,
 )
 
+DEFAULT_ELEMENT_LIMIT = 2000  # Groebner completion budget: basis elements before ResourceLimitError
+
 
 class WordAutomaton:
     """Aho-Corasick automaton over the inter-reduced leading words of a basis.
@@ -391,7 +393,7 @@ def _s_polynomial(f, h, left, right):
     return pending
 
 
-def groebner(presentation, d_gb, element_limit=2000):
+def groebner(presentation, d_gb, element_limit=DEFAULT_ELEMENT_LIMIT):
     """Reduced Groebner basis certified through internal degree `d_gb`.
 
     Deterministic for a fixed presentation and order: obstructions are

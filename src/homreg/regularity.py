@@ -66,12 +66,23 @@ class BoundedValue(Record):
         kind = "exact" if self.kind == other.kind == "exact" else "at_least"
         return BoundedValue(kind, self.value + other.value, note)
 
-    def equals(self, n):
-        """Whether the value is n: True or False when an exact value or a
-        lower bound above n decides it, else None."""
-        if self.is_exact:
-            return self.value == n
-        return False if self.kind == "at_least" and self.value > n else None
+    def equals(self, other):
+        """Whether the value is `other`, an int or a BoundedValue: `at_most` both
+        ways, so True only on equal exact values, False once one way is False."""
+        if not isinstance(other, BoundedValue):
+            other = BoundedValue.exact(other)
+        both = (self.at_most(other), other.at_most(self))
+        return False if False in both else None if None in both else True
+
+    def at_most(self, other):
+        """Whether the value is at most `other`'s: True when an exact value is at
+        most the other's exact value or lower bound, False when a value or lower
+        bound exceeds the other's exact value, else None."""
+        if "unknown" in (self.kind, other.kind):
+            return None
+        if self.is_exact and self.value <= other.value:
+            return True
+        return False if other.is_exact and self.value > other.value else None
 
     def negated(self):
         """The negative of an exact value; a lower bound bounds nothing from below."""
@@ -133,7 +144,7 @@ class AlgebraArtifacts:
     """
 
     def __init__(self, presentation, i_max=DEFAULT_I_MAX, d_max=DEFAULT_D_MAX,
-                 d_gb=DEFAULT_D_GB, *, element_limit=2000, cache_dir=None):
+                 d_gb=DEFAULT_D_GB, *, element_limit=gb_mod.DEFAULT_ELEMENT_LIMIT, cache_dir=None):
         if cache_dir is not None:
             raise TypeError("AlgebraArtifacts keeps no Groebner-basis cache: cache_dir must be None")
         self.presentation = presentation
@@ -802,8 +813,6 @@ def build_report(art):
         assertions=tuple(assertions),
     )
     ta_tc_pairs(report)  # validates the tc constraint
-    if report.asreg.is_exact and report.asreg.value < 0:
-        raise CertificationError("internal inconsistency: exact ASreg < 0")
     return report
 
 
@@ -812,12 +821,10 @@ def build_report(art):
 
 
 class HarnessCase(Record):
-    """One check: kind 'leq'/'eq' compare values, 'true' asserts a fact (None: undecided)."""
+    """One check as a three-valued fact: `holds` is True, False or None (undecided)."""
 
     name: str
-    kind: str
-    lhs: object = None
-    rhs: object = None
+    holds: object
     detail: str = ""
 
 
@@ -827,57 +834,19 @@ class HarnessResult(Record):
     detail: str
 
 
-def _as_bounded(v):
-    if isinstance(v, BoundedValue):
-        return v
-    return BoundedValue.exact(v)
-
-
 def inequality_harness(cases):
-    """Evaluate comparison cases with truncation-aware semantics.
+    """Map each case's fact to pass (True), fail (False) or skip (None).
 
-    A case passes when the certified data proves it, fails when the data
-    certifies a violation, and is skipped (with the reason) when the
-    qualifiers cannot settle it.  Certified failures falsify the
-    implementation, not the statements being checked.
+    A case holds when the certified data proves it, fails when the data
+    certifies a violation, and is skipped when the window cannot settle it;
+    a skip's detail starts with "undecided in the window".  Certified
+    failures falsify the implementation, not the statements being checked.
     """
     results = []
     for case in cases:
-        if case.kind == "true":
-            if case.lhs is None:
-                detail = "undecided in the window%s" % ((" | " + case.detail) if case.detail else "")
-                results.append(HarnessResult(case.name, "skip", detail))
-            else:
-                results.append(HarnessResult(case.name, "pass" if case.lhs else "fail", case.detail))
-            continue
-        lhs = _as_bounded(case.lhs)
-        rhs = _as_bounded(case.rhs)
-        if case.kind == "leq":
-            if lhs.kind == "unknown" or rhs.kind == "unknown":
-                results.append(HarnessResult(case.name, "skip", "unknown side"))
-            elif rhs.kind == "exact" and (lhs.is_exact or lhs.value > rhs.value):
-                ok = lhs.value <= rhs.value
-                detail = "%s <= %s%s" % (lhs, rhs, (" | " + case.detail) if case.detail else "")
-                results.append(HarnessResult(case.name, "pass" if ok else "fail", detail))
-            elif rhs.kind == "exact":
-                # a lower bound below the right side proves nothing
-                results.append(
-                    HarnessResult(case.name, "skip", "left side not exact (%s)" % lhs)
-                )
-            else:
-                # rhs is only a lower bound: a certified violation is impossible
-                results.append(
-                    HarnessResult(case.name, "skip", "right side not exact (%s)" % rhs)
-                )
-        elif case.kind == "eq":
-            if lhs.is_exact and rhs.is_exact:
-                ok = lhs.value == rhs.value
-                detail = "%s == %s%s" % (lhs, rhs, (" | " + case.detail) if case.detail else "")
-                results.append(HarnessResult(case.name, "pass" if ok else "fail", detail))
-            else:
-                results.append(
-                    HarnessResult(case.name, "skip", "both sides must be exact (%s vs %s)" % (lhs, rhs))
-                )
+        if case.holds is None:
+            detail = "undecided in the window%s" % ((" | " + case.detail) if case.detail else "")
+            results.append(HarnessResult(case.name, "skip", detail))
         else:
-            results.append(HarnessResult(case.name, "skip", "unknown case kind %r" % case.kind))
+            results.append(HarnessResult(case.name, "pass" if case.holds else "fail", case.detail))
     return results

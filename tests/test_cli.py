@@ -703,7 +703,7 @@ def test_quotient_module_torreg_fails_when_the_window_table_is_not_the_theorems(
     from homreg import regularity, resolution
 
     case = cli._quotient_module_torreg(golden["T"], golden["B"], 2)
-    assert case.lhs == regularity.BoundedValue.exact(1, case.lhs.note)
+    assert (case.holds, case.detail) == (True, "1 == 1")
     assert [r.status for r in regularity.inequality_harness([case])] == ["pass"]
     betti_table = resolution.betti_table
 
@@ -726,7 +726,8 @@ def test_quotient_module_torreg_by_a_normal_zero_divisor_is_not_exact(golden):
     B, cert = quotient_by_normal_element(golden["A3"], "x^2")
     assert not cert.regular_ok
     case = cli._quotient_module_torreg(golden["A3"], B, 2)
-    assert case.kind == "eq" and not case.lhs.is_exact
+    # the window's Torreg is only a lower bound above 1; without the premise it refutes nothing
+    assert case.holds is None and case.detail.startswith(">=") and case.detail.endswith(" == 1")
     assert [r.status for r in regularity.inequality_harness([case])] == ["skip"]
 
 
@@ -767,6 +768,24 @@ def test_harness_skips_what_the_window_leaves_undecided(capsys, window, undecide
     for name in undecided:
         assert recs[name]["status"] == "skip", name
         assert recs[name]["detail"].startswith("undecided in the window"), name
+
+
+def test_harness_decides_comparisons_by_the_bounded_values():
+    from homreg import regularity
+
+    checks = {}
+    for i_max in (0, 2):
+        for d_max in (0, 3):
+            results = regularity.inequality_harness(cli.build_golden_cases(i_max, d_max, 12))
+            assert [r.name for r in results if r.status == "fail"] == [], (i_max, d_max)
+            checks[i_max, d_max] = {r.name: (r.status, r.detail) for r in results}
+            # an inexact c_minus(B) is >=0, the statement itself, so it proves nothing
+            assert checks[i_max, d_max]["c_minus(B) >= 0"] == ("skip", "undecided in the window | 0 <= >=0")
+    # an exact left side at most the right side's lower bound is proven
+    name = "torreg_k(Tcomm) <= torreg_k(T) (normal quotient, deg <= 2)"
+    assert checks[2, 3][name] == ("pass", "0 <= >=1")
+    case = cli._compare("x", regularity.BoundedValue.at_least(3), "==", 1, "why")
+    assert (case.holds, case.detail) == (False, ">=3 == 1 | why")
 
 
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])

@@ -35,8 +35,7 @@ RECORDS = [
      ("label", "window", "torreg_k", "cmreg", "cm_evidence", "asreg", "koszul", "as_regular",
       "gldim", "as_index", "stanley", "betti_provenance", "annotations", "assertions"),
      {}),
-    (regularity.HarnessCase, ("name", "kind", "lhs", "rhs", "detail"),
-     {"lhs": None, "rhs": None, "detail": ""}),
+    (regularity.HarnessCase, ("name", "holds", "detail"), {"detail": ""}),
     (regularity.HarnessResult, ("name", "status", "detail"), {}),
     (constructions.NormalElementCertificate,
      ("element_text", "degree", "left_witnesses", "regular_ok", "checked_to"),

@@ -498,19 +498,24 @@ def test_obstruction_relation_degree_test(golden, cm_range, status):
 
 
 def test_harness_semantics():
+    e, least, unknown = BoundedValue.exact, BoundedValue.at_least, BoundedValue.unknown
     results = inequality_harness(
         [
-            HarnessCase("ok", "leq", BoundedValue.exact(1), BoundedValue.exact(2)),
-            HarnessCase("violated", "leq", BoundedValue.exact(3), BoundedValue.exact(2)),
-            HarnessCase("lower-bound-violation", "leq", BoundedValue.at_least(5), BoundedValue.exact(2)),
+            HarnessCase("ok", e(1).at_most(e(2))),
+            HarnessCase("violated", e(3).at_most(e(2))),
+            HarnessCase("lower-bound-violation", least(5).at_most(e(2))),
             # >=1 <= 2 holds for the bound but proves nothing about the true value
-            HarnessCase("lower-bound-unproven", "leq", BoundedValue.at_least(1), BoundedValue.exact(2)),
-            HarnessCase("insufficient", "leq", BoundedValue.unknown(), BoundedValue.exact(2)),
-            HarnessCase("rhs-not-exact", "eq", BoundedValue.exact(1), BoundedValue.at_least(1)),
-            HarnessCase("fact", "true", True),
-            HarnessCase("false-fact", "true", False),
+            HarnessCase("lower-bound-unproven", least(1).at_most(e(2))),
+            HarnessCase("insufficient", unknown().at_most(e(2))),
+            HarnessCase("rhs-not-exact", e(1).equals(least(1))),
+            # an exact value at most a lower bound is at most the true value
+            HarnessCase("below-a-lower-bound", e(0).at_most(least(1))),
+            HarnessCase("lower-bound-above", least(3).equals(1)),
+            HarnessCase("exact-below-a-lower-bound", e(1).equals(least(2))),
+            HarnessCase("fact", True),
+            HarnessCase("false-fact", False),
             # a fact the window leaves undecided is neither a pass nor a failure
-            HarnessCase("undecided-fact", "true", None, detail="premise"),
+            HarnessCase("undecided-fact", None, "premise"),
         ]
     )
     statuses = {r.name: r.status for r in results}
@@ -521,13 +526,48 @@ def test_harness_semantics():
         "lower-bound-unproven": "skip",
         "insufficient": "skip",
         "rhs-not-exact": "skip",
+        "below-a-lower-bound": "pass",
+        "lower-bound-above": "fail",
+        "exact-below-a-lower-bound": "fail",
         "fact": "pass",
         "false-fact": "fail",
         "undecided-fact": "skip",
     }
     skips = {r.name: r.detail for r in results if r.status == "skip"}
-    assert all(d for d in skips.values())  # skipped always carries a reason
+    assert all(d.startswith("undecided in the window") for d in skips.values())
     assert skips["undecided-fact"] == "undecided in the window | premise"
+    assert skips["insufficient"] == "undecided in the window"
+
+
+# true values each qualifier allows in the oracle: exact v is v, >=v is v..v+SPAN,
+# unknown is all of -SPAN..SPAN; SPAN exceeds the spread of the tested values
+SPAN = 8
+QUALIFIED = [BoundedValue.unknown()] + [
+    make(v) for v in range(-2, 3) for make in (BoundedValue.exact, BoundedValue.at_least)
+]
+
+
+def _allowed(bv):
+    if bv.is_exact:
+        return [bv.value]
+    if bv.kind == "at_least":
+        return range(bv.value, bv.value + SPAN + 1)
+    return range(-SPAN, SPAN + 1)
+
+
+@pytest.mark.parametrize("relation", ["at_most", "equals"])
+def test_bounded_value_comparisons_agree_with_every_allowed_true_value(relation):
+    holds = {"at_most": lambda x, y: x <= y, "equals": lambda x, y: x == y}[relation]
+    for lhs in QUALIFIED:
+        for rhs in QUALIFIED:
+            answer = getattr(lhs, relation)(rhs)
+            possible = {holds(x, y) for x in _allowed(lhs) for y in _allowed(rhs)}
+            if answer is None:
+                assert possible == {True, False}, (lhs, relation, rhs)
+            else:
+                assert possible == {answer}, (lhs, relation, rhs)
+            if relation == "equals" and rhs.is_exact:
+                assert lhs.equals(rhs.value) is answer  # an int is an exact value
 
 
 def test_weighted_polynomial_ring_type_2_3():
@@ -628,6 +668,16 @@ def test_window_monotonicity():
             ):
                 bad.append((rels, name, small[name], large[name]))
     assert not bad
+
+
+def test_an_exact_cmreg_below_minus_torreg_k_is_an_internal_inconsistency(monkeypatch):
+    # exact ASreg = 1 + (-5) < 0 too, and the Torreg(k) + CMreg >= 0 check reports it
+    art = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x^2*y - y*x^2, x*y^2 - y^2*x"))
+    torreg = art.resolve_torreg()
+    assert (torreg.kind, torreg.value) == ("exact", 1)
+    monkeypatch.setattr(art, "resolve_cmreg", lambda: (BoundedValue.exact(-5), "forced"))
+    with pytest.raises(CertificationError, match="CMreg < -Torreg\\(k\\)"):
+        regularity.build_report(art)
 
 
 def test_bounded_value_equality_is_three_valued():
