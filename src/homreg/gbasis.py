@@ -114,20 +114,25 @@ class WordAutomaton:
                 return end - len(self.leads[~s]), ~s
         return None
 
-    def dims(self, upto):
-        """Weighted path counts from state 0: dim A_d for d = 0..upto."""
+    def dims(self, upto, rows=None):
+        """Weighted path counts from state 0: dim A_d for d = 0..upto.
+
+        `rows[d][s]` counts the degree-d paths that end in state s.  Rows
+        kept from an earlier call are extended in place, so only the degrees
+        above them are counted."""
         degs = self.gen_degs
-        counts = [[0] * len(self.states) for _ in range(upto + 1)]
-        counts[0][0] = 1
-        for d in range(1, upto + 1):
-            row = counts[d]
+        rows = [] if rows is None else rows
+        for d in range(len(rows), upto + 1):
+            row = [0] * len(self.states)
+            row[0] = int(d == 0)  # the empty path
             for s0, targets in enumerate(self.delta):
                 for a, s1 in enumerate(targets):
                     if s1 >= 0 and degs[a] <= d:
-                        c = counts[d - degs[a]][s0]
+                        c = rows[d - degs[a]][s0]
                         if c:
                             row[s1] += c
-        return [sum(row) for row in counts]
+            rows.append(row)
+        return [sum(row) for row in rows[: upto + 1]]
 
 
 class GroebnerBasis:
@@ -151,7 +156,7 @@ class GroebnerBasis:
         self.elements = ()
         self._leads, self._forms = [], []
         self.automaton = WordAutomaton((), presentation.gen_degs)
-        self._normal_words, self._nf_words, self._dims = {}, {}, ()
+        self._normal_words, self._nf_words, self._dims, self._rows = {}, {}, (), []
 
     def check_degree(self, d, what="computation"):
         if not self.complete and d > self.d_gb:
@@ -329,10 +334,10 @@ class GroebnerBasis:
 
     def dims(self, upto):
         """[dim_k A_j for j <= upto], path counts of the automaton; the counts are
-        kept, through d_gb at least, and recounted only for a higher degree."""
+        kept, through d_gb at least, and a higher degree extends them."""
         self.check_degree(upto, "normal words")
         if upto >= len(self._dims):
-            self._dims = self.automaton.dims(max(upto, self.d_gb))
+            self._dims = self.automaton.dims(max(upto, self.d_gb), self._rows)
         return self._dims[: upto + 1]
 
     def dim(self, j):

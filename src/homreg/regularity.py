@@ -198,14 +198,12 @@ class AlgebraArtifacts:
 
     def resolution_k(self):
         if self._res_k is None:
-            self._res_k = res_mod.minimal_resolution(
-                self.gb(),
-                res_mod.trivial_module(self.presentation),
-                self.i_max,
-                self.d_max,
-                algebra_hilbert=self.hilbert_or_none(),
-                label=self.label,
-            )
+            G, h = self.gb(), self.hilbert_or_none()
+            if res_mod.monomial_basis(G):  # no elimination: the chains are the resolution
+                self._res_k = res_mod.anick_resolution(G, self.i_max, self.d_max, h, self.label)
+            else:
+                k = res_mod.trivial_module(self.presentation)
+                self._res_k = res_mod.minimal_resolution(G, k, self.i_max, self.d_max, h, self.label)
         return self._res_k
 
     def betti_k(self):

@@ -38,6 +38,11 @@ moot there, as they are A-multiples of images already checked at or
 below B_i.  Without a complete basis or such a series every step runs
 to d_max.
 
+Over a monomial basis (`monomial_basis`) the resolution of k needs no
+elimination: `anick_resolution` reads it off the chains (`anick_chains`),
+whose differential d(e_c) = t*e_{c'} is minimal and is the engine's result
+slot for slot.  Termination is still certified as below.
+
 Coordinate vectors hold the same scalars as polynomials (see `corealg`);
 `FreeLayer.coords` and `FreeLayer.polys` read one as the other on a
 layer's normal-word basis.
@@ -59,6 +64,7 @@ module is never injective, and a terminated resolution ends at step 0.
 
 from __future__ import annotations
 
+from functools import cache
 
 from . import linalg
 from .corealg import (
@@ -623,6 +629,69 @@ def minimal_resolution(G, module, i_max, d_max, algebra_hilbert=None, label=""):
         d_max=d_max,
         certificate=certificate,
     )
+
+
+def monomial_basis(G):
+    """Whether G is complete and each element is one word of length >= 2: then
+    `anick_resolution` resolves k (the free algebra's empty basis passes)."""
+    return G.complete and all(len(g.terms) == 1 and len(g.lead_word()) >= 2 for g in G.elements)
+
+
+def anick_chains(G, n_max, d_max):
+    """Left Anick chains of levels 0..n_max and degree <= d_max, over a complete
+    G whose leading words have length >= 2 (D. Anick, Trans. AMS 296, 1986).
+
+    Level 0 is the letters, each its own piece.  A level-n chain is t*c' for
+    a level-(n-1) chain c' with first piece q such that t*q has exactly one
+    leading-word factor, a prefix t*q[:m] with 1 <= m <= len(q); t, a normal
+    word, is its piece.  Level n lists (degree, index, t) by degree, then by
+    the index of (slot of c', t) in FreeLayer(G, shifts of level n-1).basis(degree).
+    The list ends before the first empty level.
+    """
+    degree, leads, find = G.presentation.word_degree, G.automaton.leads, G.automaton.find
+
+    @cache
+    def after(q):
+        """The pieces t, with their degrees, of the chains t*c' over a c' with first piece q."""
+        ts = LETTERS[: G.presentation.n_gens] if not q else [
+            u[:-m] for u in leads for m in range(1, min(len(q), len(u) - 1) + 1) if u.endswith(q[:m])
+        ]
+        return [(t, degree(t)) for t in ts if find((t + q)[1:]) is None]
+
+    shifts, pieces, levels = (0,), (b"",), []  # F_0's generator, whose piece is empty
+    for _ in range(n_max + 1):
+        layer = FreeLayer(G, shifts)
+        level = sorted(
+            (a + dt, layer.index(a + dt)[(s, t)], t)
+            for s, (a, q) in enumerate(zip(shifts, pieces))
+            for t, dt in after(q)
+            if a + dt <= d_max
+        )
+        if not level:
+            break
+        levels.append(level)
+        shifts, pieces = tuple(j for j, _, _ in level), tuple(t for _, _, t in level)
+    return levels
+
+
+def anick_resolution(G, i_max, d_max, algebra_hilbert=None, label=""):
+    """`minimal_resolution` of k over G with `monomial_basis(G)`, read off the chains.
+
+    Anick's resolution d(e_c) = t*e_{c'}, c = t*c', is exact, and minimal as
+    each t has positive degree.  A basis element (c, w) maps to the word w*t
+    at slot c' or to 0, so every kernel is spanned by the unit vectors in it
+    and the engine's reduced K_j is those units; its new generators are the
+    units outside (A_+K)_j, the chains, in index order.  So the shifts, maps
+    and certificate are the engine's.
+    """
+    levels = anick_chains(G, i_max, d_max)
+    shifts = ((0,),) + tuple(tuple(j for j, _, _ in level) for level in levels[:i_max])
+    certificate = None
+    if len(levels) <= i_max:
+        k = PresentedModuleView(G, trivial_module(G.presentation), d_max)
+        certificate = _certify_termination(G, k, shifts, d_max, algebra_hilbert)
+    maps = tuple(tuple((j, {index: 1}) for j, index, _ in level) for level in levels[:i_max])
+    return Resolution(label=label, shifts=shifts, maps=maps, i_max=i_max, d_max=d_max, certificate=certificate)
 
 
 def betti_table(R):

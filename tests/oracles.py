@@ -650,3 +650,13 @@ def random_algebra_source(rng, field):
         ).lstrip("+"))
     gens = " ".join("%s:%d" % (a, d) for a, d in zip(names, degs))
     return "field %s; gens %s; rels %s" % (field, gens, ", ".join(rels))
+
+
+def random_monomial_source(rng, field):
+    """A presentation text: 2-3 generators of degree 1-2 and 1-4 relations,
+    each one word of length 2-5."""
+    n = rng.randint(2, 3)
+    names = "xyz"[:n]
+    gens = " ".join("%s:%d" % (a, rng.randint(1, 2)) for a in names)
+    rels = ("*".join(rng.choice(names) for _ in range(rng.randint(2, 5))) for _ in range(rng.randint(1, 4)))
+    return "field %s; gens %s; rels %s" % (field, gens, ", ".join(rels))

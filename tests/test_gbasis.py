@@ -21,7 +21,7 @@ from homreg.gbasis import (
     _to_ints,
     groebner,
 )
-from homreg.series import hilbert_truncated
+from homreg.series import hilbert_rational, hilbert_truncated
 
 from oracles import (
     brute_algebra_dim,
@@ -593,3 +593,18 @@ def test_dim_counts_paths_and_lists_no_words(golden):
     assert not G.complete and G.dim(-1) == 0
     with pytest.raises(CertificationError, match="normal words at degree 7 exceeds the certified range"):
         G.dim(7)
+
+
+def test_dims_extend_the_kept_path_counts():
+    # `homreg hilbert presentations/hypersurface_t2.alg` counts dims through 12
+    # for the truncated series, then through 18 for the rational form; the
+    # second count keeps the per-state rows of degrees 0-12 and adds 13-18
+    with open(os.path.join(PRESENTATIONS, "hypersurface_t2.alg")) as fh:
+        G = groebner(parse_presentation(fh.read()), 12)
+    hilbert_truncated(G, 12)
+    assert len(G._rows) == 13
+    kept, snapshot = list(G._rows), [list(row) for row in G._rows]
+    hilbert_rational(G)
+    assert len(G._rows) == 19
+    assert all(a is b for a, b in zip(G._rows, kept)) and G._rows[:13] == snapshot
+    assert G.dims(18) == G.automaton.dims(18) == [len(G.normal_words(j)) for j in range(19)]

@@ -1,4 +1,5 @@
 import inspect
+import os
 import random
 
 import pytest
@@ -42,6 +43,7 @@ from oracles import (
     one,
     random_algebra_source,
     random_fdim_module,
+    random_monomial_source,
     scalar,
     semisimple_module,
     shift_module,
@@ -1098,3 +1100,139 @@ def test_every_zero_band_is_decided_by_vanishes_above(monkeypatch):
     for module in (resolution, constructions):
         monkeypatch.setattr(module, "vanishes_above", lambda dim, j, width: False)
     assert decisions() == (False, False, False)
+
+
+# ---------------------------------------------------------------------------
+# the resolution of k over a monomial basis, read off Anick's chains
+
+
+PRESENTATIONS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "presentations")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the engine ran")
+
+
+def _resolve_k_both_ways(art, monkeypatch):
+    """(chains, engine): `art.resolution_k()` with the engine refused, and the engine's resolution of k."""
+    with monkeypatch.context() as m:
+        m.setattr(resolution, "minimal_resolution", _refuse)
+        chains = art.resolution_k()
+    G, h = art.gb(), art.hilbert_or_none()
+    engine = minimal_resolution(G, trivial_module(art.presentation), art.i_max, art.d_max, h, art.label)
+    return chains, engine
+
+
+def _assert_chains_are_the_engine(art, monkeypatch):
+    chains, engine = _resolve_k_both_ways(art, monkeypatch)
+    assert (chains.shifts, chains.maps) == (engine.shifts, engine.maps), art.label
+    assert (chains.certificate, chains.steps_computed) == (engine.certificate, engine.steps_computed), art.label
+    assert chains == engine
+    if engine.steps_computed:  # a resolution of one step has no dual to read
+        G = art.gb()
+        assert ext_into_algebra(chains, G) == ext_into_algebra(engine, G), art.label
+
+
+def _monomial_arts():
+    arts = []
+    for name in ("kx_mod_x2", "kx_mod_x3", "stanley_violator", "kx", "ku2"):
+        with open(os.path.join(PRESENTATIONS, name + ".alg")) as fh:
+            arts.append(AlgebraArtifacts(parse_presentation(fh.read(), label=name), 8, 12, 12))
+    kx = AlgebraArtifacts(parse_presentation(GOLDEN_SOURCES["k[x]"], label="k[x]"), 8, 12, 12)
+    arts.append(quotient_by_normal_element(kx, "x^2", label="A2")[0])
+    arts.append(AlgebraArtifacts(parse_presentation(GOLDEN_SOURCES["A3"], label="A3"), 8, 12, 12))
+    arts.append(AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x*y^12", label="xy12"), 6, 14, 14))
+    src = "field Q; gens x:1 y:1; rels x*y^5, y*x^5"
+    arts.append(AlgebraArtifacts(parse_presentation(src, label="xy5,yx5"), 8, 16, 16))
+    return arts
+
+
+def test_resolution_of_k_over_a_monomial_basis_is_the_engines(monkeypatch):
+    # the chains give the engine's shifts, maps, certificate and Ext table, and
+    # the engine does not run; x^2, x^3 and stanley_violator never terminate,
+    # x*y^12 ends at (0), (1, 1), (13) and x*y^5, y*x^5 climbs by 5 per step
+    arts = _monomial_arts()
+    for art in arts:
+        _assert_chains_are_the_engine(art, monkeypatch)
+    shifts = {art.label: art.resolution_k().shifts for art in arts}
+    assert shifts["kx_mod_x3"] == ((0,), (1,), (3,), (4,), (6,), (7,), (9,), (10,), (12,))
+    assert shifts["stanley_violator"][3] == (3,) * 8
+    assert shifts["xy12"] == ((0,), (1, 1), (13,))
+    assert shifts["xy5,yx5"][:4] == ((0,), (1, 1), (6, 6), (11, 11))
+    terminated = {art.label for art in arts if art.resolution_k().terminated}
+    assert terminated == {"kx", "ku2", "xy12"}
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_resolution_of_k_over_random_monomial_bases_is_the_engines(field, monkeypatch):
+    # an incomplete basis takes the engine, and gives its own resolution
+    rng = random.Random({"Q": 4101, "F101": 4102}[field])
+    taken = {True: 0, False: 0}
+    for _ in range(30):
+        art = AlgebraArtifacts(parse_presentation(random_monomial_source(rng, field)), 6, 10, 12)
+        monomial = resolution.monomial_basis(art.gb())
+        taken[monomial] += 1
+        if monomial:
+            _assert_chains_are_the_engine(art, monkeypatch)
+        else:
+            assert not art.gb().complete
+            with monkeypatch.context() as m:
+                m.setattr(resolution, "anick_resolution", _refuse)
+                art.resolution_k()
+    assert taken[True] >= 20 and taken[False] >= 1
+
+
+def test_x_y12_resolution_of_k_is_the_engines_at_the_wide_window(monkeypatch):
+    art = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x*y^12"), 8, 20, 20)
+    chains, engine = _resolve_k_both_ways(art, monkeypatch)
+    assert chains == engine and chains.certificate == "euler-exact"
+
+
+def test_a_letter_leading_word_or_an_incomplete_basis_takes_the_engine(monkeypatch):
+    # k[y] = plane/(x) has the leading word x, and x*y*x*y*x overlaps itself above d_gb 6
+    monkeypatch.setattr(resolution, "anick_resolution", _refuse)
+    for src, window in (
+        ("field Q; gens x:1 y:1; rels x*y - y*x, x", (8, 12, 12)),
+        ("field Q; gens x:1 y:1; rels x*y*x*y*x", (4, 6, 6)),
+    ):
+        art = AlgebraArtifacts(parse_presentation(src), *window)
+        G = art.gb()
+        assert all(len(g.terms) == 1 for g in G.elements) and not resolution.monomial_basis(G)
+        assert art.resolution_k().steps_computed >= 1
+
+
+def _chain_counts(G, n_max, d_max):
+    """{(n + 1, j): number of level-n chains of degree j}."""
+    counts = {}
+    for n, level in enumerate(resolution.anick_chains(G, n_max, d_max)):
+        for j, _, _ in level:
+            counts[(n + 1, j)] = counts.get((n + 1, j), 0) + 1
+    return counts
+
+
+def test_betti_numbers_of_k_are_at_most_the_chain_counts(golden):
+    # Anick's resolution is a free resolution of k over any complete basis, so
+    # the engine's beta_{i,j}(k) <= #(i-1)-chains of degree j, with equality
+    # on a monomial basis; the counts do not come from the engine
+    arts = list(golden.values())
+    for field, seed in (("Q", 41), ("F101", 42)):
+        rng = random.Random(seed)
+        arts += [AlgebraArtifacts(parse_presentation(random_algebra_source(rng, field)), 5, 8, 8) for _ in range(15)]
+    checked = monomial = strict = 0
+    for art in arts:
+        G = art.gb()
+        if not G.complete or any(len(u) < 2 for u in G.automaton.leads):
+            continue
+        R = minimal_resolution(G, trivial_module(art.presentation), art.i_max, art.d_max)
+        table = betti_table(R).entries
+        assert table.pop((0, 0)) == 1
+        counts = _chain_counts(G, art.i_max - 1, art.d_max)
+        assert all(b <= counts.get(key, 0) for key, b in table.items()), art.presentation.to_text()
+        if resolution.monomial_basis(G):
+            assert table == {key: c for key, c in counts.items() if key[0] <= R.steps_computed}
+            monomial += 1
+        strict += any(b < counts[key] for key, b in table.items())
+        checked += 1
+    assert checked >= 25 and monomial >= 5 and strict >= 1
+    # the plane has chains x, y, yx and beta = (1, 2, 1): equality past monomial bases
+    assert _chain_counts(golden["plane"].gb(), 3, 12) == {(1, 1): 2, (2, 2): 1}

@@ -269,9 +269,9 @@ def test_a_harness_run_recounts_paths_only_for_a_higher_degree(monkeypatch, caps
     uptos = {}
     dims = WordAutomaton.dims
 
-    def logging_dims(self, upto):
+    def logging_dims(self, upto, rows=None):
         uptos.setdefault(id(self), []).append(upto)
-        return dims(self, upto)
+        return dims(self, upto, rows)
 
     monkeypatch.setattr(WordAutomaton, "dims", logging_dims)
     assert main(["harness", "--format", "jsonl"]) == 0
