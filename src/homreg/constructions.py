@@ -270,10 +270,22 @@ class FiniteMapCertificate(Record):
 
 
 def _cokernel_dims(G_A, images, d_max, side_left):
-    field = G_A.presentation.field
+    """dim of A/f(T_+)A (side_left) or A/A f(T_+) in degrees 0..d_max.
+
+    The cokernel is generated in degree 0, where it is k, so once
+    `vanishes_above` holds at j for A's widest generator degree it is 0
+    above j: the products stop there and the rest is reported as 0.  Every
+    dim A_j is read first, so an incomplete basis raises as in a full window.
+    """
+    dims = [G_A.dim(j) for j in range(d_max + 1)]
+    width = G_A.presentation.max_gen_degree()
     _, products = multiplication_images(G_A, images, d_max, side_left)
-    ranks = {j: linalg.Echelon(field, cols).rank for j, cols in products}
-    return tuple(G_A.dim(j) - ranks.get(j, 0) for j in range(d_max + 1))
+    for j, cols in products:
+        dims[j] -= linalg.Echelon(G_A.presentation.field, cols).rank
+        if vanishes_above(dims.__getitem__, j, width):
+            dims[j + 1 :] = [0] * (d_max - j)
+            break
+    return tuple(dims)
 
 
 def finite_map_check(artT, images, artA):
@@ -284,7 +296,8 @@ def finite_map_check(artT, images, artA):
     a trailing window at least as wide as the largest generator degree of
     A, so no module generator can hide above the bound; a nonzero cokernel
     at the top of the window is reported as `not_finite_up_to_bound`,
-    anything else as `inconclusive`.
+    anything else as `inconclusive`.  Each side's dims stop at its own
+    first such band and are 0 above it by the same rule (`_cokernel_dims`).
     """
     A = artA.presentation
     G_A = artA.gb()

@@ -403,9 +403,10 @@ def _syzygy_step(G, target, K, d_max, gen_top):
     times their K vectors (else ValueError).  Those entries, augmented by
     the identity, are eliminated once: the identity pivots are the
     first-fit new generators, and the images' reduced form gives the
-    kernel, which no new generator enters.  Returns the cover's
-    FreeLayer, its generators as (degree, vector) pairs and its kernel
-    through d_max.
+    kernel, which no new generator enters.  When every image column is a
+    pivot the cover is injective there and the kernel is {}, with no
+    reduced form taken.  Returns the cover's FreeLayer, its generators as
+    (degree, vector) pairs and its kernel through d_max.
 
     K is read only through `gen_top`, above which the caller knows no
     generator lies.  There the kernel is the null space of the images in
@@ -427,7 +428,7 @@ def _syzygy_step(G, target, K, d_max, gen_top):
                 for t, a in col.items():
                     rows.setdefault(t, {})[c] = a
             ech = linalg.Echelon(field, (rows[t] for t in sorted(rows, reverse=True)))
-            kernel[j] = linalg.reduced_form(ech, len(cols))[2]
+            kernel[j] = linalg.reduced_form(ech, len(cols))[2] if ech.rank < len(cols) else {}
             continue
         kj = K.get(j, {})
         free = {f: t for t, f in enumerate(kj)}
@@ -447,11 +448,12 @@ def _syzygy_step(G, target, K, d_max, gen_top):
         # tests this order needs 0.27 M multiply-adds, ascending order 2.44 M
         ech = linalg.Echelon(field, reversed(rows))
         basis = list(kj.values())
-        for p in sorted(p for p in ech.rows if p >= m):
+        new = sorted(p for p in ech.rows if p >= m)
+        for p in new:
             gens.append((j, basis[p - m]))
             cols.append(basis[p - m])
             layer.add_slot(j)
-        kernel[j] = linalg.reduced_form(ech, m)[2]
+        kernel[j] = linalg.reduced_form(ech, m)[2] if ech.rank - len(new) < m else {}
     return layer, gens, kernel
 
 
@@ -648,6 +650,12 @@ def anick_chains(G, n_max, d_max):
     the index of (slot of c', t) in FreeLayer(G, shifts of level n-1).basis(degree).
     The list ends before the first empty level.
     """
+    return _anick_levels(G, n_max, d_max)[0]
+
+
+def _anick_levels(G, n_max, d_max):
+    """(`anick_chains(G, n_max, d_max)`, whether level n_max + 1 has a chain);
+    that level is not built, as the first chain found decides."""
     degree, leads, find = G.presentation.word_degree, G.automaton.leads, G.automaton.find
 
     @cache
@@ -659,19 +667,18 @@ def anick_chains(G, n_max, d_max):
         return [(t, degree(t)) for t in ts if find((t + q)[1:]) is None]
 
     shifts, pieces, levels = (0,), (b"",), []  # F_0's generator, whose piece is empty
-    for _ in range(n_max + 1):
-        layer = FreeLayer(G, shifts)
-        level = sorted(
-            (a + dt, layer.index(a + dt)[(s, t)], t)
-            for s, (a, q) in enumerate(zip(shifts, pieces))
-            for t, dt in after(q)
-            if a + dt <= d_max
+    while True:
+        chains = (
+            (a + dt, s, t) for s, (a, q) in enumerate(zip(shifts, pieces)) for t, dt in after(q) if a + dt <= d_max
         )
+        if len(levels) > n_max:
+            return levels, next(chains, None) is not None
+        layer = FreeLayer(G, shifts)
+        level = sorted((j, layer.index(j)[(s, t)], t) for j, s, t in chains)
         if not level:
-            break
+            return levels, False
         levels.append(level)
         shifts, pieces = tuple(j for j, _, _ in level), tuple(t for _, _, t in level)
-    return levels
 
 
 def anick_resolution(G, i_max, d_max, algebra_hilbert=None, label=""):
@@ -682,15 +689,17 @@ def anick_resolution(G, i_max, d_max, algebra_hilbert=None, label=""):
     at slot c' or to 0, so every kernel is spanned by the unit vectors in it
     and the engine's reduced K_j is those units; its new generators are the
     units outside (A_+K)_j, the chains, in index order.  So the shifts, maps
-    and certificate are the engine's.
+    and certificate are the engine's.  Levels 0..i_max-1 are F_1..F_{i_max};
+    level i_max only decides the certificate, by whether it has a chain, so
+    it is probed, not built.
     """
-    levels = anick_chains(G, i_max, d_max)
-    shifts = ((0,),) + tuple(tuple(j for j, _, _ in level) for level in levels[:i_max])
+    levels, more = _anick_levels(G, i_max - 1, d_max)
+    shifts = ((0,),) + tuple(tuple(j for j, _, _ in level) for level in levels)
     certificate = None
-    if len(levels) <= i_max:
+    if not more:
         k = PresentedModuleView(G, trivial_module(G.presentation), d_max)
         certificate = _certify_termination(G, k, shifts, d_max, algebra_hilbert)
-    maps = tuple(tuple((j, {index: 1}) for j, index, _ in level) for level in levels[:i_max])
+    maps = tuple(tuple((j, {index: 1}) for j, index, _ in level) for level in levels)
     return Resolution(label=label, shifts=shifts, maps=maps, i_max=i_max, d_max=d_max, certificate=certificate)
 
 

@@ -3,10 +3,12 @@
 Nothing here goes through the Groebner/normal-form machinery: ideal slice
 dimensions are computed as ranks of explicit spanning sets over the full
 free-word basis, and series are expanded by naive convolution, so these
-can certify the production code paths.  The two exceptions are
+can certify the production code paths.  The exceptions are
 `ext_reference` and `multiplication_columns`, which check the word
 recursion behind Ext and the multiplication maps against one direct
-normal form per (map entry x word), `two_pass_syzygy_step`, which
+normal form per (map entry x word), `cokernel_dims`, which reads the
+cokernels of a finite map through the whole window from those columns,
+`two_pass_syzygy_step`, which
 checks the resolution's one-elimination step against a separate span
 and kernel computation, and `unbounded_resolution`, which runs that
 step through d_max at every homological degree.  `hilbert_rational_reference`
@@ -320,6 +322,20 @@ def multiplication_columns(G, f, j, left=True):
         q = G.normal_form(f * x if left else x * f)
         cols.append({index[u]: c for u, c in q.terms.items()})
     return cols
+
+
+def cokernel_dims(G, images, d_max, left=True):
+    """dim of A/f(T_+)A (left) or A/A f(T_+) in every degree 0..d_max, with no stop.
+
+    Degree j is dim A_j minus the rank of the products f*w (left) or w*f,
+    each image f times each normal word w of degree j - deg f, each taken
+    by one direct normal form (`multiplication_columns`).
+    """
+    out = []
+    for j in range(d_max + 1):
+        cols = [c for f in images if f.degree <= j for c in multiplication_columns(G, f, j - f.degree, left)]
+        out.append(len(G.normal_words(j)) - _rank(cols, G.presentation.field.modulus))
+    return tuple(out)
 
 
 def two_pass_syzygy_step(G, target, K, d_max):

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from homreg.corealg import CertificationError, PresentationError, parse_presentation
+from homreg import constructions
+from homreg.cli import GOLDEN_SOURCES
+from homreg.corealg import CertificationError, Poly, PresentationError, parse_field, parse_presentation
 from homreg.regularity import AlgebraArtifacts
 from homreg.constructions import (
     concavity_witness,
@@ -12,6 +16,8 @@ from homreg.constructions import (
 )
 from homreg.resolution import MappedAlgebraView, betti_table, minimal_resolution, trivial_module
 from homreg.series import series_product
+
+from oracles import cokernel_dims
 
 
 def test_tensor_presentation_a2_squared(golden):
@@ -294,3 +300,109 @@ def test_torreg_upper_bound_is_the_exact_value_else_the_stored_bound(golden):
     assert str(T.resolve_torreg()) == ">=1" and T.torreg_upper_bound() is None
     T.torreg_upper = (5, "a stored bound")
     assert T.torreg_upper_bound() == (5, "a stored bound")
+
+
+# ---------------------------------------------------------------------------
+# finite-map cokernels against the full-window reference
+
+
+def _assert_cokernels_are_the_reference(artT, images, artA):
+    """`finite_map_check` against `oracles.cokernel_dims` through d_max, with the
+    verdict read off the reference by the zero-band rule; returns the certificate."""
+    cert = finite_map_check(artT, images, artA)
+    G, d_max = artA.gb(), artA.d_max
+    polys = artT.presentation.map_images(G, images)
+    left, right = (cokernel_dims(G, polys, d_max, side) for side in (True, False))
+    assert (cert.left_cokernel, cert.right_cokernel) == (left, right), (artT.label, artA.label, cert.images_text)
+    band = range(max(d_max - artA.presentation.max_gen_degree() + 1, 0), d_max + 1)
+    if not any(left[j] or right[j] for j in band):
+        assert cert.verdict == "finite"
+    else:
+        assert cert.verdict == ("not_finite_up_to_bound" if left[d_max] or right[d_max] else "inconclusive")
+    return cert
+
+
+HARNESS_MAPS = (("k[u2]", ["x^2"], "k[x]"), ("k[x]", ["x"], "hyp"), ("k[u2]", ["x^2"], "hyp"), ("T", ["x", "y"], "B"))
+
+
+def test_finite_map_cokernels_are_the_full_window_reference(golden):
+    # the harness's four maps are finite; k[x] -> plane never closes.  k[x] -> hyp
+    # has the cokernel k[t]/(t^2), deg t = 2: a band of width 1 would close at 1
+    for source, images, target in HARNESS_MAPS:
+        assert _assert_cokernels_are_the_reference(golden[source], images, golden[target]).finite
+    cert = _assert_cokernels_are_the_reference(golden["k[x]"], ["x"], golden["hyp"])
+    assert cert.left_cokernel == cert.right_cokernel == (1, 0, 1) + (0,) * 10
+    cert = _assert_cokernels_are_the_reference(golden["k[x]"], ["x"], golden["plane"])
+    assert cert.verdict == "not_finite_up_to_bound" and cert.left_cokernel == (1,) * 13
+
+
+def test_cokernel_products_stop_at_the_band(golden, monkeypatch):
+    # each side evaluates its products only up to its first zero band, not to d_max 12
+    reached = []
+    images_of = constructions.multiplication_images
+
+    def recorded(products):
+        reached.append(None)
+        for j, cols in products:
+            reached[-1] = j
+            yield j, cols
+
+    def spy(G, polys, j_hi, left=True):
+        source, products = images_of(G, polys, j_hi, left)
+        return source, recorded(products)
+
+    monkeypatch.setattr(constructions, "multiplication_images", spy)
+    for source, images, target in HARNESS_MAPS:
+        finite_map_check(golden[source], images, golden[target])
+    assert reached == [2, 2, 4, 4, 5, 5, 1, 1]
+
+
+def test_narrow_windows_match_the_full_window_reference():
+    # k[x, z]/(z^2), deg z = 2, over k[x]: "finite" needs d_max >= 4
+    kx = AlgebraArtifacts(parse_presentation("field Q; gens x:1", label="k[x]"), 4, 8, 8)
+    verdicts = []
+    for d_max in range(9):
+        src = "field Q; gens x:1 z:2; rels x*z - z*x, z^2"
+        A = AlgebraArtifacts(parse_presentation(src, label="kxz"), 4, d_max, 8)
+        verdicts.append(_assert_cokernels_are_the_reference(kx, ["x"], A).verdict)
+    assert verdicts == ["not_finite_up_to_bound", "inconclusive", "not_finite_up_to_bound", "inconclusive"] + [
+        "finite"
+    ] * 5
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_random_finite_maps_match_the_full_window_reference(field):
+    # a free source: any images of its generator degrees are a map, and the
+    # cokernels depend on the images alone
+    rng = random.Random({"Q": 4201, "F101": 4202}[field])
+    verdicts = set()
+    for label, src in GOLDEN_SOURCES.items():
+        pres = parse_presentation(src, label=label, field=parse_field(field))
+        for _ in range(6):
+            A = AlgebraArtifacts(pres, 2, rng.randint(0, 9), 12)
+            G = A.gb()
+            degrees = [e for e in (1, 2, 3) if G.normal_words(e)]
+            images = []
+            for _ in range(rng.randint(1, 2)):
+                e = rng.choice(degrees)
+                terms = {}
+                while not any(terms.values()):
+                    terms = {w: rng.randint(-2, 2) for w in G.normal_words(e)}
+                images.append(Poly.make(terms, pres.gen_degs, pres.field.modulus))
+            gens = " ".join("u%d:%d" % (r, f.degree) for r, f in enumerate(images))
+            T = AlgebraArtifacts(parse_presentation("field %s; gens %s" % (field, gens), label="free"), 2, 12, 12)
+            verdicts.add(_assert_cokernels_are_the_reference(T, images, A).verdict)
+    assert {"finite", "not_finite_up_to_bound"} <= verdicts
+
+
+def test_an_incomplete_basis_raises_before_the_band_can_stop_the_cokernels():
+    # k<x, y> -> k<x, y>/(xyxyx) is onto, so both cokernels close at degree 1;
+    # every dim A_j through d_max is still read, and at d_gb 6 degree 7 is uncertified
+    F = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1"), 4, 8, 6)
+    A = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x*y*x*y*x"), 4, 8, 6)
+    assert not A.gb().complete
+    message = r"normal words at degree 7 exceeds the certified range \(basis complete only up to 6\)"
+    with pytest.raises(CertificationError, match=message):
+        finite_map_check(F, ["x", "y"], A)
+    A = AlgebraArtifacts(parse_presentation("field Q; gens x:1 y:1; rels x*y*x*y*x"), 4, 6, 6)
+    assert finite_map_check(F, ["x", "y"], A).left_cokernel == (1,) + (0,) * 6

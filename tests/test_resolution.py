@@ -17,7 +17,7 @@ from homreg.corealg import (
 from homreg.cli import GOLDEN_SOURCES
 from homreg.constructions import quotient_by_normal_element
 from homreg.gbasis import groebner
-from homreg import resolution
+from homreg import linalg, resolution
 from homreg.regularity import AlgebraArtifacts, tor_regularity
 from homreg.series import hilbert_rational, hilbert_truncated
 from homreg.resolution import (
@@ -866,6 +866,100 @@ def test_step_rejects_kernel_vectors_changed_off_their_free_columns(field):
     assert changed == 350  # every such change in steps 1-3 through degree 4
 
 
+class _RankZeroEchelon(linalg.Echelon):
+    """An `Echelon` whose rank reads 0, so no degree of `_syzygy_step` looks
+    injective and each takes its kernel from `reduced_form`."""
+
+    rank = 0
+
+
+def _resolve_with_and_without_the_shortcut(G, module, i_max, d_max, h, monkeypatch):
+    """([R, R with `reduced_form` in every step], [reduced_form calls of each]).
+
+    `module()` builds the module afresh for each resolution."""
+    out, calls = [], []
+    reduced_form = linalg.reduced_form
+
+    def counted(ech, ncols):
+        calls[-1] += 1
+        return reduced_form(ech, ncols)
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "reduced_form", counted)
+        for forced in (False, True):
+            if forced:
+                m.setattr(linalg, "Echelon", _RankZeroEchelon)
+            calls.append(0)
+            out.append(minimal_resolution(G, module(), i_max, d_max, h))
+    return out, calls
+
+
+def _quotient_views(golden):
+    """The harness's quotient modules B = A/(Omega) over A, as (A, view factory) pairs."""
+    for child, parent in (("B", "T"), ("Tcomm", "T"), ("k[y]", "plane")):
+        A, B = golden[parent], golden[child]
+        images = [B.presentation.gen_poly(g) for g in range(B.presentation.n_gens)]
+        yield A, lambda A=A, B=B, images=images: MappedAlgebraView(A.gb(), images, B.gb(), A.d_max)
+
+
+def test_injective_steps_give_the_resolution_with_every_reduced_form(golden, monkeypatch):
+    # an injective degree has an empty kernel, so skipping its reduced form
+    # changes nothing: k over each golden algebra and the three quotient modules
+    cases = [
+        (art.gb(), lambda art=art: trivial_module(art.presentation), art.i_max, art.d_max, art.hilbert_or_none())
+        for art in golden.values()
+    ]
+    cases += [(A.gb(), view, A.i_max, A.d_max, A.hilbert_or_none()) for A, view in _quotient_views(golden)]
+    skipped = 0
+    for case in cases:
+        (R, forced), (calls, forced_calls) = _resolve_with_and_without_the_shortcut(*case, monkeypatch)
+        assert _outcome(R) == _outcome(forced) and R == forced
+        assert calls <= forced_calls
+        skipped += forced_calls - calls
+    assert skipped >= 80
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_injective_steps_give_the_resolution_with_every_reduced_form_on_random_modules(field, monkeypatch):
+    rng = random.Random({"Q": 4211, "F101": 4212}[field])
+    skipped = 0
+    for src in (T34, PLANE):
+        pres = parse_presentation(src, field=parse_field(field))
+        G = groebner(pres, 12)
+        h = hilbert_rational(G)
+        for _ in range(4):
+            m = random_fdim_module(pres, G, rng)
+            if not any(m.rows):
+                continue
+            (R, forced), (calls, forced_calls) = _resolve_with_and_without_the_shortcut(
+                G, lambda: m, 8, 12, h, monkeypatch
+            )
+            assert _outcome(R) == _outcome(forced) and R == forced
+            skipped += forced_calls - calls
+    assert skipped > 0
+
+
+def test_an_injective_step_takes_no_reduced_form(golden, monkeypatch):
+    # B = T/(x^2) over T: step 1 covers x^2*T by T(-2), injective as x^2 is regular
+    T, view = next(_quotient_views(golden))
+    steps, calls = [], []
+    step, reduced_form = resolution._syzygy_step, linalg.reduced_form
+
+    def counted_step(*args):
+        steps.append(len(steps))
+        return step(*args)
+
+    def counted(ech, ncols):
+        calls.append(steps[-1])
+        return reduced_form(ech, ncols)
+
+    monkeypatch.setattr(resolution, "_syzygy_step", counted_step)
+    monkeypatch.setattr(linalg, "reduced_form", counted)
+    R = minimal_resolution(T.gb(), view(), 1, T.d_max)
+    assert R.shifts == ((0,), (2,)) and steps == [0, 1]
+    assert 0 in calls and 1 not in calls
+
+
 def _outcome(R):
     return R.shifts, R.maps, R.terminated, R.termination_step, R.certificate
 
@@ -1236,3 +1330,52 @@ def test_betti_numbers_of_k_are_at_most_the_chain_counts(golden):
     assert checked >= 25 and monomial >= 5 and strict >= 1
     # the plane has chains x, y, yx and beta = (1, 2, 1): equality past monomial bases
     assert _chain_counts(golden["plane"].gb(), 3, 12) == {(1, 1): 2, (2, 2): 1}
+
+
+def _kx_mod_x3(i_max, d_max):
+    return AlgebraArtifacts(parse_presentation(GOLDEN_SOURCES["A3"], label="A3"), i_max, d_max, d_max)
+
+
+def test_the_last_chain_level_asks_for_the_certificate_as_the_engine_does(monkeypatch):
+    # level i_max only decides whether the certificate is sought.  k[x]/(x^3) has
+    # its level-8 chain x^13 at d_max + 1 at (8, 12) and at d_max at (8, 13)
+    calls = []
+    certify = resolution._certify_termination
+
+    def spy(*args):
+        calls.append(tuple(args[2]))  # the shifts, a list in the engine
+        return certify(*args)
+
+    monkeypatch.setattr(resolution, "_certify_termination", spy)
+    arts = [_kx_mod_x3(8, 12), _kx_mod_x3(8, 13)]
+    arts += [AlgebraArtifacts(parse_presentation(GOLDEN_SOURCES["stanley_violator"]), i, 12, 12) for i in range(1, 9)]
+    sought = []
+    for art in arts:
+        G, h = art.gb(), art.hilbert_or_none()
+        chains = resolution.anick_resolution(G, art.i_max, art.d_max, h, art.label)
+        by_chains = calls[:]
+        del calls[:]
+        engine = minimal_resolution(G, trivial_module(art.presentation), art.i_max, art.d_max, h, art.label)
+        assert chains == engine and chains.certificate == engine.certificate
+        assert by_chains == calls
+        sought.append(len(calls))
+        del calls[:]
+    assert sought == [1] + [0] * 9
+
+
+def test_only_the_chain_levels_below_i_max_are_sorted(golden, monkeypatch):
+    # stanley_violator's level n is the 2^(n + 1) words of length n + 1: at (8, 12)
+    # levels 0..7, 510 chains, are built and level 8's 512 only probed
+    G = golden["stanley_violator"].gb()
+    assert sum(map(len, resolution.anick_chains(G, 8, 12))) == 1022
+    sorted_items = []
+
+    def spy(items, **kwargs):
+        out = sorted(items, **kwargs)
+        sorted_items.extend(out)
+        return out
+
+    monkeypatch.setattr(resolution, "sorted", spy, raising=False)
+    R = resolution.anick_resolution(G, 8, 12)
+    assert len(sorted_items) == sum(map(len, R.shifts[1:])) == 510
+    assert all(type(t) is bytes for _, _, t in sorted_items)
