@@ -39,14 +39,11 @@ from .regularity import (
     BoundedValue,
     RegularityReport,
     as_regular_verdict,
-    as_regularity,
     build_report,
     concavity_certificate,
     hilbert_criterion,
-    inequality_harness,
     invariant_ring_obstruction,
     koszul_verdict,
-    ta_tc_pairs,
     tor_regularity,
 )
 from .constructions import (

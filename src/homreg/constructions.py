@@ -23,7 +23,7 @@ from .regularity import (
     ConcavityWitness,
 )
 from .resolution import BettiTable, FreeLayer, multiplication_images, vanishes_above
-from .series import first_difference, series_product
+from .series import normal_quotient_mismatch, series_product
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def quotient_by_normal_element(artA, omega_text, label=""):
     hA, hB = artA.hilbert_or_none(), artB.hilbert_or_none()
     decided = hA is not None and hB is not None
     if decided:
-        mismatch = first_difference([1], hB, [1] + [0] * (a - 1) + [-1], hA)
+        mismatch = normal_quotient_mismatch(hA, hB, a)
         regular_ok = mismatch is None
         checked_to = d_max if regular_ok else mismatch - 1
     else:

@@ -36,6 +36,11 @@ NOETHERIAN_ASSERTION = "noetherian: user assertion"
 # bounded values
 
 
+def conjunction(*facts):
+    """Three-valued conjunction: False if a fact is False, else None if one is undecided, else True."""
+    return False if False in facts else None if None in facts else True
+
+
 class BoundedValue(Record):
     """An integer invariant with a truncation-aware qualifier."""
 
@@ -71,8 +76,7 @@ class BoundedValue(Record):
         ways, so True only on equal exact values, False once one way is False."""
         if not isinstance(other, BoundedValue):
             other = BoundedValue.exact(other)
-        both = (self.at_most(other), other.at_most(self))
-        return False if False in both else None if None in both else True
+        return conjunction(self.at_most(other), other.at_most(self))
 
     def at_most(self, other):
         """Whether the value is at most `other`'s: True when an exact value is at
@@ -333,11 +337,6 @@ def koszul_verdict(table, torreg):
             "yes", caveat="linear through window (i<=%d, j<=%d)" % (table.i_max, table.d_max)
         )
     return KoszulVerdict("unknown")
-
-
-def as_regularity(torreg_k, cmreg):
-    """Numerical AS regularity Torreg(k) + CMreg with qualifier propagation."""
-    return torreg_k.add(cmreg, "Torreg(k) + CMreg")
 
 
 def as_regular_verdict(art):
@@ -649,19 +648,7 @@ def invariant_ring_obstruction(art, cbound, cmreg_T_range=None):
 
 
 # ---------------------------------------------------------------------------
-# pairs and report assembly
-
-
-def ta_tc_pairs(report):
-    """((Torreg k, ASreg), (Torreg k, CMreg)); validates CMreg >= -Torreg."""
-    ta = (report.torreg_k, report.asreg)
-    tc = (report.torreg_k, report.cmreg)
-    if report.torreg_k.is_exact and report.cmreg.is_exact:
-        if report.cmreg.value < -report.torreg_k.value:
-            raise CertificationError(
-                "internal inconsistency: CMreg < -Torreg(k) on exact values"
-            )
-    return ta, tc
+# report assembly
 
 
 class RegularityReport(Record):
@@ -757,7 +744,9 @@ def _growth_annotation(table):
 def build_report(art):
     torreg = art.resolve_torreg()
     cmreg, cm_evidence = art.resolve_cmreg()
-    asreg = as_regularity(torreg, cmreg)
+    asreg = torreg.add(cmreg, "Torreg(k) + CMreg")
+    if asreg.is_exact and asreg.value < 0:  # the tc constraint CMreg >= -Torreg(k)
+        raise CertificationError("internal inconsistency: CMreg < -Torreg(k) on exact values")
     table = art.betti_k()
     koszul = koszul_verdict(table, torreg)
     verdict = art.as_regular_verdict()
@@ -794,7 +783,7 @@ def build_report(art):
     if art.cm_degree_hint is not None:  # not inherited: a derived algebra has its own degree
         assertions.append("Cohen-Macaulay of degree %d: asserted on the command line" % art.cm_degree_hint)
     assertions = list(dict.fromkeys(assertions + [NOETHERIAN_ASSERTION, DUALIZING_ASSERTION]))
-    report = RegularityReport(
+    return RegularityReport(
         label=art.label,
         window=(art.i_max, art.d_max, art.d_gb),
         torreg_k=torreg,
@@ -810,8 +799,6 @@ def build_report(art):
         annotations=tuple(annotations),
         assertions=tuple(assertions),
     )
-    ta_tc_pairs(report)  # validates the tc constraint
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -825,26 +812,15 @@ class HarnessCase(Record):
     holds: object
     detail: str = ""
 
+    def record(self):
+        """{name, status, detail} with status pass (True), fail (False) or skip (None).
 
-class HarnessResult(Record):
-    name: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str
-
-
-def inequality_harness(cases):
-    """Map each case's fact to pass (True), fail (False) or skip (None).
-
-    A case holds when the certified data proves it, fails when the data
-    certifies a violation, and is skipped when the window cannot settle it;
-    a skip's detail starts with "undecided in the window".  Certified
-    failures falsify the implementation, not the statements being checked.
-    """
-    results = []
-    for case in cases:
-        if case.holds is None:
-            detail = "undecided in the window%s" % ((" | " + case.detail) if case.detail else "")
-            results.append(HarnessResult(case.name, "skip", detail))
-        else:
-            results.append(HarnessResult(case.name, "pass" if case.holds else "fail", case.detail))
-    return results
+        A case holds when the certified data proves it, fails when the data
+        certifies a violation, and is skipped when the window cannot settle it;
+        a skip's detail starts with "undecided in the window".  Certified
+        failures falsify the implementation, not the statements being checked.
+        """
+        if self.holds is None:
+            detail = "undecided in the window%s" % ((" | " + self.detail) if self.detail else "")
+            return {"name": self.name, "status": "skip", "detail": detail}
+        return {"name": self.name, "status": "pass" if self.holds else "fail", "detail": self.detail}

@@ -640,22 +640,18 @@ def monomial_basis(G):
 
 
 def anick_chains(G, n_max, d_max):
-    """Left Anick chains of levels 0..n_max and degree <= d_max, over a complete
-    G whose leading words have length >= 2 (D. Anick, Trans. AMS 296, 1986).
+    """(levels, whether level n_max + 1 has a chain): the left Anick chains of
+    levels 0..n_max and degree <= d_max, over a complete G whose leading words
+    have length >= 2 (D. Anick, Trans. AMS 296, 1986).
 
     Level 0 is the letters, each its own piece.  A level-n chain is t*c' for
     a level-(n-1) chain c' with first piece q such that t*q has exactly one
     leading-word factor, a prefix t*q[:m] with 1 <= m <= len(q); t, a normal
     word, is its piece.  Level n lists (degree, index, t) by degree, then by
     the index of (slot of c', t) in FreeLayer(G, shifts of level n-1).basis(degree).
-    The list ends before the first empty level.
+    The levels end before the first empty one.  Level n_max + 1 is not
+    built, as the first chain found there decides.
     """
-    return _anick_levels(G, n_max, d_max)[0]
-
-
-def _anick_levels(G, n_max, d_max):
-    """(`anick_chains(G, n_max, d_max)`, whether level n_max + 1 has a chain);
-    that level is not built, as the first chain found decides."""
     degree, leads, find = G.presentation.word_degree, G.automaton.leads, G.automaton.find
 
     @cache
@@ -693,7 +689,7 @@ def anick_resolution(G, i_max, d_max, algebra_hilbert=None, label=""):
     level i_max only decides the certificate, by whether it has a chain, so
     it is probed, not built.
     """
-    levels, more = _anick_levels(G, i_max - 1, d_max)
+    levels, more = anick_chains(G, i_max - 1, d_max)
     shifts = ((0,),) + tuple(tuple(j for j, _, _ in level) for level in levels)
     certificate = None
     if not more:

@@ -215,6 +215,12 @@ def first_difference(p, h, q, g):
     return next((j for j, (x, y) in enumerate(zip_longest(lhs, rhs, fillvalue=0)) if x != y), None)
 
 
+def normal_quotient_mismatch(hA, hB, a):
+    """The lowest degree where H_B and (1 - t^a) H_A differ, or None: for B = A/(Omega), Omega
+    normal of degree a, the ideal A*Omega is the image of A(-a), so None exactly when Omega is regular."""
+    return first_difference([1], hB, [1] + [0] * (a - 1) + [-1], hA)
+
+
 def series_product(h1, h2):
     """h_{A (x) B} = h_A * h_B for exact rational series.
 

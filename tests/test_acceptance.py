@@ -13,9 +13,7 @@ from homreg.gbasis import groebner
 from homreg.regularity import (
     AlgebraArtifacts,
     concavity_certificate,
-    inequality_harness,
     invariant_ring_obstruction,
-    ta_tc_pairs,
     tor_regularity,
 )
 from homreg.cli import build_golden_cases
@@ -195,7 +193,8 @@ def test_criterion_7_tc_pairs(golden):
         (2, 1): tensor_product(tensor_product(T, T), E),
     }
     for (t, a), art in builds.items():
-        _, (tor, cm) = ta_tc_pairs(art.report())
+        report = art.report()
+        tor, cm = report.torreg_k, report.cmreg
         assert tor.is_exact and tor.value == t, (t, a)
         assert cm.is_exact and cm.value == a - t, (t, a)
     check("criterion 7: tc(T^t x E^a) = (t, a - t) for (t, a) in {(1,1), (1,2), (2,1)}", True)
@@ -351,14 +350,14 @@ def test_criterion_9f_normal_form_and_dimension_oracle():
 
 
 def test_criterion_10_statement_checks():
-    results = inequality_harness(build_golden_cases())
-    failures = [r for r in results if r.status == "fail"]
+    results = [case.record() for case in build_golden_cases()]
+    failures = [r for r in results if r["status"] == "fail"]
     assert not failures, failures
     # the three headline statements must actually have been exercised
-    names = " | ".join(r.name for r in results if r.status == "pass")
+    names = " | ".join(r["name"] for r in results if r["status"] == "pass")
     assert "asreg" in names and "c_minus(B)" in names and "c(T) == -CMreg(T)" in names
-    skipped = [r for r in results if r.status == "skip"]
+    skipped = [r for r in results if r["status"] == "skip"]
     for r in skipped:
-        assert r.detail  # skipped-with-reason, never silently passed
+        assert r["detail"]  # skipped-with-reason, never silently passed
     check("criterion 10: zero counterexamples to the regularity/concavity statements"
           " on all certified golden cases (%d checks)" % len(results), True)

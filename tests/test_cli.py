@@ -700,11 +700,11 @@ def test_harness_output_is_the_benchmark_golden(capsys):
 def test_quotient_module_torreg_fails_when_the_window_table_is_not_the_theorems(golden, monkeypatch):
     # T/(x^2) has H_B = (1 - t^2) H_T, so the value is 1 by 0 -> T(-2) -> T -> B -> 0,
     # and an engine table with one more entry contradicts that resolution
-    from homreg import regularity, resolution
+    from homreg import resolution
 
     case = cli._quotient_module_torreg(golden["T"], golden["B"], 2)
     assert (case.holds, case.detail) == (True, "1 == 1")
-    assert [r.status for r in regularity.inequality_harness([case])] == ["pass"]
+    assert case.record()["status"] == "pass"
     betti_table = resolution.betti_table
 
     def one_more_entry(R):
@@ -714,13 +714,12 @@ def test_quotient_module_torreg_fails_when_the_window_table_is_not_the_theorems(
     monkeypatch.setattr(resolution, "betti_table", one_more_entry)
     case = cli._quotient_module_torreg(golden["T"], golden["B"], 2)
     assert case.name == "torreg(B as T-module) == deg(Omega) - 1"
-    assert [r.status for r in regularity.inequality_harness([case])] == ["fail"]
+    assert case.record()["status"] == "fail"
 
 
 def test_quotient_module_torreg_by_a_normal_zero_divisor_is_not_exact(golden):
     # x^2 is normal in k[x]/(x^3) but kills x: no short resolution, and
     # k[x]/(x^2) has infinite projective dimension over k[x]/(x^3)
-    from homreg import regularity
     from homreg.constructions import quotient_by_normal_element
 
     B, cert = quotient_by_normal_element(golden["A3"], "x^2")
@@ -728,7 +727,7 @@ def test_quotient_module_torreg_by_a_normal_zero_divisor_is_not_exact(golden):
     case = cli._quotient_module_torreg(golden["A3"], B, 2)
     # the window's Torreg is only a lower bound above 1; without the premise it refutes nothing
     assert case.holds is None and case.detail.startswith(">=") and case.detail.endswith(" == 1")
-    assert [r.status for r in regularity.inequality_harness([case])] == ["skip"]
+    assert case.record()["status"] == "skip"
 
 
 @pytest.mark.parametrize(
@@ -776,9 +775,9 @@ def test_harness_decides_comparisons_by_the_bounded_values():
     checks = {}
     for i_max in (0, 2):
         for d_max in (0, 3):
-            results = regularity.inequality_harness(cli.build_golden_cases(i_max, d_max, 12))
-            assert [r.name for r in results if r.status == "fail"] == [], (i_max, d_max)
-            checks[i_max, d_max] = {r.name: (r.status, r.detail) for r in results}
+            results = [case.record() for case in cli.build_golden_cases(i_max, d_max, 12)]
+            assert [r["name"] for r in results if r["status"] == "fail"] == [], (i_max, d_max)
+            checks[i_max, d_max] = {r["name"]: (r["status"], r["detail"]) for r in results}
             # an inexact c_minus(B) is >=0, the statement itself, so it proves nothing
             assert checks[i_max, d_max]["c_minus(B) >= 0"] == ("skip", "undecided in the window | 0 <= >=0")
     # an exact left side at most the right side's lower bound is proven

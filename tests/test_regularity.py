@@ -7,14 +7,13 @@ from homreg.corealg import CertificationError, parse_field, parse_presentation
 from homreg.regularity import (
     BoundedValue,
     HarnessCase,
-    as_regularity,
     AlgebraArtifacts,
+    build_report,
     concavity_certificate,
+    conjunction,
     hilbert_criterion,
-    inequality_harness,
     invariant_ring_obstruction,
     koszul_verdict,
-    ta_tc_pairs,
     tor_regularity,
 )
 from homreg.constructions import concavity_witness
@@ -102,10 +101,17 @@ def test_cm_regularity_cases(golden):
     assert cmreg(fresh) == ("cm_asserted", "exact", 0)
 
 
-def test_as_regularity_sum():
-    assert as_regularity(BoundedValue.exact(1), BoundedValue.exact(-1)).value == 0
-    assert as_regularity(BoundedValue.at_least(1), BoundedValue.exact(0)).kind == "at_least"
-    assert as_regularity(BoundedValue.exact(1), BoundedValue.unknown()).kind == "unknown"
+def test_as_regularity_sum(golden):
+    # exact + exact on T; on A2's own presentation, Torreg(k) >= 0 + the exact CMreg 1
+    fresh_A2 = AlgebraArtifacts(golden["A2"].presentation)
+    for art, asreg in ((golden["T"], ("exact", 0)), (fresh_A2, ("at_least", 1))):
+        rep = art.report()
+        assert (rep.asreg.kind, rep.asreg.value) == asreg
+        assert rep.asreg == rep.torreg_k.add(rep.cmreg, "Torreg(k) + CMreg")
+    # an unknown CMreg absorbs the sum
+    art = AlgebraArtifacts(golden["T"].presentation)
+    art.cmreg_known = (BoundedValue.unknown("forced"), None)
+    assert build_report(art).asreg.kind == "unknown"
 
 
 def test_as_regular_verdicts(golden):
@@ -123,9 +129,8 @@ def test_reports_golden_values(golden):
     repT = golden["T"].report()
     assert (repT.torreg_k.value, repT.cmreg.value, repT.asreg.value) == (1, -1, 0)
     assert repT.gldim.value == 3 and repT.as_index.value == 4
-    ta, tc = ta_tc_pairs(repT)
-    assert (str(ta[0]), str(ta[1])) == ("1", "0")
-    assert (str(tc[0]), str(tc[1])) == ("1", "-1")
+    assert (str(repT.torreg_k), str(repT.asreg)) == ("1", "0")
+    assert (str(repT.torreg_k), str(repT.cmreg)) == ("1", "-1")
 
     repB = golden["B"].report()
     assert (repB.torreg_k.value, repB.cmreg.value, repB.asreg.value) == (1, 0, 1)
@@ -137,8 +142,7 @@ def test_reports_golden_values(golden):
     assert repC.as_regular.status == "yes"
 
     repA2 = golden["A2"].report()
-    ta, _ = ta_tc_pairs(repA2)
-    assert (str(ta[0]), str(ta[1])) == ("0", "1")
+    assert (str(repA2.torreg_k), str(repA2.asreg)) == ("0", "1")
 
 
 def test_hilbert_criterion(golden):
@@ -400,9 +404,22 @@ def test_a_hilbert_numerator_other_than_1_refutes_finite_global_dimension(golden
 
 def test_ta_tc_validation(golden):
     rep = golden["T"].report()
-    ta, tc = ta_tc_pairs(rep)
-    assert ta[0].value == 1 and ta[1].value == 0
-    assert tc[0].value == 1 and tc[1].value == -1
+    assert (rep.torreg_k.value, rep.asreg.value, rep.cmreg.value) == (1, 0, -1)
+    text = rep.to_text().splitlines()
+    assert "  ta pair   : (1, 0)" in text and "  tc pair   : (1, -1)" in text
+    # T has the exact Torreg(k) 1: the tc constraint CMreg >= -1 holds at -1 and -2 breaks it
+    for cmreg, breaks in ((-1, False), (-2, True)):
+        art = AlgebraArtifacts(golden["T"].presentation)
+        art.cmreg_known = (BoundedValue.exact(cmreg, "forced"), "forced")
+        if breaks:
+            with pytest.raises(CertificationError, match=r"CMreg < -Torreg\(k\)"):
+                build_report(art)
+        else:
+            assert build_report(art).asreg == BoundedValue.exact(0, "Torreg(k) + CMreg")
+    # a lower bound on Torreg(k) proves nothing against an exact CMreg
+    art = AlgebraArtifacts(golden["A2"].presentation)
+    art.cmreg_known = (BoundedValue.exact(-5, "forced"), "forced")
+    assert build_report(art).asreg.kind == "at_least"
 
 
 def test_concavity_self_witness(golden):
@@ -499,8 +516,9 @@ def test_obstruction_relation_degree_test(golden, cm_range, status):
 
 def test_harness_semantics():
     e, least, unknown = BoundedValue.exact, BoundedValue.at_least, BoundedValue.unknown
-    results = inequality_harness(
-        [
+    records = [
+        case.record()
+        for case in [
             HarnessCase("ok", e(1).at_most(e(2))),
             HarnessCase("violated", e(3).at_most(e(2))),
             HarnessCase("lower-bound-violation", least(5).at_most(e(2))),
@@ -517,8 +535,9 @@ def test_harness_semantics():
             # a fact the window leaves undecided is neither a pass nor a failure
             HarnessCase("undecided-fact", None, "premise"),
         ]
-    )
-    statuses = {r.name: r.status for r in results}
+    ]
+    assert all(list(r) == ["name", "status", "detail"] for r in records)
+    statuses = {r["name"]: r["status"] for r in records}
     assert statuses == {
         "ok": "pass",
         "violated": "fail",
@@ -533,10 +552,19 @@ def test_harness_semantics():
         "false-fact": "fail",
         "undecided-fact": "skip",
     }
-    skips = {r.name: r.detail for r in results if r.status == "skip"}
+    skips = {r["name"]: r["detail"] for r in records if r["status"] == "skip"}
     assert all(d.startswith("undecided in the window") for d in skips.values())
     assert skips["undecided-fact"] == "undecided in the window | premise"
     assert skips["insufficient"] == "undecided in the window"
+    # a decided case keeps its detail as it is
+    assert HarnessCase("x", True, "why").record() == {"name": "x", "status": "pass", "detail": "why"}
+    assert HarnessCase("x", False).record() == {"name": "x", "status": "fail", "detail": ""}
+
+
+def test_conjunction_is_three_valued():
+    assert conjunction() is True and conjunction(True, True) is True
+    assert conjunction(True, None) is None and conjunction(None, None) is None
+    assert conjunction(None, False) is False and conjunction(False, True) is False
 
 
 # true values each qualifier allows in the oracle: exact v is v, >=v is v..v+SPAN,

@@ -14,6 +14,7 @@ from homreg.series import (
     _factor_denominator,
     hilbert_rational,
     hilbert_truncated,
+    normal_quotient_mismatch,
     series_product,
     stanley_check,
 )
@@ -83,6 +84,16 @@ def test_rational_refused_for_incomplete_basis():
         hilbert_rational(G)
     # truncated series still offered inside the window
     assert hilbert_truncated(G, 3).coefficients == (1, 1, 1, 0)
+
+
+def test_normal_quotient_mismatch_is_the_first_degree_omega_is_not_regular():
+    h = {src: hilbert_rational(gb_of("field Q; gens x:1 y:1; rels " + src))
+         for src in ("x^2*y - y*x^2, x*y^2 - y^2*x", "x^2, x*y^2 - y^2*x")}
+    assert normal_quotient_mismatch(*h.values(), 2) is None  # B = T/(x^2)
+    kx, A2, A3 = (hilbert_rational(gb_of("field Q; gens x:1" + r)) for r in ("", "; rels x^2", "; rels x^3"))
+    assert normal_quotient_mismatch(kx, A2, 2) is None
+    # 1 + t against (1 - t^3)/(1 - t) = 1 + t + t^2; x^2 kills x in k[x]/(x^3): 1 + t against 1 + t - t^3 - t^4
+    assert (normal_quotient_mismatch(kx, A2, 3), normal_quotient_mismatch(A3, A2, 2)) == (2, 3)
 
 
 def test_series_product():
